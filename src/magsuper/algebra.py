@@ -14,8 +14,16 @@ import numpy as np
 
 from .dynamics import PhaseState
 from .errors import DomainError
-from .fields import Custom, Monopole, Vec3
-from .integrals import PhaseFunction, poisson_bracket
+from .fields import EPS_DOMAIN, Custom, Monopole, Vec3
+from .integrals import (
+    PhaseFunction,
+    as_phase_function,
+    evaluate_integral,
+    monopole_angular_specs,
+    monopole_runge_lenz_specs,
+    monopole_total_square_spec,
+    poisson_bracket,
+)
 
 _BASIS_NAMES = ("X1t", "X2", "X3", "X4", "X5", "X6", "X7")
 
@@ -110,6 +118,7 @@ def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
     With use_gradients=False the analytic gradients are stripped and
     the brackets fall back to central differences.
     """
+    states = list(states)
     basis = constantB_basis(B)
     if not use_gradients:
         basis = [PhaseFunction(f.name, f.fn, None) for f in basis]
@@ -129,7 +138,7 @@ def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
-        "n_states": len(list(states)),
+        "n_states": len(states),
     }
 
 
@@ -140,6 +149,7 @@ def _const_b_hamiltonian(B: float, s: PhaseState) -> float:
 def casimir_check(B: float, states) -> dict:
     """Residuals of 2 X1t X7 + X5^2 + X6^2 = 2H and
     2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H at the given states."""
+    states = list(states)
     basis = {f.name: f for f in constantB_basis(B)}
     r1 = r2 = 0.0
     for s in states:
@@ -152,70 +162,29 @@ def casimir_check(B: float, states) -> dict:
         "first_casimir": r1,
         "second_casimir": r2,
         "max_residual": max(r1, r2),
-        "n_states": len(list(states)),
+        "n_states": len(states),
     }
 
 
 def _zero_field_model() -> Custom:
+    """The g = 0 limit of the monopole: no field, singular only at the origin."""
+
+    def domain(x):
+        if float(np.linalg.norm(x)) < EPS_DOMAIN:
+            raise DomainError(f"point {x} is too close to the center")
+
     return Custom(
         a=lambda x: np.zeros(3),
         v=lambda x: 0.0,
         b=lambda x: np.zeros(3),
         jac_a=lambda x: np.zeros((3, 3)),
         grad_v=lambda x: np.zeros(3),
+        domain=domain,
     )
 
 
-def _monopole_angular_functions(g: float, model) -> list[PhaseFunction]:
-    """X_j = (x cross p^A)_j + g x_j/|x| with analytic gradients."""
-
-    def make(j: int) -> PhaseFunction:
-        def fn(s: PhaseState) -> float:
-            pa = s.p + model.vector_potential(s.x)
-            r = float(np.linalg.norm(s.x))
-            return float(np.cross(s.x, pa)[j] + g * s.x[j] / r)
-
-        def grad(s: PhaseState):
-            pa = s.p + model.vector_potential(s.x)
-            ja = model.jacobian_a(s.x)
-            r = float(np.linalg.norm(s.x))
-            gx = np.zeros(3)
-            gp = np.zeros(3)
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = 1.0
-                gp[k] = np.cross(s.x, e)[j]
-                gx[k] = (np.cross(e, pa)[j] + np.cross(s.x, ja[:, k])[j]
-                         + g * ((j == k) / r - s.x[j] * s.x[k] / r**3))
-            return gx, gp
-
-        return PhaseFunction(f"X{j + 1}", fn, grad)
-
-    return [make(j) for j in range(3)]
-
-
-def _monopole_square_function(g: float, model) -> PhaseFunction:
-    """(X)^2 = |x cross p^A|^2 + g^2 (l^A is orthogonal to x)."""
-
-    def fn(s: PhaseState) -> float:
-        pa = s.p + model.vector_potential(s.x)
-        l = np.cross(s.x, pa)
-        return float(l @ l) + g * g
-
-    def grad(s: PhaseState):
-        pa = s.p + model.vector_potential(s.x)
-        ja = model.jacobian_a(s.x)
-        l = np.cross(s.x, pa)
-        gx = np.zeros(3)
-        gp = np.zeros(3)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            gp[k] = 2.0 * float(l @ np.cross(s.x, e))
-            gx[k] = 2.0 * float(l @ (np.cross(e, pa) + np.cross(s.x, ja[:, k])))
-        return gx, gp
-
-    return PhaseFunction("X_sq", fn, grad)
+def _monopole_model(g: float, Q: float = 0.0):
+    return Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
 
 
 def monopole_closure_check(g: float, states, Q: float = 0.0,
@@ -226,9 +195,10 @@ def monopole_closure_check(g: float, states, Q: float = 0.0,
     gradients are the default; use_gradients=False falls back to
     central differences.
     """
-    model = Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
-    fns = _monopole_angular_functions(g, model)
-    fsq = _monopole_square_function(g, model)
+    states = list(states)
+    model = _monopole_model(g, Q)
+    fns = [as_phase_function(sp, model) for sp in monopole_angular_specs(g)]
+    fsq = as_phase_function(monopole_total_square_spec(g), model)
     if not use_gradients:
         fns = [PhaseFunction(f.name, f.fn, None) for f in fns]
         fsq = PhaseFunction(fsq.name, fsq.fn, None)
@@ -248,7 +218,7 @@ def monopole_closure_check(g: float, states, Q: float = 0.0,
     return {
         "checks": checks,
         "max_discrepancy": max(checks.values()),
-        "n_states": len(list(states)),
+        "n_states": len(states),
     }
 
 
@@ -258,24 +228,15 @@ def runge_lenz(g: float, Q: float, s: PhaseState) -> Vec3:
     X = l^A + g x/|x| is the conserved angular vector; R is conserved
     when the scalar potential is g^2/(2|x|^2) - Q/|x|.
     """
-    r = float(np.linalg.norm(s.x))
-    if g != 0:
-        a = Monopole(g=g).vector_potential(s.x)
-    else:
-        if r < 1e-8:
-            raise DomainError("runge_lenz evaluated too close to the center")
-        a = np.zeros(3)
-    pa = s.p + a
-    big_x = np.cross(s.x, pa) + g * s.x / r
-    return np.cross(pa, big_x) - Q * s.x / r
+    model = _monopole_model(g, Q)
+    return np.array([evaluate_integral(sp, model, s)
+                     for sp in monopole_runge_lenz_specs(g, Q)])
 
 
 def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
-    """R_1, R_2, R_3 as watchable phase functions."""
-    return [
-        PhaseFunction(f"R{j + 1}", lambda s, jj=j: float(runge_lenz(g, Q, s)[jj]))
-        for j in range(3)
-    ]
+    """R_1, R_2, R_3 as watchable phase functions with exact gradients."""
+    model = _monopole_model(g, Q)
+    return [as_phase_function(sp, model) for sp in monopole_runge_lenz_specs(g, Q)]
 
 
 def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,

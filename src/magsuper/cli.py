@@ -36,9 +36,7 @@ from .integrals import (
     determining_residuals,
     hamiltonian_function,
     known_integrals,
-    monopole_angular_specs,
     monopole_runge_lenz_specs,
-    monopole_total_square_spec,
     poisson_bracket,
 )
 from .quantum import Grid1D, helical_reduced_solve, landau_reduced_solve, mathieu_table
@@ -249,21 +247,38 @@ def _config_for(ns) -> dict:
     return cfg
 
 
+def _flag(ns, attr: str, key: str):
+    """A flag's value (None when absent), held to the schema bounds of the
+    config key it overrides."""
+    value = getattr(ns, attr, None)
+    if value is not None:
+        import jsonschema
+
+        schema = CONFIG_SCHEMA["properties"][key]
+        err = next(jsonschema.Draft202012Validator(schema).iter_errors(value), None)
+        if err is not None:
+            raise ConfigError(f"--{attr.replace('_', '-')}: {err.message}")
+    return value
+
+
 def _resolve_seed(ns, cfg) -> int:
-    return ns.seed if ns.seed is not None else int(cfg.get("seed", 0))
+    seed = _flag(ns, "seed", "seed")
+    return seed if seed is not None else int(cfg.get("seed", 0))
 
 
 def _resolve_tol(ns, cfg, default=1e-6):
-    if ns.tolerance is not None:
-        return float(ns.tolerance)
+    tol = _flag(ns, "tolerance", "tolerance")
+    if tol is not None:
+        return float(tol)
     if "tolerance" in cfg:
         return float(cfg["tolerance"])
     return default
 
 
 def _resolve_n_points(ns, cfg) -> int:
-    if getattr(ns, "n_points", None) is not None:
-        return int(ns.n_points)
+    n = _flag(ns, "n_points", "n_points")
+    if n is not None:
+        return int(n)
     return int(cfg.get("n_points", 100))
 
 
@@ -382,12 +397,10 @@ def _cmd_trajectory(ns) -> int:
 def _verify_specs(model) -> list[IntegralSpec]:
     # Runge-Lenz candidates are always tested for the monopole, so a
     # coulomb-only potential demonstrably fails verification.
-    if isinstance(model, Monopole):
-        specs = monopole_angular_specs(model.g)
-        specs.append(monopole_total_square_spec(model.g))
+    specs = known_integrals(model)
+    if isinstance(model, Monopole) and not model.barrier:
         specs.extend(monopole_runge_lenz_specs(model.g, model.Q))
-        return specs
-    return known_integrals(model)
+    return specs
 
 
 def _const_vec(v):
@@ -769,16 +782,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return _HANDLERS[ns.command](ns)
-    except ConfigError as exc:
-        print(f"magsuper: error: {exc}", file=sys.stderr)
-        return 1
-    except MagsuperError as exc:
-        print(f"magsuper: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"magsuper: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MagsuperError, ValueError, OSError) as exc:
         print(f"magsuper: error: {exc}", file=sys.stderr)
         return 1
 

@@ -135,14 +135,20 @@ def _reference_phase(kappa: float, theta0: float, zdot0: float) -> float:
         if zdot0 < 0:
             ub = 2.0 * bigk - ub
         return -math.sqrt(2.0) * ub - math.sqrt(2.0) * bigk
+    _, bigk, w0 = _rotating_start(kappa, theta0)
+    sigma = 1.0 if zdot0 >= 0 else -1.0
+    return -2.0 / math.sqrt(kappa + 1.0) * (sigma * w0 + bigk)
+
+
+def _rotating_start(kappa: float, theta0: float) -> tuple[float, float, float]:
+    """Rotating regime: modulus k, K(k), and the argument w0 with
+    2 am(w0, k) = theta0, counted across turns."""
     k = math.sqrt(2.0 / (kappa + 1.0))
     bigk = ellipk(k)
     psi = 0.5 * theta0
     n = round(psi / math.pi)
     psi_r = max(-math.pi / 2, min(math.pi / 2, psi - n * math.pi))
-    w0 = 2.0 * n * bigk + inv_am(psi_r, k)
-    sigma = 1.0 if zdot0 >= 0 else -1.0
-    return -2.0 / math.sqrt(kappa + 1.0) * (sigma * w0 + bigk)
+    return k, bigk, 2.0 * n * bigk + inv_am(psi_r, k)
 
 
 def zeta_solution(red: PendulumReduction, tau: float) -> float:
@@ -176,32 +182,18 @@ def _theta_librating(red: PendulumReduction, theta0: float, taus: np.ndarray) ->
     bigk = ellipk(k)
     nw = round(theta0 / (2.0 * math.pi))
     tau_b = red.tau0 + math.sqrt(2.0) * bigk
-    out = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        u = (tau - tau_b) / math.sqrt(2.0)
-        m = round(u / (2.0 * bigk))
-        sn = jacobi_sn(u - 2.0 * bigk * m, k)
-        if m % 2:
-            sn = -sn
-        out[i] = 2.0 * math.asin(max(-1.0, min(1.0, k * sn))) + 2.0 * math.pi * nw
-    return out
+    u = (taus - tau_b) / math.sqrt(2.0)
+    m = np.round(u / (2.0 * bigk))
+    sn = jacobi_sn(u - 2.0 * bigk * m, k) * np.where(m % 2, -1.0, 1.0)
+    return 2.0 * np.arcsin(np.clip(k * sn, -1.0, 1.0)) + 2.0 * math.pi * nw
 
 
 def _theta_rotating(red: PendulumReduction, theta0: float, taus: np.ndarray) -> np.ndarray:
-    kappa = red.kappa
-    k = math.sqrt(2.0 / (kappa + 1.0))
-    bigk = ellipk(k)
-    psi = 0.5 * theta0
-    n = round(psi / math.pi)
-    psi_r = max(-math.pi / 2, min(math.pi / 2, psi - n * math.pi))
-    w0 = 2.0 * n * bigk + inv_am(psi_r, k)
+    k, bigk, w0 = _rotating_start(red.kappa, theta0)
     sigma = 1.0 if red.zdot0 >= 0 else -1.0
-    out = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        w = w0 + sigma * 0.5 * math.sqrt(kappa + 1.0) * tau
-        m = round(w / (2.0 * bigk))
-        out[i] = 2.0 * (m * math.pi + jacobi_am(w - 2.0 * bigk * m, k))
-    return out
+    w = w0 + sigma * 0.5 * math.sqrt(red.kappa + 1.0) * taus
+    m = np.round(w / (2.0 * bigk))
+    return 2.0 * (m * math.pi + jacobi_am(w - 2.0 * bigk * m, k))
 
 
 def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.ndarray:

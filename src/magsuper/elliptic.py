@@ -1,17 +1,16 @@
-"""Jacobi elliptic functions via AGM and descending Landen transforms.
+"""Jacobi elliptic functions as thin wrappers over scipy.special.
 
 Modulus convention: all functions take k (not the parameter m = k^2).
-sn interpolates between sin (k=0) and tanh (k=1).
+sn interpolates between sin (k=0) and tanh (k=1). The functions accept
+scalar or array arguments u, x, phi.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
-_SMALL_K = 1e-7
-_MAX_LEVELS = 16
+import numpy as np
+from scipy import special
 
 
 def _check_modulus(k: float) -> float:
@@ -37,94 +36,47 @@ def agm(a: float, b: float) -> float:
 def ellipk(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k)."""
     k = _check_modulus(k)
-    if k == 1.0:
-        return math.inf
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    return math.pi / (2.0 * agm(1.0, kp))
+    return float(special.ellipk(k * k))
 
 
-def _sn_core(u: float, k: float, level: int = 0) -> float:
-    """sn by descending Landen recursion; accurate for |u| up to ~K."""
-    if k < _SMALL_K:
-        su, cu = math.sin(u), math.cos(u)
-        return su - 0.25 * k * k * (u - su * cu) * cu
-    if level >= _MAX_LEVELS:
-        raise RuntimeError("Landen recursion failed to converge")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    k1 = (1.0 - kp) / (1.0 + kp)
-    s = _sn_core(u / (1.0 + k1), k1, level + 1)
-    return (1.0 + k1) * s / (1.0 + k1 * s * s)
-
-
-def _reduce(u: float, k: float) -> tuple[float, int, float]:
-    """Return (r, n, K) with u = r + 2nK and r in [-K, K]."""
-    bigk = ellipk(k)
-    n = int(round(u / (2.0 * bigk)))
-    return u - 2.0 * n * bigk, n, bigk
-
-
-def jacobi_sn(u: float, k: float) -> float:
+def _ellipj(u, k):
+    """(sn, cn, dn, am) at u for modulus k."""
     k = _check_modulus(k)
-    u = float(u)
-    if k == 1.0:
-        return math.tanh(u)
-    r, n, _ = _reduce(u, k)
-    s = max(-1.0, min(1.0, _sn_core(r, k)))
-    return s if n % 2 == 0 else -s
+    return special.ellipj(u, k * k)
 
 
-def jacobi_cn(u: float, k: float) -> float:
-    k = _check_modulus(k)
-    u = float(u)
-    if k == 1.0:
-        return 1.0 / math.cosh(u)
-    r, n, _ = _reduce(u, k)
-    s = max(-1.0, min(1.0, _sn_core(r, k)))
-    c = math.sqrt(max(0.0, (1.0 - s) * (1.0 + s)))
-    return c if n % 2 == 0 else -c
+def jacobi_sn(u, k):
+    return _ellipj(u, k)[0]
 
 
-def jacobi_dn(u: float, k: float) -> float:
-    k = _check_modulus(k)
-    u = float(u)
-    if k == 1.0:
-        return 1.0 / math.cosh(u)
-    r, _, _ = _reduce(u, k)
-    s = _sn_core(r, k)
-    return math.sqrt(max(0.0, 1.0 - (k * s) ** 2))
+def jacobi_cn(u, k):
+    return _ellipj(u, k)[1]
 
 
-def jacobi_am(u: float, k: float) -> float:
+def jacobi_dn(u, k):
+    return _ellipj(u, k)[2]
+
+
+def jacobi_am(u, k):
     """Jacobi amplitude, continuous in u (am(u + 2K) = am(u) + pi)."""
+    return _ellipj(u, k)[3]
+
+
+def inv_am(phi, k):
+    """Principal inverse of am: u in [-K, K] with am(u, k) = phi.
+
+    This is the incomplete elliptic integral F(phi | k^2).
+    """
     k = _check_modulus(k)
-    u = float(u)
-    if k == 1.0:
-        return math.asin(math.tanh(u))
-    r, n, _ = _reduce(u, k)
-    s = max(-1.0, min(1.0, _sn_core(r, k)))
-    return n * math.pi + math.asin(s)
-
-
-def inv_sn(x: float, k: float) -> float:
-    """Principal inverse of sn: u in [-K, K] with sn(u, k) = x."""
-    k = _check_modulus(k)
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"inv_sn argument {x} outside [-1, 1]")
-    if k == 1.0:
-        return math.atanh(x)
-    bigk = ellipk(k)
-    if x == 1.0:
-        return bigk
-    if x == -1.0:
-        return -bigk
-    return brentq(lambda u: _sn_core(u, k) - x, -bigk, bigk, xtol=1e-15, rtol=1e-15)
-
-
-def inv_am(phi: float, k: float) -> float:
-    """Principal inverse of am: u in [-K, K] with am(u, k) = phi."""
-    k = _check_modulus(k)
-    phi = float(phi)
-    if not -math.pi / 2 <= phi <= math.pi / 2:
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.abs(phi) <= math.pi / 2):
         raise ValueError(f"inv_am argument {phi} outside [-pi/2, pi/2]")
-    return inv_sn(math.sin(phi), k)
+    return special.ellipkinc(phi, k * k)[()]
+
+
+def inv_sn(x, k):
+    """Principal inverse of sn: u in [-K, K] with sn(u, k) = x."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(x) <= 1.0):
+        raise ValueError(f"inv_sn argument {x} outside [-1, 1]")
+    return inv_am(np.arcsin(x), k)

@@ -35,10 +35,6 @@ def _as_vec3(x) -> Vec3:
     return a
 
 
-def _fd_step(x: Vec3) -> float:
-    return 1e-5 * max(1.0, float(np.linalg.norm(x)))
-
-
 @dataclass(frozen=True)
 class ConstantB:
     """Uniform magnetic field of strength B along the x-axis.
@@ -384,27 +380,31 @@ def divergence_checks(model: FieldModel, points) -> FieldCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# central-difference helpers (step 1e-5 * max(1, |x|))
+# central differences (step eps^(1/3) * max(1, |x_j|) along each x_j)
+
+#: eps^(1/3) balances the truncation error against round-off
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def jacobian_fd(f: Callable, x) -> np.ndarray:
+    """Central-difference derivative of f at a point x of any length.
+
+    A scalar f gives its gradient, shape (n,); a vector f gives the
+    Jacobian with rows df_i/dx_j, shape (m, n).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        h = _FD_STEP * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        cols.append(np.subtract(f(xp), f(xm)) / (2 * h))
+    return np.array(cols).T
 
 
 def grad_fd(f: Callable[[Vec3], float], x: Vec3) -> Vec3:
-    h = _fd_step(x)
-    g = np.zeros(3)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
-
-def jacobian_fd(f: Callable[[Vec3], Vec3], x: Vec3) -> np.ndarray:
-    h = _fd_step(x)
-    j = np.zeros((3, 3))
-    for col in range(3):
-        e = np.zeros(3)
-        e[col] = h
-        j[:, col] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
-    return j
+    return jacobian_fd(f, x)
 
 
 def divergence_fd(f: Callable[[Vec3], Vec3], x: Vec3) -> float:

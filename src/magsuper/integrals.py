@@ -20,7 +20,6 @@ from .dynamics import PhaseState
 from .errors import UnsupportedModel
 from .fields import (
     ConstantB,
-    Custom,
     Cylindrical,
     FieldModel,
     HelicalB,
@@ -29,9 +28,6 @@ from .fields import (
     _as_vec3,
     jacobian_fd,
 )
-
-#: central-difference step factor for phase-space derivatives
-_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 _PAIRS = [(a, b) for a in range(1, 7) for b in range(a, 7)]
 
@@ -215,12 +211,16 @@ class PhaseFunction:
 
 
 def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> PhaseFunction:
+    """A PhaseFunction from a PhaseFunction, a callable, or an IntegralSpec
+    on a model; the last carries the spec's exact phase-space gradient."""
     if isinstance(obj, PhaseFunction):
         return obj
     if isinstance(obj, IntegralSpec):
         if model is None:
             raise ValueError("an IntegralSpec needs a model to become a phase function")
-        return PhaseFunction(name or obj.name, lambda s: evaluate_integral(obj, model, s))
+        return PhaseFunction(name or obj.name,
+                             lambda s: evaluate_integral(obj, model, s),
+                             lambda s: _integral_gradient(obj, model, s))
     if callable(obj):
         return PhaseFunction(name or getattr(obj, "__name__", "f"), obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a phase-space function")
@@ -239,20 +239,23 @@ def hamiltonian_function(model: FieldModel) -> PhaseFunction:
     return PhaseFunction("H", fn, grad)
 
 
-def _fd_phase_gradient(fn, s: PhaseState) -> tuple[Vec3, Vec3]:
-    gx = np.zeros(3)
-    gp = np.zeros(3)
-    for j in range(3):
-        h = _STEP * max(1.0, abs(s.x[j]))
-        xp, xm = s.x.copy(), s.x.copy()
-        xp[j] += h
-        xm[j] -= h
-        gx[j] = (fn(PhaseState(xp, s.p)) - fn(PhaseState(xm, s.p))) / (2 * h)
-        h = _STEP * max(1.0, abs(s.p[j]))
-        pp, pm = s.p.copy(), s.p.copy()
-        pp[j] += h
-        pm[j] -= h
-        gp[j] = (fn(PhaseState(s.x, pp)) - fn(PhaseState(s.x, pm))) / (2 * h)
+def _integral_gradient(spec: IntegralSpec, model: FieldModel,
+                       s: PhaseState) -> tuple[Vec3, Vec3]:
+    """(dX/dx, dX/dp) of a covariant integral by the chain rule through
+    pi = p + A(x), with c = (c_lin, c_ang) = d(sum alpha_ab Y_a Y_b)/dY:
+        dX/dp = c_lin + c_ang x x + s(x)
+        dX/dx = J_A^T dX/dp + pi x c_ang + J_s^T pi + grad m.
+    """
+    pa = covariant_momentum(model, s)
+    c = np.zeros(6)
+    if spec.alpha:
+        y = np.concatenate([pa, np.cross(s.x, pa)])
+        for (a, b), coef in spec.alpha.items():
+            c[a - 1] += coef * y[b - 1]
+            c[b - 1] += coef * y[a - 1]
+    gp = c[:3] + np.cross(c[3:], s.x) + _spec_s(spec, s.x)
+    gx = (model.jacobian_a(s.x).T @ gp + np.cross(pa, c[3:])
+          + _spec_jac_s(spec, s.x).T @ pa + _spec_grad_m(spec, s.x))
     return gx, gp
 
 
@@ -261,7 +264,8 @@ def phase_gradient(f, s: PhaseState) -> tuple[Vec3, Vec3]:
         gx, gp = f.grad(s)
         return _as_vec3(gx), _as_vec3(gp)
     fn = f.fn if isinstance(f, PhaseFunction) else f
-    return _fd_phase_gradient(fn, s)
+    g = jacobian_fd(lambda z: fn(PhaseState.from_array(z)), s.as_array())
+    return g[:3], g[3:]
 
 
 def poisson_bracket(f, g, s: PhaseState) -> float:
@@ -292,7 +296,7 @@ def _spec_jac_s(spec: IntegralSpec, x: Vec3) -> np.ndarray:
         return np.zeros((3, 3))
     if spec.jac_s is not None:
         return np.asarray(spec.jac_s(x), dtype=float)
-    return _fd_jacobian(lambda q: _as_vec3(spec.s(q)), x)
+    return jacobian_fd(lambda q: _as_vec3(spec.s(q)), x)
 
 
 def _spec_grad_m(spec: IntegralSpec, x: Vec3) -> Vec3:
@@ -300,25 +304,7 @@ def _spec_grad_m(spec: IntegralSpec, x: Vec3) -> Vec3:
         return np.zeros(3)
     if spec.grad_m is not None:
         return _as_vec3(spec.grad_m(x))
-    g = np.zeros(3)
-    for j in range(3):
-        h = _STEP * max(1.0, abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (spec.m(xp) - spec.m(xm)) / (2 * h)
-    return g
-
-
-def _fd_jacobian(fn, x: Vec3) -> np.ndarray:
-    j = np.zeros((3, 3))
-    for col in range(3):
-        h = _STEP * max(1.0, abs(x[col]))
-        xp, xm = x.copy(), x.copy()
-        xp[col] += h
-        xm[col] -= h
-        j[:, col] = (fn(xp) - fn(xm)) / (2 * h)
-    return j
+    return jacobian_fd(lambda q: float(spec.m(q)), x)
 
 
 def determining_residuals(

@@ -170,3 +170,17 @@ def test_sample_states_contract():
     assert all(ms.monopole_admissible(s.x) for s in picky)
     with pytest.raises(RuntimeError):
         ms.sample_states(rng(73), 1, admissible=lambda x: False, max_tries=50)
+
+
+def test_generator_inputs_match_lists():
+    cb = _states(74, 20, p1_min=0.1)
+    mono = monopole_states(rng(75), 20)
+    checks = [
+        (lambda st: ms.verify_bracket_table(2.0, st), cb),
+        (lambda st: ms.casimir_check(2.0, st), cb),
+        (lambda st: ms.monopole_closure_check(2.0, st, Q=1.0), mono),
+    ]
+    for check, states in checks:
+        from_list = check(states)
+        assert from_list["n_states"] == 20
+        assert check(s for s in states) == from_list

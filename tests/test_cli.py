@@ -145,6 +145,13 @@ def test_verify_spec_file_flows(tmp_path, capsys):
     assert doc["max_residual_by_integral"]["p3_guess"] > 1e-3
 
 
+def test_verify_brackets_with_h_use_exact_gradients(capsys):
+    for system in ("constant_b", "helical", "monopole"):
+        assert cli.main(["verify", "--system", system]) == 0, system
+        doc = json.loads(capsys.readouterr().out)
+        assert max(doc["bracket_with_h"].values()) <= 1e-12, system
+
+
 def test_algebra_reports(capsys):
     assert cli.main(["algebra", "--system", "constant_b"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -250,6 +257,20 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.main(["verify"]) == 1  # neither --config nor --system
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--system", "constant_b", "--n-points", "0"], "--n-points"),
+    (["algebra", "--system", "monopole", "--n-points", "0"], "--n-points"),
+    (["fields-check", "--system", "helical", "--n-points", "0"], "--n-points"),
+    (["verify", "--system", "helical", "--tolerance", "-1"], "--tolerance"),
+], ids=["verify-n-points", "algebra-n-points", "fields-check-n-points",
+        "verify-tolerance"])
+def test_sampled_flags_follow_schema_bounds(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_byte_determinism(tmp_path):

@@ -266,3 +266,44 @@ def test_as_phase_function_paths():
         ms.as_phase_function(42)
     named = ms.as_phase_function(lambda q: q.x[0], name="x0")
     assert named.name == "x0"
+
+
+def _fd_gradient(spec, model, s):
+    bare = ms.PhaseFunction("fd", lambda q: ms.evaluate_integral(spec, model, q))
+    return ms.phase_gradient(bare, s)
+
+
+def test_integral_gradients_match_finite_differences():
+    gen = rng(40)
+    helical = ms.HelicalB(A_amp=1.5, beta=2.0, phi0=0.7)
+    chi = ms.GaugeFunction(
+        chi=lambda x: np.sin(x[0]) * np.cos(x[1]) * x[2],
+        gradient=lambda x: np.array([
+            np.cos(x[0]) * np.cos(x[1]) * x[2],
+            -np.sin(x[0]) * np.sin(x[1]) * x[2],
+            np.sin(x[0]) * np.cos(x[1]),
+        ]),
+    )
+    cases = [
+        (ms.ConstantB(B=2.0), ms.known_integrals(ms.ConstantB(B=2.0)),
+         random_states(gen, 10)),
+        (helical, ms.known_integrals(helical), random_states(gen, 10)),
+        (ms.Monopole(g=2.0, Q=1.0), ms.known_integrals(ms.Monopole(g=2.0, Q=1.0)),
+         monopole_states(gen, 10)),
+        (_cyl_model(), ms.known_integrals(_cyl_model()),
+         _off_axis(random_states(gen, 20))),
+        (ms.gauge_shift(helical, chi), ms.known_integrals(helical),
+         random_states(gen, 10)),
+    ]
+    for model, specs, states in cases:
+        for spec in specs:
+            f = ms.as_phase_function(spec, model)
+            assert f.grad is not None
+            for s in states:
+                gx, gp = f.grad(s)
+                fx, fp = _fd_gradient(spec, model, s)
+                scale = max(1.0, float(np.max(np.abs(np.concatenate([fx, fp])))))
+                assert np.allclose(gx, fx, rtol=0.0, atol=1e-7 * scale), \
+                    (type(model).__name__, spec.name)
+                assert np.allclose(gp, fp, rtol=0.0, atol=1e-7 * scale), \
+                    (type(model).__name__, spec.name)
