@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhaseState
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .fields import EPS_DOMAIN, Custom, Monopole, Vec3
 from .integrals import (
     PhaseFunction,
@@ -251,7 +251,7 @@ def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
     while len(out) < n:
         tries += 1
         if tries > max_tries:
-            raise RuntimeError("state sampling failed to find admissible points")
+            raise ConfigError("state sampling failed to find admissible points")
         x = rng.uniform(-box, box, 3)
         p = rng.uniform(-box, box, 3)
         if p1_min > 0 and abs(p[0]) < p1_min:

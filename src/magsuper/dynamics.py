@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import StepFailure
-from .fields import FieldModel, Vec3, _as_vec3
+from .fields import FieldModel, Vec3, _as_vec3, cross, dot
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,32 @@ class IntegratorConfig:
             raise ValueError("max_step and dt must be positive")
 
 
-def hamiltonian(model: FieldModel, s: PhaseState) -> float:
-    v = s.p + model.vector_potential(s.x)
-    return 0.5 * float(v @ v) + model.scalar_potential(s.x)
+def _state_arrays(s):
+    """(x, p) of a PhaseState, or of a pair (x, p) of arrays, each of
+    shape (3,) or (n,3)."""
+    if isinstance(s, PhaseState):
+        return s.x, s.p
+    x, p = s
+    return x, p
+
+
+def hamiltonian(model: FieldModel, s: PhaseState):
+    """H at a PhaseState, or per state of a pair (x, p) of (n,3) stacks."""
+    x, p = _state_arrays(s)
+    v = p + model.vector_potential(x)
+    h = 0.5 * dot(v, v) + model.scalar_potential(x)
+    return h if np.ndim(x) == 2 else float(h)
 
 
 def eom_rhs(model: FieldModel, s: PhaseState) -> tuple[Vec3, Vec3]:
-    """Right-hand side of Hamilton's equations.
+    """Right-hand side of Hamilton's equations at one state, a PhaseState
+    or a pair (x, p) of 3-vectors.
 
     dx/dt = p + A(x); dp/dt = -J_A(x)^T (p + A) - grad V.
     """
-    a = model.vector_potential(s.x)
-    v = s.p + a
-    dp = -(model.jacobian_a(s.x).T @ v) - model.grad_potential(s.x)
+    x, p = _state_arrays(s)
+    v = p + model.vector_potential(x)
+    dp = -(model.jacobian_a(x).T @ v) - model.grad_potential(x)
     return v, dp
 
 
@@ -146,14 +159,19 @@ class Trajectory:
 
 
 def _bind_watch(item, model: FieldModel, i: int):
+    """(name, function, whether it takes the stacked (xs, ps) pair)."""
+    from .integrals import IntegralSpec
+
     name = getattr(item, "name", None) or f"watch{i}"
+    if isinstance(item, IntegralSpec):
+        return name, lambda s: item.value_at(model, s), True
     if hasattr(item, "value_at"):
-        return name, lambda s: item.value_at(model, s)
+        return name, lambda s: item.value_at(model, s), False
     value = getattr(item, "value", None)
     if callable(value):
-        return name, value
+        return name, value, False
     if callable(item):
-        return name, item
+        return name, item, False
     raise TypeError(f"cannot watch object of type {type(item).__name__}")
 
 
@@ -167,7 +185,9 @@ def integrate(
     """Integrate Hamilton's equations from s0 over [0, t_end].
 
     Watched quantities (integral specs or objects with .name/.value)
-    and the energy are evaluated at every accepted step.
+    and the energy are evaluated at every accepted step: the energy and
+    the integral specs in one pass over the stacked samples, any other
+    watch one PhaseState at a time.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -181,22 +201,24 @@ def integrate(
     else:
         times, xs, ps, dense = _run_boris(model, s0, t_end, cfg)
 
-    n = len(times)
-    energy = np.empty(n)
-    diag = {name: np.empty(n) for name, _ in items}
-    for i in range(n):
-        s = PhaseState(xs[i], ps[i])
-        energy[i] = hamiltonian(model, s)
-        for name, fn in items:
-            diag[name][i] = fn(s)
+    energy = hamiltonian(model, (xs, ps))
+    states = None
+    diag = {}
+    for name, fn, stacked in items:
+        if stacked:
+            diag[name] = fn((xs, ps))
+            continue
+        if states is None:
+            states = [PhaseState(x, p) for x, p in zip(xs, ps)]
+        diag[name] = np.array([fn(s) for s in states], dtype=float)
     return Trajectory(times, xs, ps, energy, diag, model, cfg.method, dense)
 
 
 def _run_rk45(model, s0, t_end, cfg):
     def rhs(_t, y):
-        s = PhaseState(y[:3], y[3:])
-        dx, dp = eom_rhs(model, s)
-        return np.concatenate([dx, dp])
+        if not np.isfinite(y).all():
+            raise StepFailure("integration aborted: vector has non-finite components")
+        return np.concatenate(eom_rhs(model, (y[:3], y[3:])))
 
     try:
         sol = solve_ivp(
@@ -231,8 +253,8 @@ def _run_boris(model, s0, t_end, cfg):
     v = s0.p + model.vector_potential(x)
     times = np.empty(n_steps + 1)
     xs = np.empty((n_steps + 1, 3))
-    ps = np.empty((n_steps + 1, 3))
-    times[0], xs[0], ps[0] = 0.0, x, s0.p
+    vs = np.empty((n_steps + 1, 3))
+    times[0], xs[0], vs[0] = 0.0, x, v
     t = 0.0
     for i, dt in enumerate(dts):
         x = x + 0.5 * dt * v
@@ -241,13 +263,15 @@ def _run_boris(model, s0, t_end, cfg):
         v = v + 0.5 * dt * g
         tv = -0.5 * dt * b
         sv = 2.0 * tv / (1.0 + tv @ tv)
-        v = v + np.cross(v + np.cross(v, tv), sv)
+        v = v + cross(v + cross(v, tv), sv)
         v = v + 0.5 * dt * g
         x = x + 0.5 * dt * v
         model.check_domain(x)
         t += dt
         times[i + 1] = t
         xs[i + 1] = x
-        ps[i + 1] = v - model.vector_potential(x)
+        vs[i + 1] = v
     times[-1] = float(t_end)
+    ps = vs - model.vector_potential(xs)
+    ps[0] = s0.p
     return times, xs, ps, None

@@ -4,11 +4,16 @@ Every model supplies a vector potential A(x), the magnetic field
 B(x) = curl A(x), and a scalar potential V(x), in units where the
 particle has mass 1 and charge -1 so the Hamiltonian reads
 H = (p + A)^2 / 2 + V.
+
+The methods of every model take one point of shape (3,) or a stack of
+shape (n,3) and answer per point. Callables a model holds from its user
+(`Custom`, the F1, F2 and V of `Cylindrical`) are still called with one
+point or one radius at a time.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +40,79 @@ def _as_vec3(x) -> Vec3:
     return a
 
 
+# Kernels on points: x is one point of shape (3,) or a stack of shape
+# (n,3), and results keep that leading shape. Going through the
+# transpose serves both: `x0, x1, x2 = x.T` and `x.T[k]` give numbers
+# or (n,) arrays, `np.array([c0, c1, c2]).T` builds vectors back, and
+# `out.T[k] = c` or `j.T[k, i] = c` sets a component or J_ik at every
+# point. (`x[..., k]` would give 0-d arrays for one point, and numpy
+# arithmetic on those costs several times more than on numbers.)
+
+
+def cross(a, b):
+    """a x b for 3-vectors or (n,3) stacks, either side broadcast.
+
+    The same products and differences as np.cross, so the same bits,
+    without its per-call overhead.
+    """
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
+def dot(a, b):
+    """a . b per point: a number, or shape (n,) for stacks."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def norm(x):
+    """|x| per point."""
+    x0, x1, x2 = x.T
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def _zeros(x):
+    """0.0 per point of x: a float, or shape (n,) for a stack."""
+    return np.zeros(len(x)) if np.ndim(x) == 2 else 0.0
+
+
+def _zero_matrices(x) -> np.ndarray:
+    """A 3x3 zero matrix per point of x."""
+    return np.zeros(x.shape[:-1] + (3, 3))
+
+
+def _first_flagged(x, flags):
+    """The first point of x whose flag is set, or None."""
+    if x.ndim == 1:
+        return x if flags else None
+    return x[np.argmax(flags)] if flags.any() else None
+
+
+def _rowwise(method):
+    """Let a method of one point take a stack too, calling it row by row.
+
+    Used where a model calls user code, which only ever sees single
+    points of shape (3,).
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, x):
+        if np.ndim(x) == 2:
+            return np.array([method(self, row) for row in x])
+        return method(self, x)
+
+    return wrapper
+
+
+def _per_radius(fn, r):
+    """fn(r) of a user function of one radius, r a number or shape (n,)."""
+    if np.ndim(r) == 0:
+        return fn(float(r))
+    return np.array([fn(float(q)) for q in r], dtype=float)
+
+
 @dataclass(frozen=True)
 class ConstantB:
     """Uniform magnetic field of strength B along the x-axis.
@@ -52,20 +130,24 @@ class ConstantB:
         pass
 
     def vector_potential(self, x: Vec3) -> Vec3:
-        return np.array([0.0, -self.B * x[2], 0.0])
+        a = np.zeros(x.shape)
+        a.T[1] = -self.B * x.T[2]
+        return a
 
     def magnetic_field(self, x: Vec3) -> Vec3:
-        return np.array([self.B, 0.0, 0.0])
+        b = np.zeros(x.shape)
+        b.T[0] = self.B
+        return b
 
     def scalar_potential(self, x: Vec3) -> float:
-        return 0.0
+        return _zeros(x)
 
     def grad_potential(self, x: Vec3) -> Vec3:
-        return np.zeros(3)
+        return np.zeros(x.shape)
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
-        j = np.zeros((3, 3))
-        j[1, 2] = -self.B
+        j = _zero_matrices(x)
+        j.T[2, 1] = -self.B
         return j
 
 
@@ -87,32 +169,38 @@ class HelicalB:
         if self.beta == 0:
             raise ValueError("HelicalB requires beta != 0")
 
-    def _u(self, z: float) -> float:
-        return (z + self.phi0) / self.beta
+    def _u(self, x: Vec3):
+        return (x.T[2] + self.phi0) / self.beta
 
     def check_domain(self, x: Vec3) -> None:
         pass
 
     def vector_potential(self, x: Vec3) -> Vec3:
-        u = self._u(x[2])
-        return np.array([-self.A_amp * math.cos(u), -self.A_amp * math.sin(u), 0.0])
+        u = self._u(x)
+        a = np.zeros(x.shape)
+        a.T[0] = -self.A_amp * np.cos(u)
+        a.T[1] = -self.A_amp * np.sin(u)
+        return a
 
     def magnetic_field(self, x: Vec3) -> Vec3:
-        u = self._u(x[2])
+        u = self._u(x)
         c = self.A_amp / self.beta
-        return np.array([c * math.cos(u), c * math.sin(u), 0.0])
+        b = np.zeros(x.shape)
+        b.T[0] = c * np.cos(u)
+        b.T[1] = c * np.sin(u)
+        return b
 
     def scalar_potential(self, x: Vec3) -> float:
-        return 0.0
+        return _zeros(x)
 
     def grad_potential(self, x: Vec3) -> Vec3:
-        return np.zeros(3)
+        return np.zeros(x.shape)
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
-        u = self._u(x[2])
-        j = np.zeros((3, 3))
-        j[0, 2] = self.A_amp * math.sin(u) / self.beta
-        j[1, 2] = -self.A_amp * math.cos(u) / self.beta
+        u = self._u(x)
+        j = _zero_matrices(x)
+        j.T[2, 0] = self.A_amp * np.sin(u) / self.beta
+        j.T[2, 1] = -self.A_amp * np.cos(u) / self.beta
         return j
 
 
@@ -137,54 +225,64 @@ class Monopole:
         if self.g == 0:
             raise ValueError("Monopole requires g != 0")
 
+    def _radius(self, x: Vec3):
+        """|x| per point, after rejecting points on the center or the string."""
+        x0, x1, x2 = x.T
+        rho2 = x0 * x0 + x1 * x1
+        r = np.sqrt(rho2 + x2 * x2)
+        point = _first_flagged(
+            x, (r < EPS_DOMAIN) | ((rho2 < EPS_DOMAIN**2) & (x2 < 0)))
+        if point is not None:
+            where = ("is too close to the monopole at the origin"
+                     if norm(point) < EPS_DOMAIN
+                     else "lies on the Dirac string (negative z-axis)")
+            raise DomainError(f"point {point} {where}")
+        return r
+
     def check_domain(self, x: Vec3) -> None:
-        r = float(np.linalg.norm(x))
-        if r < EPS_DOMAIN:
-            raise DomainError(f"point {x} is too close to the monopole at the origin")
-        if x[0] ** 2 + x[1] ** 2 < EPS_DOMAIN**2 and x[2] < 0:
-            raise DomainError(f"point {x} lies on the Dirac string (negative z-axis)")
+        self._radius(x)
 
     def vector_potential(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        r = float(np.linalg.norm(x))
-        c = -self.g / (r * (r + x[2]))
-        return np.array([c * x[1], -c * x[0], 0.0])
+        r = self._radius(x)
+        x0, x1, x2 = x.T
+        c = -self.g / (r * (r + x2))
+        a = np.zeros(x.shape)
+        a.T[0] = c * x1
+        a.T[1] = -c * x0
+        return a
 
     def magnetic_field(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        r = float(np.linalg.norm(x))
-        return self.g * x / r**3
+        r = self._radius(x)
+        return (self.g * x.T / r**3).T
 
     def scalar_potential(self, x: Vec3) -> float:
-        self.check_domain(x)
-        r = float(np.linalg.norm(x))
+        r = self._radius(x)
         v = -self.Q / r
         if self.barrier:
             v += 0.5 * self.g**2 / r**2
         return v
 
     def grad_potential(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        r = float(np.linalg.norm(x))
+        r = self._radius(x)
         dv_dr = self.Q / r**2
         if self.barrier:
             dv_dr -= self.g**2 / r**3
-        return dv_dr * x / r
+        return (dv_dr * x.T / r).T
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
-        self.check_domain(x)
-        r = float(np.linalg.norm(x))
-        w = r * (r + x[2])
+        r = self._radius(x)
+        x0, x1, x2 = x.T
+        w = r * (r + x2)
         c = -self.g / w
         # grad of w = (x/r)(2r+z) + r e_z
-        dw = x / r * (2 * r + x[2])
+        dw = x.T / r * (2 * r + x2)
         dw[2] += r
         dc = self.g * dw / w**2
-        j = np.zeros((3, 3))
-        j[0, :] = dc * x[1]
-        j[0, 1] += c
-        j[1, :] = -dc * x[0]
-        j[1, 0] -= c
+        j = _zero_matrices(x)
+        j.T[:, 0] = dc * x1
+        j.T[1, 0] += c
+        j.T[:, 1] = -dc * x0
+        j.T[0, 1] -= c
         return j
 
 
@@ -205,49 +303,54 @@ class Cylindrical:
     v: Callable[[float], float]
     dv: Callable[[float], float]
 
-    def _radius(self, x: Vec3) -> float:
-        return math.hypot(x[0], x[1])
+    def _radius(self, x: Vec3):
+        return np.hypot(x.T[0], x.T[1])
 
     def check_domain(self, x: Vec3) -> None:
-        if self._radius(x) < EPS_DOMAIN and abs(self.f2(EPS_DOMAIN)) > EPS_DOMAIN:
-            raise DomainError(f"point {x} lies on the singular symmetry axis")
+        point = _first_flagged(x, self._radius(x) < EPS_DOMAIN)
+        if point is not None and abs(self.f2(EPS_DOMAIN)) > EPS_DOMAIN:
+            raise DomainError(f"point {point} lies on the singular symmetry axis")
 
     def vector_potential(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         r = self._radius(x)
-        f2 = self.f2(r)
-        return np.array([-x[1] * f2 / r**2, x[0] * f2 / r**2, -self.f1(r)])
+        f2 = _per_radius(self.f2, r)
+        x0, x1, _ = x.T
+        return np.array([-x1 * f2 / r**2, x0 * f2 / r**2, -_per_radius(self.f1, r)]).T
 
     def magnetic_field(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         r = self._radius(x)
-        d1 = self.df1(r)
-        return np.array([-d1 * x[1] / r, d1 * x[0] / r, self.df2(r) / r])
+        d1 = _per_radius(self.df1, r)
+        x0, x1, _ = x.T
+        return np.array([-d1 * x1 / r, d1 * x0 / r, _per_radius(self.df2, r) / r]).T
 
     def scalar_potential(self, x: Vec3) -> float:
-        return self.v(self._radius(x))
+        return _per_radius(self.v, self._radius(x))
 
     def grad_potential(self, x: Vec3) -> Vec3:
         r = self._radius(x)
-        d = self.dv(r)
-        return np.array([d * x[0] / r, d * x[1] / r, 0.0])
+        d = _per_radius(self.dv, r)
+        x0, x1, _ = x.T
+        return np.array([d * x0 / r, d * x1 / r, _zeros(x)]).T
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
         self.check_domain(x)
         r = self._radius(x)
-        f2, d2, d1 = self.f2(r), self.df2(r), self.df1(r)
+        f2, d2, d1 = (_per_radius(f, r) for f in (self.f2, self.df2, self.df1))
+        x0, x1, _ = x.T
         # d/dxj of f2/R^2, with dR/dx = (x/R, y/R, 0)
-        gx = x[0] / r
-        gy = x[1] / r
+        gx = x0 / r
+        gy = x1 / r
         dq = (d2 * r - 2 * f2) / r**3  # d/dR (f2/R^2)
         q = f2 / r**2
-        j = np.zeros((3, 3))
-        j[0, 0] = -x[1] * dq * gx
-        j[0, 1] = -q - x[1] * dq * gy
-        j[1, 0] = q + x[0] * dq * gx
-        j[1, 1] = x[0] * dq * gy
-        j[2, 0] = -d1 * gx
-        j[2, 1] = -d1 * gy
+        j = _zero_matrices(x)
+        j.T[0, 0] = -x1 * dq * gx
+        j.T[1, 0] = -q - x1 * dq * gy
+        j.T[0, 1] = q + x0 * dq * gx
+        j.T[1, 1] = x0 * dq * gy
+        j.T[0, 2] = -d1 * gx
+        j.T[1, 2] = -d1 * gy
         return j
 
 
@@ -257,7 +360,8 @@ class Custom:
 
     Only `a` (vector potential) and `v` (scalar potential) are required;
     the magnetic field defaults to a central-difference curl of `a`, and
-    derivative callbacks default to central differences as well.
+    derivative callbacks default to central differences as well. A stack
+    of points is evaluated row by row, so the callables see shape (3,).
     """
 
     a: Callable[[Vec3], Vec3]
@@ -267,29 +371,35 @@ class Custom:
     grad_v: Callable[[Vec3], Vec3] | None = None
     domain: Callable[[Vec3], None] | None = None
 
+    @_rowwise
     def check_domain(self, x: Vec3) -> None:
         if self.domain is not None:
             self.domain(x)
 
+    @_rowwise
     def vector_potential(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         return _as_vec3(self.a(x))
 
+    @_rowwise
     def magnetic_field(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         if self.b is not None:
             return _as_vec3(self.b(x))
         return curl_fd(self.a, x)
 
+    @_rowwise
     def scalar_potential(self, x: Vec3) -> float:
         self.check_domain(x)
         return float(self.v(x))
 
+    @_rowwise
     def grad_potential(self, x: Vec3) -> Vec3:
         if self.grad_v is not None:
             return _as_vec3(self.grad_v(x))
         return grad_fd(self.v, x)
 
+    @_rowwise
     def jacobian_a(self, x: Vec3) -> np.ndarray:
         if self.jac_a is not None:
             return np.asarray(self.jac_a(x), dtype=float)

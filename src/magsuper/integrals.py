@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, _state_arrays, hamiltonian
 from .errors import UnsupportedModel
 from .fields import (
     ConstantB,
@@ -26,7 +26,12 @@ from .fields import (
     Monopole,
     Vec3,
     _as_vec3,
+    _per_radius,
+    _zeros,
+    cross,
+    dot,
     jacobian_fd,
+    norm,
 )
 
 _PAIRS = [(a, b) for a in range(1, 7) for b in range(a, 7)]
@@ -69,7 +74,9 @@ class IntegralSpec:
     """One integral of motion in covariant form.
 
     `jac_s` (rows ds_i/dx_j) and `grad_m` are optional analytic
-    derivatives; central differences are used when absent.
+    derivatives; central differences are used when absent. The s and m
+    of the built-in specs take (3,) or (n,3) points; user-supplied ones
+    are only ever called with one point.
     """
 
     name: str
@@ -166,25 +173,41 @@ def build_hn_from_alpha(alpha) -> CoeffPolynomials:
 
 
 def covariant_momentum(model: FieldModel, s: PhaseState) -> Vec3:
-    return s.p + model.vector_potential(s.x)
+    x, p = _state_arrays(s)
+    return p + model.vector_potential(x)
 
 
 def covariant_angular_momentum(model: FieldModel, s: PhaseState) -> Vec3:
-    return np.cross(s.x, covariant_momentum(model, s))
+    x, _ = _state_arrays(s)
+    return cross(x, covariant_momentum(model, s))
 
 
-def evaluate_integral(spec: IntegralSpec, model: FieldModel, s: PhaseState) -> float:
+def _per_point(fn, x, one):
+    """fn over the points of x. Only the built-in s and m take a stack;
+    any other fn is called one point at a time, its value passed
+    through `one`."""
+    if getattr(fn, "stacks", False):
+        return fn(x)
+    if x.ndim == 1:
+        return one(fn(x))
+    return np.array([one(fn(row)) for row in x])
+
+
+def evaluate_integral(spec: IntegralSpec, model: FieldModel, s: PhaseState):
+    """X at a PhaseState (a float), or at each state of a pair (x, p) of
+    (n,3) stacks (shape (n,))."""
+    x, _ = _state_arrays(s)
     pa = covariant_momentum(model, s)
-    val = 0.0
+    val = _zeros(x)
     if spec.alpha:
-        y = np.concatenate([pa, np.cross(s.x, pa)])
+        y = (*pa.T, *cross(x, pa).T)
         for (a, b), c in spec.alpha.items():
             val += c * y[a - 1] * y[b - 1]
     if spec.s is not None:
-        val += float(_as_vec3(spec.s(s.x)) @ pa)
+        val += dot(_per_point(spec.s, x, _as_vec3), pa)
     if spec.m is not None:
-        val += float(spec.m(s.x))
-    return val
+        val += _per_point(spec.m, x, float)
+    return val if x.ndim == 2 else float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +250,12 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
 
 
 def hamiltonian_function(model: FieldModel) -> PhaseFunction:
-    def fn(s: PhaseState) -> float:
-        v = s.p + model.vector_potential(s.x)
-        return 0.5 * float(v @ v) + model.scalar_potential(s.x)
-
     def grad(s: PhaseState):
         v = s.p + model.vector_potential(s.x)
         gx = model.jacobian_a(s.x).T @ v + model.grad_potential(s.x)
         return gx, v
 
-    return PhaseFunction("H", fn, grad)
+    return PhaseFunction("H", lambda s: hamiltonian(model, s), grad)
 
 
 def _integral_gradient(spec: IntegralSpec, model: FieldModel,
@@ -249,12 +268,12 @@ def _integral_gradient(spec: IntegralSpec, model: FieldModel,
     pa = covariant_momentum(model, s)
     c = np.zeros(6)
     if spec.alpha:
-        y = np.concatenate([pa, np.cross(s.x, pa)])
+        y = np.concatenate([pa, cross(s.x, pa)])
         for (a, b), coef in spec.alpha.items():
             c[a - 1] += coef * y[b - 1]
             c[b - 1] += coef * y[a - 1]
-    gp = c[:3] + np.cross(c[3:], s.x) + _spec_s(spec, s.x)
-    gx = (model.jacobian_a(s.x).T @ gp + np.cross(pa, c[3:])
+    gp = c[:3] + cross(c[3:], s.x) + _spec_s(spec, s.x)
+    gx = (model.jacobian_a(s.x).T @ gp + cross(pa, c[3:])
           + _spec_jac_s(spec, s.x).T @ pa + _spec_grad_m(spec, s.x))
     return gx, gp
 
@@ -364,34 +383,52 @@ def determining_residuals(
 # known integrals per system
 
 
+_E = np.eye(3)
+
+
+def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec:
+    """A built-in spec; its s and m take (3,) or (n,3) points."""
+    for fn in (s, m):
+        if fn is not None:
+            fn.stacks = True
+    return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
+
+
+def _unit(x, j: int):
+    """e_j at each point of x."""
+    e = np.zeros(x.shape)
+    e.T[j] = 1.0
+    return e
+
+
 def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
     B = model.B
     return [
-        IntegralSpec(
+        _known(
             "X1", {},
-            s=lambda x: np.array([1.0, 0.0, 0.0]),
-            m=lambda x: 0.0,
+            s=lambda x: _unit(x, 0),
+            m=lambda x: _zeros(x),
             jac_s=lambda x: np.zeros((3, 3)),
             grad_m=lambda x: np.zeros(3),
         ),
-        IntegralSpec(
+        _known(
             "X2", {},
-            s=lambda x: np.array([0.0, 1.0, 0.0]),
-            m=lambda x: B * x[2],
+            s=lambda x: _unit(x, 1),
+            m=lambda x: B * x.T[2],
             jac_s=lambda x: np.zeros((3, 3)),
             grad_m=lambda x: np.array([0.0, 0.0, B]),
         ),
-        IntegralSpec(
+        _known(
             "X3", {},
-            s=lambda x: np.array([0.0, 0.0, 1.0]),
-            m=lambda x: -B * x[1],
+            s=lambda x: _unit(x, 2),
+            m=lambda x: -B * x.T[1],
             jac_s=lambda x: np.zeros((3, 3)),
             grad_m=lambda x: np.array([0.0, -B, 0.0]),
         ),
-        IntegralSpec(
+        _known(
             "X4", {},
-            s=lambda x: np.array([0.0, -x[2], x[1]]),
-            m=lambda x: -0.5 * B * (x[1] ** 2 + x[2] ** 2),
+            s=lambda x: cross(_E[0], x),
+            m=lambda x: -0.5 * B * (x.T[1] ** 2 + x.T[2] ** 2),
             jac_s=lambda x: np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),
             grad_m=lambda x: np.array([0.0, -B * x[1], -B * x[2]]),
         ),
@@ -402,27 +439,28 @@ def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
     amp, beta, phi0 = model.A_amp, model.beta, model.phi0
 
     def u(x):
-        return (x[2] + phi0) / beta
+        return (x.T[2] + phi0) / beta
 
     return [
-        IntegralSpec(
+        _known(
             "X1", {},
-            s=lambda x: np.array([1.0, 0.0, 0.0]),
-            m=lambda x: amp * math.cos(u(x)),
+            s=lambda x: _unit(x, 0),
+            m=lambda x: amp * np.cos(u(x)),
             jac_s=lambda x: np.zeros((3, 3)),
             grad_m=lambda x: np.array([0.0, 0.0, -amp * math.sin(u(x)) / beta]),
         ),
-        IntegralSpec(
+        _known(
             "X2", {},
-            s=lambda x: np.array([0.0, 1.0, 0.0]),
-            m=lambda x: amp * math.sin(u(x)),
+            s=lambda x: _unit(x, 1),
+            m=lambda x: amp * np.sin(u(x)),
             jac_s=lambda x: np.zeros((3, 3)),
             grad_m=lambda x: np.array([0.0, 0.0, amp * math.cos(u(x)) / beta]),
         ),
-        IntegralSpec(
+        _known(
             "X3", {},
-            s=lambda x: np.array([-x[1], x[0], beta]),
-            m=lambda x: amp * (x[0] * math.sin(u(x)) - x[1] * math.cos(u(x))),
+            # a screw: rotation about the z-axis with pitch beta
+            s=lambda x: cross(_E[2], x) + beta * _E[2],
+            m=lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
             jac_s=lambda x: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
             grad_m=lambda x: np.array([
                 amp * math.sin(u(x)),
@@ -437,10 +475,10 @@ def _unit_radial(j: int):
     """x_j/|x| and its gradient, as closures."""
 
     def val(x):
-        return x[j] / np.linalg.norm(x)
+        return x.T[j] / norm(x)
 
     def grad(x):
-        r = np.linalg.norm(x)
+        r = norm(x)
         g = -x[j] * x / r**3
         g[j] += 1.0 / r
         return g
@@ -450,24 +488,16 @@ def _unit_radial(j: int):
 
 def monopole_angular_specs(g: float) -> list[IntegralSpec]:
     """X_j = l_j^A + g x_j/|x| for j = 1..3."""
-    s_rows = {
-        0: lambda x: np.array([0.0, -x[2], x[1]]),
-        1: lambda x: np.array([x[2], 0.0, -x[0]]),
-        2: lambda x: np.array([-x[1], x[0], 0.0]),
-    }
-    jac_rows = {
-        0: np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),
-        1: np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=float),
-        2: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
-    }
     specs = []
     for j in range(3):
         val, grad = _unit_radial(j)
-        specs.append(IntegralSpec(
+        # s = e_j x x; column k of its constant Jacobian is e_j x e_k
+        jac = cross(_E[j], _E).T
+        specs.append(_known(
             f"X{j + 1}", {},
-            s=s_rows[j],
+            s=(lambda x, e=_E[j]: cross(e, x)),
             m=(lambda x, v=val: g * v(x)),
-            jac_s=(lambda x, jr=jac_rows[j]: jr),
+            jac_s=(lambda x, jr=jac: jr),
             grad_m=(lambda x, gr=grad: g * gr(x)),
         ))
     return specs
@@ -475,10 +505,10 @@ def monopole_angular_specs(g: float) -> list[IntegralSpec]:
 
 def monopole_total_square_spec(g: float) -> IntegralSpec:
     """(X)^2 = sum_j (l_j^A)^2 + g^2."""
-    return IntegralSpec(
+    return _known(
         "X_sq", {(4, 4): 1.0, (5, 5): 1.0, (6, 6): 1.0},
         s=None,
-        m=lambda x: g**2,
+        m=lambda x: g**2 + _zeros(x),
         grad_m=lambda x: np.zeros(3),
     )
 
@@ -497,19 +527,14 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
 
     def s_fn(j):
         def s(x):
-            r = np.linalg.norm(x)
-            e = np.zeros(3)
-            e[j] = 1.0
-            return g * np.cross(x, e) / r
+            return (g * cross(x, _E[j]).T / norm(x)).T
 
         return s
 
     def jac_s_fn(j):
         def jac(x):
-            r = np.linalg.norm(x)
-            e = np.zeros(3)
-            e[j] = 1.0
-            c = np.cross(x, e)
+            r = norm(x)
+            c = cross(x, _E[j])
             jc = np.zeros((3, 3))
             jc[(j + 1) % 3, (j + 2) % 3] = 1.0
             jc[(j + 2) % 3, (j + 1) % 3] = -1.0
@@ -521,7 +546,7 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
     specs = []
     for j in range(3):
         val, grad = _unit_radial(j)
-        specs.append(IntegralSpec(
+        specs.append(_known(
             f"R{j + 1}", alphas[j],
             s=s_fn(j),
             m=(lambda x, v=val: -Q * v(x)),
@@ -532,25 +557,32 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
 
 
 def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
-    def radius(x):
-        return math.hypot(x[0], x[1])
+    # F1, F2 and their derivatives are the user's: one radius per call
+    def of_radius(fn, x):
+        return _per_radius(fn, model._radius(x))
+
+    def radial_gradient(dfn, sign):
+        def grad(x):
+            r = model._radius(x)
+            d = sign * of_radius(dfn, x)
+            return np.array([d * x[0] / r, d * x[1] / r, 0.0])
+
+        return grad
 
     return [
-        IntegralSpec(
+        _known(
             "l3", {},
-            s=lambda x: np.array([-x[1], x[0], 0.0]),
-            m=lambda x: -model.f2(radius(x)),
+            s=lambda x: cross(_E[2], x),
+            m=lambda x: -of_radius(model.f2, x),
             jac_s=lambda x: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
-            grad_m=lambda x: (lambda r: np.array(
-                [-model.df2(r) * x[0] / r, -model.df2(r) * x[1] / r, 0.0]))(radius(x)),
+            grad_m=radial_gradient(model.df2, -1.0),
         ),
-        IntegralSpec(
+        _known(
             "p3", {},
-            s=lambda x: np.array([0.0, 0.0, 1.0]),
-            m=lambda x: model.f1(radius(x)),
+            s=lambda x: _unit(x, 2),
+            m=lambda x: of_radius(model.f1, x),
             jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: (lambda r: np.array(
-                [model.df1(r) * x[0] / r, model.df1(r) * x[1] / r, 0.0]))(radius(x)),
+            grad_m=radial_gradient(model.df1, 1.0),
         ),
     ]
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import GridTooSmall, NoBoundStates
+from .errors import GridTooSmall, NoBoundStates, StepFailure
 from .fields import Cylindrical
 
 
@@ -238,7 +238,7 @@ def helical_reduced_solve(
         sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853",
                         rtol=1e-12, atol=1e-12, t_eval=z_eval, dense_output=False)
         if not sol.success:
-            raise RuntimeError(f"fundamental-solution integration failed: {sol.message}")
+            raise StepFailure(f"fundamental-solution integration failed: {sol.message}")
         sols.append(sol.y)
     chi1, dchi1 = sols[0]
     chi2, dchi2 = sols[1]

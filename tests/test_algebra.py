@@ -168,8 +168,13 @@ def test_sample_states_contract():
         assert abs(s.p[0]) >= 0.3
     picky = ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible)
     assert all(ms.monopole_admissible(s.x) for s in picky)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ms.ConfigError):
         ms.sample_states(rng(73), 1, admissible=lambda x: False, max_tries=50)
+
+
+def test_sample_states_gives_up_with_config_error():
+    with pytest.raises(ms.ConfigError, match="state sampling failed"):
+        ms.sample_states(rng(76), 3, admissible=lambda x: False, max_tries=5)
 
 
 def test_generator_inputs_match_lists():

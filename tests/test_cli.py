@@ -217,6 +217,16 @@ def test_spectrum_helical(tmp_path, capsys):
     assert "'K'" in capsys.readouterr().err
 
 
+def test_spectrum_helical_integration_failure_exits_1(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "spec.json", {
+        "system": {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+        "K": 1e6, "E": 1.0, "hbar": 1.0,
+    })
+    with np.errstate(all="ignore"):
+        assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert "fundamental-solution integration failed" in capsys.readouterr().err
+
+
 def test_spectrum_missing_grid(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "spec.json",
                      {"system": {"model": "constant_b", "B": 1.0}})
