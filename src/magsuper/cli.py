@@ -80,6 +80,12 @@ def dumps_report(obj, indent: int = 0) -> str:
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float
+            and obj.size and np.isfinite(obj).all()):
+        # a table of finite floats: one %-format per row, same bytes as below
+        cell = "\n" + "  " * (indent + 2) + "%.17g"
+        row_fmt = f"{pad}  [" + ",".join([cell] * obj.shape[1]) + f"\n{pad}  ]"
+        return "[\n" + ",\n".join(row_fmt % tuple(r) for r in obj.tolist()) + f"\n{pad}]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -97,9 +103,12 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header: list[str], table: np.ndarray) -> str:
+    """CSV of an (n, k) float table; each row is one %-format of k %.17g
+    fields, the same conversion `_fmt` makes cell by cell."""
+    row_fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_fmt % tuple(row) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -336,19 +345,16 @@ def _watch_for(model, s0: PhaseState):
 
 
 def _trajectory_text(traj, names, fmt: str, extra=None) -> str:
-    header = ["t", "x", "y", "z", "p1", "p2", "p3", "H"] + list(names)
+    header = ["t", "x", "y", "z", "p1", "p2", "p3", "H", *names]
+    columns = [traj.times, traj.x, traj.p, traj.energy,
+               *(traj.diagnostics[n] for n in names)]
     if extra is not None:
         header.append(extra[0])
-    rows = []
-    for i in range(len(traj.times)):
-        row = [traj.times[i], *traj.x[i], *traj.p[i], traj.energy[i]]
-        row.extend(traj.diagnostics[n][i] for n in names)
-        if extra is not None:
-            row.append(extra[1][i])
-        rows.append(row)
+        columns.append(extra[1])
+    table = np.column_stack(columns)
     if fmt == "json":
-        return dumps_report({"columns": header, "rows": rows}) + "\n"
-    return _csv_text(header, rows)
+        return dumps_report({"columns": header, "rows": table}) + "\n"
+    return _csv_text(header, table)
 
 
 def _run_trajectory(ns, closed_form: bool) -> int:
@@ -364,11 +370,9 @@ def _run_trajectory(ns, closed_form: bool) -> int:
     extra = None
     if closed_form:
         if isinstance(model, ConstantB):
-            err = np.empty(len(traj.times))
-            for i, t in enumerate(traj.times):
-                ref = helix_solution(model.B, s0, float(t))
-                err[i] = max(np.max(np.abs(traj.x[i] - ref.x)),
-                             np.max(np.abs(traj.p[i] - ref.p)))
+            refs = [helix_solution(model.B, s0, float(t)) for t in traj.times]
+            ref = np.array([np.concatenate([r.x, r.p]) for r in refs])
+            err = np.max(np.abs(np.hstack([traj.x, traj.p]) - ref), axis=1)
         elif isinstance(model, HelicalB):
             red = pendulum_reduction(model, s0)
             zc = helical_z_of_t(model, red, traj.times)
@@ -535,9 +539,7 @@ def _cmd_algebra(ns) -> int:
     rng = _rng(seed)
 
     if kind == "constant_b":
-        B = float(sys_cfg.get("B", 1.0))
-        if B == 0:
-            raise ConfigError("constant_b algebra needs B != 0")
+        B = float(sys_cfg["B"])
         states = sample_states(rng, n, p1_min=0.1)
         pairs = verify_bracket_table(B, states)
         cas = casimir_check(B, states)
@@ -557,7 +559,7 @@ def _cmd_algebra(ns) -> int:
             "pass": ok,
         }
     elif kind == "monopole":
-        g = float(sys_cfg.get("g", 2.0))
+        g = float(sys_cfg["g"])
         states = sample_states(rng, n, admissible=monopole_admissible)
         rep = monopole_closure_check(g, states, Q=float(sys_cfg.get("Q", 0.0)))
         ok = rep["max_discrepancy"] < tol
@@ -595,17 +597,18 @@ def _cmd_spectrum(ns) -> int:
     cfg = load_config(ns.config)
     kind = cfg["system"].get("model")
     hbar = float(cfg.get("hbar", 1.0))
+    tol = _flag(ns, "tolerance", "tolerance")
+    if tol is None:
+        tol = cfg.get("tolerance")
 
     if kind == "constant_b":
         model = model_from_config(cfg["system"])
         grid = _grid(cfg)
         n_levels = int(cfg.get("n_levels", 6))
-        k1 = float(cfg.get("k1", 0.0))
-        k2 = float(cfg.get("k2", 0.0))
+        k1, k2 = float(cfg.get("k1", 0.0)), float(cfg.get("k2", 0.0))
         res = landau_reduced_solve(model.B, k1, k2, hbar, grid, n_levels)
         analytic = [0.5 * k1**2 + hbar * model.B * (i + 0.5) for i in range(n_levels)]
-        rel = [abs(e - a) / abs(a) for e, a in zip(res.eigenvalues, analytic)]
-        max_rel = max(rel)
+        max_rel = max(abs(e - a) / abs(a) for e, a in zip(res.eigenvalues, analytic))
         report = {
             "system": "constant_b",
             "B": model.B,
@@ -622,14 +625,11 @@ def _cmd_spectrum(ns) -> int:
             if ns.out is None:
                 raise ConfigError("--format csv (eigenfunctions) requires --out")
             header = ["z"] + [f"f{i}" for i in range(n_levels)]
-            rows = [[grid.points[j]] + [res.eigenfunctions[i][j]
-                                        for i in range(n_levels)]
-                    for j in range(grid.n)]
-            _emit(_csv_text(header, rows), ns.out)
+            table = np.column_stack([grid.points, res.eigenfunctions.T])
+            _emit(_csv_text(header, table), ns.out)
             sys.stdout.write(dumps_report(report) + "\n")
         else:
             _emit(dumps_report(report) + "\n", ns.out)
-        tol = ns.tolerance if ns.tolerance is not None else cfg.get("tolerance")
         return 2 if tol is not None and max_rel > float(tol) else 0
 
     if kind == "helical":
@@ -637,20 +637,15 @@ def _cmd_spectrum(ns) -> int:
         for key in ("K", "E"):
             if key not in cfg:
                 raise ConfigError(f"helical spectrum config needs {key!r}")
-        res = helical_reduced_solve(
-            float(sys_cfg["A_amp"]), float(sys_cfg["beta"]),
-            float(cfg["K"]), float(cfg.get("phi_K", 0.0)), hbar, float(cfg["E"]),
-        )
+        params = {"A_amp": float(sys_cfg["A_amp"]), "beta": float(sys_cfg["beta"]),
+                  "K": float(cfg["K"]), "phi_K": float(cfg.get("phi_K", 0.0)),
+                  "hbar": hbar, "E": float(cfg["E"])}
+        res = helical_reduced_solve(**params)
         r_max = int(cfg.get("r_max", 5))
         table = mathieu_table(r_max, res.q)
         report = {
             "system": "helical",
-            "A_amp": float(sys_cfg["A_amp"]),
-            "beta": float(sys_cfg["beta"]),
-            "K": float(cfg["K"]),
-            "phi_K": float(cfg.get("phi_K", 0.0)),
-            "E": float(cfg["E"]),
-            "hbar": hbar,
+            **params,
             "a": res.a,
             "q": res.q,
             "period": res.period,
@@ -663,7 +658,6 @@ def _cmd_spectrum(ns) -> int:
             },
         }
         _emit(dumps_report(report) + "\n", ns.out)
-        tol = ns.tolerance if ns.tolerance is not None else cfg.get("tolerance")
         return 2 if tol is not None and res.wronskian_drift > float(tol) else 0
 
     raise ConfigError("spectrum supports the constant_b and helical models")

@@ -14,6 +14,7 @@ point or one radius at a time.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,10 +26,6 @@ Vec3 = np.ndarray
 
 #: clearance below which a point counts as sitting on a singular locus
 EPS_DOMAIN = 1e-8
-
-
-def vec3(x, y, z) -> Vec3:
-    return np.array([x, y, z], dtype=float)
 
 
 def _as_vec3(x) -> Vec3:
@@ -540,14 +537,24 @@ def model_from_config(cfg: dict) -> FieldModel:
         raise ConfigError("field config must be an object with a 'model' key")
     kind = cfg["model"]
     params = {k: v for k, v in cfg.items() if k != "model"}
+
+    def number(key, default=None):
+        # the schema's "number": present unless it has a default, never a bool
+        if key not in params and default is None:
+            raise ConfigError(f"model {kind!r} needs the parameter {key!r}")
+        value = params.pop(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"parameter {key!r} of model {kind!r} must be a number")
+        return float(value)
+
     try:
         if kind == "constant_b":
-            return ConstantB(B=float(params.pop("B", 1.0)), **_none(params))
+            return ConstantB(B=number("B"), **_none(params))
         if kind == "helical":
             return HelicalB(
-                A_amp=float(params.pop("A_amp", 1.0)),
-                beta=float(params.pop("beta", 1.0)),
-                phi0=float(params.pop("phi0", 0.0)),
+                A_amp=number("A_amp"),
+                beta=number("beta"),
+                phi0=number("phi0", 0.0),
                 **_none(params),
             )
         if kind == "monopole":
@@ -555,8 +562,8 @@ def model_from_config(cfg: dict) -> FieldModel:
             if potential not in ("modified", "coulomb-only"):
                 raise ConfigError(f"unknown monopole potential {potential!r}")
             return Monopole(
-                g=float(params.pop("g", 1.0)),
-                Q=float(params.pop("Q", 0.0)),
+                g=number("g"),
+                Q=number("Q", 0.0),
                 barrier=(potential == "modified"),
                 **_none(params),
             )

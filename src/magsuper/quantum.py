@@ -213,10 +213,12 @@ def helical_reduced_solve(
     """Solve hbar^2 chi'' = (-2 A K cos(z/beta - phi_K) + A^2 + K^2 - 2E) chi.
 
     Returns the Mathieu coefficients of the equivalent equation in the
-    half-argument variable x = phi_K/2 - z/(2 beta) and two numerically
-    integrated fundamental solutions over one period 2 pi |beta|,
-    together with their monodromy matrix (unit Wronskian).
+    half-argument variable x = phi_K/2 - z/(2 beta) and the fundamental
+    matrix over one period 2 pi |beta|, integrated as one DOP853 system,
+    together with its monodromy matrix (unit Wronskian).
     """
+    if not all(math.isfinite(v) for v in (A_amp, beta, K, phi_K, hbar, E)):
+        raise ValueError("helical_reduced_solve needs finite parameters")
     if K < 0:
         raise ValueError("K must be nonnegative")
     if beta == 0 or hbar <= 0:
@@ -225,23 +227,20 @@ def helical_reduced_solve(
     q = -4.0 * beta**2 * A_amp * K / hbar**2
     period = 2.0 * math.pi * abs(beta)
 
-    def w(z):
-        return (-2.0 * A_amp * K * math.cos(z / beta - phi_K)
-                + A_amp**2 + K**2 - 2.0 * E) / hbar**2
-
     def rhs(z, y):
-        return [y[1], w(z) * y[0]]
+        w = (-2.0 * A_amp * K * math.cos(z / beta - phi_K)
+             + A_amp**2 + K**2 - 2.0 * E) / hbar**2
+        return [y[1], w * y[0], y[3], w * y[2]]
 
+    # both fundamental solutions as one system [chi1, chi1', chi2, chi2'];
+    # a solve that blows up ends in a StepFailure, so its overflows stay silent
     z_eval = np.linspace(0.0, period, n_samples)
-    sols = []
-    for y0 in ([1.0, 0.0], [0.0, 1.0]):
-        sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853",
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, period), [1.0, 0.0, 0.0, 1.0], method="DOP853",
                         rtol=1e-12, atol=1e-12, t_eval=z_eval, dense_output=False)
-        if not sol.success:
-            raise StepFailure(f"fundamental-solution integration failed: {sol.message}")
-        sols.append(sol.y)
-    chi1, dchi1 = sols[0]
-    chi2, dchi2 = sols[1]
+    if not sol.success:
+        raise StepFailure(f"fundamental-solution integration failed: {sol.message}")
+    chi1, dchi1, chi2, dchi2 = sol.y
     wr = chi1 * dchi2 - dchi1 * chi2
     monodromy = np.array([[chi1[-1], chi2[-1]], [dchi1[-1], dchi2[-1]]])
     return HelicalReducedResult(

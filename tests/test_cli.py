@@ -2,11 +2,13 @@
 
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magsuper as ms
 from magsuper import cli
 
 
@@ -227,6 +229,40 @@ def test_spectrum_helical_integration_failure_exits_1(tmp_path, capsys):
     assert "fundamental-solution integration failed" in capsys.readouterr().err
 
 
+def test_spectrum_helical_overflow_raises_no_warning(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "spec.json", {
+        "system": {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+        "K": 1e6, "E": 1.0, "hbar": 1.0,
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "fundamental-solution integration failed" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_spectrum_csv_matches_per_cell_reference(tmp_path, capsys):
+    B, k1, k2, n_levels = 1.5, 0.3, -0.4, 3
+    cfg = _write_cfg(tmp_path, "spec.json", {
+        "system": {"model": "constant_b", "B": B},
+        "grid": {"lo": -9.0, "hi": 9.0, "n": 60},
+        "n_levels": n_levels, "k1": k1, "k2": k2,
+    })
+    out = tmp_path / "funcs.csv"
+    assert cli.main(["spectrum", "--config", cfg, "--format", "csv",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    grid = ms.Grid1D(-9.0, 9.0, 60)
+    res = ms.landau_reduced_solve(B, k1, k2, 1.0, grid, n_levels)
+    z = grid.points
+    lines = ["z,f0,f1,f2"]
+    for j in range(grid.n):
+        cells = [z[j]] + [res.eigenfunctions[i][j] for i in range(n_levels)]
+        lines.append(",".join("%.17g" % float(v) for v in cells))
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
 def test_spectrum_missing_grid(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "spec.json",
                      {"system": {"model": "constant_b", "B": 1.0}})
@@ -274,9 +310,16 @@ def test_usage_errors(capsys):
     (["algebra", "--system", "monopole", "--n-points", "0"], "--n-points"),
     (["fields-check", "--system", "helical", "--n-points", "0"], "--n-points"),
     (["verify", "--system", "helical", "--tolerance", "-1"], "--tolerance"),
+    (["spectrum", "--config", "{landau}", "--tolerance", "-1"], "--tolerance"),
+    (["spectrum", "--config", "{landau}", "--tolerance", "0"], "--tolerance"),
 ], ids=["verify-n-points", "algebra-n-points", "fields-check-n-points",
-        "verify-tolerance"])
-def test_sampled_flags_follow_schema_bounds(argv, message, capsys):
+        "verify-tolerance", "spectrum-tolerance-negative", "spectrum-tolerance-zero"])
+def test_sampled_flags_follow_schema_bounds(argv, message, tmp_path, capsys):
+    landau = _write_cfg(tmp_path, "landau.json", {
+        "system": {"model": "constant_b", "B": 1.0},
+        "grid": {"lo": -10.0, "hi": 10.0, "n": 400},
+    })
+    argv = [landau if a == "{landau}" else a for a in argv]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -305,3 +348,103 @@ def test_shipped_schema_matches_module():
     shipped = json.loads((here / "docs" / "config.schema.json")
                          .read_text(encoding="utf-8"))
     assert shipped == cli.CONFIG_SCHEMA
+
+
+@pytest.mark.parametrize("system", [
+    {"model": "constant_b", "B": 2.0},
+    {"model": "helical", "A_amp": 1.0, "beta": -0.5},
+    {"model": "helical", "A_amp": 1.0, "beta": 2.0, "phi0": 0.3},
+    {"model": "monopole", "g": 2.0},
+    {"model": "monopole", "g": -1.0, "Q": 0.5, "potential": "coulomb-only"},
+    {"model": "constant_b"},
+    {"model": "helical", "beta": 1.0},
+    {"model": "helical", "A_amp": 1.0},
+    {"model": "monopole", "Q": 1.0},
+    {"model": "constant_b", "B": "2"},
+    {"model": "constant_b", "B": True},
+    {"model": "helical", "A_amp": 1.0, "beta": 1.0, "phi0": None},
+    {"model": "monopole", "g": 2.0, "Q": "1"},
+    {"model": "constant_b", "B": 0.0},
+    {"model": "helical", "A_amp": 0.0, "beta": 1.0},
+    {"model": "helical", "A_amp": 1.0, "beta": 0},
+    {"model": "monopole", "g": 0.0},
+    {"model": "monopole", "g": 2.0, "potential": "bare"},
+    {"model": "constant_b", "B": 1.0, "junk": 1},
+    {"model": "nope"},
+])
+def test_schema_and_model_from_config_agree(system):
+    try:
+        cli.validate_config({"system": system})
+        schema_ok = True
+    except ms.ConfigError:
+        schema_ok = False
+    try:
+        ms.model_from_config(dict(system))
+        model_ok = True
+    except ms.ConfigError:
+        model_ok = False
+    assert schema_ok == model_ok
+
+
+def test_model_from_config_names_the_missing_key():
+    for system, key in (({"model": "constant_b"}, "'B'"),
+                        ({"model": "helical", "beta": 1.0}, "'A_amp'"),
+                        ({"model": "helical", "A_amp": 1.0}, "'beta'"),
+                        ({"model": "monopole", "Q": 1.0}, "'g'")):
+        with pytest.raises(ms.ConfigError, match=key):
+            ms.model_from_config(system)
+
+
+def _per_cell_csv(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join("%.17g" % float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_matches_per_cell_formatting():
+    table = np.array([
+        [np.nan, np.inf, -np.inf, -0.0],
+        [5e-324, 1e300, -1e-300, 1.0 / 3.0],
+        [3.0, -7.0, 2.0**53, 0.1],
+    ])
+    header = ["a", "b", "c", "d"]
+    assert cli._csv_text(header, table) == _per_cell_csv(header, table)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0.0, -0.0, 1.0], [5e-324, -1e300, 2.0 / 3.0]]),
+    np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+], ids=["finite", "non-finite"])
+def test_dumps_report_table_matches_per_cell_path(table):
+    # lists take the per-cell path, so they are the reference bytes
+    assert cli.dumps_report(table) == cli.dumps_report(table.tolist())
+    nested = {"columns": ["a", "b"], "rows": table}
+    assert cli.dumps_report(nested) == cli.dumps_report({**nested, "rows": table.tolist()})
+
+
+def _hand_trajectory():
+    times = np.array([0.0, 0.5, 1.25, 3.0])
+    x = np.array([[0.0, -0.0, 1.0], [0.1, 2.0, -3.5], [1e-300, 5e-324, 7.0],
+                  [1.0 / 3.0, 2.0 / 3.0, -1.0]])
+    p = x[::-1] * 2.5 + 1.0
+    return ms.Trajectory(times, x, p, energy=np.array([0.5, 0.5, 0.5000001, 0.49]),
+                         diagnostics={"X1": np.array([1.0, -2.0, 0.25, 1e10])},
+                         model=ms.ConstantB(B=1.0), method="rk45")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_text_matches_row_by_row_construction(fmt):
+    traj = _hand_trajectory()
+    extra = ("closed_form_error", np.array([0.0, 1e-12, 2.5e-9, 3.0]))
+    header = ["t", "x", "y", "z", "p1", "p2", "p3", "H", "X1", extra[0]]
+    rows = []
+    for i in range(len(traj.times)):
+        row = [traj.times[i], *traj.x[i], *traj.p[i], traj.energy[i]]
+        row.append(traj.diagnostics["X1"][i])
+        row.append(extra[1][i])
+        rows.append(row)
+    if fmt == "json":
+        want = cli.dumps_report({"columns": header, "rows": rows}) + "\n"
+    else:
+        want = _per_cell_csv(header, rows)
+    assert cli._trajectory_text(traj, ["X1"], fmt, extra) == want

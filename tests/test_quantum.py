@@ -203,6 +203,32 @@ def test_generic_energy_is_not_band_edge():
     assert abs(abs(np.trace(res.monodromy)) - 2.0) > 1.0
 
 
+@pytest.mark.parametrize("beta, E", [(1.0, 2.0), (-1.5, 3.3), (0.7, 0.8), (1.2, 0.2)])
+def test_helical_monodromy_at_zero_k_is_constant_coefficient(beta, E):
+    # K = 0 leaves chi'' = w chi with constant w = (A^2 - 2E)/hbar^2, whose
+    # fundamental matrix over T = 2 pi |beta| is known in closed form
+    A_amp, hbar = 1.0, 1.0
+    res = ms.helical_reduced_solve(A_amp=A_amp, beta=beta, K=0.0, phi_K=0.4,
+                                   hbar=hbar, E=E)
+    w = (A_amp**2 - 2.0 * E) / hbar**2
+    T = 2.0 * math.pi * abs(beta)
+    assert res.period == T
+    if w < 0:
+        om = math.sqrt(-w)
+        c, s = math.cos(om * T), math.sin(om * T)
+        want = np.array([[c, s / om], [-om * s, c]])
+        assert float(np.trace(res.monodromy)) == pytest.approx(2.0 * math.cos(om * T),
+                                                               abs=1e-9)
+    else:
+        om = math.sqrt(w)
+        c, s = math.cosh(om * T), math.sinh(om * T)
+        want = np.array([[c, s / om], [om * s, c]])
+        assert float(np.trace(res.monodromy)) == pytest.approx(2.0 * math.cosh(om * T),
+                                                               rel=1e-9)
+    assert np.allclose(res.monodromy, want, rtol=1e-9, atol=1e-9)
+    assert abs(np.linalg.det(res.monodromy) - 1.0) < 1e-10
+
+
 def test_helical_solver_validation():
     with pytest.raises(ValueError):
         ms.helical_reduced_solve(1.0, 1.0, K=-0.5, phi_K=0.0, hbar=1.0, E=1.0)
@@ -210,6 +236,11 @@ def test_helical_solver_validation():
         ms.helical_reduced_solve(1.0, 0.0, K=1.0, phi_K=0.0, hbar=1.0, E=1.0)
     with pytest.raises(ValueError):
         ms.helical_reduced_solve(1.0, 1.0, K=1.0, phi_K=0.0, hbar=0.0, E=1.0)
+    # a NaN coefficient used to keep the step loop rejecting steps forever
+    with pytest.raises(ValueError, match="finite"):
+        ms.helical_reduced_solve(1.0, 1.0, K=1.0, phi_K=0.0, hbar=1.0, E=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        ms.helical_reduced_solve(1.0, math.nan, K=1.0, phi_K=0.0, hbar=1.0, E=2.0)
 
 
 def test_radial_oscillator_levels():
