@@ -18,11 +18,11 @@ from .fields import EPS_DOMAIN, Custom, Monopole, Vec3
 from .integrals import (
     PhaseFunction,
     as_phase_function,
+    bracket_matrix,
     evaluate_integral,
     monopole_angular_specs,
     monopole_runge_lenz_specs,
     monopole_total_square_spec,
-    poisson_bracket,
 )
 
 _BASIS_NAMES = ("X1t", "X2", "X3", "X4", "X5", "X6", "X7")
@@ -123,18 +123,16 @@ def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
     if not use_gradients:
         basis = [PhaseFunction(f.name, f.fn, None) for f in basis]
     table = constantB_bracket_table(B)
-    by_name = {f.name: f for f in basis}
-    pairs: dict[str, float] = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            key = f"{{{basis[i].name},{basis[j].name}}}"
-            combo = table.combination(i, j)
-            worst = 0.0
-            for s in states:
-                br = poisson_bracket(basis[i], basis[j], s)
-                pred = sum(c * by_name[k](s) for k, c in combo.items())
-                worst = max(worst, abs(br - pred))
-            pairs[key] = worst
+    # (i, j, name, predicted combination) of every pair i < j
+    checks = [(i, j, f"{{{fi.name},{fj.name}}}", table.combination(i, j))
+              for i, fi in enumerate(basis) for j, fj in enumerate(basis) if i < j]
+    pairs = {name: 0.0 for _, _, name, _ in checks}
+    for s in states:
+        br = bracket_matrix(basis, s)
+        vals = {f.name: f(s) for f in basis}
+        for i, j, name, combo in checks:
+            pred = sum(c * vals[n] for n, c in combo.items())
+            pairs[name] = max(pairs[name], abs(float(br[i, j]) - pred))
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
@@ -202,19 +200,16 @@ def monopole_closure_check(g: float, states, Q: float = 0.0,
     if not use_gradients:
         fns = [PhaseFunction(f.name, f.fn, None) for f in fns]
         fsq = PhaseFunction(fsq.name, fsq.fn, None)
-    checks: dict[str, float] = {}
-    for j in range(3):
-        k, l = (j + 1) % 3, (j + 2) % 3
-        name = f"{{X{j + 1},X{k + 1}}}-X{l + 1}"
-        worst = 0.0
-        for s in states:
-            worst = max(worst, abs(poisson_bracket(fns[j], fns[k], s) - fns[l](s)))
-        checks[name] = worst
-    for j in range(3):
-        worst = 0.0
-        for s in states:
-            worst = max(worst, abs(poisson_bracket(fsq, fns[j], s)))
-        checks[f"{{X_sq,X{j + 1}}}"] = worst
+    names = [f"{{X{j + 1},X{(j + 1) % 3 + 1}}}-X{(j + 2) % 3 + 1}" for j in range(3)]
+    names += [f"{{X_sq,X{j + 1}}}" for j in range(3)]
+    checks = dict.fromkeys(names, 0.0)
+    for s in states:
+        br = bracket_matrix([*fns, fsq], s)  # rows X1, X2, X3, X_sq
+        vals = [f(s) for f in fns]
+        for j in range(3):
+            k, l = (j + 1) % 3, (j + 2) % 3
+            checks[names[j]] = max(checks[names[j]], abs(float(br[j, k]) - vals[l]))
+            checks[names[3 + j]] = max(checks[names[3 + j]], abs(float(br[3, j])))
     return {
         "checks": checks,
         "max_discrepancy": max(checks.values()),

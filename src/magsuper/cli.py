@@ -33,11 +33,11 @@ from .integrals import (
     IntegralSpec,
     PhaseFunction,
     as_phase_function,
+    bracket_matrix,
     determining_residuals,
     hamiltonian_function,
     known_integrals,
     monopole_runge_lenz_specs,
-    poisson_bracket,
 )
 from .quantum import Grid1D, helical_reduced_solve, landau_reduced_solve, mathieu_table
 
@@ -224,6 +224,11 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"config schema violation at {err.json_path}: {err.message}")
 
 
+def _no_constant(literal: str):
+    # json accepts NaN, Infinity and -Infinity, which are not JSON numbers
+    raise ConfigError(f"{literal} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -231,7 +236,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_no_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON "
@@ -264,9 +269,13 @@ def _flag(ns, attr: str, key: str):
         import jsonschema
 
         schema = CONFIG_SCHEMA["properties"][key]
+        flag = "--" + attr.replace("_", "-")
         err = next(jsonschema.Draft202012Validator(schema).iter_errors(value), None)
         if err is not None:
-            raise ConfigError(f"--{attr.replace('_', '-')}: {err.message}")
+            raise ConfigError(f"{flag}: {err.message}")
+        if not math.isfinite(value):
+            # argparse's float() reads nan and inf, which a config cannot hold
+            raise ConfigError(f"{flag}: {value} is not a JSON number")
     return value
 
 
@@ -419,7 +428,7 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     named s, m choices; {"known": NAME} pulls a built-in closed form."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -491,19 +500,15 @@ def _cmd_verify(ns) -> int:
                 worst = max(worst, av)
         by_int[sp.name] = worst
 
-    h_fn = hamiltonian_function(model)
+    # max |{f_i, f_j}| over the states, with H as the last function
     fns = [as_phase_function(sp, model) for sp in specs]
-    bracket_h = {
-        sp.name: max(abs(poisson_bracket(f, h_fn, s)) for s in states)
-        for sp, f in zip(specs, fns)
-    }
+    fns.append(hamiltonian_function(model))
+    worst = np.zeros((len(fns), len(fns)))
+    for s in states:
+        worst = np.maximum(worst, np.abs(bracket_matrix(fns, s)))
+    bracket_h = {sp.name: float(v) for sp, v in zip(specs, worst[:-1, -1])}
     # informational structure matrix, not a pass criterion
-    k = len(fns)
-    matrix = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = max(abs(poisson_bracket(fns[i], fns[j], s)) for s in states)
-            matrix[i][j] = matrix[j][i] = val
+    matrix = worst[:-1, :-1].tolist()
 
     ok = max(by_eq.values()) < tol and max(bracket_h.values()) < tol
     report = {
@@ -607,7 +612,7 @@ def _cmd_spectrum(ns) -> int:
         n_levels = int(cfg.get("n_levels", 6))
         k1, k2 = float(cfg.get("k1", 0.0)), float(cfg.get("k2", 0.0))
         res = landau_reduced_solve(model.B, k1, k2, hbar, grid, n_levels)
-        analytic = [0.5 * k1**2 + hbar * model.B * (i + 0.5) for i in range(n_levels)]
+        analytic = [0.5 * k1**2 + hbar * abs(model.B) * (i + 0.5) for i in range(n_levels)]
         max_rel = max(abs(e - a) / abs(a) for e, a in zip(res.eigenvalues, analytic))
         report = {
             "system": "constant_b",

@@ -287,11 +287,22 @@ def phase_gradient(f, s: PhaseState) -> tuple[Vec3, Vec3]:
     return g[:3], g[3:]
 
 
+def bracket_matrix(fns, s: PhaseState) -> np.ndarray:
+    """The antisymmetric (k, k) table of {f_i, f_j} at s, from one phase
+    gradient per function (analytic where the function carries one)."""
+    grads = [phase_gradient(f, s) for f in fns]
+    out = np.zeros((len(grads), len(grads)))
+    for i, (fx, fp) in enumerate(grads):
+        for j in range(i + 1, len(grads)):
+            gx, gp = grads[j]
+            out[i, j] = fx @ gp - gx @ fp
+            out[j, i] = -out[i, j]
+    return out
+
+
 def poisson_bracket(f, g, s: PhaseState) -> float:
     """{f, g} at s; analytic gradients are used when both carry them."""
-    fx, fp = phase_gradient(f, s)
-    gx, gp = phase_gradient(g, s)
-    return float(fx @ gp - gx @ fp)
+    return float(bracket_matrix([f, g], s)[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,15 @@ def landau_reduced_solve(
 ) -> SpectrumResult:
     """Eigenvalues E of hbar^2 f'' = ((Bz - k2)^2 + k1^2 - 2E) f.
 
-    Second-order central differences with Dirichlet ends. The box must
-    cover 8 oscillator lengths sqrt(hbar/B) on both sides of the center
-    z = k2/B, and the computed ground state must have a negligible tail
-    at the walls; otherwise GridTooSmall is raised.
+    Second-order central differences with Dirichlet ends, B of either
+    sign. The box must cover 8 oscillator lengths sqrt(hbar/|B|) on both
+    sides of the center z = k2/B, and the computed ground state must have
+    a negligible tail at the walls; otherwise GridTooSmall is raised.
     """
-    if not (B > 0 and hbar > 0):
-        raise ValueError("landau_reduced_solve needs B > 0 and hbar > 0")
+    if not (abs(B) > 0 and hbar > 0):
+        raise ValueError("landau_reduced_solve needs B != 0 and hbar > 0")
     center = k2 / B
-    ell = math.sqrt(hbar / B)
+    ell = math.sqrt(hbar / abs(B))
     if center - grid.lo < 8 * ell or grid.hi - center < 8 * ell:
         raise GridTooSmall(
             f"grid [{grid.lo}, {grid.hi}] spans fewer than 8 oscillator "
@@ -119,7 +119,7 @@ def hermite_check(result: SpectrumResult, B: float, k2: float, hbar: float, n: i
     if n >= len(result.eigenvalues):
         raise ValueError(f"level {n} not computed")
     z = result.grid.points
-    xi = math.sqrt(B / hbar) * (z - k2 / B)
+    xi = math.sqrt(abs(B) / hbar) * (z - k2 / B)
     phi = hermite_values(n, xi) * np.exp(-0.5 * xi**2)
     phi = phi / math.sqrt(np.trapezoid(phi**2, z))
     psi = result.eigenfunctions[n]

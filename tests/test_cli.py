@@ -294,6 +294,56 @@ def test_schema_violations(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, literal", [
+    ("spectrum", '{"system": {"model": "constant_b", "B": 1.0}, '
+                 '"grid": {"lo": -12.0, "hi": 12.0, "n": 200}, "k2": NaN}', "NaN"),
+    ("simulate", '{"system": {"model": "constant_b", "B": 1.0}, '
+                 '"state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": Infinity}',
+     "Infinity"),
+    ("verify", '{"system": {"model": "constant_b", "B": -Infinity}}', "-Infinity"),
+])
+def test_non_json_number_literals_exit_1(tmp_path, capsys, command, text, literal):
+    # json.loads takes NaN and +-Infinity, and the schema's bounds let NaN through
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{literal} is not a JSON number" in err and "Traceback" not in err
+
+
+def test_spec_file_rejects_non_json_number_literals(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"integrals": [{"name": "c", "m": NaN}]}', encoding="utf-8")
+    assert cli.main(["verify", "--system", "constant_b", "--spec", str(spec)]) == 1
+    assert "NaN is not a JSON number" in capsys.readouterr().err
+
+
+def test_negative_b_runs_every_command(tmp_path, capsys):
+    system = {"model": "constant_b", "B": -1.3}
+    cfg = _write_cfg(tmp_path, "sys.json", {"system": system})
+    for command in ("verify", "algebra", "fields-check"):
+        assert cli.main([command, "--config", cfg]) == 0, command
+        assert json.loads(capsys.readouterr().out)["pass"] is True, command
+
+    landau = _write_cfg(tmp_path, "landau.json", {
+        "system": system, "grid": {"lo": -12.0, "hi": 12.0, "n": 2000},
+        "n_levels": 6, "k1": 0.5, "k2": 1.0,
+    })
+    assert cli.main(["spectrum", "--config", landau, "--tolerance", "1e-4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = [0.5 * 0.5**2 + 1.3 * (n + 0.5) for n in range(6)]
+    assert doc["analytic_reference"] == pytest.approx(want, rel=1e-15)
+    assert doc["max_rel_error"] < 1e-4
+
+    traj = _sim_cfg(tmp_path, system, [0.1, -0.2, 0.3], [0.7, 0.4, -0.5],
+                    t_end=10.0, name="traj.json")
+    out = str(tmp_path / "traj.csv")
+    assert cli.main(["trajectory", "--config", traj, "--closed-form", "--out", out]) == 0
+    header, data = _read_csv(out)
+    assert header[-1] == "closed_form_error"
+    assert np.max(data[:, -1]) < 1e-6
+
+
 def test_usage_errors(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()
@@ -312,8 +362,11 @@ def test_usage_errors(capsys):
     (["verify", "--system", "helical", "--tolerance", "-1"], "--tolerance"),
     (["spectrum", "--config", "{landau}", "--tolerance", "-1"], "--tolerance"),
     (["spectrum", "--config", "{landau}", "--tolerance", "0"], "--tolerance"),
+    (["verify", "--system", "helical", "--tolerance", "nan"], "--tolerance: nan"),
+    (["spectrum", "--config", "{landau}", "--tolerance", "inf"], "--tolerance: inf"),
 ], ids=["verify-n-points", "algebra-n-points", "fields-check-n-points",
-        "verify-tolerance", "spectrum-tolerance-negative", "spectrum-tolerance-zero"])
+        "verify-tolerance", "spectrum-tolerance-negative", "spectrum-tolerance-zero",
+        "verify-tolerance-nan", "spectrum-tolerance-inf"])
 def test_sampled_flags_follow_schema_bounds(argv, message, tmp_path, capsys):
     landau = _write_cfg(tmp_path, "landau.json", {
         "system": {"model": "constant_b", "B": 1.0},
@@ -371,6 +424,7 @@ def test_shipped_schema_matches_module():
     {"model": "monopole", "g": 2.0, "potential": "bare"},
     {"model": "constant_b", "B": 1.0, "junk": 1},
     {"model": "nope"},
+    {"model": "constant_b", "B": -1.5},
 ])
 def test_schema_and_model_from_config_agree(system):
     try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magsuper as ms
-from magsuper.fields import curl_fd, divergence_fd, grad_fd, jacobian_fd
+from magsuper.fields import curl_fd, grad_fd, jacobian_fd
 
 from helpers import monopole_positions, rng
 
@@ -17,11 +17,15 @@ def test_constant_b_values():
     assert m.scalar_potential(x) == 0.0
 
 
-def test_constant_b_requires_positive_b():
-    with pytest.raises(ValueError):
-        ms.ConstantB(B=0.0)
-    with pytest.raises(ValueError):
-        ms.ConstantB(B=-1.0)
+def test_constant_b_requires_nonzero_b():
+    for bad in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError):
+            ms.ConstantB(B=bad)
+    m = ms.ConstantB(B=-2.5)
+    x = np.array([0.3, -1.2, 0.7])
+    assert np.allclose(m.vector_potential(x), [0.0, 2.5 * 0.7, 0.0])
+    assert np.allclose(m.magnetic_field(x), [-2.5, 0.0, 0.0])
+    assert np.allclose(curl_fd(m.vector_potential, x), m.magnetic_field(x), atol=1e-9)
 
 
 def test_helical_field_is_curl_of_potential():
@@ -179,7 +183,8 @@ def test_model_from_config_rejects_bad_input():
     with pytest.raises(ms.ConfigError):
         ms.model_from_config({"model": "constant_b", "B": 1.0, "junk": 2})
     with pytest.raises(ms.ConfigError):
-        ms.model_from_config({"model": "constant_b", "B": -1.0})
+        ms.model_from_config({"model": "constant_b", "B": 0.0})
+    assert ms.model_from_config({"model": "constant_b", "B": -1.0}).B == -1.0
     with pytest.raises(ms.ConfigError):
         ms.model_from_config({"model": "monopole", "g": 1.0, "potential": "bare"})
     with pytest.raises(ms.ConfigError):

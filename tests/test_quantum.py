@@ -43,6 +43,25 @@ def test_landau_scaling_with_field():
     assert np.max(np.abs(res.eigenvalues - want) / want) < 1e-4
 
 
+@pytest.mark.parametrize("B, grid, n_levels", [
+    (-1.0, LANDAU_GRID, 6),
+    (-2.5, ms.Grid1D(-8.0, 8.0, 2000), 4),
+])
+def test_landau_levels_negative_field(B, grid, n_levels):
+    # hbar |B| (n + 1/2) + k1^2/2 whatever the sign of B, around z = k2/B;
+    # the grids and tolerances are those of the B > 0 tests above
+    k1, k2 = 0.4, 0.5
+    res = ms.landau_reduced_solve(B=B, k1=k1, k2=k2, hbar=1.0,
+                                  grid=grid, n_levels=n_levels)
+    want = 0.5 * k1**2 + abs(B) * (np.arange(n_levels) + 0.5)
+    assert np.max(np.abs(res.eigenvalues - want) / want) < 1e-4
+    assert ms.hermite_check(res, B=B, k2=k2, hbar=1.0, n=0) < 1e-5
+    # the mirrored problem z -> -z has the same levels
+    mirror = ms.landau_reduced_solve(B=-B, k1=k1, k2=-k2, hbar=1.0,
+                                     grid=grid, n_levels=n_levels)
+    assert np.max(np.abs(res.eigenvalues - mirror.eigenvalues)) < 1e-12
+
+
 def test_landau_k1_shift_is_exact():
     base = ms.landau_reduced_solve(B=1.0, k1=0.0, k2=0.0, hbar=1.0,
                                    grid=LANDAU_GRID, n_levels=4)
@@ -69,7 +88,7 @@ def test_landau_grid_guards():
         ms.landau_reduced_solve(B=1.0, k1=0.0, k2=4.0, hbar=1.0,
                                 grid=ms.Grid1D(-9.0, 9.0, 1000), n_levels=2)
     with pytest.raises(ValueError):
-        ms.landau_reduced_solve(B=-1.0, k1=0.0, k2=0.0, hbar=1.0,
+        ms.landau_reduced_solve(B=0.0, k1=0.0, k2=0.0, hbar=1.0,
                                 grid=LANDAU_GRID, n_levels=2)
     with pytest.raises(ValueError):
         ms.landau_reduced_solve(B=1.0, k1=0.0, k2=0.0, hbar=1.0,
