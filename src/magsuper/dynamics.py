@@ -14,8 +14,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import StepFailure
+from .errors import ConfigError, StepFailure
 from .fields import FieldModel, Vec3, _as_vec3, cross, dot
+
+#: most steps a Boris run may take; a longer t_end / dt is refused before
+#: its arrays (about 100 bytes per step) are allocated
+BORIS_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,12 @@ def eom_rhs(model: FieldModel, s: PhaseState) -> tuple[Vec3, Vec3]:
     """Right-hand side of Hamilton's equations at one state, a PhaseState
     or a pair (x, p) of 3-vectors.
 
-    dx/dt = p + A(x); dp/dt = -J_A(x)^T (p + A) - grad V.
+    dx/dt = p + A(x); dp/dt = -J_A(x)^T (p + A) - grad V, from the
+    model's `hamilton_rhs`.
     """
     x, p = _state_arrays(s)
-    v = p + model.vector_potential(x)
-    dp = -(model.jacobian_a(x).T @ v) - model.grad_potential(x)
-    return v, dp
+    f = model.hamilton_rhs(np.concatenate([x, p], dtype=float).tolist())
+    return np.array(f[:3]), np.array(f[3:])
 
 
 @dataclass
@@ -141,8 +145,8 @@ class Trajectory:
         h = t1 - t0
         th = (t - t0) / h
         y0, y1 = self.state(i).as_array(), self.state(i + 1).as_array()
-        f0 = np.concatenate(eom_rhs(self.model, self.state(i)))
-        f1 = np.concatenate(eom_rhs(self.model, self.state(i + 1)))
+        f0 = np.array(self.model.hamilton_rhs(y0.tolist()))
+        f1 = np.array(self.model.hamilton_rhs(y1.tolist()))
         h00 = 2 * th**3 - 3 * th**2 + 1
         h10 = th**3 - 2 * th**2 + th
         h01 = -2 * th**3 + 3 * th**2
@@ -215,10 +219,13 @@ def integrate(
 
 
 def _run_rk45(model, s0, t_end, cfg):
+    field_rhs = model.hamilton_rhs
+
     def rhs(_t, y):
-        if not np.isfinite(y).all():
+        y = y.tolist()
+        if not all(map(math.isfinite, y)):
             raise StepFailure("integration aborted: vector has non-finite components")
-        return np.concatenate(eom_rhs(model, (y[:3], y[3:])))
+        return np.array(field_rhs(y))
 
     try:
         sol = solve_ivp(
@@ -231,7 +238,9 @@ def _run_rk45(model, s0, t_end, cfg):
             max_step=cfg.max_step,
             dense_output=True,
         )
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: float division by zero or overflow in a
+        # right-hand side evaluated on Python floats
         raise StepFailure(f"integration aborted: {exc}") from exc
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
@@ -245,8 +254,13 @@ def _run_boris(model, s0, t_end, cfg):
     Per step: half position drift, half potential kick, magnetic
     rotation (exactly norm-preserving), half kick, half drift; the
     canonical momentum is reconstructed as p = v - A at the new x.
+    A run of more than BORIS_MAX_STEPS steps is a ConfigError.
     """
-    n_steps = max(1, int(math.ceil(float(t_end) / cfg.dt)))
+    steps = float(t_end) / cfg.dt
+    if not steps <= BORIS_MAX_STEPS:
+        raise ConfigError(f"a Boris run of t_end / dt = {steps:.3g} steps exceeds "
+                          f"the maximum of {BORIS_MAX_STEPS} steps")
+    n_steps = max(1, int(math.ceil(steps)))
     dts = np.full(n_steps, float(t_end) / n_steps)
 
     x = s0.x.copy()

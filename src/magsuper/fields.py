@@ -9,11 +9,17 @@ The methods of every model take one point of shape (3,) or a stack of
 shape (n,3) and answer per point. Callables a model holds from its user
 (`Custom`, the F1, F2 and V of `Cylindrical`) are still called with one
 point or one radius at a time.
+
+Every model also has `hamilton_rhs`, the right-hand side of Hamilton's
+equations at one state given as six floats: the three closed-form
+models write it out in scalar arithmetic, `Cylindrical` and `Custom`
+assemble it from their A, J_A and grad V (`_matrix_rhs`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -111,6 +117,16 @@ def _pow(r, k):
     return np.array([v**k for v in r.tolist()])
 
 
+def _matrix_rhs(model, y) -> tuple:
+    """Hamilton's right-hand side at one state y = (x0, x1, x2, p0, p1, p2)
+    from the model's A, J_A and grad V as arrays: v = p + A and
+    dp = -J_A^T v - grad V, returned as six floats."""
+    x, p = np.array(y[:3]), np.array(y[3:])
+    v = p + model.vector_potential(x)
+    dp = -(model.jacobian_a(x).T @ v) - model.grad_potential(x)
+    return (*v.tolist(), *dp.tolist())
+
+
 def _per_radius(fn, r):
     """fn(r) of a user function of one radius, r a number or shape (n,)."""
     if np.ndim(r) == 0:
@@ -154,6 +170,12 @@ class ConstantB:
         j = _zero_matrices(x)
         j.T[2, 1] = -self.B
         return j
+
+    def hamilton_rhs(self, y) -> tuple:
+        """(v, dp) at one state of six floats; J_A^T v = (0, 0, -B v_y)."""
+        _, _, x2, p0, p1, p2 = y
+        v1 = p1 - self.B * x2
+        return p0, v1, p2, 0.0, 0.0, self.B * v1
 
 
 @dataclass(frozen=True)
@@ -208,6 +230,17 @@ class HelicalB:
         j.T[2, 1] = -self.A_amp * np.cos(u) / self.beta
         return j
 
+    def hamilton_rhs(self, y) -> tuple:
+        """(v, dp) at one state of six floats; J_A has the one column
+        dA/dz = (A_amp sin u, -A_amp cos u, 0) / beta."""
+        _, _, x2, p0, p1, p2 = y
+        u = (x2 + self.phi0) / self.beta
+        c, s = math.cos(u), math.sin(u)
+        v0 = p0 - self.A_amp * c
+        v1 = p1 - self.A_amp * s
+        dp2 = -(self.A_amp * s / self.beta * v0 - self.A_amp * c / self.beta * v1)
+        return v0, v1, p2, 0.0, 0.0, dp2
+
 
 @dataclass(frozen=True)
 class Monopole:
@@ -238,11 +271,15 @@ class Monopole:
         point = _first_flagged(
             x, (r < EPS_DOMAIN) | ((rho2 < EPS_DOMAIN**2) & (x2 < 0)))
         if point is not None:
-            where = ("is too close to the monopole at the origin"
-                     if norm(point) < EPS_DOMAIN
-                     else "lies on the Dirac string (negative z-axis)")
-            raise DomainError(f"point {point} {where}")
+            raise self._domain_error(point)
         return r
+
+    @staticmethod
+    def _domain_error(point: Vec3) -> DomainError:
+        where = ("is too close to the monopole at the origin"
+                 if norm(point) < EPS_DOMAIN
+                 else "lies on the Dirac string (negative z-axis)")
+        return DomainError(f"point {point} {where}")
 
     def check_domain(self, x: Vec3) -> None:
         self._radius(x)
@@ -290,6 +327,31 @@ class Monopole:
         j.T[0, 1] -= c
         return j
 
+    def hamilton_rhs(self, y) -> tuple:
+        """(v, dp) at one state of six floats, after the domain test of
+        `_radius`; J_A as in `jacobian_a`, J_A^T v summed row by row."""
+        x0, x1, x2, p0, p1, p2 = y
+        rho2 = x0 * x0 + x1 * x1
+        r = math.sqrt(rho2 + x2 * x2)
+        if r < EPS_DOMAIN or (rho2 < EPS_DOMAIN**2 and x2 < 0):
+            raise self._domain_error(np.array([x0, x1, x2]))
+        w = r * (r + x2)
+        c = -self.g / w
+        v0 = p0 + c * x1
+        v1 = p1 - c * x0
+        k = 2 * r + x2
+        w2 = w**2
+        dc0 = self.g * (x0 / r * k) / w2
+        dc1 = self.g * (x1 / r * k) / w2
+        dc2 = self.g * (x2 / r * k + r) / w2
+        dv_dr = self.Q / r**2
+        if self.barrier:
+            dv_dr -= self.g**2 / r**3
+        return (v0, v1, p2,
+                -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
+                -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
+                -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r)
+
 
 @dataclass(frozen=True)
 class Cylindrical:
@@ -307,6 +369,8 @@ class Cylindrical:
     df2: Callable[[float], float]
     v: Callable[[float], float]
     dv: Callable[[float], float]
+
+    hamilton_rhs = _matrix_rhs
 
     def _radius(self, x: Vec3):
         return np.hypot(x.T[0], x.T[1])
@@ -376,6 +440,8 @@ class Custom:
     jac_a: Callable[[Vec3], np.ndarray] | None = None
     grad_v: Callable[[Vec3], Vec3] | None = None
     domain: Callable[[Vec3], None] | None = None
+
+    hamilton_rhs = _matrix_rhs
 
     @_rowwise
     def check_domain(self, x: Vec3) -> None:

@@ -1,5 +1,7 @@
 """Shared test utilities: seeded sampling and independent oracles."""
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -37,6 +39,40 @@ def monopole_positions(gen, n):
 def monopole_states(gen, n):
     return [PhaseState(x, gen.uniform(-2.0, 2.0, 3))
             for x in monopole_positions(gen, n)]
+
+
+def kepler_orbit(gen, g, q, a):
+    """Bound MIC-Kepler orbit of the monopole with barrier, g > 0 and q > 0.
+
+    X = x cross v + g x/|x| is conserved, so x/|x| keeps X . x/|x| = g and
+    the orbit lies on a cone of half-angle acos(g/|X|) about X; the radial
+    motion is a Kepler ellipse of angular momentum |X|. For semi-major axis
+    a: E = -q/(2a), |X|^2 = q a (1 - e^2), and every orbit closes after
+    T = 2 pi q / (-2E)^(3/2). The cone axis stays within 30 degrees of +z,
+    clear of the Dirac string. A is the Dirac-string gauge written out.
+
+    Returns (x0, p0, E, T, r_max).
+    """
+    ecc = gen.uniform(0.2, 0.5)
+    big_x = math.sqrt(q * a * (1.0 - ecc * ecc))
+    energy = -q / (2.0 * a)
+    pol, az = gen.uniform(0.0, math.pi / 6), gen.uniform(0.0, 2.0 * math.pi)
+    axis = np.array([math.sin(pol) * math.cos(az), math.sin(pol) * math.sin(az),
+                     math.cos(pol)])
+    e1 = np.cross(axis, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    half, phi = math.acos(g / big_x), gen.uniform(0.0, 2.0 * math.pi)
+    xhat = math.cos(half) * axis + math.sin(half) * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    r_min, r_max = a * (1.0 - ecc), a * (1.0 + ecc)
+    r = gen.uniform(r_min, r_max)
+    x = r * xhat
+    l_kin = big_x * axis - g * xhat  # x cross v, orthogonal to xhat
+    vr = math.sqrt(max(0.0, 2.0 * (energy + q / r) - big_x**2 / r**2))
+    v = gen.choice([-1.0, 1.0]) * vr * xhat + np.cross(l_kin, x) / r**2
+    a_vec = -g / (r * (r + x[2])) * np.array([x[1], -x[0], 0.0])
+    period = 2.0 * math.pi * q / (-2.0 * energy) ** 1.5
+    return x, v - a_vec, energy, period, r_max
 
 
 def _mathieu_endpoint(a, q, y0, dy0):

@@ -355,6 +355,17 @@ def test_usage_errors(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def test_boris_run_beyond_the_step_cap_exits_1(tmp_path, capsys):
+    # t_end / dt overflows to inf: refused before any array is allocated
+    cfg = _sim_cfg(tmp_path, {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+                   [0.0, 0.0, 0.0], [1.0, 0.5, 0.2], t_end=1e308,
+                   integrator={"method": "boris", "dt": 1e-10})
+    assert cli.main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the maximum of 10000000 steps" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--system", "constant_b", "--n-points", "0"], "--n-points"),
     (["algebra", "--system", "monopole", "--n-points", "0"], "--n-points"),

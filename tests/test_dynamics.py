@@ -1,11 +1,14 @@
 """Equations of motion, integrators, trajectory diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import magsuper as ms
+from magsuper import dynamics
 
-from helpers import monopole_states, random_states, rng
+from helpers import kepler_orbit, monopole_states, random_states, rng
 
 
 def _models():
@@ -129,6 +132,72 @@ def test_runaway_potential_raises_step_failure():
     s0 = ms.PhaseState([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(ms.StepFailure):
         ms.integrate(model, s0, 10.0)
+
+
+def test_non_finite_state_raises_step_failure():
+    # dp_z/dt = B (p_y - B z) overflows to inf; the next stage state is not finite
+    model = ms.ConstantB(B=1e200)
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [0.0, 1e200, 0.0])
+    with warnings.catch_warnings():
+        # scipy's own stage arithmetic on the infinite slope warns first
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ms.StepFailure,
+                           match=r"^integration aborted: vector has non-finite components$"):
+            ms.integrate(model, s0, 1.0)
+
+
+def test_monopole_orbit_into_the_dirac_string_raises_domain_error():
+    # on the z-axis with V = 0 the force vanishes: free fall through the
+    # center's neighbourhood onto the negative z-axis
+    model = ms.Monopole(g=1.0, Q=0.0, barrier=False)
+    s0 = ms.PhaseState([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    with pytest.raises(ms.DomainError) as run:
+        ms.integrate(model, s0, 3.0)
+    msg = str(run.value)
+    assert msg.endswith(" lies on the Dirac string (negative z-axis)")
+    point = np.array([float(c) for c in msg[msg.index("[") + 1:msg.index("]")].split()])
+    assert point[0] == point[1] == 0.0 and point[2] < 0.0
+    with pytest.raises(ms.DomainError) as direct:
+        model.check_domain(point)
+    assert msg == str(direct.value)
+
+
+def test_monopole_state_beside_the_string_raises_step_failure():
+    # admitted by the domain test, but r + z rounds to 0 there, so the
+    # gauge factor g / (r (r + z)) divides by zero
+    model = ms.Monopole(g=1.0, Q=1.0)
+    s0 = ms.PhaseState([1e-8, 0.0, -1.0], [0.1, 0.2, 0.3])
+    model.check_domain(s0.x)
+    with pytest.raises(ms.StepFailure, match="^integration aborted: float division by zero$"):
+        ms.integrate(model, s0, 1.0)
+
+
+@pytest.mark.parametrize("g, q, a", [(0.5, 1.0, 2.0), (1.2, 2.0, 3.0), (0.3, 0.7, 1.5)])
+def test_mic_kepler_orbits_close(g, q, a):
+    # bounded orbits of the superintegrable monopole close after T
+    x0, p0, energy, period, r_max = kepler_orbit(rng(31), g, q, a)
+    model = ms.Monopole(g=g, Q=q)
+    s0 = ms.PhaseState(x0, p0)
+    assert ms.hamiltonian(model, s0) == pytest.approx(energy, rel=1e-12)
+    cfg = ms.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
+    traj = ms.integrate(model, s0, 3.0 * period, cfg)
+    for n in (1, 2, 3):
+        assert np.linalg.norm(traj.sample(n * period).x - x0) <= 1e-9 * r_max
+    # and not after half a period
+    assert np.linalg.norm(traj.sample(0.5 * period).x - x0) > 1e-3 * r_max
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e308, 1e-10), (1e6, 1e-6)])
+def test_boris_refuses_runs_beyond_the_step_cap(monkeypatch, t_end, dt):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated arrays for a refused run")
+
+    for name in ("empty", "full", "zeros"):
+        monkeypatch.setattr(dynamics.np, name, no_allocation)
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [1.0, 0.5, 0.2])
+    cfg = ms.IntegratorConfig(method="boris", dt=dt)
+    with pytest.raises(ms.ConfigError, match="maximum of 10000000 steps"):
+        ms.integrate(ms.HelicalB(A_amp=1.0, beta=1.0), s0, t_end, cfg)
 
 
 def test_domain_error_on_bad_start():

@@ -191,3 +191,66 @@ def test_integrate_stacked_pass_matches_state_by_state():
             for sp in specs:
                 _assert_rel_close(traj.diagnostics[sp.name], values[sp.name],
                                   f"{sp.name} {method}")
+
+
+# ---------------------------------------------------------------------------
+# hamilton_rhs: Hamilton's right-hand side at one state, in scalar arithmetic
+
+RHS_MODELS = [
+    ms.ConstantB(B=1.3),
+    ms.ConstantB(B=-0.7),
+    ms.HelicalB(A_amp=3.0, beta=3.0, phi0=0.7),
+    ms.HelicalB(A_amp=1.5, beta=-2.0, phi0=-1.1),
+    ms.Monopole(g=2.0, Q=1.0, barrier=True),
+    ms.Monopole(g=-1.5, Q=0.5, barrier=True),
+    ms.Monopole(g=0.8, Q=1.0, barrier=False),
+    ms.Monopole(g=-1.1, Q=0.0, barrier=False),
+]
+
+
+def _matrix_rhs_and_sizes(model, x, p):
+    """v = p + A, dp = -J_A^T v - grad V from the model's own array methods,
+    with the size |p| + |A|, |J_A|^T |v| + |grad V| of the terms of each
+    component."""
+    a, j, gv = model.vector_potential(x), model.jacobian_a(x), model.grad_potential(x)
+    v = p + a
+    want = np.concatenate([v, -(j.T @ v) - gv])
+    size = np.concatenate([np.abs(p) + np.abs(a), np.abs(j).T @ np.abs(v) + np.abs(gv)])
+    return want, size
+
+
+@pytest.mark.parametrize("model", RHS_MODELS, ids=repr)
+def test_hamilton_rhs_matches_matrix_form(model):
+    gen = rng(511)
+    eps = np.finfo(float).eps
+    for x in _stack(model, 512, n=300):
+        p = gen.uniform(-3.0, 3.0, 3)
+        got = np.array(model.hamilton_rhs(np.concatenate([x, p]).tolist()))
+        want, size = _matrix_rhs_and_sizes(model, x, p)
+        if isinstance(model, ms.ConstantB):
+            assert np.array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 4 * eps * size), (x, p)
+
+
+@pytest.mark.parametrize("model", RHS_MODELS + [_cyl_model()], ids=repr)
+def test_eom_rhs_goes_through_hamilton_rhs(model):
+    x = _stack(model, 513, n=1)[0]
+    s = ms.PhaseState(x, [0.4, -1.2, 0.9])
+    dx, dp = ms.eom_rhs(model, s)
+    f = model.hamilton_rhs(s.as_array().tolist())
+    assert np.array_equal(np.concatenate([dx, dp]), f)
+    want, _ = _matrix_rhs_and_sizes(model, s.x, s.p)
+    if isinstance(model, ms.Cylindrical):
+        assert np.array_equal(f, want)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, -1.0], [1e-9, -1e-9, -2.0], [0.0, 0.0, 0.0],
+                                 [1e-9, 0.0, 1e-9]])
+def test_monopole_rhs_raises_the_domain_error_of_radius(bad):
+    model = ms.Monopole(g=2.0, Q=1.0)
+    with pytest.raises(ms.DomainError) as direct:
+        model.check_domain(np.array(bad))
+    with pytest.raises(ms.DomainError) as rhs:
+        model.hamilton_rhs(bad + [0.5, 0.5, 0.5])
+    assert str(rhs.value) == str(direct.value)

@@ -170,6 +170,16 @@ def test_mathieu_interlacing():
     assert all(x < y + 1e-12 for x, y in zip(seq, seq[1:]))
 
 
+def test_mathieu_large_q_follows_the_asymptotic_series():
+    # a_r(q) ~ -2q + 2(2r+1) sqrt(q) - ((2r+1)^2 + 1)/8 + O(q^-1/2) as q grows;
+    # the next term is -(2r+1)((2r+1)^2 + 3)/(2^7 sqrt(q)) = -0.0028 here
+    q, r = 1e4, 1
+    w = 2 * r + 1
+    asymptotic = -2 * q + 2 * w * np.sqrt(q) - (w**2 + 1) / 8
+    assert asymptotic == -19401.25
+    assert ms.mathieu_characteristic(r, "even", q) == pytest.approx(asymptotic, abs=0.01)
+
+
 def test_mathieu_validation():
     with pytest.raises(ValueError):
         ms.mathieu_characteristic(1, "mixed", 1.0)
