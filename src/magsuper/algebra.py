@@ -7,14 +7,13 @@ angular momenta. Both facts are checked numerically at sampled states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, _state_arrays
 from .errors import ConfigError, DomainError
-from .fields import EPS_DOMAIN, Custom, Monopole, Vec3
+from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _pow, _zeros
 from .integrals import (
     PhaseFunction,
     as_phase_function,
@@ -31,56 +30,67 @@ _BASIS_NAMES = ("X1t", "X2", "X3", "X4", "X5", "X6", "X7")
 def constantB_basis(B: float) -> list[PhaseFunction]:
     """The 7 closed-algebra generators X1t=p1^2/2, X2..X7, with gradients.
 
-    X5 and X6 contain cos(Bx/p1) and sin(Bx/p1) and are regular only
-    away from p1 = 0.
+    Each takes a PhaseState or a pair (x, p) of (n,3) stacks; squares go
+    through `_pow`, so a stack has the bits of its states. X5 and X6
+    contain cos(Bx/p1) and sin(Bx/p1) and are regular only away from
+    p1 = 0.
     """
     if B == 0:
         raise ValueError("constantB_basis requires B != 0")
 
-    def theta(s: PhaseState) -> float:
-        return B * s.x[0] / s.p[0]
+    def parts(s):
+        """x0, x1, x2, p0, p1, p2: numbers, or (n,) arrays for stacks."""
+        x, p = _state_arrays(s)
+        return (*x.T, *p.T)
+
+    def vectors(s, *c):
+        """(df/dx, df/dp) per state from six components, numbers or arrays."""
+        c = np.broadcast_arrays(*c, _zeros(_state_arrays(s)[0]))
+        return np.array(c[:3]).T, np.array(c[3:6]).T
 
     def x5(s):
-        th = theta(s)
-        return (B * s.x[2] - s.p[1]) * math.cos(th) - s.p[2] * math.sin(th)
+        x0, _, x2, p0, p1, p2 = parts(s)
+        th = B * x0 / p0
+        return (B * x2 - p1) * np.cos(th) - p2 * np.sin(th)
 
     def x6(s):
-        th = theta(s)
-        return (s.p[1] - B * s.x[2]) * math.sin(th) - s.p[2] * math.cos(th)
+        x0, _, x2, p0, p1, p2 = parts(s)
+        th = B * x0 / p0
+        return (p1 - B * x2) * np.sin(th) - p2 * np.cos(th)
 
-    def grad_x5(s):
-        th = theta(s)
-        v6 = x6(s)
-        gx = np.array([B / s.p[0] * v6, 0.0, B * math.cos(th)])
-        gp = np.array([-B * s.x[0] / s.p[0] ** 2 * v6, -math.cos(th), -math.sin(th)])
-        return gx, gp
+    def grad_x5(s, record=None):
+        x0, _, _, p0, _, _ = parts(s)
+        th, v6 = B * x0 / p0, x6(s)
+        return vectors(s, B / p0 * v6, 0.0, B * np.cos(th),
+                       -B * x0 / _pow(p0, 2) * v6, -np.cos(th), -np.sin(th))
 
-    def grad_x6(s):
-        th = theta(s)
-        v5 = x5(s)
-        gx = np.array([-B / s.p[0] * v5, 0.0, -B * math.sin(th)])
-        gp = np.array([B * s.x[0] / s.p[0] ** 2 * v5, math.sin(th), -math.cos(th)])
-        return gx, gp
+    def grad_x6(s, record=None):
+        x0, _, _, p0, _, _ = parts(s)
+        th, v5 = B * x0 / p0, x5(s)
+        return vectors(s, -B / p0 * v5, 0.0, -B * np.sin(th),
+                       B * x0 / _pow(p0, 2) * v5, np.sin(th), -np.cos(th))
 
-    zero3 = np.zeros(3)
-    return [
-        PhaseFunction("X1t", lambda s: 0.5 * s.p[0] ** 2,
-                      lambda s: (zero3, np.array([s.p[0], 0.0, 0.0]))),
-        PhaseFunction("X2", lambda s: s.p[1],
-                      lambda s: (zero3, np.array([0.0, 1.0, 0.0]))),
-        PhaseFunction("X3", lambda s: s.p[2] - B * s.x[1],
-                      lambda s: (np.array([0.0, -B, 0.0]), np.array([0.0, 0.0, 1.0]))),
-        PhaseFunction(
-            "X4",
-            lambda s: s.x[1] * s.p[2] - s.x[2] * s.p[1]
-            + 0.5 * B * (s.x[2] ** 2 - s.x[1] ** 2),
-            lambda s: (np.array([0.0, s.p[2] - B * s.x[1], B * s.x[2] - s.p[1]]),
-                       np.array([0.0, -s.x[2], s.x[1]])),
-        ),
-        PhaseFunction("X5", x5, grad_x5),
-        PhaseFunction("X6", x6, grad_x6),
-        PhaseFunction("X7", lambda s: 1.0, lambda s: (zero3, zero3)),
-    ]
+    def x4(s):
+        _, x1, x2, _, p1, p2 = parts(s)
+        return x1 * p2 - x2 * p1 + 0.5 * B * (_pow(x2, 2) - _pow(x1, 2))
+
+    def grad_x4(s, record=None):
+        _, x1, x2, _, p1, p2 = parts(s)
+        return vectors(s, 0.0, p2 - B * x1, B * x2 - p1, 0.0, -x2, x1)
+
+    model = ConstantB(B)
+    return [PhaseFunction(name, fn, grad, model) for name, fn, grad in (
+        ("X1t", lambda s: 0.5 * _pow(parts(s)[3], 2),
+         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, parts(s)[3], 0.0, 0.0)),
+        ("X2", lambda s: parts(s)[4],
+         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
+        ("X3", lambda s: parts(s)[5] - B * parts(s)[1],
+         lambda s, record=None: vectors(s, 0.0, -B, 0.0, 0.0, 0.0, 1.0)),
+        ("X4", x4, grad_x4),
+        ("X5", x5, grad_x5),
+        ("X6", x6, grad_x6),
+        ("X7", lambda s: 1.0, lambda s, record=None: vectors(s, *[0.0] * 6)),
+    )]
 
 
 @dataclass(frozen=True)
@@ -112,27 +122,32 @@ def constantB_bracket_table(B: float) -> BracketTable:
     return BracketTable(_BASIS_NAMES, s)
 
 
+def _stack_states(states) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and momenta of a list of PhaseStates as (n,3) stacks."""
+    return (np.array([s.x for s in states]).reshape(-1, 3),
+            np.array([s.p for s in states]).reshape(-1, 3))
+
+
 def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
     """Max discrepancy of every basis pair against the structure table.
 
-    With use_gradients=False the analytic gradients are stripped and
-    the brackets fall back to central differences.
+    All states go through one bracket table. With use_gradients=False
+    the analytic gradients are stripped and the brackets fall back to
+    central differences, state by state.
     """
     states = list(states)
+    s = _stack_states(states)
     basis = constantB_basis(B)
+    vals = {f.name: f.fn(s) for f in basis}
     if not use_gradients:
         basis = [PhaseFunction(f.name, f.fn, None) for f in basis]
+    br = bracket_matrix(basis, s)
     table = constantB_bracket_table(B)
-    # (i, j, name, predicted combination) of every pair i < j
-    checks = [(i, j, f"{{{fi.name},{fj.name}}}", table.combination(i, j))
-              for i, fi in enumerate(basis) for j, fj in enumerate(basis) if i < j]
-    pairs = {name: 0.0 for _, _, name, _ in checks}
-    for s in states:
-        br = bracket_matrix(basis, s)
-        vals = {f.name: f(s) for f in basis}
-        for i, j, name, combo in checks:
-            pred = sum(c * vals[n] for n, c in combo.items())
-            pairs[name] = max(pairs[name], abs(float(br[i, j]) - pred))
+    pairs = {}
+    for i, fi in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            pred = sum(c * vals[n] for n, c in table.combination(i, j).items())
+            pairs[f"{{{fi.name},{basis[j].name}}}"] = _max_abs(br[:, i, j] - pred)
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
@@ -140,22 +155,23 @@ def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
     }
 
 
-def _const_b_hamiltonian(B: float, s: PhaseState) -> float:
-    return 0.5 * (s.p[0] ** 2 + (s.p[1] - B * s.x[2]) ** 2 + s.p[2] ** 2)
+def _max_abs(v) -> float:
+    """max |v| over the states, 0.0 for none."""
+    return float(np.max(np.abs(v), initial=0.0))
 
 
 def casimir_check(B: float, states) -> dict:
     """Residuals of 2 X1t X7 + X5^2 + X6^2 = 2H and
     2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H at the given states."""
     states = list(states)
-    basis = {f.name: f for f in constantB_basis(B)}
-    r1 = r2 = 0.0
-    for s in states:
-        h2 = 2.0 * _const_b_hamiltonian(B, s)
-        v = {name: f(s) for name, f in basis.items()}
-        r1 = max(r1, abs(2 * v["X1t"] * v["X7"] + v["X5"] ** 2 + v["X6"] ** 2 - h2))
-        r2 = max(r2, abs(2 * (B * v["X4"] + v["X1t"]) * v["X7"]
-                         + v["X2"] ** 2 + v["X3"] ** 2 - h2))
+    x, p = s = _stack_states(states)
+    v = {f.name: f.fn(s) for f in constantB_basis(B)}
+    # H in the gauge of the basis, squared by pow: `hamiltonian` sums v.v by
+    # products, and the bits of the two differ in about 1 state of 1400
+    h2 = 2.0 * (0.5 * (_pow(p.T[0], 2) + _pow(p.T[1] - B * x.T[2], 2) + _pow(p.T[2], 2)))
+    r1 = _max_abs(2 * v["X1t"] * v["X7"] + _pow(v["X5"], 2) + _pow(v["X6"], 2) - h2)
+    r2 = _max_abs(2 * (B * v["X4"] + v["X1t"]) * v["X7"]
+                  + _pow(v["X2"], 2) + _pow(v["X3"], 2) - h2)
     return {
         "first_casimir": r1,
         "second_casimir": r2,
@@ -189,27 +205,25 @@ def monopole_closure_check(g: float, states, Q: float = 0.0,
                            use_gradients: bool = True) -> dict:
     """Checks {X1,X2}=X3 (cyclically) and involution of (X)^2 with each X_j.
 
-    g = 0 reduces to the ordinary angular momenta l_j. Analytic
-    gradients are the default; use_gradients=False falls back to
-    central differences.
+    g = 0 reduces to the ordinary angular momenta l_j. All states go
+    through one bracket table. Analytic gradients are the default;
+    use_gradients=False falls back to central differences.
     """
     states = list(states)
+    s = _stack_states(states)
     model = _monopole_model(g, Q)
     fns = [as_phase_function(sp, model) for sp in monopole_angular_specs(g)]
-    fsq = as_phase_function(monopole_total_square_spec(g), model)
+    vals = [f.fn(s) for f in fns]
+    fns.append(as_phase_function(monopole_total_square_spec(g), model))
     if not use_gradients:
         fns = [PhaseFunction(f.name, f.fn, None) for f in fns]
-        fsq = PhaseFunction(fsq.name, fsq.fn, None)
-    names = [f"{{X{j + 1},X{(j + 1) % 3 + 1}}}-X{(j + 2) % 3 + 1}" for j in range(3)]
-    names += [f"{{X_sq,X{j + 1}}}" for j in range(3)]
-    checks = dict.fromkeys(names, 0.0)
-    for s in states:
-        br = bracket_matrix([*fns, fsq], s)  # rows X1, X2, X3, X_sq
-        vals = [f(s) for f in fns]
-        for j in range(3):
-            k, l = (j + 1) % 3, (j + 2) % 3
-            checks[names[j]] = max(checks[names[j]], abs(float(br[j, k]) - vals[l]))
-            checks[names[3 + j]] = max(checks[names[3 + j]], abs(float(br[3, j])))
+    br = bracket_matrix(fns, s)  # rows X1, X2, X3, X_sq
+    checks = {}
+    for j in range(3):
+        k, l = (j + 1) % 3, (j + 2) % 3
+        checks[f"{{X{j + 1},X{k + 1}}}-X{l + 1}"] = _max_abs(br[:, j, k] - vals[l])
+    for j in range(3):
+        checks[f"{{X_sq,X{j + 1}}}"] = _max_abs(br[:, 3, j])
     return {
         "checks": checks,
         "max_discrepancy": max(checks.values()),

@@ -8,7 +8,8 @@ H = (p + A)^2 / 2 + V.
 The methods of every model take one point of shape (3,) or a stack of
 shape (n,3) and answer per point. Callables a model holds from its user
 (`Custom`, the F1, F2 and V of `Cylindrical`) are still called with one
-point or one radius at a time.
+point or one radius at a time. `field_record` gathers A, J_A, B and
+grad V at a stack into one `FieldRecord`, which the checks share.
 
 Every model also has `hamilton_rhs`, the right-hand side of Hamilton's
 equations at one state given as six floats: the three closed-form
@@ -22,7 +23,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,16 @@ def _as_vec3(x) -> Vec3:
     if not np.isfinite(a).all():
         raise ValueError("vector has non-finite components")
     return a
+
+
+def _as_points(x) -> tuple[np.ndarray, bool]:
+    """x as an (n,3) stack of finite points, and whether it was one (3,) point."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        return _as_vec3(a)[None], True
+    if not np.isfinite(a).all():
+        raise ValueError("vector has non-finite components")
+    return a, False
 
 
 # Kernels on points: x is one point of shape (3,) or a stack of shape
@@ -93,20 +104,25 @@ def _first_flagged(x, flags):
     return x[np.argmax(flags)] if flags.any() else None
 
 
-def _rowwise(method):
-    """Let a method of one point take a stack too, calling it row by row.
+def _rowwise(*shape):
+    """Let a method of one point take a stack too, calling it row by row;
+    `shape` is its result's shape per point, which an empty stack keeps.
 
     Used where a model calls user code, which only ever sees single
     points of shape (3,).
     """
 
-    @functools.wraps(method)
-    def wrapper(self, x):
-        if np.ndim(x) == 2:
-            return np.array([method(self, row) for row in x])
-        return method(self, x)
+    def decorate(method):
+        @functools.wraps(method)
+        def wrapper(self, x):
+            if np.ndim(x) == 2:
+                rows = [method(self, row) for row in x]
+                return np.array(rows) if rows else np.zeros((0, *shape))
+            return method(self, x)
 
-    return wrapper
+        return wrapper
+
+    return decorate
 
 
 def _pow(r, k):
@@ -263,13 +279,18 @@ class Monopole:
         if self.g == 0:
             raise ValueError("Monopole requires g != 0")
 
+    @staticmethod
+    def _off_domain(r, z):
+        """Whether a point of radius r and height z is on the center or the
+        string: r below EPS_DOMAIN, or r + z, the gauge's denominator, below
+        the relative clearance EPS_DOMAIN r (numbers or (n,) arrays)."""
+        return (r < EPS_DOMAIN) | (r + z < EPS_DOMAIN * r)
+
     def _radius(self, x: Vec3):
         """|x| per point, after rejecting points on the center or the string."""
         x0, x1, x2 = x.T
-        rho2 = x0 * x0 + x1 * x1
-        r = np.sqrt(rho2 + x2 * x2)
-        point = _first_flagged(
-            x, (r < EPS_DOMAIN) | ((rho2 < EPS_DOMAIN**2) & (x2 < 0)))
+        r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        point = _first_flagged(x, self._off_domain(r, x2))
         if point is not None:
             raise self._domain_error(point)
         return r
@@ -306,9 +327,9 @@ class Monopole:
 
     def grad_potential(self, x: Vec3) -> Vec3:
         r = self._radius(x)
-        dv_dr = self.Q / r**2
+        dv_dr = self.Q / _pow(r, 2)
         if self.barrier:
-            dv_dr -= self.g**2 / r**3
+            dv_dr -= self.g**2 / _pow(r, 3)
         return (dv_dr * x.T / r).T
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
@@ -319,7 +340,7 @@ class Monopole:
         # grad of w = (x/r)(2r+z) + r e_z
         dw = x.T / r * (2 * r + x2)
         dw[2] += r
-        dc = self.g * dw / w**2
+        dc = self.g * dw / _pow(w, 2)
         j = _zero_matrices(x)
         j.T[:, 0] = dc * x1
         j.T[1, 0] += c
@@ -331,9 +352,8 @@ class Monopole:
         """(v, dp) at one state of six floats, after the domain test of
         `_radius`; J_A as in `jacobian_a`, J_A^T v summed row by row."""
         x0, x1, x2, p0, p1, p2 = y
-        rho2 = x0 * x0 + x1 * x1
-        r = math.sqrt(rho2 + x2 * x2)
-        if r < EPS_DOMAIN or (rho2 < EPS_DOMAIN**2 and x2 < 0):
+        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if self._off_domain(r, x2):
             raise self._domain_error(np.array([x0, x1, x2]))
         w = r * (r + x2)
         c = -self.g / w
@@ -412,8 +432,8 @@ class Cylindrical:
         # d/dxj of f2/R^2, with dR/dx = (x/R, y/R, 0)
         gx = x0 / r
         gy = x1 / r
-        dq = (d2 * r - 2 * f2) / r**3  # d/dR (f2/R^2)
-        q = f2 / r**2
+        dq = (d2 * r - 2 * f2) / _pow(r, 3)  # d/dR (f2/R^2)
+        q = f2 / _pow(r, 2)
         j = _zero_matrices(x)
         j.T[0, 0] = -x1 * dq * gx
         j.T[1, 0] = -q - x1 * dq * gy
@@ -443,35 +463,35 @@ class Custom:
 
     hamilton_rhs = _matrix_rhs
 
-    @_rowwise
+    @_rowwise()
     def check_domain(self, x: Vec3) -> None:
         if self.domain is not None:
             self.domain(x)
 
-    @_rowwise
+    @_rowwise(3)
     def vector_potential(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         return _as_vec3(self.a(x))
 
-    @_rowwise
+    @_rowwise(3)
     def magnetic_field(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         if self.b is not None:
             return _as_vec3(self.b(x))
         return curl_fd(self.a, x)
 
-    @_rowwise
+    @_rowwise()
     def scalar_potential(self, x: Vec3) -> float:
         self.check_domain(x)
         return float(self.v(x))
 
-    @_rowwise
+    @_rowwise(3)
     def grad_potential(self, x: Vec3) -> Vec3:
         if self.grad_v is not None:
             return _as_vec3(self.grad_v(x))
         return grad_fd(self.v, x)
 
-    @_rowwise
+    @_rowwise(3, 3)
     def jacobian_a(self, x: Vec3) -> np.ndarray:
         if self.jac_a is not None:
             return np.asarray(self.jac_a(x), dtype=float)
@@ -509,6 +529,26 @@ def magnetic_field(model: FieldModel, x) -> Vec3:
 
 def scalar_potential(model: FieldModel, x) -> float:
     return float(model.scalar_potential(_as_vec3(x)))
+
+
+class FieldRecord(NamedTuple):
+    """A model's fields at an (n,3) stack of points, computed once and
+    shared by the residual, gradient and bracket kernels."""
+
+    model: FieldModel
+    x: np.ndarray  # (n, 3)
+    a: np.ndarray  # (n, 3)
+    jac_a: np.ndarray  # (n, 3, 3), rows dA_i/dx_j
+    b: np.ndarray  # (n, 3)
+    grad_v: np.ndarray  # (n, 3)
+
+
+def field_record(model: FieldModel, x: np.ndarray) -> FieldRecord:
+    """A, J_A, B and grad V of the model at an (n,3) stack, after its
+    domain test."""
+    model.check_domain(x)
+    return FieldRecord(model, x, model.vector_potential(x), model.jacobian_a(x),
+                       model.magnetic_field(x), model.grad_potential(x))
 
 
 def gauge_shift(model: FieldModel, chi: GaugeFunction) -> Custom:

@@ -10,7 +10,6 @@ determining equations that characterize integrals of motion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -22,14 +21,18 @@ from .fields import (
     ConstantB,
     Cylindrical,
     FieldModel,
+    FieldRecord,
     HelicalB,
     Monopole,
     Vec3,
+    _as_points,
     _as_vec3,
     _per_radius,
+    _pow,
     _zeros,
     cross,
     dot,
+    field_record,
     jacobian_fd,
     norm,
 )
@@ -44,10 +47,7 @@ def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
     out: dict[tuple[int, int], float] = {}
     if isinstance(alpha, Mapping):
         for key, val in alpha.items():
-            if isinstance(key, str):
-                a, b = int(key[0]), int(key[1])
-            else:
-                a, b = int(key[0]), int(key[1])
+            a, b = int(key[0]), int(key[1])
             if not (1 <= a <= b <= 6):
                 raise ValueError(f"alpha index ({a},{b}) out of range or unordered")
             if val != 0.0:
@@ -103,56 +103,60 @@ class CoeffPolynomials:
     They are exactly the coefficients of the momentum-quadratic part:
     sum alpha_ab Y_a Y_b = sum_j h_j (p_j^A)^2
                            + n_1 p_2^A p_3^A + n_2 p_1^A p_3^A + n_3 p_1^A p_2^A.
+    Each method takes one point (3,) or an (n,3) stack; squares go
+    through `_pow`, so a stack has the bits of its points.
     """
 
     alpha: dict
 
     def h(self, pos) -> Vec3:
-        x, y, z = _as_vec3(pos)
+        x, y, z = _coords(pos)
+        xx, yy, zz = _pow(x, 2), _pow(y, 2), _pow(z, 2)
         al = self.alpha
-        h1 = (_a(al, 6, 6) * y**2 + (-_a(al, 5, 6) * z - _a(al, 1, 6)) * y
-              + _a(al, 5, 5) * z**2 + _a(al, 1, 5) * z + _a(al, 1, 1))
-        h2 = (_a(al, 6, 6) * x**2 + (-_a(al, 4, 6) * z + _a(al, 2, 6)) * x
-              + _a(al, 4, 4) * z**2 - _a(al, 2, 4) * z + _a(al, 2, 2))
-        h3 = (_a(al, 5, 5) * x**2 + (-_a(al, 4, 5) * y - _a(al, 3, 5)) * x
-              + _a(al, 4, 4) * y**2 + _a(al, 3, 4) * y + _a(al, 3, 3))
-        return np.array([h1, h2, h3])
+        h1 = (_a(al, 6, 6) * yy + (-_a(al, 5, 6) * z - _a(al, 1, 6)) * y
+              + _a(al, 5, 5) * zz + _a(al, 1, 5) * z + _a(al, 1, 1))
+        h2 = (_a(al, 6, 6) * xx + (-_a(al, 4, 6) * z + _a(al, 2, 6)) * x
+              + _a(al, 4, 4) * zz - _a(al, 2, 4) * z + _a(al, 2, 2))
+        h3 = (_a(al, 5, 5) * xx + (-_a(al, 4, 5) * y - _a(al, 3, 5)) * x
+              + _a(al, 4, 4) * yy + _a(al, 3, 4) * y + _a(al, 3, 3))
+        return np.array([h1, h2, h3]).T
 
     def n(self, pos) -> Vec3:
-        x, y, z = _as_vec3(pos)
+        x, y, z = _coords(pos)
         al = self.alpha
-        n1 = (-_a(al, 5, 6) * x**2
+        n1 = (-_a(al, 5, 6) * _pow(x, 2)
               + (_a(al, 4, 6) * y + _a(al, 4, 5) * z - _a(al, 2, 5) + _a(al, 3, 6)) * x
               + (-2 * _a(al, 4, 4) * z + _a(al, 2, 4)) * y
               - _a(al, 3, 4) * z + _a(al, 2, 3))
         n2 = ((_a(al, 5, 6) * y - 2 * _a(al, 5, 5) * z - _a(al, 1, 5)) * x
-              - _a(al, 4, 6) * y**2
+              - _a(al, 4, 6) * _pow(y, 2)
               + (_a(al, 4, 5) * z - _a(al, 3, 6) + _a(al, 1, 4)) * y
               + _a(al, 3, 5) * z + _a(al, 1, 3))
         n3 = ((-2 * _a(al, 6, 6) * y + _a(al, 1, 6) + _a(al, 5, 6) * z) * x
               + (_a(al, 4, 6) * z - _a(al, 2, 6)) * y
-              - _a(al, 4, 5) * z**2 + (_a(al, 2, 5) - _a(al, 1, 4)) * z + _a(al, 1, 2))
-        return np.array([n1, n2, n3])
+              - _a(al, 4, 5) * _pow(z, 2) + (_a(al, 2, 5) - _a(al, 1, 4)) * z + _a(al, 1, 2))
+        return np.array([n1, n2, n3]).T
 
     def jac_h(self, pos) -> np.ndarray:
-        x, y, z = _as_vec3(pos)
+        x, y, z = _coords(pos)
         al = self.alpha
-        return np.array([
-            [0.0,
+        zero = np.zeros_like(x)
+        return _rows([
+            [zero,
              2 * _a(al, 6, 6) * y - _a(al, 5, 6) * z - _a(al, 1, 6),
              -_a(al, 5, 6) * y + 2 * _a(al, 5, 5) * z + _a(al, 1, 5)],
             [2 * _a(al, 6, 6) * x - _a(al, 4, 6) * z + _a(al, 2, 6),
-             0.0,
+             zero,
              -_a(al, 4, 6) * x + 2 * _a(al, 4, 4) * z - _a(al, 2, 4)],
             [2 * _a(al, 5, 5) * x - _a(al, 4, 5) * y - _a(al, 3, 5),
              -_a(al, 4, 5) * x + 2 * _a(al, 4, 4) * y + _a(al, 3, 4),
-             0.0],
+             zero],
         ])
 
     def jac_n(self, pos) -> np.ndarray:
-        x, y, z = _as_vec3(pos)
+        x, y, z = _coords(pos)
         al = self.alpha
-        return np.array([
+        return _rows([
             [-2 * _a(al, 5, 6) * x + _a(al, 4, 6) * y + _a(al, 4, 5) * z
              - _a(al, 2, 5) + _a(al, 3, 6),
              _a(al, 4, 6) * x - 2 * _a(al, 4, 4) * z + _a(al, 2, 4),
@@ -166,6 +170,17 @@ class CoeffPolynomials:
              _a(al, 5, 6) * x + _a(al, 4, 6) * y - 2 * _a(al, 4, 5) * z
              + _a(al, 2, 5) - _a(al, 1, 4)],
         ])
+
+
+def _coords(pos):
+    """x, y, z of one point (numbers) or of an (n,3) stack ((n,) arrays)."""
+    xs, one = _as_points(pos)
+    return xs[0] if one else xs.T
+
+
+def _rows(rows) -> np.ndarray:
+    """A 3x3 matrix, or one per point, from rows of numbers or (n,) arrays."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def build_hn_from_alpha(alpha) -> CoeffPolynomials:
@@ -183,8 +198,8 @@ def covariant_angular_momentum(model: FieldModel, s: PhaseState) -> Vec3:
 
 
 def _per_point(fn, x, one):
-    """fn over the points of x. Only the built-in s and m take a stack;
-    any other fn is called one point at a time, its value passed
+    """fn over the points of x. Only the functions of built-in specs take
+    a stack; any other fn is called one point at a time, its value passed
     through `one`."""
     if getattr(fn, "stacks", False):
         return fn(x)
@@ -218,12 +233,17 @@ def evaluate_integral(spec: IntegralSpec, model: FieldModel, s: PhaseState):
 class PhaseFunction:
     """Scalar function on phase space, optionally with analytic gradient.
 
-    `grad(state)` returns (df/dx, df/dp) as two 3-vectors.
+    `grad(state)` returns (df/dx, df/dp) as two 3-vectors. A function
+    made on a field `model` (`as_phase_function` of an IntegralSpec,
+    `hamiltonian_function`, the uniform-field algebra basis) also takes a
+    pair (x, p) of (n,3) stacks in `fn` and `grad`, and its grad accepts
+    the model's FieldRecord at x as a second argument.
     """
 
     name: str
     fn: Callable[[PhaseState], float]
     grad: Callable[[PhaseState], tuple[Vec3, Vec3]] | None = None
+    model: FieldModel | None = None
 
     def __call__(self, s: PhaseState) -> float:
         return float(self.fn(s))
@@ -231,6 +251,21 @@ class PhaseFunction:
     @property
     def value(self):
         return self.fn
+
+
+def _model_gradient(model: FieldModel, kernel: Callable) -> Callable:
+    """grad(s, record=None) of a phase function made on a model, from
+    kernel(record, p) on (n,3) stacks; one state is a stack of one."""
+
+    def grad(s, record: FieldRecord | None = None):
+        x, p = _state_arrays(s)
+        xs, one = _as_points(x)
+        if record is None:
+            record = field_record(model, xs)
+        gx, gp = kernel(record, np.reshape(p, xs.shape))
+        return (gx[0], gp[0]) if one else (gx, gp)
+
+    return grad
 
 
 def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> PhaseFunction:
@@ -243,42 +278,64 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
             raise ValueError("an IntegralSpec needs a model to become a phase function")
         return PhaseFunction(name or obj.name,
                              lambda s: evaluate_integral(obj, model, s),
-                             lambda s: _integral_gradient(obj, model, s))
+                             _model_gradient(model, lambda rec, p: _integral_gradient(obj, rec, p)),
+                             model)
     if callable(obj):
         return PhaseFunction(name or getattr(obj, "__name__", "f"), obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a phase-space function")
 
 
+def _transpose_times(j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J^T v per point of (n,3,3) and (n,3) stacks. np.matvec gives each
+    row the bits of a one-point `J.T @ v`; a written-out sum does not."""
+    return np.matvec(j.transpose(0, 2, 1), v)
+
+
+def _hamiltonian_gradient(rec: FieldRecord, p: np.ndarray):
+    v = p + rec.a
+    return _transpose_times(rec.jac_a, v) + rec.grad_v, v
+
+
 def hamiltonian_function(model: FieldModel) -> PhaseFunction:
-    def grad(s: PhaseState):
-        v = s.p + model.vector_potential(s.x)
-        gx = model.jacobian_a(s.x).T @ v + model.grad_potential(s.x)
-        return gx, v
-
-    return PhaseFunction("H", lambda s: hamiltonian(model, s), grad)
+    return PhaseFunction("H", lambda s: hamiltonian(model, s),
+                         _model_gradient(model, _hamiltonian_gradient), model)
 
 
-def _integral_gradient(spec: IntegralSpec, model: FieldModel,
-                       s: PhaseState) -> tuple[Vec3, Vec3]:
-    """(dX/dx, dX/dp) of a covariant integral by the chain rule through
-    pi = p + A(x), with c = (c_lin, c_ang) = d(sum alpha_ab Y_a Y_b)/dY:
+def _integral_gradient(spec: IntegralSpec, rec: FieldRecord,
+                       p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dX/dx, dX/dp) of a covariant integral at the (n,3) stacks rec.x and
+    p, by the chain rule through pi = p + A(x), with
+    c = (c_lin, c_ang) = d(sum alpha_ab Y_a Y_b)/dY:
         dX/dp = c_lin + c_ang x x + s(x)
         dX/dx = J_A^T dX/dp + pi x c_ang + J_s^T pi + grad m.
     """
-    pa = covariant_momentum(model, s)
-    c = np.zeros(6)
+    x = rec.x
+    pa = p + rec.a
+    c = np.zeros((6, len(x)))
     if spec.alpha:
-        y = np.concatenate([pa, cross(s.x, pa)])
+        y = (*pa.T, *cross(x, pa).T)
         for (a, b), coef in spec.alpha.items():
             c[a - 1] += coef * y[b - 1]
             c[b - 1] += coef * y[a - 1]
-    gp = c[:3] + cross(c[3:], s.x) + _spec_s(spec, s.x)
-    gx = (model.jacobian_a(s.x).T @ gp + cross(pa, c[3:])
-          + _spec_jac_s(spec, s.x).T @ pa + _spec_grad_m(spec, s.x))
+    c_lin, c_ang = c[:3].T, c[3:].T
+    gp = c_lin + cross(c_ang, x) + _spec_s(spec, x)
+    gx = (_transpose_times(rec.jac_a, gp) + cross(pa, c_ang)
+          + _transpose_times(_spec_jac_s(spec, x), pa) + _spec_grad_m(spec, x))
     return gx, gp
 
 
-def phase_gradient(f, s: PhaseState) -> tuple[Vec3, Vec3]:
+def phase_gradient(f, s, record: FieldRecord | None = None):
+    """(df/dx, df/dp) at a PhaseState, or (n,3) stacks at a pair (x, p) of
+    stacks. A function made on a model computes them in one pass (from
+    `record`, the model's FieldRecord at x, when given); any other one is
+    differentiated state by state, by its own grad or central differences."""
+    if isinstance(f, PhaseFunction) and f.model is not None:
+        return f.grad(s, record)
+    x, p = _state_arrays(s)
+    if np.ndim(x) == 2:
+        rows = [phase_gradient(f, PhaseState(xi, pi)) for xi, pi in zip(x, p)]
+        return np.array([g[0] for g in rows]), np.array([g[1] for g in rows])
+    s = PhaseState(x, p)
     if isinstance(f, PhaseFunction) and f.grad is not None:
         gx, gp = f.grad(s)
         return _as_vec3(gx), _as_vec3(gp)
@@ -287,17 +344,29 @@ def phase_gradient(f, s: PhaseState) -> tuple[Vec3, Vec3]:
     return g[:3], g[3:]
 
 
-def bracket_matrix(fns, s: PhaseState) -> np.ndarray:
-    """The antisymmetric (k, k) table of {f_i, f_j} at s, from one phase
-    gradient per function (analytic where the function carries one)."""
-    grads = [phase_gradient(f, s) for f in fns]
-    out = np.zeros((len(grads), len(grads)))
-    for i, (fx, fp) in enumerate(grads):
-        for j in range(i + 1, len(grads)):
-            gx, gp = grads[j]
-            out[i, j] = fx @ gp - gx @ fp
-            out[j, i] = -out[i, j]
-    return out
+def bracket_matrix(fns, s, record: FieldRecord | None = None) -> np.ndarray:
+    """The antisymmetric table of {f_i, f_j}: (k, k) at a PhaseState,
+    (n, k, k) at a pair (x, p) of (n,3) stacks.
+
+    One phase gradient per function; the functions made on one model
+    share one FieldRecord, `record` when it is given.
+    """
+    x, p = _state_arrays(s)
+    xs, one = _as_points(x)
+    ps = np.reshape(p, xs.shape)
+    records = {} if record is None else {id(record.model): record}
+    gx, gp = [], []
+    for f in fns:
+        model = f.model if isinstance(f, PhaseFunction) else None
+        if model is not None and id(model) not in records:
+            records[id(model)] = field_record(model, xs)
+        fx, fp = phase_gradient(f, (xs, ps), records.get(id(model)))
+        gx.append(fx)
+        gp.append(fp)
+    # m[t, i, j] = df_i/dx . df_j/dp, each with the bits of a one-point `@`
+    m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
+    out = m - m.transpose(0, 2, 1)
+    return out[0] if one else out
 
 
 def poisson_bracket(f, g, s: PhaseState) -> float:
@@ -317,24 +386,30 @@ RESIDUAL_KEYS = (
 )
 
 
-def _spec_s(spec: IntegralSpec, x: Vec3) -> Vec3:
-    return _as_vec3(spec.s(x)) if spec.s is not None else np.zeros(3)
-
-
-def _spec_jac_s(spec: IntegralSpec, x: Vec3) -> np.ndarray:
+def _spec_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
+    """s at each point of an (n,3) stack."""
     if spec.s is None:
-        return np.zeros((3, 3))
+        return np.zeros(x.shape)
+    return _per_point(spec.s, x, _as_vec3)
+
+
+def _spec_jac_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
+    """The Jacobian of s at each point of an (n,3) stack, shape (n,3,3)."""
+    if spec.s is None:
+        return np.zeros(x.shape + (3,))
     if spec.jac_s is not None:
-        return np.asarray(spec.jac_s(x), dtype=float)
-    return jacobian_fd(lambda q: _as_vec3(spec.s(q)), x)
+        jac = _per_point(spec.jac_s, x, lambda j: np.asarray(j, dtype=float))
+        return np.broadcast_to(jac, x.shape + (3,))
+    return jacobian_fd(lambda q: _per_point(spec.s, q, _as_vec3), x)
 
 
-def _spec_grad_m(spec: IntegralSpec, x: Vec3) -> Vec3:
+def _spec_grad_m(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
+    """grad m at each point of an (n,3) stack."""
     if spec.m is None:
-        return np.zeros(3)
+        return np.zeros(x.shape)
     if spec.grad_m is not None:
-        return _as_vec3(spec.grad_m(x))
-    return jacobian_fd(lambda q: float(spec.m(q)), x)
+        return np.broadcast_to(_per_point(spec.grad_m, x, _as_vec3), x.shape)
+    return jacobian_fd(lambda q: _per_point(spec.m, q, float), x)
 
 
 def determining_residuals(
@@ -343,8 +418,10 @@ def determining_residuals(
     x,
     mode: str = "classical",
     hbar: float = 1.0,
-) -> dict[str, float]:
-    """Pointwise residuals of the determining equations at x.
+) -> dict:
+    """Pointwise residuals of the determining equations at x: one point
+    (3,) gives floats; an (n,3) stack, or the model's FieldRecord at one,
+    gives an (n,) array per key.
 
     Keys: the three diagonal and three mixed second-order conditions,
     the three first-order conditions, and the zero-order condition. In
@@ -353,16 +430,20 @@ def determining_residuals(
     """
     if mode not in ("classical", "quantum"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = _as_vec3(x)
-    model.check_domain(x)
+    if isinstance(x, FieldRecord):
+        rec, one = x, False
+    else:
+        xs, one = _as_points(x)
+        rec = field_record(model, xs)
+    xs = rec.x
     poly = build_hn_from_alpha(spec.alpha)
-    h1, h2, h3 = poly.h(x)
-    n1, n2, n3 = poly.n(x)
-    b1, b2, b3 = model.magnetic_field(x)
-    vx, vy, vz = model.grad_potential(x)
-    sv = _spec_s(spec, x)
-    js = _spec_jac_s(spec, x)
-    gm = _spec_grad_m(spec, x)
+    h1, h2, h3 = poly.h(xs).T
+    n1, n2, n3 = poly.n(xs).T
+    b1, b2, b3 = rec.b.T
+    vx, vy, vz = rec.grad_v.T
+    sv = _spec_s(spec, xs).T
+    js = _spec_jac_s(spec, xs).transpose(1, 2, 0)  # js[i, j]: ds_i/dx_j per point
+    gm = _spec_grad_m(spec, xs).T
 
     res = {
         "ds1_dx": js[0, 0] - (n2 * b2 - n3 * b3),
@@ -377,17 +458,18 @@ def determining_residuals(
         "dm_dx": gm[0] - (2 * h1 * vx + n3 * vy + n2 * vz + sv[2] * b2 - sv[1] * b3),
         "dm_dy": gm[1] - (n3 * vx + 2 * h2 * vy + n1 * vz + sv[0] * b3 - sv[2] * b1),
         "dm_dz": gm[2] - (n2 * vx + n1 * vy + 2 * h3 * vz + sv[1] * b1 - sv[0] * b2),
-        "zero_order": float(sv @ np.array([vx, vy, vz])),
+        # vecdot: the bits of a one-point `sv @ grad V`
+        "zero_order": np.vecdot(sv.T, rec.grad_v),
     }
     if mode == "quantum" and spec.alpha:
-        jn = poly.jac_n(x)
-        jb = jacobian_fd(model.magnetic_field, x)
+        jn = poly.jac_n(xs).transpose(1, 2, 0)
+        jb = jacobian_fd(model.magnetic_field, xs).transpose(1, 2, 0)
         corr = (jn[0, 2] * jb[0, 2] - jn[0, 1] * jb[0, 1]
                 + jn[1, 0] * jb[1, 0] - jn[1, 2] * jb[1, 2]
                 + jn[2, 1] * jb[2, 1] - jn[2, 0] * jb[2, 0]
                 + jn[0, 0] * jb[1, 1] - jn[1, 1] * jb[0, 0])
         res["zero_order"] += 0.25 * hbar**2 * corr
-    return {k: float(v) for k, v in res.items()}
+    return {k: float(v[0]) for k, v in res.items()} if one else res
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +480,9 @@ _E = np.eye(3)
 
 
 def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec:
-    """A built-in spec; its s and m take (3,) or (n,3) points."""
-    for fn in (s, m):
+    """A built-in spec; its s, m, jac_s and grad_m take (3,) or (n,3)
+    points (a jac_s or grad_m that returns one constant serves every point)."""
+    for fn in (s, m, jac_s, grad_m):
         if fn is not None:
             fn.stacks = True
     return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
@@ -441,7 +524,7 @@ def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
             s=lambda x: cross(_E[0], x),
             m=lambda x: -0.5 * B * (x.T[1] ** 2 + x.T[2] ** 2),
             jac_s=lambda x: np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),
-            grad_m=lambda x: np.array([0.0, -B * x[1], -B * x[2]]),
+            grad_m=lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T,
         ),
     ]
 
@@ -458,14 +541,14 @@ def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
             s=lambda x: _unit(x, 0),
             m=lambda x: amp * np.cos(u(x)),
             jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([0.0, 0.0, -amp * math.sin(u(x)) / beta]),
+            grad_m=lambda x: np.array([_zeros(x), _zeros(x), -amp * np.sin(u(x)) / beta]).T,
         ),
         _known(
             "X2", {},
             s=lambda x: _unit(x, 1),
             m=lambda x: amp * np.sin(u(x)),
             jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([0.0, 0.0, amp * math.cos(u(x)) / beta]),
+            grad_m=lambda x: np.array([_zeros(x), _zeros(x), amp * np.cos(u(x)) / beta]).T,
         ),
         _known(
             "X3", {},
@@ -474,10 +557,10 @@ def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
             m=lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
             jac_s=lambda x: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
             grad_m=lambda x: np.array([
-                amp * math.sin(u(x)),
-                -amp * math.cos(u(x)),
-                amp * (x[0] * math.cos(u(x)) + x[1] * math.sin(u(x))) / beta,
-            ]),
+                amp * np.sin(u(x)),
+                -amp * np.cos(u(x)),
+                amp * (x.T[0] * np.cos(u(x)) + x.T[1] * np.sin(u(x))) / beta,
+            ]).T,
         ),
     ]
 
@@ -490,8 +573,8 @@ def _unit_radial(j: int):
 
     def grad(x):
         r = norm(x)
-        g = -x[j] * x / r**3
-        g[j] += 1.0 / r
+        g = (-x.T[j] * x.T / _pow(r, 3)).T
+        g.T[j] += 1.0 / r
         return g
 
     return val, grad
@@ -549,8 +632,10 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
             jc = np.zeros((3, 3))
             jc[(j + 1) % 3, (j + 2) % 3] = 1.0
             jc[(j + 2) % 3, (j + 1) % 3] = -1.0
-            # rows: d/dx_k of g c_i / r
-            return g * (jc / r - np.outer(c, x) / r**3)
+            # rows: d/dx_k of g c_i / r, per point
+            outer = c[..., :, None] * x[..., None, :]
+            return g * (jc / np.asarray(r)[..., None, None]
+                        - outer / np.asarray(_pow(r, 3))[..., None, None])
 
         return jac
 
@@ -576,7 +661,7 @@ def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
         def grad(x):
             r = model._radius(x)
             d = sign * of_radius(dfn, x)
-            return np.array([d * x[0] / r, d * x[1] / r, 0.0])
+            return np.array([d * x.T[0] / r, d * x.T[1] / r, _zeros(x)]).T
 
         return grad
 

@@ -14,8 +14,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import GridTooSmall, NoBoundStates, StepFailure
+from .errors import ConfigError, GridTooSmall, NoBoundStates, StepFailure
 from .fields import Cylindrical
+
+#: most points a Grid1D may have; a larger n is refused before its arrays
+#: (several of 8 bytes per point) are allocated
+GRID_MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,9 @@ class Grid1D:
             raise ValueError("grid needs lo < hi")
         if self.n < 16:
             raise ValueError("grid needs at least 16 points")
+        if self.n > GRID_MAX_POINTS:
+            raise ConfigError(f"a grid of n = {self.n} points exceeds the maximum "
+                              f"of {GRID_MAX_POINTS} points")
 
     @property
     def points(self) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -388,6 +391,40 @@ def test_sampled_flags_follow_schema_bounds(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # each call parses into a fresh namespace: no flag of one call reaches
+    # the next, and the bytes equal those of a fresh process per call
+    calls = [
+        ["verify", "--system", "monopole", "--mode", "quantum", "--potential",
+         "coulomb-only", "--seed", "3", "--n-points", "7", "--tolerance", "1e-3"],
+        ["fields-check", "--system", "helical"],
+        ["verify", "--system", "monopole", "--n-points", "5"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run_main = "import sys; from magsuper.cli import main; sys.exit(main(sys.argv[1:]))"
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        rc = cli.main([*argv, "--out", str(here)])
+        done = subprocess.run([sys.executable, "-c", run_main, *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, timeout=120)
+        assert rc == done.returncode, done.stderr
+        assert here.read_bytes() == fresh.read_bytes()
+    assert cli._parser() is cli._parser()
+    second = json.loads((tmp_path / "here1.json").read_text(encoding="utf-8"))
+    assert (second["seed"], second["n_points"], second["tolerance"]) == (0, 100, 1e-6)
+    third = json.loads((tmp_path / "here2.json").read_text(encoding="utf-8"))
+    assert third["mode"] == "classical" and "potential" not in third["system"]
+
+
+def test_spectrum_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "big.json", {
+        "system": {"model": "constant_b", "B": 1.0},
+        "grid": {"lo": -12.0, "hi": 12.0, "n": 10**12}})
+    assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert "greater than the maximum of 10000000" in capsys.readouterr().err
 
 
 def test_byte_determinism(tmp_path):

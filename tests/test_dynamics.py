@@ -162,14 +162,24 @@ def test_monopole_orbit_into_the_dirac_string_raises_domain_error():
     assert msg == str(direct.value)
 
 
-def test_monopole_state_beside_the_string_raises_step_failure():
-    # admitted by the domain test, but r + z rounds to 0 there, so the
-    # gauge factor g / (r (r + z)) divides by zero
+def test_monopole_state_beside_the_string_raises_domain_error():
+    # r + z, the gauge's denominator in g / (r (r + z)), rounds to 0 or
+    # falls below the relative clearance: refused like a point on the string
     model = ms.Monopole(g=1.0, Q=1.0)
-    s0 = ms.PhaseState([1e-8, 0.0, -1.0], [0.1, 0.2, 0.3])
-    model.check_domain(s0.x)
-    with pytest.raises(ms.StepFailure, match="^integration aborted: float division by zero$"):
-        ms.integrate(model, s0, 1.0)
+    clear = np.array([[1e-3, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 1.0, -1.0]])
+    model.check_domain(clear)
+    for x in ([1e-8, 0.0, -1.0], [1e-5, 1e-5, -3.0], [0.0, 1e-9, -1e-3]):
+        s0 = ms.PhaseState(x, [0.1, 0.2, 0.3])
+        with pytest.raises(ms.DomainError) as direct:
+            model.check_domain(s0.x)
+        assert str(direct.value).startswith(f"point {s0.x} ")
+        with pytest.raises(ms.DomainError) as run:
+            ms.integrate(model, s0, 1.0)
+        assert str(run.value) == str(direct.value)
+        # the same predicate serves stacks
+        with pytest.raises(ms.DomainError) as stacked:
+            model.check_domain(np.vstack([clear, s0.x]))
+        assert str(stacked.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("g, q, a", [(0.5, 1.0, 2.0), (1.2, 2.0, 3.0), (0.3, 0.7, 1.5)])
@@ -185,6 +195,21 @@ def test_mic_kepler_orbits_close(g, q, a):
         assert np.linalg.norm(traj.sample(n * period).x - x0) <= 1e-9 * r_max
     # and not after half a period
     assert np.linalg.norm(traj.sample(0.5 * period).x - x0) > 1e-3 * r_max
+
+
+@pytest.mark.parametrize("g, q, a", [(0.5, 1.0, 2.0), (1.2, 2.0, 3.0), (0.3, 0.7, 1.5)])
+def test_boris_closure_error_falls_like_dt_squared(g, q, a):
+    # the same closed MIC-Kepler orbits, one period of the second-order
+    # Boris scheme: each halving of dt divides the closure error by about 4
+    x0, p0, _, period, r_max = kepler_orbit(rng(31), g, q, a)
+    model = ms.Monopole(g=g, Q=q)
+    errors = []
+    for steps in (400, 800, 1600):
+        cfg = ms.IntegratorConfig(method="boris", dt=period / steps)
+        traj = ms.integrate(model, ms.PhaseState(x0, p0), period, cfg)
+        errors.append(np.linalg.norm(traj.x[-1] - x0) / r_max)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
 
 
 @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-10), (1e6, 1e-6)])

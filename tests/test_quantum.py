@@ -7,6 +7,7 @@ import pytest
 import scipy.special as sps
 
 import magsuper as ms
+from magsuper import quantum
 
 from helpers import mathieu_shooting
 
@@ -77,6 +78,18 @@ def test_landau_k2_only_moves_the_center():
     moved = ms.landau_reduced_solve(B=1.0, k1=0.0, k2=2.0, hbar=1.0,
                                     grid=LANDAU_GRID, n_levels=4)
     assert np.max(np.abs(moved.eigenvalues - base.eigenvalues)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [quantum.GRID_MAX_POINTS + 1, 10**12])
+def test_grid_refuses_more_points_than_the_cap(monkeypatch, n):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated arrays for a refused grid")
+
+    for name in ("linspace", "empty", "zeros"):
+        monkeypatch.setattr(quantum.np, name, no_allocation)
+    with pytest.raises(ms.ConfigError, match="exceeds the maximum of 10000000 points"):
+        ms.Grid1D(-12.0, 12.0, n)
+    assert ms.Grid1D(-12.0, 12.0, quantum.GRID_MAX_POINTS).n == quantum.GRID_MAX_POINTS
 
 
 def test_landau_grid_guards():

@@ -1,8 +1,11 @@
-"""The checks in one pass: bracket tables from one gradient per function
-and state, and fields-check as one stacked central-difference pass.
+"""The checks in one pass: residuals, phase gradients and bracket tables
+over a whole stack of sample states from one field record, and
+fields-check as one stacked central-difference pass.
 
 Each result is compared bit for bit with the per-pair or per-point loop
-it replaces, written out here as the reference.
+it replaces, written out here as the reference: one-point arithmetic,
+BLAS `@` on 3-vectors and libm powers. The stacks hold at least 300
+points, so that a last-bit slip in a stacked reduction or power shows.
 """
 
 import json
@@ -80,18 +83,34 @@ def test_verify_report_matches_per_pair_brackets(tmp_path, args, rc):
     assert cli.dumps_report(doc) + "\n" == text
 
 
+def _one_point_gradient(f, s):
+    """(df/dx, df/dp) at one state: the function's own gradient, or
+    central differences when it has none."""
+    if f.grad is not None:
+        gx, gp = f.grad(s)
+        return np.asarray(gx, dtype=float), np.asarray(gp, dtype=float)
+    g = _jacobian_one_point(lambda z: f.fn(ms.PhaseState.from_array(z)), s.as_array())
+    return g[:3], g[3:]
+
+
+def _one_point_bracket(fg, gg):
+    (fx, fp), (gx, gp) = fg, gg
+    return fx @ gp - gx @ fp
+
+
 def _reference_bracket_table(B, states, use_gradients):
     basis = ms.constantB_basis(B)
     if not use_gradients:
         basis = [ms.PhaseFunction(f.name, f.fn, None) for f in basis]
     table = ms.constantB_bracket_table(B)
     by_name = {f.name: f for f in basis}
+    grads = [[_one_point_gradient(f, s) for f in basis] for s in states]
     pairs = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             worst = 0.0
-            for s in states:
-                br = ms.poisson_bracket(basis[i], basis[j], s)
+            for s, g in zip(states, grads):
+                br = _one_point_bracket(g[i], g[j])
                 pred = sum(c * by_name[k](s) for k, c in table.combination(i, j).items())
                 worst = max(worst, abs(br - pred))
             pairs[f"{{{basis[i].name},{basis[j].name}}}"] = worst
@@ -102,26 +121,30 @@ def _reference_bracket_table(B, states, use_gradients):
 @pytest.mark.parametrize("use_gradients", [True, False])
 @pytest.mark.parametrize("B", [1.3, -0.7])
 def test_bracket_table_matches_per_pair_loop(B, use_gradients):
-    states = random_states(rng(611), 12, p1_min=0.1)
+    states = random_states(rng(611), 300 if use_gradients else 40, p1_min=0.1)
     got = ms.verify_bracket_table(B, states, use_gradients=use_gradients)
     assert got == _reference_bracket_table(B, states, use_gradients)
 
 
 def _reference_closure(g, states, Q, use_gradients):
     model = _monopole_model(g, Q)
-    fns = [ms.as_phase_function(sp, model) for sp in ms.monopole_angular_specs(g)]
-    fsq = ms.as_phase_function(ms.monopole_total_square_spec(g), model)
-    if not use_gradients:
-        fns = [ms.PhaseFunction(f.name, f.fn, None) for f in fns]
-        fsq = ms.PhaseFunction(fsq.name, fsq.fn, None)
+    specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
     checks = {}
-    for j in range(3):
-        k, l = (j + 1) % 3, (j + 2) % 3
-        checks[f"{{X{j + 1},X{k + 1}}}-X{l + 1}"] = max(
-            abs(ms.poisson_bracket(fns[j], fns[k], s) - fns[l](s)) for s in states)
-    for j in range(3):
-        checks[f"{{X_sq,X{j + 1}}}"] = max(
-            abs(ms.poisson_bracket(fsq, fns[j], s)) for s in states)
+    for s in states:
+        if use_gradients:
+            grads = [_reference_gradient(sp, model, s.x, s.p) for sp in specs]
+        else:
+            grads = [_one_point_gradient(ms.PhaseFunction("f", ms.as_phase_function(sp, model).fn), s)
+                     for sp in specs]
+        vals = [ms.evaluate_integral(sp, model, s) for sp in specs[:3]]
+        for j in range(3):
+            k, l = (j + 1) % 3, (j + 2) % 3
+            name = f"{{X{j + 1},X{k + 1}}}-X{l + 1}"
+            checks[name] = max(checks.get(name, 0.0),
+                               abs(_one_point_bracket(grads[j], grads[k]) - vals[l]))
+        for j in range(3):
+            name = f"{{X_sq,X{j + 1}}}"
+            checks[name] = max(checks.get(name, 0.0), abs(_one_point_bracket(grads[3], grads[j])))
     return {"checks": checks, "max_discrepancy": max(checks.values()),
             "n_states": len(states)}
 
@@ -129,7 +152,7 @@ def _reference_closure(g, states, Q, use_gradients):
 @pytest.mark.parametrize("use_gradients", [True, False])
 @pytest.mark.parametrize("g, Q", [(2.0, 1.0), (-1.5, 0.0), (0.0, 0.0)])
 def test_closure_check_matches_per_pair_loop(g, Q, use_gradients):
-    states = monopole_states(rng(612), 12)
+    states = monopole_states(rng(612), 300 if use_gradients else 40)
     got = ms.monopole_closure_check(g, states, Q=Q, use_gradients=use_gradients)
     assert got == _reference_closure(g, states, Q, use_gradients)
 
@@ -161,7 +184,7 @@ _STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 def _jacobian_one_point(f, x):
     cols = []
-    for j in range(3):
+    for j in range(len(x)):
         h = _STEP * max(1.0, abs(x[j]))
         xp, xm = x.copy(), x.copy()
         xp[j] += h
@@ -262,7 +285,7 @@ def test_stacked_fields_have_one_point_bits(model):
         r = rng(625).uniform(0.3, 3.0, 20000)
         r = r[r**2 != np.array([v**2 for v in r.tolist()])]
         xs = np.vstack([xs, np.column_stack([r, np.zeros_like(r), r])])
-    for name in ("vector_potential", "magnetic_field"):
+    for name in ("vector_potential", "magnetic_field", "jacobian_a", "grad_potential"):
         method = getattr(model, name)
         assert np.array_equal(method(xs), [method(x) for x in xs]), name
 
@@ -300,3 +323,217 @@ def test_jacobian_fd_of_a_stack_matches_each_point():
     grads = ms.fields.jacobian_fd(lambda q: np.sum(q**2, axis=-1), xs)
     assert grads.shape == (9, 3)
     np.testing.assert_allclose(grads, 2 * xs, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# residuals, gradients and bracket tables over a stack
+
+
+def _reference_spec_parts(spec, x):
+    """s, its Jacobian and grad m at one point, as the one-point kernels
+    took them: the spec's functions, or central differences."""
+    if spec.s is None:
+        sv, js = np.zeros(3), np.zeros((3, 3))
+    else:
+        sv = np.asarray(spec.s(x), dtype=float)
+        js = (np.asarray(spec.jac_s(x), dtype=float) if spec.jac_s is not None
+              else _jacobian_one_point(lambda q: np.asarray(spec.s(q), dtype=float), x))
+    if spec.m is None:
+        gm = np.zeros(3)
+    elif spec.grad_m is not None:
+        gm = np.asarray(spec.grad_m(x), dtype=float)
+    else:
+        gm = _jacobian_one_point(lambda q: float(spec.m(q)), x)
+    return sv, js, gm
+
+
+def _reference_residuals(spec, model, x, mode, hbar=1.0):
+    """The one-point determining_residuals: a list in RESIDUAL_KEYS order."""
+    poly = ms.build_hn_from_alpha(spec.alpha)
+    h1, h2, h3 = poly.h(x)
+    n1, n2, n3 = poly.n(x)
+    b1, b2, b3 = model.magnetic_field(x)
+    gv = model.grad_potential(x)
+    vx, vy, vz = gv
+    sv, js, gm = _reference_spec_parts(spec, x)
+    res = [
+        js[0, 0] - (n2 * b2 - n3 * b3),
+        js[1, 1] - (n3 * b3 - n1 * b1),
+        js[2, 2] - (n1 * b1 - n2 * b2),
+        js[0, 1] + js[1, 0] - (n1 * b2 - n2 * b1 + 2 * (h1 - h2) * b3),
+        js[0, 2] + js[2, 0] - (n3 * b1 - n1 * b3 + 2 * (h3 - h1) * b2),
+        js[2, 1] + js[1, 2] - (n2 * b3 - n3 * b2 + 2 * (h2 - h3) * b1),
+        gm[0] - (2 * h1 * vx + n3 * vy + n2 * vz + sv[2] * b2 - sv[1] * b3),
+        gm[1] - (n3 * vx + 2 * h2 * vy + n1 * vz + sv[0] * b3 - sv[2] * b1),
+        gm[2] - (n2 * vx + n1 * vy + 2 * h3 * vz + sv[1] * b1 - sv[0] * b2),
+        float(sv @ gv),
+    ]
+    if mode == "quantum" and spec.alpha:
+        jn = poly.jac_n(x)
+        jb = _jacobian_one_point(model.magnetic_field, x)
+        res[-1] += 0.25 * hbar**2 * (
+            jn[0, 2] * jb[0, 2] - jn[0, 1] * jb[0, 1] + jn[1, 0] * jb[1, 0]
+            - jn[1, 2] * jb[1, 2] + jn[2, 1] * jb[2, 1] - jn[2, 0] * jb[2, 0]
+            + jn[0, 0] * jb[1, 1] - jn[1, 1] * jb[0, 0])
+    return [float(v) for v in res]
+
+
+def _reference_gradient(spec, model, x, p):
+    """(dX/dx, dX/dp) at one state by the chain rule through p + A(x)."""
+    pa = p + model.vector_potential(x)
+    c = np.zeros(6)
+    if spec.alpha:
+        y = np.concatenate([pa, ms.fields.cross(x, pa)])
+        for (a, b), coef in spec.alpha.items():
+            c[a - 1] += coef * y[b - 1]
+            c[b - 1] += coef * y[a - 1]
+    sv, js, gm = _reference_spec_parts(spec, x)
+    gp = c[:3] + ms.fields.cross(c[3:], x) + sv
+    gx = model.jacobian_a(x).T @ gp + ms.fields.cross(pa, c[3:]) + js.T @ pa + gm
+    return gx, gp
+
+
+def _reference_h_gradient(model, x, p):
+    v = p + model.vector_potential(x)
+    return model.jacobian_a(x).T @ v + model.grad_potential(x), v
+
+
+def _user_specs():
+    """Candidates whose functions are user code, called one point at a time:
+    with and without derivatives (then central differences)."""
+    quad = {(1, 1): 0.5, (4, 6): 1.5, (5, 5): -0.3, (2, 3): 2.0, (6, 6): 0.7}
+    return [
+        ms.IntegralSpec("user_fd", quad,
+                        s=_one_point(lambda x: np.array([x[1] * x[2], -x[0], 0.5 * x[2] ** 2])),
+                        m=_one_point(lambda x: x[0] * x[1] - x[2] ** 3)),
+        ms.IntegralSpec("user_exact", {(3, 3): 1.0, (1, 4): -0.25},
+                        s=_one_point(lambda x: np.array([0.1, -0.2, 0.3])),
+                        m=_one_point(lambda x: 1.0),
+                        jac_s=_one_point(lambda x: np.zeros((3, 3))),
+                        grad_m=_one_point(lambda x: np.zeros(3))),
+    ]
+
+
+_STACK_SYSTEMS = {
+    "constant_b": ms.ConstantB(B=1.3),
+    "constant_b_negative": ms.ConstantB(B=-0.8),
+    "helical": ms.HelicalB(A_amp=3.0, beta=3.0, phi0=0.7),
+    "helical_negative_beta": ms.HelicalB(A_amp=1.0, beta=-0.5),
+    "monopole": ms.Monopole(g=2.0, Q=1.0),
+    "monopole_coulomb_only": ms.Monopole(g=-1.3, Q=0.8, barrier=False),
+    "cylindrical": _cyl_model(),
+}
+
+
+def _stack_case(name):
+    model = _STACK_SYSTEMS[name]
+    specs = cli._verify_specs(model) + _user_specs()
+    if isinstance(model, ms.Monopole):
+        xs = np.array(monopole_positions(rng(631), 300))
+    else:
+        xs = rng(631).uniform(-2.0, 2.0, (400, 3))
+        xs = xs[np.hypot(xs[:, 0], xs[:, 1]) > 0.3][:300]
+    ps = rng(632).uniform(-2.0, 2.0, xs.shape)
+    return model, specs, xs, ps
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", list(_STACK_SYSTEMS))
+def test_stacked_residuals_match_per_point_loop(name, mode):
+    model, specs, xs, _ = _stack_case(name)
+    assert len(xs) >= 300
+    rec = ms.fields.field_record(model, xs)
+    for spec in specs:
+        want = np.array([_reference_residuals(spec, model, x, mode) for x in xs])
+        for given in (xs, rec):
+            res = ms.determining_residuals(spec, model, given, mode=mode)
+            got = np.column_stack([res[k] for k in ms.RESIDUAL_KEYS])
+            assert np.array_equal(got, want), spec.name
+        # one point is a stack of one, with floats for values
+        one = ms.determining_residuals(spec, model, xs[0], mode=mode)
+        assert [one[k] for k in ms.RESIDUAL_KEYS] == want[0].tolist()
+
+
+@pytest.mark.parametrize("name", list(_STACK_SYSTEMS))
+def test_stacked_gradients_and_brackets_match_per_point_loop(name):
+    model, specs, xs, ps = _stack_case(name)
+    fns = [ms.as_phase_function(sp, model) for sp in specs] + [ms.hamiltonian_function(model)]
+    want = [[_reference_gradient(sp, model, x, p) for x, p in zip(xs, ps)] for sp in specs]
+    want.append([_reference_h_gradient(model, x, p) for x, p in zip(xs, ps)])
+    for f, ref in zip(fns, want):
+        gx, gp = ms.phase_gradient(f, (xs, ps))
+        assert np.array_equal(gx, [g[0] for g in ref]), f.name
+        assert np.array_equal(gp, [g[1] for g in ref]), f.name
+    table = np.array([[[_one_point_bracket(want[i][t], want[j][t]) if i != j else 0.0
+                        for j in range(len(fns))] for i in range(len(fns))]
+                      for t in range(len(xs))])
+    rec = ms.fields.field_record(model, xs)
+    assert np.array_equal(ms.bracket_matrix(fns, (xs, ps)), table)
+    assert np.array_equal(ms.bracket_matrix(fns, (xs, ps), rec), table)
+    s = ms.PhaseState(xs[0], ps[0])
+    assert np.array_equal(ms.bracket_matrix(fns, s), table[0])
+    # a function without a model of its own goes state by state
+    plain = [ms.PhaseFunction(f.name, f.fn, f.grad) for f in fns]
+    assert np.array_equal(ms.bracket_matrix(plain, (xs[:20], ps[:20])), table[:20])
+
+
+def _squares_unlike_pow(seed, n):
+    """Coordinates whose stacked square (a product) rounds unlike a one-point
+    pow (about 1 in 1000), placed in every column of some points."""
+    v = rng(seed).uniform(-3.0, 3.0, 200000)
+    v = v[v**2 != np.array([c**2 for c in v.tolist()])][:n]
+    return np.vstack([np.column_stack([np.roll(v, k) for k in range(3)]),
+                      rng(seed + 1).uniform(-2.0, 2.0, (300, 3))])
+
+
+def test_stacked_polynomials_have_one_point_bits():
+    xs = _squares_unlike_pow(641, 60)
+    poly = ms.build_hn_from_alpha({(a, b): 0.5 + a - 0.3 * b for a in range(1, 7)
+                                   for b in range(a, 7)})
+    for name in ("h", "n", "jac_h", "jac_n"):
+        method = getattr(poly, name)
+        assert np.array_equal(method(xs), [method(x) for x in xs]), name
+
+
+def _reference_casimirs(B, states):
+    basis = ms.constantB_basis(B)
+    r1 = r2 = 0.0
+    for s in states:
+        h2 = 2.0 * 0.5 * (s.p[0] ** 2 + (s.p[1] - B * s.x[2]) ** 2 + s.p[2] ** 2)
+        v = {f.name: f(s) for f in basis}
+        r1 = max(r1, abs(2 * v["X1t"] * v["X7"] + v["X5"] ** 2 + v["X6"] ** 2 - h2))
+        r2 = max(r2, abs(2 * (B * v["X4"] + v["X1t"]) * v["X7"]
+                         + v["X2"] ** 2 + v["X3"] ** 2 - h2))
+    return {"first_casimir": r1, "second_casimir": r2, "max_residual": max(r1, r2),
+            "n_states": len(states)}
+
+
+@pytest.mark.parametrize("B", [1.3, -0.7])
+def test_stacked_algebra_basis_and_casimirs_have_one_point_bits(B):
+    xs = _squares_unlike_pow(651, 60)
+    ps = np.roll(xs, 7, axis=0)
+    keep = np.abs(ps[:, 0]) > 0.1
+    xs, ps = xs[keep], ps[keep]
+    states = [ms.PhaseState(x, p) for x, p in zip(xs, ps)]
+    for f in ms.constantB_basis(B):
+        assert np.array_equal(np.broadcast_to(f.fn((xs, ps)), len(xs)),
+                              [f(s) for s in states]), f.name
+        for got, want in zip(f.grad((xs, ps)), zip(*(f.grad(s) for s in states))):
+            assert np.array_equal(got, want), f.name
+    assert ms.casimir_check(B, states) == _reference_casimirs(B, states)
+    # at x1 = x3 = 0, X5 = -p2 and X6 = -p3 carry those coordinates into the
+    # squares of the Casimirs; one state per call, so no maximum hides them
+    for x, p in zip(xs[:60], ps[:60]):
+        s = ms.PhaseState([0.0, x[1], 0.0], p)
+        assert ms.casimir_check(B, [s]) == _reference_casimirs(B, [s])
+
+
+@pytest.mark.parametrize("g", [2.0, 0.0])
+def test_checks_of_no_states_report_zeros(g):
+    # g = 0 is a Custom model, whose row-by-row methods must keep the
+    # shape of an empty stack
+    closure = ms.monopole_closure_check(g, [])
+    assert closure["n_states"] == 0 and set(closure["checks"].values()) == {0.0}
+    table = ms.verify_bracket_table(1.3, [])
+    assert table["n_states"] == 0 and set(table["pairs"].values()) == {0.0}
+    assert ms.casimir_check(1.3, [])["max_residual"] == 0.0
