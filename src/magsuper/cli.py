@@ -352,7 +352,7 @@ def _watch_for(model, s0: PhaseState):
     watch = list(known_integrals(model))
     if isinstance(model, ConstantB) and abs(s0.p[0]) > 1e-6:
         B = model.B
-        watch.append(PhaseFunction("X5", lambda s: x5_integral(B, s)))
+        watch.append(PhaseFunction("X5", lambda s: x5_integral(B, s), model=model))
     return watch
 
 
@@ -382,8 +382,7 @@ def _run_trajectory(ns, closed_form: bool) -> int:
     extra = None
     if closed_form:
         if isinstance(model, ConstantB):
-            refs = [helix_solution(model.B, s0, float(t)) for t in traj.times]
-            ref = np.array([np.concatenate([r.x, r.p]) for r in refs])
+            ref = np.hstack(helix_solution(model.B, s0, traj.times))
             err = np.max(np.abs(np.hstack([traj.x, traj.p]) - ref), axis=1)
         elif isinstance(model, HelicalB):
             red = pendulum_reduction(model, s0)

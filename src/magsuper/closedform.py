@@ -8,12 +8,12 @@ reduction to a pendulum equation solved by Jacobi elliptic functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, SeparatrixRegime
 from .fields import HelicalB
@@ -28,42 +28,66 @@ __all__ = [
 SEPARATRIX_DELTA = 1e-6
 
 
-def helix_solution(B: float, s0: PhaseState, t: float) -> PhaseState:
+def _cos_sin(a):
+    """cos and sin of a number, or per element of an array with libm's bits
+    (numpy's vectorised cos and sin need not round as libm does)."""
+    if not isinstance(a, np.ndarray):
+        return math.cos(a), math.sin(a)
+    a = a.tolist()
+    return np.array([math.cos(v) for v in a]), np.array([math.sin(v) for v in a])
+
+
+def helix_solution(B: float, s0: PhaseState, t):
     """Exact constant-field state at time t from initial state s0.
 
     Uniform drift along x and gyration in the (y, z) plane with
-    angular frequency B; p1 and p2 are constant.
+    angular frequency B; p1 and p2 are constant. For an array of times
+    the states come as a pair (x, p) of (n,3) stacks, each row with the
+    bits of the one-time call.
     """
     if B == 0:
         raise ValueError("helix_solution requires B != 0")
     x0, y0, z0 = s0.x
     p1, p2, p3 = s0.p
-    c, s = math.cos(B * t), math.sin(B * t)
+    stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
+    if stacked:
+        t = np.asarray(t, dtype=float)
+    c, s = _cos_sin(B * t)
     x = x0 + p1 * t
     y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
     z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
     p3t = c * p3 + s * (p2 - B * z0)
+    if stacked:
+        ones = np.ones_like(t)
+        return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
     return PhaseState(np.array([x, y, z]), np.array([p1, p2, p3t]))
 
 
-def _phase_angle(B: float, s: PhaseState, tol: float) -> float:
-    p1 = s.p[0]
-    if abs(p1) < tol:
-        raise DegenerateMomentum(
-            f"|p1|={abs(p1)} below {tol}: the helix degenerates to a circle")
-    return B * s.x[0] / p1
+def _phase_angle(B: float, x, p, tol: float):
+    p1 = p.T[0]
+    if (abs(p1) < tol).any():
+        small = np.atleast_1d(abs(p1))
+        raise DegenerateMomentum(f"|p1|={small[small < tol][0]} below {tol}: "
+                                 "the helix degenerates to a circle")
+    return B * x.T[0] / p1
 
 
-def x5_integral(B: float, s: PhaseState, tol: float = 1e-8) -> float:
-    """(Bz - p2) cos(Bx/p1) - p3 sin(Bx/p1); needs p1 away from 0."""
-    th = _phase_angle(B, s, tol)
-    return (B * s.x[2] - s.p[1]) * math.cos(th) - s.p[2] * math.sin(th)
+def x5_integral(B: float, s: PhaseState, tol: float = 1e-8):
+    """(Bz - p2) cos(Bx/p1) - p3 sin(Bx/p1); needs p1 away from 0.
+
+    At a PhaseState, or per state of a pair (x, p) of (n,3) stacks with
+    the bits of the one-state call.
+    """
+    x, p = _state_arrays(s)
+    c, sn = _cos_sin(_phase_angle(B, x, p, tol))
+    return (B * x.T[2] - p.T[1]) * c - p.T[2] * sn
 
 
-def x6_integral(B: float, s: PhaseState, tol: float = 1e-8) -> float:
+def x6_integral(B: float, s: PhaseState, tol: float = 1e-8):
     """(p2 - Bz) sin(Bx/p1) - p3 cos(Bx/p1); companion of x5_integral."""
-    th = _phase_angle(B, s, tol)
-    return (s.p[1] - B * s.x[2]) * math.sin(th) - s.p[2] * math.cos(th)
+    x, p = _state_arrays(s)
+    c, sn = _cos_sin(_phase_angle(B, x, p, tol))
+    return (p.T[1] - B * x.T[2]) * sn - p.T[2] * c
 
 
 def tilde_transform(s: PhaseState) -> tuple[float, float]:
@@ -221,6 +245,8 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
 
 
 def _separatrix_theta(theta0: float, dtheta0: float, taus: np.ndarray) -> np.ndarray:
+    from scipy.integrate import solve_ivp
+
     out = np.empty_like(taus)
     for sign in (1.0, -1.0):
         mask = taus >= 0 if sign > 0 else taus < 0

@@ -2,7 +2,8 @@
 
 Modulus convention: all functions take k (not the parameter m = k^2).
 sn interpolates between sin (k=0) and tanh (k=1). The functions accept
-scalar or array arguments u, x, phi.
+scalar or array arguments u, x, phi. scipy.special is imported on the
+first call, not with the package.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 
 def _check_modulus(k: float) -> float:
@@ -35,12 +35,16 @@ def agm(a: float, b: float) -> float:
 
 def ellipk(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k)."""
+    from scipy import special
+
     k = _check_modulus(k)
     return float(special.ellipk(k * k))
 
 
 def _ellipj(u, k):
     """(sn, cn, dn, am) at u for modulus k."""
+    from scipy import special
+
     k = _check_modulus(k)
     return special.ellipj(u, k * k)
 
@@ -67,6 +71,8 @@ def inv_am(phi, k):
 
     This is the incomplete elliptic integral F(phi | k^2).
     """
+    from scipy import special
+
     k = _check_modulus(k)
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.abs(phi) <= math.pi / 2):

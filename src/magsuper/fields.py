@@ -322,7 +322,7 @@ class Monopole:
         r = self._radius(x)
         v = -self.Q / r
         if self.barrier:
-            v += 0.5 * self.g**2 / r**2
+            v += 0.5 * self.g**2 / _pow(r, 2)
         return v
 
     def grad_potential(self, x: Vec3) -> Vec3:

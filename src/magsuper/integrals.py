@@ -522,7 +522,7 @@ def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
         _known(
             "X4", {},
             s=lambda x: cross(_E[0], x),
-            m=lambda x: -0.5 * B * (x.T[1] ** 2 + x.T[2] ** 2),
+            m=lambda x: -0.5 * B * (_pow(x.T[1], 2) + _pow(x.T[2], 2)),
             jac_s=lambda x: np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),
             grad_m=lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T,
         ),

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, GridTooSmall, NoBoundStates, StepFailure
 from .fields import Cylindrical
@@ -57,6 +55,8 @@ class SpectrumResult:
 
 def _dirichlet_solve(w: np.ndarray, h: float, hbar: float, n_levels: int):
     """Lowest eigenpairs of -hbar^2 f'' + w f on interior points."""
+    from scipy.linalg import eigh_tridiagonal
+
     n_in = len(w)
     if not 1 <= n_levels <= n_in:
         raise ValueError(f"n_levels must be in [1, {n_in}]")
@@ -166,6 +166,8 @@ def mathieu_characteristic(r: int, parity: str, q: float) -> float:
         raise ValueError(f"no characteristic value of parity {parity!r} at r={r}")
     if abs(q) > 1e4:
         raise ValueError("|q| must not exceed 1e4")
+    from scipy.linalg import eigh_tridiagonal
+
     n_dim = 50 + 2 * math.ceil(math.sqrt(abs(q))) + r
     diag, off, idx = _mathieu_matrix(r, parity, float(q), n_dim)
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
@@ -230,6 +232,8 @@ def helical_reduced_solve(
         raise ValueError("K must be nonnegative")
     if beta == 0 or hbar <= 0:
         raise ValueError("beta must be nonzero and hbar positive")
+    from scipy.integrate import solve_ivp
+
     a = -4.0 * beta**2 * (A_amp**2 + K**2 - 2.0 * E) / hbar**2
     q = -4.0 * beta**2 * A_amp * K / hbar**2
     period = 2.0 * math.pi * abs(beta)

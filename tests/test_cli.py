@@ -419,6 +419,20 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path):
     assert third["mode"] == "classical" and "potential" not in third["system"]
 
 
+def test_import_leaves_scipy_solvers_unloaded():
+    # scipy's integrate, linalg and special load on the first call that
+    # uses them, so a command without one starts without them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, magsuper.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg', 'scipy.special') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_spectrum_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "big.json", {
         "system": {"model": "constant_b", "B": 1.0},

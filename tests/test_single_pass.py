@@ -537,3 +537,67 @@ def test_checks_of_no_states_report_zeros(g):
     table = ms.verify_bracket_table(1.3, [])
     assert table["n_states"] == 0 and set(table["pairs"].values()) == {0.0}
     assert ms.casimir_check(1.3, [])["max_residual"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# trajectory columns
+
+
+def test_stacked_closed_forms_have_one_state_bits():
+    gen = rng(661)
+    B = 1.7
+    s0 = ms.PhaseState(gen.uniform(-2.0, 2.0, 3), gen.uniform(-2.0, 2.0, 3))
+    times = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 400.0, 2000))])
+    xs, ps = ms.helix_solution(B, s0, times)
+    refs = [ms.helix_solution(B, s0, float(t)) for t in times]
+    assert np.array_equal(xs, [r.x for r in refs]) and np.array_equal(ps, [r.p for r in refs])
+    states = random_states(gen, 2000, box=3.0, p1_min=0.05)
+    xs, ps = np.array([s.x for s in states]), np.array([s.p for s in states])
+    for fn in (ms.x5_integral, ms.x6_integral):
+        assert np.array_equal(fn(B, (xs, ps)), [fn(B, s) for s in states]), fn.__name__
+    ps[7, 0] = 1e-9
+    with pytest.raises(ms.DegenerateMomentum, match=r"^\|p1\|=1e-09 below 1e-08"):
+        ms.x5_integral(B, (xs, ps))
+
+
+def test_trajectory_closed_form_and_x5_columns_have_one_state_bits(tmp_path):
+    B = 0.8
+    s0 = ms.PhaseState([0.3, -0.2, 0.5], [0.7, -0.4, 0.9])
+    cfg = {"system": {"model": "constant_b", "B": B},
+           "state0": {"x": s0.x.tolist(), "p": s0.p.tolist()}, "t_end": 60.0}
+    path, out = tmp_path / "cfg.json", tmp_path / "traj.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["trajectory", "--closed-form", "--config", str(path),
+                     "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+    traj = ms.integrate(ms.ConstantB(B=B), s0, 60.0)
+    assert np.array_equal(table[:, 0], traj.times)
+    rows = np.hstack([traj.x, traj.p])
+    ref = [np.concatenate([r.x, r.p]) for r in
+           (ms.helix_solution(B, s0, float(t)) for t in traj.times)]
+    err = [np.max(np.abs(row - r)) for row, r in zip(rows, ref)]
+    assert np.array_equal(table[:, header.index("closed_form_error")], err)
+    x5 = [ms.x5_integral(B, traj.state(i)) for i in range(len(traj))]
+    assert np.array_equal(table[:, header.index("X5")], x5)
+
+
+@pytest.mark.parametrize("name", ["constant_b", "monopole"])
+def test_integrate_energy_and_integrals_have_one_state_bits(name):
+    # over 5000 states a stacked square that rounds unlike libm's pow shows
+    if name == "constant_b":
+        model = ms.ConstantB(B=1.3)
+        s0 = ms.PhaseState([0.4, -1.1, 0.9], [0.3, 1.2, -0.8])
+    else:
+        model = ms.Monopole(g=2.0, Q=1.0)
+        s0 = ms.PhaseState([3.0, 0.5, 1.0], [0.1, 0.3, 0.05])
+    specs = ms.known_integrals(model)
+    traj = ms.integrate(model, s0, 60.0, ms.IntegratorConfig(max_step=0.012), specs)
+    assert len(traj) > 5000
+    states = [traj.state(i) for i in range(len(traj))]
+    assert np.array_equal(traj.energy, [ms.hamiltonian(model, s) for s in states])
+    for spec in specs:
+        assert np.array_equal(traj.diagnostics[spec.name],
+                              [spec.value_at(model, s) for s in states]), spec.name
