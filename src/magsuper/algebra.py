@@ -248,6 +248,22 @@ def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
     return [as_phase_function(sp, model) for sp in monopole_runge_lenz_specs(g, Q)]
 
 
+def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0,
+                   max_tries: int = 100000) -> np.ndarray:
+    """n rows of `size` uniform draws in [-box, box], one row per try, kept
+    where `accept` passes it; a ConfigError after max_tries tries."""
+    rows = []
+    tries = 0
+    while len(rows) < n:
+        tries += 1
+        if tries > max_tries:
+            raise ConfigError("state sampling failed to find admissible points")
+        row = rng.uniform(-box, box, size)
+        if accept is None or accept(row):
+            rows.append(row)
+    return np.array(rows).reshape(-1, size)
+
+
 def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
                   admissible=None, max_tries: int = 100000) -> list[PhaseState]:
     """Uniform random states in [-box, box]^6 with optional constraints.
@@ -255,20 +271,12 @@ def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
     `admissible` filters positions (used to stay off singular loci);
     `p1_min` keeps |p1| away from 0 where X5, X6 need it.
     """
-    out: list[PhaseState] = []
-    tries = 0
-    while len(out) < n:
-        tries += 1
-        if tries > max_tries:
-            raise ConfigError("state sampling failed to find admissible points")
-        x = rng.uniform(-box, box, 3)
-        p = rng.uniform(-box, box, 3)
-        if p1_min > 0 and abs(p[0]) < p1_min:
-            continue
-        if admissible is not None and not admissible(x):
-            continue
-        out.append(PhaseState(x, p))
-    return out
+
+    def accept(y):
+        return ((p1_min <= 0 or abs(y[3]) >= p1_min)
+                and (admissible is None or admissible(y[:3])))
+
+    return [PhaseState(y[:3], y[3:]) for y in sample_uniform(rng, n, 6, accept, box, max_tries)]
 
 
 def monopole_admissible(x) -> bool:

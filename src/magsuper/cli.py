@@ -23,6 +23,7 @@ from .algebra import (
     monopole_admissible,
     monopole_closure_check,
     sample_states,
+    sample_uniform,
     verify_bracket_table,
 )
 from .closedform import helix_solution, pendulum_reduction, helical_z_of_t, x5_integral
@@ -232,6 +233,28 @@ def _no_constant(literal: str):
     raise ConfigError(f"{literal} is not a JSON number")
 
 
+def _finite(value, text: str):
+    """value if a double holds it as a finite number, else a ConfigError
+    naming `text`."""
+    try:
+        if math.isfinite(value):  # OverflowError for an int beyond a double
+            return value
+    except OverflowError:
+        pass
+    raise ConfigError(f"{text if len(text) <= 24 else text[:20] + '...'} is not a finite double")
+
+
+def _json_int(text: str) -> int:
+    # a double holds the digits first, so that int() stays within its digit limit
+    _finite(float(text), text)
+    return int(text)
+
+
+#: json hooks of config and spec files: every number is a finite double
+_JSON_HOOKS = {"parse_constant": _no_constant, "parse_int": _json_int,
+               "parse_float": lambda text: _finite(float(text), text)}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -239,7 +262,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_no_constant)
+        cfg = json.loads(text, **_JSON_HOOKS)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON "
@@ -264,43 +287,24 @@ def _config_for(ns) -> dict:
     return cfg
 
 
-def _flag(ns, attr: str, key: str):
-    """A flag's value (None when absent), held to the schema bounds of the
-    config key it overrides."""
-    value = getattr(ns, attr, None)
-    if value is not None:
+def _setting(ns, cfg: dict, key: str, default, kind):
+    """kind of the flag that overrides config key `key`, held to the schema
+    bounds of that key; else of the config's value, else of default. None
+    when all three are None."""
+    value = getattr(ns, key, None)
+    if value is None:
+        value = cfg.get(key, default)
+    else:
         import jsonschema
 
+        flag = "--" + key.replace("_", "-")
         schema = CONFIG_SCHEMA["properties"][key]
-        flag = "--" + attr.replace("_", "-")
         err = next(jsonschema.Draft202012Validator(schema).iter_errors(value), None)
         if err is not None:
             raise ConfigError(f"{flag}: {err.message}")
-        if not math.isfinite(value):
-            # argparse's float() reads nan and inf, which a config cannot hold
-            raise ConfigError(f"{flag}: {value} is not a JSON number")
-    return value
-
-
-def _resolve_seed(ns, cfg) -> int:
-    seed = _flag(ns, "seed", "seed")
-    return seed if seed is not None else int(cfg.get("seed", 0))
-
-
-def _resolve_tol(ns, cfg, default=1e-6):
-    tol = _flag(ns, "tolerance", "tolerance")
-    if tol is not None:
-        return float(tol)
-    if "tolerance" in cfg:
-        return float(cfg["tolerance"])
-    return default
-
-
-def _resolve_n_points(ns, cfg) -> int:
-    n = _flag(ns, "n_points", "n_points")
-    if n is not None:
-        return int(n)
-    return int(cfg.get("n_points", 100))
+        # argparse's float() reads nan and inf, which a config cannot hold
+        _finite(value, f"{flag}: {value}")
+    return None if value is None else kind(value)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -328,20 +332,9 @@ def _integrator(cfg: dict) -> IntegratorConfig:
         raise ConfigError(f"bad integrator options: {exc}") from exc
 
 
-def _sample_positions(rng, n: int, model) -> list[np.ndarray]:
-    """Uniform positions in [-2, 2]^3, filtered to the model's domain."""
-    admissible = monopole_admissible if isinstance(model, Monopole) else None
-    pts: list[np.ndarray] = []
-    tries = 0
-    while len(pts) < n:
-        tries += 1
-        if tries > 100000:
-            raise ConfigError("could not sample admissible points for this model")
-        x = rng.uniform(-2.0, 2.0, 3)
-        if admissible is not None and not admissible(x):
-            continue
-        pts.append(x)
-    return pts
+def _sample_positions(rng, n: int, model) -> np.ndarray:
+    """n uniform positions in [-2, 2]^3, filtered to the model's domain."""
+    return sample_uniform(rng, n, 3, monopole_admissible if isinstance(model, Monopole) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +390,6 @@ def _run_trajectory(ns, closed_form: bool) -> int:
     return 0
 
 
-def _cmd_simulate(ns) -> int:
-    return _run_trajectory(ns, closed_form=False)
-
-
-def _cmd_trajectory(ns) -> int:
-    return _run_trajectory(ns, closed_form=ns.closed_form)
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -418,19 +403,12 @@ def _verify_specs(model) -> list[IntegralSpec]:
     return specs
 
 
-def _const_vec(v):
-    arr = np.array(v, dtype=float)
-    if arr.shape != (3,):
-        raise ConfigError("spec-file 's' must be null, 'zero', or 3 numbers")
-    return arr
-
-
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     """User-supplied integral candidates: alpha entries plus constant or
     named s, m choices; {"known": NAME} pulls a built-in closed form."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_no_constant)
+            data = json.load(fh, **_JSON_HOOKS)
     except OSError as exc:
         raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -453,21 +431,17 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
         alpha = ent.get("alpha", {})
         if not isinstance(alpha, dict):
             raise ConfigError(f"integrals[{i}].alpha must be an object")
-        s_raw = ent.get("s")
-        m_raw = ent.get("m")
-        s_fn = None
-        jac_s = None
+        s_raw, m_raw = ent.get("s"), ent.get("m")
+        s_fn = jac_s = m_fn = grad_m = None
         if s_raw is not None and s_raw != "zero":
-            sv = _const_vec(s_raw)
-            s_fn = lambda x, sv=sv: sv
-            jac_s = lambda x: np.zeros((3, 3))
-        m_fn = None
-        grad_m = None
+            sv = np.array(s_raw, dtype=float)
+            if sv.shape != (3,):
+                raise ConfigError("spec-file 's' must be null, 'zero', or 3 numbers")
+            s_fn, jac_s = (lambda x, sv=sv: sv), (lambda x: np.zeros((3, 3)))
         if m_raw is not None and m_raw != "zero":
             if not isinstance(m_raw, (int, float)) or isinstance(m_raw, bool):
                 raise ConfigError("spec-file 'm' must be null, 'zero', or a number")
-            m_fn = lambda x, c=float(m_raw): c
-            grad_m = lambda x: np.zeros(3)
+            m_fn, grad_m = (lambda x, c=float(m_raw): c), (lambda x: np.zeros(3))
         try:
             out.append(IntegralSpec(name, alpha, s=s_fn, m=m_fn,
                                     jac_s=jac_s, grad_m=grad_m))
@@ -481,13 +455,13 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
 def _cmd_verify(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])
-    tol = _resolve_tol(ns, cfg)
-    n = _resolve_n_points(ns, cfg)
-    seed = _resolve_seed(ns, cfg)
+    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
+    n = _setting(ns, cfg, "n_points", 100, int)
+    seed = _setting(ns, cfg, "seed", 0, int)
     rng = _rng(seed)
     specs = _load_spec_file(ns.spec, model) if ns.spec else _verify_specs(model)
 
-    xs = np.array(_sample_positions(rng, n, model))
+    xs = _sample_positions(rng, n, model)
     ps = rng.uniform(-2.0, 2.0, xs.shape)  # the draws of one momentum per point
     rec = field_record(model, xs)
 
@@ -537,9 +511,9 @@ def _cmd_algebra(ns) -> int:
     cfg = _config_for(ns)
     sys_cfg = cfg["system"]
     kind = sys_cfg.get("model")
-    tol = _resolve_tol(ns, cfg)
-    n = _resolve_n_points(ns, cfg)
-    seed = _resolve_seed(ns, cfg)
+    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
+    n = _setting(ns, cfg, "n_points", 100, int)
+    seed = _setting(ns, cfg, "seed", 0, int)
     rng = _rng(seed)
 
     if kind == "constant_b":
@@ -601,9 +575,7 @@ def _cmd_spectrum(ns) -> int:
     cfg = load_config(ns.config)
     kind = cfg["system"].get("model")
     hbar = float(cfg.get("hbar", 1.0))
-    tol = _flag(ns, "tolerance", "tolerance")
-    if tol is None:
-        tol = cfg.get("tolerance")
+    tol = _setting(ns, cfg, "tolerance", None, float)
 
     if kind == "constant_b":
         model = model_from_config(cfg["system"])
@@ -634,7 +606,7 @@ def _cmd_spectrum(ns) -> int:
             sys.stdout.write(dumps_report(report) + "\n")
         else:
             _emit(dumps_report(report) + "\n", ns.out)
-        return 2 if tol is not None and max_rel > float(tol) else 0
+        return 2 if tol is not None and max_rel > tol else 0
 
     if kind == "helical":
         sys_cfg = cfg["system"]
@@ -662,7 +634,7 @@ def _cmd_spectrum(ns) -> int:
             },
         }
         _emit(dumps_report(report) + "\n", ns.out)
-        return 2 if tol is not None and res.wronskian_drift > float(tol) else 0
+        return 2 if tol is not None and res.wronskian_drift > tol else 0
 
     raise ConfigError("spectrum supports the constant_b and helical models")
 
@@ -674,9 +646,9 @@ def _cmd_spectrum(ns) -> int:
 def _cmd_fields_check(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])
-    tol = _resolve_tol(ns, cfg)
-    n = _resolve_n_points(ns, cfg)
-    seed = _resolve_seed(ns, cfg)
+    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
+    n = _setting(ns, cfg, "n_points", 100, int)
+    seed = _setting(ns, cfg, "seed", 0, int)
     pts = _sample_positions(_rng(seed), n, model)
     rep = divergence_checks(model, pts)
     ok = rep.max_div_b < tol and rep.max_curl_mismatch < tol
@@ -766,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "simulate": _cmd_simulate,
-    "trajectory": _cmd_trajectory,
+    "simulate": lambda ns: _run_trajectory(ns, closed_form=False),
+    "trajectory": lambda ns: _run_trajectory(ns, closed_form=ns.closed_form),
     "verify": _cmd_verify,
     "algebra": _cmd_algebra,
     "spectrum": _cmd_spectrum,

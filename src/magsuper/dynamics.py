@@ -1,5 +1,8 @@
 """Hamilton's equations for H = (p + A)^2 / 2 + V and time integration.
 
+User code of one state is lifted to stacks of states where it enters:
+a watch of `integrate` in `integrals.as_phase_function`.
+
 Two integrators are provided: adaptive Dormand-Prince 5(4) ("RK45"), a
 loop on Python floats with the step control of scipy's RK45, for general
 accuracy, and a synchronized Boris-style rotation step that bounds
@@ -226,25 +229,6 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - h0)) / max(1.0, abs(h0)))
 
 
-def _bind_watch(item, model: FieldModel, i: int):
-    """(name, function, whether it takes the stacked (xs, ps) pair)."""
-    from .integrals import IntegralSpec, PhaseFunction
-
-    name = getattr(item, "name", None) or f"watch{i}"
-    if isinstance(item, IntegralSpec):
-        return name, lambda s: item.value_at(model, s), True
-    if isinstance(item, PhaseFunction) and item.model is not None:
-        return name, item.fn, True
-    if hasattr(item, "value_at"):
-        return name, lambda s: item.value_at(model, s), False
-    value = getattr(item, "value", None)
-    if callable(value):
-        return name, value, False
-    if callable(item):
-        return name, item, False
-    raise TypeError(f"cannot watch object of type {type(item).__name__}")
-
-
 def integrate(
     model: FieldModel,
     s0: PhaseState,
@@ -254,17 +238,20 @@ def integrate(
 ) -> Trajectory:
     """Integrate Hamilton's equations from s0 over [0, t_end].
 
-    Watched quantities (integral specs or objects with .name/.value)
-    and the energy are evaluated at every accepted step: the energy, the
-    integral specs and the phase functions made on a model in one pass
-    over the stacked samples, any other watch one PhaseState at a time.
+    Watched quantities (integral specs, phase functions, objects with
+    .name/.value, or callables of a PhaseState; one without a name is
+    `watch{i}`) and the energy are evaluated at every accepted step, each
+    in one pass over the stacked samples through `as_phase_function`.
     """
+    from .integrals import as_phase_function
+
     if cfg is None:
         cfg = IntegratorConfig()
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     model.check_domain(s0.x)
-    items = [_bind_watch(w, model, i) for i, w in enumerate(watch)]
+    items = [(getattr(w, "name", None) or f"watch{i}", as_phase_function(w, model).fn)
+             for i, w in enumerate(watch)]
 
     if cfg.method == "rk45":
         times, xs, ps, dense, stats = _run_rk45(model, s0, t_end, cfg)
@@ -272,15 +259,7 @@ def integrate(
         times, xs, ps, dense, stats = _run_boris(model, s0, t_end, cfg)
 
     energy = hamiltonian(model, (xs, ps))
-    states = None
-    diag = {}
-    for name, fn, stacked in items:
-        if stacked:
-            diag[name] = fn((xs, ps))
-            continue
-        if states is None:
-            states = [PhaseState(x, p) for x, p in zip(xs, ps)]
-        diag[name] = np.array([fn(s) for s in states], dtype=float)
+    diag = {name: fn((xs, ps)) for name, fn in items}
     return Trajectory(times, xs, ps, energy, diag, model, cfg.method, dense, stats)
 
 

@@ -6,11 +6,18 @@ where Y = (p1^A, p2^A, p3^A, l1^A, l2^A, l3^A) collects the covariant
 linear and angular momenta. The module evaluates such integrals,
 computes Poisson brackets, and checks the pointwise residuals of the
 determining equations that characterize integrals of motion.
+
+User code of one point or one state is lifted to (n,3) stacks where it
+enters: in the constructor of `IntegralSpec` for its s, m, jac_s and
+grad_m, and in `as_phase_function`, the one place that decides how a
+phase-space function is called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -41,13 +48,18 @@ _PAIRS = [(a, b) for a in range(1, 7) for b in range(a, 7)]
 
 
 def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
-    """Accept {(a,b): v} with 1 <= a <= b <= 6, {"ab": v}, or a 6x6 array."""
+    """Accept {(a,b): v} with 1 <= a <= b <= 6 and v a real number,
+    {"ab": v} with two digits a, b, or a 6x6 array."""
     if alpha is None:
         return {}
     out: dict[tuple[int, int], float] = {}
     if isinstance(alpha, Mapping):
         for key, val in alpha.items():
-            a, b = int(key[0]), int(key[1])
+            if isinstance(key, str) and not (len(key) == 2 and key.isascii() and key.isdigit()):
+                raise ValueError(f"alpha key {key!r} is not two digits 'ab'")
+            if isinstance(val, bool) or not isinstance(val, Real):
+                raise ValueError(f"alpha value {val!r} at {key!r} is not a number")
+            a, b = map(int, key)
             if not (1 <= a <= b <= 6):
                 raise ValueError(f"alpha index ({a},{b}) out of range or unordered")
             if val != 0.0:
@@ -74,9 +86,10 @@ class IntegralSpec:
     """One integral of motion in covariant form.
 
     `jac_s` (rows ds_i/dx_j) and `grad_m` are optional analytic
-    derivatives; central differences are used when absent. The s and m
-    of the built-in specs take (3,) or (n,3) points; user-supplied ones
-    are only ever called with one point.
+    derivatives; central differences are used when absent. Each of s, m,
+    jac_s and grad_m takes (3,) or (n,3) points: the constructor lifts a
+    user's function of one point to one call per point, while the
+    functions of built-in specs, marked `stacks`, take stacks as given.
     """
 
     name: str
@@ -88,6 +101,9 @@ class IntegralSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
+        for key, one in (("s", _as_vec3), ("m", float), ("grad_m", _as_vec3),
+                         ("jac_s", lambda j: np.asarray(j, dtype=float))):
+            object.__setattr__(self, key, _lift_point_function(getattr(self, key), one))
 
     def is_first_order(self) -> bool:
         return not self.alpha
@@ -197,15 +213,19 @@ def covariant_angular_momentum(model: FieldModel, s: PhaseState) -> Vec3:
     return cross(x, covariant_momentum(model, s))
 
 
-def _per_point(fn, x, one):
-    """fn over the points of x. Only the functions of built-in specs take
-    a stack; any other fn is called one point at a time, its value passed
-    through `one`."""
-    if getattr(fn, "stacks", False):
-        return fn(x)
-    if x.ndim == 1:
-        return one(fn(x))
-    return np.array([one(fn(row)) for row in x])
+def _lift_point_function(fn, one):
+    """fn of one point, called once per point of an (n,3) stack, each value
+    passed through `one`; None and functions marked `stacks` pass through."""
+    if fn is None or getattr(fn, "stacks", False):
+        return fn
+
+    def lifted(x):
+        if x.ndim == 1:
+            return one(fn(x))
+        return np.array([one(fn(row)) for row in x])
+
+    lifted.stacks = True
+    return lifted
 
 
 def evaluate_integral(spec: IntegralSpec, model: FieldModel, s: PhaseState):
@@ -219,9 +239,9 @@ def evaluate_integral(spec: IntegralSpec, model: FieldModel, s: PhaseState):
         for (a, b), c in spec.alpha.items():
             val += c * y[a - 1] * y[b - 1]
     if spec.s is not None:
-        val += dot(_per_point(spec.s, x, _as_vec3), pa)
+        val += dot(spec.s(x), pa)
     if spec.m is not None:
-        val += _per_point(spec.m, x, float)
+        val += spec.m(x)
     return val if x.ndim == 2 else float(val)
 
 
@@ -237,7 +257,8 @@ class PhaseFunction:
     made on a field `model` (`as_phase_function` of an IntegralSpec,
     `hamiltonian_function`, the uniform-field algebra basis) also takes a
     pair (x, p) of (n,3) stacks in `fn` and `grad`, and its grad accepts
-    the model's FieldRecord at x as a second argument.
+    the model's FieldRecord at x as a second argument. Any other one is
+    called one PhaseState at a time, through `as_phase_function`.
     """
 
     name: str
@@ -268,11 +289,33 @@ def _model_gradient(model: FieldModel, kernel: Callable) -> Callable:
     return grad
 
 
+def _phase_coords(s) -> np.ndarray:
+    """The six coordinates (x, p) of a PhaseState, or (n,6) of a pair of
+    (n,3) stacks."""
+    return np.concatenate(_state_arrays(s), axis=-1)
+
+
+def _coordinate_gradient(dz: Callable) -> Callable:
+    """grad(s, record=None) from dz, the derivative in the six coordinates."""
+
+    def grad(s, record=None):
+        g = dz(_phase_coords(s))
+        return g[..., :3], g[..., 3:]
+
+    return grad
+
+
 def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> PhaseFunction:
-    """A PhaseFunction from a PhaseFunction, a callable, or an IntegralSpec
-    on a model; the last carries the spec's exact phase-space gradient."""
-    if isinstance(obj, PhaseFunction):
-        return obj
+    """The PhaseFunction of obj, whose `fn(s)` and `grad(s, record=None)`
+    take a PhaseState or a pair (x, p) of (n,3) stacks.
+
+    A PhaseFunction made on a model passes through, with central
+    differences for a missing grad; an IntegralSpec on `model` carries
+    the spec's exact gradient. Anything else is user code of one
+    PhaseState (a PhaseFunction without a model, an object with a callable
+    `.value`, a plain callable), called one state at a time, as is its
+    own grad; central differences stand in for a missing one.
+    """
     if isinstance(obj, IntegralSpec):
         if model is None:
             raise ValueError("an IntegralSpec needs a model to become a phase function")
@@ -280,9 +323,21 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
                              lambda s: evaluate_integral(obj, model, s),
                              _model_gradient(model, lambda rec, p: _integral_gradient(obj, rec, p)),
                              model)
-    if callable(obj):
-        return PhaseFunction(name or getattr(obj, "__name__", "f"), obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a phase-space function")
+    if isinstance(obj, PhaseFunction) and obj.model is not None:
+        if obj.grad is not None:
+            return obj
+        return replace(obj, grad=_coordinate_gradient(
+            partial(jacobian_fd, lambda z: obj.fn((z[..., :3], z[..., 3:])))))
+    fn = obj.value if callable(getattr(obj, "value", None)) else obj
+    if not callable(fn):
+        raise TypeError(f"cannot interpret {type(obj).__name__} as a phase-space function")
+    grad = obj.grad if isinstance(obj, PhaseFunction) else None
+    value = _lift_point_function(lambda z: fn(PhaseState.from_array(z)), float)
+    dz = partial(jacobian_fd, value) if grad is None else _lift_point_function(
+        lambda z: grad(PhaseState.from_array(z)),
+        lambda g: np.concatenate([_as_vec3(c) for c in g]))
+    return PhaseFunction(name or getattr(obj, "name", "") or getattr(obj, "__name__", "f"),
+                         lambda s: value(_phase_coords(s)), _coordinate_gradient(dz))
 
 
 def _transpose_times(j: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -326,22 +381,10 @@ def _integral_gradient(spec: IntegralSpec, rec: FieldRecord,
 
 def phase_gradient(f, s, record: FieldRecord | None = None):
     """(df/dx, df/dp) at a PhaseState, or (n,3) stacks at a pair (x, p) of
-    stacks. A function made on a model computes them in one pass (from
-    `record`, the model's FieldRecord at x, when given); any other one is
-    differentiated state by state, by its own grad or central differences."""
-    if isinstance(f, PhaseFunction) and f.model is not None:
-        return f.grad(s, record)
-    x, p = _state_arrays(s)
-    if np.ndim(x) == 2:
-        rows = [phase_gradient(f, PhaseState(xi, pi)) for xi, pi in zip(x, p)]
-        return np.array([g[0] for g in rows]), np.array([g[1] for g in rows])
-    s = PhaseState(x, p)
-    if isinstance(f, PhaseFunction) and f.grad is not None:
-        gx, gp = f.grad(s)
-        return _as_vec3(gx), _as_vec3(gp)
-    fn = f.fn if isinstance(f, PhaseFunction) else f
-    g = jacobian_fd(lambda z: fn(PhaseState.from_array(z)), s.as_array())
-    return g[:3], g[3:]
+    stacks, from the grad of `as_phase_function(f)`; `record`, the
+    FieldRecord of f's model at x, saves a function made on a model its
+    field evaluations."""
+    return as_phase_function(f).grad(s, record)
 
 
 def bracket_matrix(fns, s, record: FieldRecord | None = None) -> np.ndarray:
@@ -388,9 +431,7 @@ RESIDUAL_KEYS = (
 
 def _spec_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
     """s at each point of an (n,3) stack."""
-    if spec.s is None:
-        return np.zeros(x.shape)
-    return _per_point(spec.s, x, _as_vec3)
+    return np.zeros(x.shape) if spec.s is None else spec.s(x)
 
 
 def _spec_jac_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
@@ -398,9 +439,8 @@ def _spec_jac_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
     if spec.s is None:
         return np.zeros(x.shape + (3,))
     if spec.jac_s is not None:
-        jac = _per_point(spec.jac_s, x, lambda j: np.asarray(j, dtype=float))
-        return np.broadcast_to(jac, x.shape + (3,))
-    return jacobian_fd(lambda q: _per_point(spec.s, q, _as_vec3), x)
+        return np.broadcast_to(spec.jac_s(x), x.shape + (3,))
+    return jacobian_fd(spec.s, x)
 
 
 def _spec_grad_m(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
@@ -408,8 +448,8 @@ def _spec_grad_m(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
     if spec.m is None:
         return np.zeros(x.shape)
     if spec.grad_m is not None:
-        return np.broadcast_to(_per_point(spec.grad_m, x, _as_vec3), x.shape)
-    return jacobian_fd(lambda q: _per_point(spec.m, q, float), x)
+        return np.broadcast_to(spec.grad_m(x), x.shape)
+    return jacobian_fd(spec.m, x)
 
 
 def determining_residuals(

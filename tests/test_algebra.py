@@ -189,3 +189,29 @@ def test_generator_inputs_match_lists():
         from_list = check(states)
         assert from_list["n_states"] == 20
         assert check(s for s in states) == from_list
+
+
+def test_sample_states_draws_are_pinned():
+    # PCG64 uniform doubles use no libm, so these bits hold on every
+    # platform; each try draws x then p, rejected or not (here p1 and the
+    # fourth position are rejected)
+    p1 = ms.sample_states(rng(5), 3, p1_min=1.0)
+    assert [s.x.tolist() + s.p.tolist() for s in p1] == [
+        [-0.3661071783200054, -1.8188992243902193, -1.8049691570913278,
+         1.9967044602602857, 0.6094764463519509, -1.0619591933207042],
+        [-0.2602097910994319, 1.8967447730370215, 1.5907104324341952,
+         1.3769241504349639, -0.43038134266088734, -0.027907925073029638],
+        [0.7167261320854599, 1.4803540093100134, -1.0907258993563675,
+         1.581792957656504, 1.48878187209734, -1.925931129319157],
+    ]
+    mono = ms.sample_states(rng(3), 4, admissible=ms.monopole_admissible)
+    assert [s.x.tolist() + s.p.tolist() for s in mono] == [
+        [-1.6574033314255026, -1.0527579736156012, 1.2050978608255876,
+         0.32864814425747113, -1.6234854310384033, -0.2674922390541048],
+        [-0.0837948074366639, -1.3610443414516857, 0.9383086056368581,
+         -1.5453119203143864, -0.43508723801735183, 0.0669607304854547],
+        [-0.2774879183432888, 0.34719428575256295, 0.9513511491686408,
+         1.8250690193443941, -0.8631953450048342, 0.5941888283193002],
+        [1.5668442817806287, 0.34065175956363225, -0.11476133927267451,
+         1.0931080385952656, -1.8786159693501152, 0.827860382622494],
+    ]

@@ -321,6 +321,75 @@ def test_spec_file_rejects_non_json_number_literals(tmp_path, capsys):
     assert "NaN is not a JSON number" in capsys.readouterr().err
 
 
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text", [
+    '{"system": {"model": "constant_b", "B": 1.0}, "t_end": 1e400}',
+    '{"system": {"model": "constant_b", "B": 1.0}, "t_end": -1e400}',
+    '{"system": {"model": "constant_b", "B": 1.0}, "t_end": %s}' % _HUGE_INT,
+    '{"system": {"model": "constant_b", "B": 1.0}, "t_end": 1%s}' % ("0" * 5000),
+], ids=["float", "negative-float", "int", "int-past-digit-limit"])
+def test_load_config_refuses_numbers_beyond_a_double(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ms.ConfigError, match="is not a finite double"):
+        cli.load_config(str(path))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--config", "{cfg}"], '{"system": {"model": "constant_b", "B": 1e400}}'),
+    (["--config", "{cfg}"], '{"system": {"model": "constant_b", "B": %s}}' % _HUGE_INT),
+    (["--system", "constant_b", "--spec", "{cfg}"],
+     '{"integrals": [{"name": "u", "alpha": {"11": 1e400}}]}'),
+    (["--system", "constant_b", "--seed", _HUGE_INT], None),
+    (["--system", "constant_b", "--n-points", _HUGE_INT], None),
+], ids=["config-float", "config-int", "spec-file", "seed-flag", "n-points-flag"])
+def test_verify_refuses_numbers_beyond_a_double(tmp_path, capsys, argv, text):
+    path = tmp_path / "in.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [str(path) if a == "{cfg}" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("magsuper: error: ")
+    assert "is not a finite double" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ({"1": 1.0}, "alpha key '1' is not two digits"),
+    ({"123": 1.0}, "alpha key '123' is not two digits"),
+    ({"11": True}, "alpha value True at '11' is not a number"),
+], ids=["one-digit", "three-digits", "bool"])
+def test_spec_file_alpha_keys_are_two_digits_and_values_numbers(tmp_path, capsys,
+                                                                 alpha, message):
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": [{"name": "u", "alpha": alpha}]})
+    assert cli.main(["verify", "--system", "constant_b", "--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert f"magsuper: error: integrals[0]: {message}" in err and "Traceback" not in err
+
+
+def test_verify_and_fields_check_draws_are_pinned():
+    # PCG64 uniform doubles use no libm, so these bits hold on every
+    # platform: the positions, one try per draw of three, then the momenta
+    # of verify; the monopole rejects the fourth position drawn
+    positions = [[0.5003818664186679, 1.588855203878302, 1.102742760980774],
+                 [-1.0991712400376326, -0.7993348603550983, 1.4942137815850476],
+                 [-1.978938781737701, 1.2849136735310651, 1.188277715008185],
+                 [-0.1282601886251169, -0.7878702927227459, -0.8862975515969067],
+                 [-0.9805216493835016, -0.2196947764694137, 0.018193035831813198]]
+    gen = cli._rng(7)
+    xs = np.array(cli._sample_positions(gen, 4, ms.Monopole(g=2.0, Q=1.0)))
+    assert xs.tolist() == positions[:3] + positions[4:]
+    assert gen.uniform(-2.0, 2.0, xs.shape)[0].tolist() == [
+        0.21398940829796986, 1.9820011337375707, 1.1706476768550123]
+    gen = cli._rng(7)
+    assert np.array(cli._sample_positions(gen, 4, ms.ConstantB(B=1.0))).tolist() == positions[:4]
+
+
 def test_negative_b_runs_every_command(tmp_path, capsys):
     system = {"model": "constant_b", "B": -1.3}
     cfg = _write_cfg(tmp_path, "sys.json", {"system": system})

@@ -273,3 +273,54 @@ def test_trajectory_validation():
     arr = np.zeros((3, 3))
     with pytest.raises(ValueError):
         ms.Trajectory(times, arr, arr, np.zeros(3), {}, ms.ConstantB(B=1.0), "rk45")
+
+
+class _Named:
+    name = "named"
+
+    @staticmethod
+    def value(s):
+        return s.x[0] * s.p[2]
+
+
+def test_every_watch_kind_keeps_its_name_and_bits():
+    from magsuper.closedform import x5_integral
+
+    model = ms.ConstantB(B=1.3)
+    s0 = ms.PhaseState([0.2, -0.4, 0.1], [0.9, 0.3, -0.5])
+    spec = ms.known_integrals(model)[3]
+    x5 = ms.PhaseFunction("X5", lambda s: x5_integral(1.3, s), model=model)
+    bare = ms.PhaseFunction("half_px", lambda s: 0.5 * s.p[0] ** 2)
+
+    def plain(s):
+        return np.sin(s.x[1]) + s.p[1]
+
+    for method in ("rk45", "boris"):
+        cfg = ms.IntegratorConfig(method=method, dt=0.01)
+        traj = ms.integrate(model, s0, 2.0, cfg, watch=[spec, x5, bare, _Named(), plain])
+        assert list(traj.diagnostics) == ["X4", "X5", "half_px", "named", "watch4"]
+        states = [ms.PhaseState(x, p) for x, p in zip(traj.x, traj.p)]
+        want = {
+            "X4": ms.evaluate_integral(spec, model, (traj.x, traj.p)),
+            "X5": x5_integral(1.3, (traj.x, traj.p)),
+            "half_px": np.array([bare.fn(s) for s in states], dtype=float),
+            "named": np.array([_Named.value(s) for s in states], dtype=float),
+            "watch4": np.array([plain(s) for s in states], dtype=float),
+        }
+        for name, values in want.items():
+            assert traj.diagnostics[name].tobytes() == values.tobytes(), (method, name)
+        # a one-state spec value and the stacked column agree bit for bit
+        assert traj.diagnostics["X4"][-1] == spec.value_at(model, traj.final_state)
+
+
+def test_watch_refuses_objects_with_only_value_at():
+    class ValueAt:
+        name = "v"
+
+        def value_at(self, model, s):
+            return 0.0
+
+    model = ms.ConstantB(B=1.0)
+    s0 = ms.PhaseState([0, 0, 0], [1.0, 0, 0])
+    with pytest.raises(TypeError, match="cannot interpret ValueAt"):
+        ms.integrate(model, s0, 1.0, watch=[ValueAt()])

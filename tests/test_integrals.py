@@ -307,3 +307,24 @@ def test_integral_gradients_match_finite_differences():
                     (type(model).__name__, spec.name)
                 assert np.allclose(gp, fp, rtol=0.0, atol=1e-7 * scale), \
                     (type(model).__name__, spec.name)
+
+
+def test_model_function_without_grad_brackets_by_central_differences():
+    # the X5 watch of `trajectory`: made on the model, no analytic grad
+    from magsuper.closedform import x5_integral
+
+    model = ms.ConstantB(B=1.5)
+    x5 = ms.PhaseFunction("X5", lambda s: x5_integral(1.5, s), model=model)
+    h = ms.hamiltonian_function(model)
+    states = random_states(rng(41), 20, p1_min=0.5)
+    for s in states:
+        val = ms.poisson_bracket(x5, h, s)
+        assert isinstance(val, float) and abs(val) < 1e-6
+    xs = np.array([s.x for s in states])
+    ps = np.array([s.p for s in states])
+    table = ms.bracket_matrix([x5, h], (xs, ps))
+    assert table.shape == (20, 2, 2) and np.isfinite(table).all()
+    assert np.max(np.abs(table[:, 0, 1])) < 1e-6
+    # one stacked difference per coordinate gives the bits of a per-state one
+    per_state = ms.PhaseFunction("X5", x5.fn)
+    assert np.array_equal(table, ms.bracket_matrix([per_state, h], (xs, ps)))
