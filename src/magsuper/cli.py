@@ -311,6 +311,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _overflow_fails(cmd):
+    """cmd with every overflow an error: numpy's (a FloatingPointError under
+    errstate) and Python's (an OverflowError of float pow), so huge but
+    finite field parameters exit 1 instead of reporting inf or nan."""
+
+    @functools.wraps(cmd)
+    def run(ns) -> int:
+        try:
+            with np.errstate(over="raise"):
+                return cmd(ns)
+        except (FloatingPointError, OverflowError) as exc:
+            raise MagsuperError("a field value overflowed the double range; "
+                                "use smaller field parameters") from exc
+
+    return run
+
+
 def _state0(cfg: dict) -> PhaseState:
     if "state0" not in cfg:
         raise ConfigError("config needs a 'state0' object with 'x' and 'p'")
@@ -403,6 +420,11 @@ def _verify_specs(model) -> list[IntegralSpec]:
     return specs
 
 
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     """User-supplied integral candidates: alpha entries plus constant or
     named s, m choices; {"known": NAME} pulls a built-in closed form."""
@@ -434,13 +456,14 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
         s_raw, m_raw = ent.get("s"), ent.get("m")
         s_fn = jac_s = m_fn = grad_m = None
         if s_raw is not None and s_raw != "zero":
+            if not (isinstance(s_raw, list) and len(s_raw) == 3
+                    and all(_is_number(v) for v in s_raw)):
+                raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
             sv = np.array(s_raw, dtype=float)
-            if sv.shape != (3,):
-                raise ConfigError("spec-file 's' must be null, 'zero', or 3 numbers")
             s_fn, jac_s = (lambda x, sv=sv: sv), (lambda x: np.zeros((3, 3)))
         if m_raw is not None and m_raw != "zero":
-            if not isinstance(m_raw, (int, float)) or isinstance(m_raw, bool):
-                raise ConfigError("spec-file 'm' must be null, 'zero', or a number")
+            if not _is_number(m_raw):
+                raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")
             m_fn, grad_m = (lambda x, c=float(m_raw): c), (lambda x: np.zeros(3))
         try:
             out.append(IntegralSpec(name, alpha, s=s_fn, m=m_fn,
@@ -452,6 +475,7 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     return out
 
 
+@_overflow_fails
 def _cmd_verify(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])
@@ -507,6 +531,7 @@ def _cmd_verify(ns) -> int:
 _CASIMIR_TOL = 1e-10
 
 
+@_overflow_fails
 def _cmd_algebra(ns) -> int:
     cfg = _config_for(ns)
     sys_cfg = cfg["system"]
@@ -643,6 +668,7 @@ def _cmd_spectrum(ns) -> int:
 # fields-check
 
 
+@_overflow_fails
 def _cmd_fields_check(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])

@@ -215,6 +215,56 @@ class HelicalReducedResult:
     wronskian_drift: float
 
 
+#: Richardson bound on max|Phi_2m - Phi_m| / (15 max(1, max|Phi|))
+MAGNUS_TOL = 1e-12
+#: most Magnus substeps per sample interval before the solve gives up
+MAGNUS_MAX_SUBSTEPS = 2**10
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+
+
+def _magnus_intervals(z: np.ndarray, m: int, w_of) -> tuple:
+    """Propagators (a, b, c, d) of y' = [[0, 1], [w, 0]] y over each z interval.
+
+    Each interval takes m fourth-order Magnus steps: with w1, w2 at the two
+    Gauss-Legendre points of a step of length h, the traceless exponent is
+    Omega = [[s, h], [h (w1 + w2)/2, -s]], s = sqrt(3) h^2 (w1 - w2)/12, and
+    exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega with mu^2 = -det Omega (the
+    cos/sin form when mu^2 < 0), so every step has unit determinant. The
+    steps of an interval are multiplied pairwise, later ones on the left.
+    """
+    h = (np.diff(z) / m)[:, None]
+    start = z[:-1, None] + h * np.arange(m)
+    w1 = w_of(start + (0.5 - _GAUSS_OFFSET) * h)
+    w2 = w_of(start + (0.5 + _GAUSS_OFFSET) * h)
+    s = (math.sqrt(3.0) / 12.0) * h**2 * (w1 - w2)
+    lower = 0.5 * h * (w1 + w2)
+    mu2 = s * s + h * lower
+    mu = np.sqrt(np.abs(mu2))
+    grow = mu2 > 0.0
+    even = np.where(grow, np.cosh(mu), np.cos(mu))
+    nonzero = mu > 0.0
+    odd = np.where(nonzero, np.where(grow, np.sinh(mu), np.sin(mu))
+                   / np.where(nonzero, mu, 1.0), 1.0)
+    a, b, c, d = even + odd * s, odd * h, odd * lower, even - odd * s
+    while a.shape[1] > 1:
+        a, b, c, d = (a[:, 1::2] * a[:, 0::2] + b[:, 1::2] * c[:, 0::2],
+                      a[:, 1::2] * b[:, 0::2] + b[:, 1::2] * d[:, 0::2],
+                      c[:, 1::2] * a[:, 0::2] + d[:, 1::2] * c[:, 0::2],
+                      c[:, 1::2] * b[:, 0::2] + d[:, 1::2] * d[:, 0::2])
+    return tuple(p[:, 0].tolist() for p in (a, b, c, d))
+
+
+def _fundamental_matrix(z: np.ndarray, m: int, w_of) -> np.ndarray:
+    """Rows chi1, dchi1, chi2, dchi2 at the points z from the unit matrix at z[0]."""
+    steps = zip(*_magnus_intervals(z, m, w_of))
+    x1, v1, x2, v2 = 1.0, 0.0, 0.0, 1.0
+    rows = [(x1, v1, x2, v2)]
+    for a, b, c, d in steps:
+        x1, v1, x2, v2 = a * x1 + b * v1, c * x1 + d * v1, a * x2 + b * v2, c * x2 + d * v2
+        rows.append((x1, v1, x2, v2))
+    return np.array(rows).T
+
+
 def helical_reduced_solve(
     A_amp: float, beta: float, K: float, phi_K: float, hbar: float, E: float,
     n_samples: int = 801,
@@ -223,8 +273,13 @@ def helical_reduced_solve(
 
     Returns the Mathieu coefficients of the equivalent equation in the
     half-argument variable x = phi_K/2 - z/(2 beta) and the fundamental
-    matrix over one period 2 pi |beta|, integrated as one DOP853 system,
-    together with its monodromy matrix (unit Wronskian).
+    matrix over one period 2 pi |beta| at n_samples equally spaced points,
+    together with its monodromy matrix (unit Wronskian). The fundamental
+    matrix is propagated by a fourth-order Magnus method with m substeps
+    per sample interval; m doubles from 2 until the Richardson estimate
+    max|Phi_2m - Phi_m| / (15 max(1, max|Phi_2m|)) is at most MAGNUS_TOL,
+    and Phi_2m is returned. A non-finite Phi or Wronskian, or m past
+    MAGNUS_MAX_SUBSTEPS, raises StepFailure.
     """
     if not all(math.isfinite(v) for v in (A_amp, beta, K, phi_K, hbar, E)):
         raise ValueError("helical_reduced_solve needs finite parameters")
@@ -232,31 +287,39 @@ def helical_reduced_solve(
         raise ValueError("K must be nonnegative")
     if beta == 0 or hbar <= 0:
         raise ValueError("beta must be nonzero and hbar positive")
-    from scipy.integrate import solve_ivp
 
     a = -4.0 * beta**2 * (A_amp**2 + K**2 - 2.0 * E) / hbar**2
     q = -4.0 * beta**2 * A_amp * K / hbar**2
     period = 2.0 * math.pi * abs(beta)
+    mean = A_amp**2 + K**2 - 2.0 * E
 
-    def rhs(z, y):
-        w = (-2.0 * A_amp * K * math.cos(z / beta - phi_K)
-             + A_amp**2 + K**2 - 2.0 * E) / hbar**2
-        return [y[1], w * y[0], y[3], w * y[2]]
+    def w_of(z):
+        return (-2.0 * A_amp * K * np.cos(z / beta - phi_K) + mean) / hbar**2
 
-    # both fundamental solutions as one system [chi1, chi1', chi2, chi2'];
-    # a solve that blows up ends in a StepFailure, so its overflows stay silent
     z_eval = np.linspace(0.0, period, n_samples)
+    # a solution that blows up ends in a StepFailure, so its overflows stay silent
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, period), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                        rtol=1e-12, atol=1e-12, t_eval=z_eval, dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"fundamental-solution integration failed: {sol.message}")
-    chi1, dchi1, chi2, dchi2 = sol.y
-    wr = chi1 * dchi2 - dchi1 * chi2
+        m, coarse = 2, None
+        while True:
+            fine = _fundamental_matrix(z_eval, m, w_of)
+            if not np.all(np.isfinite(fine)):
+                raise StepFailure("fundamental-solution integration failed: non-finite "
+                                  f"fundamental matrix with {m} substeps per interval")
+            if coarse is not None and np.max(np.abs(fine - coarse)) <= (
+                    MAGNUS_TOL * 15.0 * max(1.0, float(np.max(np.abs(fine))))):
+                break
+            if m >= MAGNUS_MAX_SUBSTEPS:
+                raise StepFailure("fundamental-solution integration failed: no "
+                                  f"convergence with {m} substeps per interval")
+            m, coarse = 2 * m, fine
+        chi1, dchi1, chi2, dchi2 = fine
+        drift = float(np.max(np.abs(chi1 * dchi2 - dchi1 * chi2 - 1.0)))
+    if not math.isfinite(drift):
+        raise StepFailure("fundamental-solution integration failed: the Wronskian "
+                          "of the fundamental matrix overflows")
     monodromy = np.array([[chi1[-1], chi2[-1]], [dchi1[-1], dchi2[-1]]])
     return HelicalReducedResult(
-        a, q, period, z_eval, chi1, dchi1, chi2, dchi2, monodromy,
-        float(np.max(np.abs(wr - 1.0))),
+        a, q, period, z_eval, chi1, dchi1, chi2, dchi2, monodromy, drift,
     )
 
 

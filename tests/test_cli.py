@@ -372,6 +372,41 @@ def test_spec_file_alpha_keys_are_two_digits_and_values_numbers(tmp_path, capsys
     assert f"magsuper: error: integrals[0]: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"s": ["a", 1, 2]}, "s must be null, 'zero', or 3 numbers"),
+    ({"s": [True, 1, 2]}, "s must be null, 'zero', or 3 numbers"),
+    ({"s": [1, 2]}, "s must be null, 'zero', or 3 numbers"),
+    ({"s": "x"}, "s must be null, 'zero', or 3 numbers"),
+    ({"m": True}, "m must be null, 'zero', or a number"),
+], ids=["s-string-entry", "s-bool-entry", "s-two-numbers", "s-string", "m-bool"])
+def test_spec_file_s_and_m_are_numbers(tmp_path, capsys, entry, message):
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": [
+        {"known": "X1"}, {"name": "u", **entry}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--system", "constant_b", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magsuper: error: integrals[1].{message}\n"
+
+
+@pytest.mark.parametrize("command, system", [
+    ("verify", {"model": "constant_b", "B": 1e300}),
+    ("algebra", {"model": "constant_b", "B": 1e300}),
+    ("algebra", {"model": "monopole", "g": 1e300, "Q": 1}),
+    ("fields-check", {"model": "constant_b", "B": 1e308}),
+], ids=["verify", "algebra-constant-b", "algebra-monopole", "fields-check"])
+def test_field_overflow_exits_1(tmp_path, capsys, command, system):
+    cfg = _write_cfg(tmp_path, "cfg.json", {"system": system})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("magsuper: error: a field value overflowed the double range; "
+                            "use smaller field parameters\n")
+
+
 def test_verify_and_fields_check_draws_are_pinned():
     # PCG64 uniform doubles use no libm, so these bits hold on every
     # platform: the positions, one try per draw of three, then the momenta
@@ -500,6 +535,36 @@ def test_import_leaves_scipy_solvers_unloaded():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_helical_spectrum_leaves_scipy_integrate_unloaded(tmp_path):
+    # the helical solve is numpy only; the characteristic values load scipy.linalg
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = _write_cfg(tmp_path, "spec.json", {
+        "system": {"model": "helical", "A_amp": 1.0, "beta": 1.0}, "K": 1.0, "E": 3.0})
+    probe = ("import sys, magsuper.cli; "
+             f"code = magsuper.cli.main(['spectrum', '--config', {cfg!r}, '--out', {os.devnull!r}]); "
+             "print(code, 'scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 False True"
+
+
+def _readme_json_blocks():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    parts = readme.read_text(encoding="utf-8").split("```json\n")[1:]
+    return [json.loads(part.split("```")[0]) for part in parts]
+
+
+def test_readme_json_configs_are_valid():
+    configs = _readme_json_blocks()
+    assert {cfg["system"]["model"] for cfg in configs} >= {"constant_b", "helical"}
+    assert any("K" in cfg and "E" in cfg for cfg in configs)  # a helical spectrum
+    for cfg in configs:
+        cli.validate_config(cfg)
+        ms.model_from_config(cfg["system"])
 
 
 def test_spectrum_refuses_a_grid_beyond_the_cap(tmp_path, capsys):

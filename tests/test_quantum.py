@@ -271,6 +271,110 @@ def test_helical_monodromy_at_zero_k_is_constant_coefficient(beta, E):
     assert abs(np.linalg.det(res.monodromy) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("beta, E", [(1.0, 2.0), (-1.5, 3.3), (0.7, 0.8), (1.2, 0.2),
+                                     (10.0, 0.1), (-10.0, 5.0)])
+@pytest.mark.parametrize("hbar", [1.0, 0.6])
+def test_magnus_step_is_exact_at_zero_k(beta, E, hbar):
+    # with K = 0 the coefficient w is constant, every Magnus step is the exact
+    # exponential, and only round-off separates the monodromy from its closed form
+    res = ms.helical_reduced_solve(A_amp=1.0, beta=beta, K=0.0, phi_K=0.4, hbar=hbar, E=E)
+    w = (1.0 - 2.0 * E) / hbar**2
+    T = 2.0 * math.pi * abs(beta)
+    om = math.sqrt(abs(w))
+    if w < 0:
+        c, s = math.cos(om * T), math.sin(om * T)
+        want = np.array([[c, s / om], [-om * s, c]])
+    else:
+        c, s = math.cosh(om * T), math.sinh(om * T)
+        want = np.array([[c, s / om], [om * s, c]])
+    assert np.allclose(res.monodromy, want, rtol=1e-12, atol=1e-12)
+
+
+def test_magnus_step_at_zero_coefficient_is_a_shear():
+    # K = 0 and E = A^2/2 leave chi'' = 0: mu = 0 in every step, chi1 = 1, chi2 = z
+    res = ms.helical_reduced_solve(A_amp=1.0, beta=-1.3, K=0.0, phi_K=0.2, hbar=0.7, E=0.5)
+    assert np.array_equal(res.chi1, np.ones(801)) and np.array_equal(res.dchi2, np.ones(801))
+    assert np.allclose(res.chi2, res.z, rtol=1e-14, atol=0.0)
+    assert np.array_equal(res.dchi1, np.zeros(801))
+
+
+def _dop853_reference(A_amp, beta, K, phi_K, hbar, E, n_samples=801):
+    # the fundamental pair by scipy's DOP853 at a tolerance near round-off
+    from scipy.integrate import solve_ivp
+
+    def rhs(z, y):
+        w = (-2.0 * A_amp * K * math.cos(z / beta - phi_K) + A_amp**2 + K**2
+             - 2.0 * E) / hbar**2
+        return [y[1], w * y[0], y[3], w * y[2]]
+
+    period = 2.0 * math.pi * abs(beta)
+    sol = solve_ivp(rhs, (0.0, period), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                    rtol=2.3e-14, atol=1e-14, t_eval=np.linspace(0.0, period, n_samples))
+    assert sol.success
+    return sol.y
+
+
+# (A_amp, beta, K, phi_K, hbar, E): above the barrier (A + K)^2/2, beta < 0,
+# hbar != 1, |beta| = 10 of either sign, and below the barrier where the
+# fundamental pair grows
+HELICAL_CASES = {
+    "above-barrier": (1.0, 1.0, 1.5, 0.3, 1.0, 5.0),
+    "negative-beta": (1.0, -1.5, 1.0, 0.7, 1.0, 3.0),
+    "hbar-0.6": (1.0, 1.0, 1.0, 0.2, 0.6, 2.5),
+    "beta-10": (1.0, 10.0, 0.8, 1.1, 1.0, 2.0),
+    "beta-minus-10": (1.0, -10.0, 0.8, 1.1, 1.0, 2.0),
+    "below-barrier": (1.0, 1.0, 1.0, 0.0, 1.0, 1.0),
+    "below-barrier-growing": (2.0, -1.5, 0.7, 1.0, 1.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("params", HELICAL_CASES.values(), ids=HELICAL_CASES.keys())
+def test_magnus_matches_a_tight_dop853_reference(params):
+    res = ms.helical_reduced_solve(*params)
+    ref = _dop853_reference(*params)
+    assert res.z.tolist() == np.linspace(0.0, res.period, 801).tolist()
+    for got, want in zip((res.chi1, res.dchi1, res.chi2, res.dchi2), ref):
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("params", HELICAL_CASES.values(), ids=HELICAL_CASES.keys())
+def test_magnus_keeps_the_unit_wronskian(params):
+    # each step has determinant 1; evaluating chi1 dchi2 - dchi1 chi2 rounds
+    # at |Phi|^2 eps, so the bound scales with the size of the entries
+    res = ms.helical_reduced_solve(*params)
+    size = np.max(np.abs([res.chi1, res.dchi1, res.chi2, res.dchi2]), axis=0)
+    drift = np.abs(res.chi1 * res.dchi2 - res.dchi1 * res.chi2 - 1.0)
+    held = size <= 1e3
+    assert held.sum() > 100
+    assert np.all(drift[held] <= 1e-13 * np.maximum(1.0, size[held]) ** 2)
+    if np.max(size) <= 10.0:
+        assert res.wronskian_drift <= 1e-13
+
+
+def test_magnus_solve_is_deterministic():
+    params = HELICAL_CASES["beta-minus-10"]
+    one, two = ms.helical_reduced_solve(*params), ms.helical_reduced_solve(*params)
+    for name in ("z", "chi1", "dchi1", "chi2", "dchi2", "monodromy"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert one.wronskian_drift == two.wronskian_drift
+
+
+def test_magnus_gives_up_past_the_substep_cap(monkeypatch):
+    # a cap of 2 substeps leaves no room to double, so the solve cannot converge
+    monkeypatch.setattr(quantum, "MAGNUS_MAX_SUBSTEPS", 2)
+    with pytest.raises(ms.StepFailure, match="^fundamental-solution integration failed: "
+                                             "no convergence with 2 substeps"):
+        ms.helical_reduced_solve(*HELICAL_CASES["above-barrier"])
+
+
+def test_wronskian_overflow_raises_step_failure():
+    # below the barrier at small hbar the pair grows past 1e154: the matrix is
+    # finite, but chi1 dchi2 - dchi1 chi2 is not
+    with pytest.raises(ms.StepFailure, match="^fundamental-solution integration failed: "
+                                             "the Wronskian of the fundamental matrix"):
+        ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, hbar=0.008, E=1.0)
+
+
 def test_helical_solver_validation():
     with pytest.raises(ValueError):
         ms.helical_reduced_solve(1.0, 1.0, K=-0.5, phi_K=0.0, hbar=1.0, E=1.0)
