@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PhaseState, _state_arrays
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ParameterError
 from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _pow, _zeros
 from .integrals import (
     PhaseFunction,
@@ -36,7 +36,7 @@ def constantB_basis(B: float) -> list[PhaseFunction]:
     p1 = 0.
     """
     if B == 0:
-        raise ValueError("constantB_basis requires B != 0")
+        raise ParameterError("constantB_basis requires B != 0")
 
     def parts(s):
         """x0, x1, x2, p0, p1, p2: numbers, or (n,) arrays for stacks."""

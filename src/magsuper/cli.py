@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .algebra import (
 )
 from .closedform import helix_solution, pendulum_reduction, helical_z_of_t, x5_integral
 from .dynamics import IntegratorConfig, PhaseState, integrate
-from .errors import ConfigError, MagsuperError
+from .errors import ConfigError, MagsuperError, ParameterError
 from .fields import (ConstantB, HelicalB, Monopole, divergence_checks, field_record,
                      model_from_config)
 from .integrals import (
@@ -42,8 +43,7 @@ from .integrals import (
     known_integrals,
     monopole_runge_lenz_specs,
 )
-from .quantum import (GRID_MAX_POINTS, Grid1D, helical_reduced_solve, landau_reduced_solve,
-                      mathieu_table)
+from .quantum import Grid1D, helical_reduced_solve, landau_reduced_solve, mathieu_table
 
 
 # ---------------------------------------------------------------------------
@@ -119,97 +119,10 @@ def _csv_text(header: list[str], table: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # configuration schema and loading
 
-_VEC3 = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
-
-#: JSON Schema for run configs; a copy ships in docs/config.schema.json.
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "magsuper run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system"],
-    "properties": {
-        "system": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["model", "B"],
-                    "properties": {
-                        "model": {"const": "constant_b"},
-                        "B": {"type": "number", "not": {"const": 0}},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["model", "A_amp", "beta"],
-                    "properties": {
-                        "model": {"const": "helical"},
-                        "A_amp": {"type": "number", "exclusiveMinimum": 0},
-                        "beta": {"type": "number", "not": {"const": 0}},
-                        "phi0": {"type": "number"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["model", "g"],
-                    "properties": {
-                        "model": {"const": "monopole"},
-                        "g": {"type": "number", "not": {"const": 0}},
-                        "Q": {"type": "number"},
-                        "potential": {"enum": ["modified", "coulomb-only"]},
-                    },
-                },
-            ],
-        },
-        "state0": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["x", "p"],
-            "properties": {"x": _VEC3, "p": _VEC3},
-        },
-        "t_end": {"type": "number", "exclusiveMinimum": 0},
-        "integrator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["rk45", "boris"]},
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["lo", "hi", "n"],
-            "properties": {
-                "lo": {"type": "number"},
-                "hi": {"type": "number"},
-                "n": {"type": "integer", "minimum": 16, "maximum": GRID_MAX_POINTS},
-            },
-        },
-        "n_levels": {"type": "integer", "minimum": 1},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "k1": {"type": "number"},
-        "k2": {"type": "number"},
-        "K": {"type": "number", "minimum": 0},
-        "phi_K": {"type": "number"},
-        "E": {"type": "number"},
-        "r_max": {"type": "integer", "minimum": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "n_points": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
+#: JSON Schema for run configs, shipped beside this module as package data
+with open(os.path.join(os.path.dirname(__file__), "config.schema.json"),
+          encoding="utf-8") as _fh:
+    CONFIG_SCHEMA = json.load(_fh)
 
 _DEFAULT_SYSTEMS = {
     "constant_b": {"model": "constant_b", "B": 1.0},
@@ -222,7 +135,10 @@ def validate_config(cfg: dict) -> None:
     import jsonschema
 
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: str(e.json_path))
+    try:
+        errors = sorted(validator.iter_errors(cfg), key=lambda e: str(e.json_path))
+    except RecursionError as exc:  # a value nested just within what json reads
+        raise ConfigError("config nests arrays or objects too deeply") from exc
     if errors:
         err = errors[0]
         raise ConfigError(f"config schema violation at {err.json_path}: {err.message}")
@@ -255,18 +171,24 @@ _JSON_HOOKS = {"parse_constant": _no_constant, "parse_int": _json_int,
                "parse_float": lambda text: _finite(float(text), text)}
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value in file `path`, each number a finite double; a
+    ConfigError that names `what` when the file cannot be read or parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text, **_JSON_HOOKS)
+            return json.load(fh, **_JSON_HOOKS)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config {path} is not valid JSON "
+            f"{what} {path} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what} {path} nests arrays or objects too deeply") from exc
+
+
+def load_config(path: str) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     validate_config(cfg)
@@ -311,23 +233,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _overflow_fails(cmd):
-    """cmd with every overflow an error: numpy's (a FloatingPointError under
-    errstate) and Python's (an OverflowError of float pow), so huge but
-    finite field parameters exit 1 instead of reporting inf or nan."""
-
-    @functools.wraps(cmd)
-    def run(ns) -> int:
-        try:
-            with np.errstate(over="raise"):
-                return cmd(ns)
-        except (FloatingPointError, OverflowError) as exc:
-            raise MagsuperError("a field value overflowed the double range; "
-                                "use smaller field parameters") from exc
-
-    return run
-
-
 def _state0(cfg: dict) -> PhaseState:
     if "state0" not in cfg:
         raise ConfigError("config needs a 'state0' object with 'x' and 'p'")
@@ -337,16 +242,13 @@ def _state0(cfg: dict) -> PhaseState:
 
 def _integrator(cfg: dict) -> IntegratorConfig:
     raw = cfg.get("integrator", {})
-    try:
-        return IntegratorConfig(
-            method=raw.get("method", "rk45"),
-            rel_tol=float(raw.get("rel_tol", 1e-10)),
-            abs_tol=float(raw.get("abs_tol", 1e-10)),
-            max_step=float(raw.get("max_step", math.inf)),
-            dt=float(raw.get("dt", 1e-3)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad integrator options: {exc}") from exc
+    return IntegratorConfig(
+        method=raw.get("method", "rk45"),
+        rel_tol=float(raw.get("rel_tol", 1e-10)),
+        abs_tol=float(raw.get("abs_tol", 1e-10)),
+        max_step=float(raw.get("max_step", math.inf)),
+        dt=float(raw.get("dt", 1e-3)),
+    )
 
 
 def _sample_positions(rng, n: int, model) -> np.ndarray:
@@ -428,13 +330,7 @@ def _is_number(v) -> bool:
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     """User-supplied integral candidates: alpha entries plus constant or
     named s, m choices; {"known": NAME} pulls a built-in closed form."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, **_JSON_HOOKS)
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec file {path} is not valid JSON: {exc.msg}") from exc
+    data = _read_json(path, "spec file")
     if not isinstance(data, dict) or not isinstance(data.get("integrals"), list):
         raise ConfigError("spec file must be {\"integrals\": [...]}")
     known = {sp.name: sp for sp in _verify_specs(model)}
@@ -444,12 +340,14 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
             raise ConfigError(f"integrals[{i}] must be an object")
         if "known" in ent:
             name = ent["known"]
-            if name not in known:
+            if not isinstance(name, str) or name not in known:
                 raise ConfigError(
                     f"unknown integral {name!r}; this model has {sorted(known)}")
             out.append(known[name])
             continue
         name = ent.get("name", f"user{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"integrals[{i}].name must be a string")
         alpha = ent.get("alpha", {})
         if not isinstance(alpha, dict):
             raise ConfigError(f"integrals[{i}].alpha must be an object")
@@ -468,14 +366,13 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
         try:
             out.append(IntegralSpec(name, alpha, s=s_fn, m=m_fn,
                                     jac_s=jac_s, grad_m=grad_m))
-        except (ValueError, TypeError) as exc:
+        except ParameterError as exc:
             raise ConfigError(f"integrals[{i}]: {exc}") from exc
     if not out:
         raise ConfigError("spec file lists no integrals")
     return out
 
 
-@_overflow_fails
 def _cmd_verify(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])
@@ -531,7 +428,6 @@ def _cmd_verify(ns) -> int:
 _CASIMIR_TOL = 1e-10
 
 
-@_overflow_fails
 def _cmd_algebra(ns) -> int:
     cfg = _config_for(ns)
     sys_cfg = cfg["system"]
@@ -590,10 +486,7 @@ def _grid(cfg: dict) -> Grid1D:
     if "grid" not in cfg:
         raise ConfigError("config needs a 'grid' object with lo, hi, n")
     g = cfg["grid"]
-    try:
-        return Grid1D(float(g["lo"]), float(g["hi"]), int(g["n"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
+    return Grid1D(float(g["lo"]), float(g["hi"]), int(g["n"]))
 
 
 def _cmd_spectrum(ns) -> int:
@@ -668,7 +561,6 @@ def _cmd_spectrum(ns) -> int:
 # fields-check
 
 
-@_overflow_fails
 def _cmd_fields_check(ns) -> int:
     cfg = _config_for(ns)
     model = model_from_config(cfg["system"])
@@ -704,7 +596,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sp, config_required: bool) -> None:
     sp.add_argument("--config", metavar="PATH", required=config_required,
-                    help="JSON run configuration (see docs/config.schema.json)")
+                    help="JSON run configuration (see src/magsuper/config.schema.json)")
     sp.add_argument("--seed", type=int, default=None,
                     help="PCG64 seed for sampled points (default 0)")
     sp.add_argument("--out", metavar="PATH", default=None,
@@ -782,10 +674,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = _parser().parse_args(argv)
-        return _HANDLERS[ns.command](ns)
-    except (MagsuperError, ValueError, OSError) as exc:
-        print(f"magsuper: error: {exc}", file=sys.stderr)
-        return 1
+        with np.errstate(over="raise", invalid="raise"):
+            return _HANDLERS[ns.command](ns)
+    except ArithmeticError:
+        # numpy's overflow, or its inf - inf of values that Python floats let
+        # overflow; Python's overflow of a float pow, or its division by a
+        # square that underflowed to 0: such parameters exit 1 instead of
+        # reporting inf or nan
+        message = "a field value overflowed the double range; use smaller field parameters"
+    except (MagsuperError, OSError) as exc:
+        message = str(exc)
+    print(f"magsuper: error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

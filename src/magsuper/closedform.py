@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import PhaseState, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
-from .errors import DegenerateKappa, DegenerateMomentum, SeparatrixRegime
+from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
 from .fields import HelicalB
 
 __all__ = [
@@ -46,7 +46,7 @@ def helix_solution(B: float, s0: PhaseState, t):
     bits of the one-time call.
     """
     if B == 0:
-        raise ValueError("helix_solution requires B != 0")
+        raise ParameterError("helix_solution requires B != 0")
     x0, y0, z0 = s0.x
     p1, p2, p3 = s0.p
     stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
@@ -119,9 +119,9 @@ class PendulumReduction:
 
     def __post_init__(self):
         if self.p < 0:
-            raise ValueError("momentum modulus p must be nonnegative")
+            raise ParameterError("momentum modulus p must be nonnegative")
         if self.kappa < -1:
-            raise ValueError("kappa < -1 is unphysical")
+            raise ParameterError("kappa < -1 is unphysical")
 
     @property
     def regime(self) -> str:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StepFailure
+from .errors import ConfigError, ParameterError, StepFailure
 from .fields import FieldModel, Vec3, _as_vec3, cross, dot
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
@@ -107,11 +107,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in ("rk45", "boris"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
+            raise ParameterError(f"unknown integrator method {self.method!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+            raise ParameterError("tolerances must be positive")
         if not (self.max_step > 0 and self.dt > 0):
-            raise ValueError("max_step and dt must be positive")
+            raise ParameterError("max_step and dt must be positive")
 
 
 def _state_arrays(s):
@@ -180,10 +180,10 @@ class Trajectory:
 
     def __post_init__(self):
         if not np.all(np.diff(self.times) > 0):
-            raise ValueError("trajectory times must be strictly increasing")
+            raise ParameterError("trajectory times must be strictly increasing")
         n = len(self.times)
         if not (self.x.shape == (n, 3) and self.p.shape == (n, 3) and len(self.energy) == n):
-            raise ValueError("trajectory arrays have inconsistent lengths")
+            raise ParameterError("trajectory arrays have inconsistent lengths")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -203,7 +203,7 @@ class Trajectory:
         """
         t = float(t)
         if not self.times[0] <= t <= self.times[-1]:
-            raise ValueError(f"t={t} outside integrated span")
+            raise ParameterError(f"t={t} outside integrated span")
         if self._dense is not None:
             return PhaseState.from_array(self._dense(t))
         i = int(np.searchsorted(self.times, t, side="right")) - 1
@@ -248,7 +248,7 @@ def integrate(
     if cfg is None:
         cfg = IntegratorConfig()
     if not t_end > 0:
-        raise ValueError("t_end must be positive")
+        raise ParameterError("t_end must be positive")
     model.check_domain(s0.x)
     items = [(getattr(w, "name", None) or f"watch{i}", as_phase_function(w, model).fn)
              for i, w in enumerate(watch)]

@@ -12,11 +12,13 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def _check_modulus(k: float) -> float:
     k = float(k)
     if not 0.0 <= k <= 1.0:
-        raise ValueError(f"modulus k={k} outside [0, 1]")
+        raise ParameterError(f"modulus k={k} outside [0, 1]")
     return k
 
 
@@ -24,7 +26,7 @@ def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of two nonnegative numbers."""
     a, b = float(a), float(b)
     if a < 0 or b < 0:
-        raise ValueError("agm needs nonnegative arguments")
+        raise ParameterError("agm needs nonnegative arguments")
     # tolerance must exceed one ulp of the limit or the pair can cycle
     for _ in range(64):
         if abs(a - b) <= 4e-16 * max(a, b):
@@ -76,7 +78,7 @@ def inv_am(phi, k):
     k = _check_modulus(k)
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.abs(phi) <= math.pi / 2):
-        raise ValueError(f"inv_am argument {phi} outside [-pi/2, pi/2]")
+        raise ParameterError(f"inv_am argument {phi} outside [-pi/2, pi/2]")
     return special.ellipkinc(phi, k * k)[()]
 
 
@@ -84,5 +86,5 @@ def inv_sn(x, k):
     """Principal inverse of sn: u in [-K, K] with sn(u, k) = x."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0):
-        raise ValueError(f"inv_sn argument {x} outside [-1, 1]")
+        raise ParameterError(f"inv_sn argument {x} outside [-1, 1]")
     return inv_am(np.arcsin(x), k)

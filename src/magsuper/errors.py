@@ -5,6 +5,10 @@ class MagsuperError(Exception):
     """Base class for all library-specific errors."""
 
 
+class ParameterError(MagsuperError, ValueError):
+    """A library call received an argument outside its accepted range."""
+
+
 class DomainError(MagsuperError):
     """A field was evaluated on or too close to its singular locus."""
 

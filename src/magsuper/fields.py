@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ParameterError
 
 Vec3 = np.ndarray
 
@@ -38,9 +38,9 @@ EPS_DOMAIN = 1e-8
 def _as_vec3(x) -> Vec3:
     a = np.asarray(x, dtype=float)
     if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+        raise ParameterError(f"expected a 3-vector, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("vector has non-finite components")
+        raise ParameterError("vector has non-finite components")
     return a
 
 
@@ -50,7 +50,7 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     if a.ndim != 2 or a.shape[1] != 3:
         return _as_vec3(a)[None], True
     if not np.isfinite(a).all():
-        raise ValueError("vector has non-finite components")
+        raise ParameterError("vector has non-finite components")
     return a, False
 
 
@@ -161,7 +161,7 @@ class ConstantB:
 
     def __post_init__(self):
         if not abs(self.B) > 0:
-            raise ValueError("ConstantB requires B != 0")
+            raise ParameterError("ConstantB requires B != 0")
 
     def check_domain(self, x: Vec3) -> None:
         pass
@@ -208,9 +208,9 @@ class HelicalB:
 
     def __post_init__(self):
         if not self.A_amp > 0:
-            raise ValueError("HelicalB requires A_amp > 0")
+            raise ParameterError("HelicalB requires A_amp > 0")
         if self.beta == 0:
-            raise ValueError("HelicalB requires beta != 0")
+            raise ParameterError("HelicalB requires beta != 0")
 
     def _u(self, x: Vec3):
         return (x.T[2] + self.phi0) / self.beta
@@ -277,7 +277,7 @@ class Monopole:
 
     def __post_init__(self):
         if self.g == 0:
-            raise ValueError("Monopole requires g != 0")
+            raise ParameterError("Monopole requires g != 0")
 
     @staticmethod
     def _off_domain(r, z):
@@ -686,7 +686,7 @@ def model_from_config(cfg: dict) -> FieldModel:
                 barrier=(potential == "modified"),
                 **_none(params),
             )
-    except (TypeError, ValueError) as exc:
+    except ParameterError as exc:
         raise ConfigError(f"bad parameters for model {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown field model {kind!r}")
 

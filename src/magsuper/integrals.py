@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dynamics import PhaseState, _state_arrays, hamiltonian
-from .errors import UnsupportedModel
+from .errors import ParameterError, UnsupportedModel
 from .fields import (
     ConstantB,
     Cylindrical,
@@ -56,20 +56,20 @@ def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
     if isinstance(alpha, Mapping):
         for key, val in alpha.items():
             if isinstance(key, str) and not (len(key) == 2 and key.isascii() and key.isdigit()):
-                raise ValueError(f"alpha key {key!r} is not two digits 'ab'")
+                raise ParameterError(f"alpha key {key!r} is not two digits 'ab'")
             if isinstance(val, bool) or not isinstance(val, Real):
-                raise ValueError(f"alpha value {val!r} at {key!r} is not a number")
+                raise ParameterError(f"alpha value {val!r} at {key!r} is not a number")
             a, b = map(int, key)
             if not (1 <= a <= b <= 6):
-                raise ValueError(f"alpha index ({a},{b}) out of range or unordered")
+                raise ParameterError(f"alpha index ({a},{b}) out of range or unordered")
             if val != 0.0:
                 out[(a, b)] = out.get((a, b), 0.0) + float(val)
         return out
     arr = np.asarray(alpha, dtype=float)
     if arr.shape != (6, 6):
-        raise ValueError("alpha array must be 6x6")
+        raise ParameterError("alpha array must be 6x6")
     if not np.allclose(arr, arr.T):
-        raise ValueError("alpha array must be symmetric")
+        raise ParameterError("alpha array must be symmetric")
     for a, b in _PAIRS:
         v = arr[a - 1, b - 1]
         if v != 0.0:
@@ -318,7 +318,7 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
     """
     if isinstance(obj, IntegralSpec):
         if model is None:
-            raise ValueError("an IntegralSpec needs a model to become a phase function")
+            raise ParameterError("an IntegralSpec needs a model to become a phase function")
         return PhaseFunction(name or obj.name,
                              lambda s: evaluate_integral(obj, model, s),
                              _model_gradient(model, lambda rec, p: _integral_gradient(obj, rec, p)),
@@ -469,7 +469,7 @@ def determining_residuals(
     derivatives of n and B; first-order integrals get no correction.
     """
     if mode not in ("classical", "quantum"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParameterError(f"unknown mode {mode!r}")
     if isinstance(x, FieldRecord):
         rec, one = x, False
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridTooSmall, NoBoundStates, StepFailure
+from .errors import ConfigError, GridTooSmall, NoBoundStates, ParameterError, StepFailure
 from .fields import Cylindrical
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
@@ -28,9 +28,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
+            raise ParameterError("grid needs lo < hi")
         if self.n < 16:
-            raise ValueError("grid needs at least 16 points")
+            raise ParameterError("grid needs at least 16 points")
         if self.n > GRID_MAX_POINTS:
             raise ConfigError(f"a grid of n = {self.n} points exceeds the maximum "
                               f"of {GRID_MAX_POINTS} points")
@@ -59,7 +59,7 @@ def _dirichlet_solve(w: np.ndarray, h: float, hbar: float, n_levels: int):
 
     n_in = len(w)
     if not 1 <= n_levels <= n_in:
-        raise ValueError(f"n_levels must be in [1, {n_in}]")
+        raise ParameterError(f"n_levels must be in [1, {n_in}]")
     diag = 2.0 * hbar**2 / h**2 + w
     off = np.full(n_in - 1, -(hbar**2) / h**2)
     vals, vecs = eigh_tridiagonal(diag, off, select="i",
@@ -86,7 +86,7 @@ def landau_reduced_solve(
     a negligible tail at the walls; otherwise GridTooSmall is raised.
     """
     if not (abs(B) > 0 and hbar > 0):
-        raise ValueError("landau_reduced_solve needs B != 0 and hbar > 0")
+        raise ParameterError("landau_reduced_solve needs B != 0 and hbar > 0")
     center = k2 / B
     ell = math.sqrt(hbar / abs(B))
     if center - grid.lo < 8 * ell or grid.hi - center < 8 * ell:
@@ -124,7 +124,7 @@ def hermite_check(result: SpectrumResult, B: float, k2: float, hbar: float, n: i
     distance is taken, so the value is phase-unambiguous.
     """
     if n >= len(result.eigenvalues):
-        raise ValueError(f"level {n} not computed")
+        raise ParameterError(f"level {n} not computed")
     z = result.grid.points
     xi = math.sqrt(abs(B) / hbar) * (z - k2 / B)
     phi = hermite_values(n, xi) * np.exp(-0.5 * xi**2)
@@ -161,11 +161,11 @@ def _mathieu_matrix(r: int, parity: str, q: float, n_dim: int):
 def mathieu_characteristic(r: int, parity: str, q: float) -> float:
     """Characteristic value a_r(q) (even parity) or b_r(q) (odd parity)."""
     if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        raise ParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
     if r < 0 or (parity == "odd" and r == 0):
-        raise ValueError(f"no characteristic value of parity {parity!r} at r={r}")
+        raise ParameterError(f"no characteristic value of parity {parity!r} at r={r}")
     if abs(q) > 1e4:
-        raise ValueError("|q| must not exceed 1e4")
+        raise ParameterError("|q| must not exceed 1e4")
     from scipy.linalg import eigh_tridiagonal
 
     n_dim = 50 + 2 * math.ceil(math.sqrt(abs(q))) + r
@@ -189,7 +189,7 @@ class MathieuResult:
 
 def mathieu_table(r_max: int, q: float) -> MathieuResult:
     if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+        raise ParameterError("r_max must be at least 1")
     even = np.array([mathieu_characteristic(r, "even", q) for r in range(r_max + 1)])
     odd = np.array([mathieu_characteristic(r, "odd", q) for r in range(1, r_max + 1)])
     return MathieuResult(float(q), even, odd)
@@ -219,6 +219,8 @@ class HelicalReducedResult:
 MAGNUS_TOL = 1e-12
 #: most Magnus substeps per sample interval before the solve gives up
 MAGNUS_MAX_SUBSTEPS = 2**10
+#: most Magnus steps formed at once: the intervals go in blocks of this many steps
+MAGNUS_BLOCK_STEPS = 2**16
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 
 
@@ -256,12 +258,13 @@ def _magnus_intervals(z: np.ndarray, m: int, w_of) -> tuple:
 
 def _fundamental_matrix(z: np.ndarray, m: int, w_of) -> np.ndarray:
     """Rows chi1, dchi1, chi2, dchi2 at the points z from the unit matrix at z[0]."""
-    steps = zip(*_magnus_intervals(z, m, w_of))
+    per = max(1, MAGNUS_BLOCK_STEPS // m)
     x1, v1, x2, v2 = 1.0, 0.0, 0.0, 1.0
     rows = [(x1, v1, x2, v2)]
-    for a, b, c, d in steps:
-        x1, v1, x2, v2 = a * x1 + b * v1, c * x1 + d * v1, a * x2 + b * v2, c * x2 + d * v2
-        rows.append((x1, v1, x2, v2))
+    for lo in range(0, len(z) - 1, per):
+        for a, b, c, d in zip(*_magnus_intervals(z[lo:lo + per + 1], m, w_of)):
+            x1, v1, x2, v2 = a * x1 + b * v1, c * x1 + d * v1, a * x2 + b * v2, c * x2 + d * v2
+            rows.append((x1, v1, x2, v2))
     return np.array(rows).T
 
 
@@ -276,17 +279,18 @@ def helical_reduced_solve(
     matrix over one period 2 pi |beta| at n_samples equally spaced points,
     together with its monodromy matrix (unit Wronskian). The fundamental
     matrix is propagated by a fourth-order Magnus method with m substeps
-    per sample interval; m doubles from 2 until the Richardson estimate
-    max|Phi_2m - Phi_m| / (15 max(1, max|Phi_2m|)) is at most MAGNUS_TOL,
-    and Phi_2m is returned. A non-finite Phi or Wronskian, or m past
+    per sample interval, formed at most MAGNUS_BLOCK_STEPS steps at a time;
+    m doubles from 2 until the Richardson estimate max|Phi_2m - Phi_m| /
+    (15 max(1, max|Phi_2m|)) is at most MAGNUS_TOL, and Phi_2m is
+    returned. A non-finite Phi or Wronskian, or m past
     MAGNUS_MAX_SUBSTEPS, raises StepFailure.
     """
     if not all(math.isfinite(v) for v in (A_amp, beta, K, phi_K, hbar, E)):
-        raise ValueError("helical_reduced_solve needs finite parameters")
+        raise ParameterError("helical_reduced_solve needs finite parameters")
     if K < 0:
-        raise ValueError("K must be nonnegative")
+        raise ParameterError("K must be nonnegative")
     if beta == 0 or hbar <= 0:
-        raise ValueError("beta must be nonzero and hbar positive")
+        raise ParameterError("beta must be nonzero and hbar positive")
 
     a = -4.0 * beta**2 * (A_amp**2 + K**2 - 2.0 * E) / hbar**2
     q = -4.0 * beta**2 * A_amp * K / hbar**2
@@ -340,9 +344,9 @@ def radial_reduced_solve(
     leaks into the outer 5% of the box are not counted as bound.
     """
     if grid.lo <= 0:
-        raise ValueError("radial grid must start at lo > 0")
+        raise ParameterError("radial grid must start at lo > 0")
     if hbar <= 0:
-        raise ValueError("hbar must be positive")
+        raise ParameterError("hbar must be positive")
     r_in = grid.points[1:-1]
     w = np.array([
         (model.f1(r) - hbar * k) ** 2

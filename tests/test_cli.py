@@ -390,14 +390,39 @@ def test_spec_file_s_and_m_are_numbers(tmp_path, capsys, entry, message):
     assert captured.err == f"magsuper: error: integrals[1].{message}\n"
 
 
-@pytest.mark.parametrize("command, system", [
-    ("verify", {"model": "constant_b", "B": 1e300}),
-    ("algebra", {"model": "constant_b", "B": 1e300}),
-    ("algebra", {"model": "monopole", "g": 1e300, "Q": 1}),
-    ("fields-check", {"model": "constant_b", "B": 1e308}),
-], ids=["verify", "algebra-constant-b", "algebra-monopole", "fields-check"])
-def test_field_overflow_exits_1(tmp_path, capsys, command, system):
-    cfg = _write_cfg(tmp_path, "cfg.json", {"system": system})
+@pytest.mark.parametrize("entry, message", [
+    ({"name": [1]}, "integrals[0].name must be a string"),
+    ({"known": [1]}, "unknown integral [1]; this model has "),
+], ids=["name-list", "known-list"])
+def test_spec_file_names_are_strings(tmp_path, capsys, entry, message):
+    # a list is no dict key: these used to escape as TypeError tracebacks
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": [entry]})
+    assert cli.main(["verify", "--system", "constant_b", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"magsuper: error: {message}")
+
+
+_BORIS = {"state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": 5.0,
+          "integrator": {"method": "boris", "dt": 0.5}}
+
+
+@pytest.mark.parametrize("command, system, extra", [
+    ("verify", {"model": "constant_b", "B": 1e300}, {}),
+    ("algebra", {"model": "constant_b", "B": 1e300}, {}),
+    ("algebra", {"model": "monopole", "g": 1e300, "Q": 1}, {}),
+    ("fields-check", {"model": "constant_b", "B": 1e308}, {}),
+    ("spectrum", {"model": "helical", "A_amp": 1.0, "beta": 1e200}, {"K": 1.0, "E": 1.0}),
+    ("spectrum", {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+     {"K": 1.0, "E": 3.0, "hbar": 1e-200}),
+    ("spectrum", {"model": "constant_b", "B": 1e300},
+     {"grid": {"lo": -12.0, "hi": 12.0, "n": 200}}),
+    ("simulate", {"model": "constant_b", "B": 1e300}, _BORIS),
+], ids=["verify", "algebra-constant-b", "algebra-monopole", "fields-check",
+        "spectrum-helical", "spectrum-helical-tiny-hbar", "spectrum-landau",
+        "simulate-boris"])
+def test_field_overflow_exits_1(tmp_path, capsys, command, system, extra):
+    cfg = _write_cfg(tmp_path, "cfg.json", {"system": system, **extra})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main([command, "--config", cfg]) == 1
@@ -405,6 +430,33 @@ def test_field_overflow_exits_1(tmp_path, capsys, command, system):
     assert captured.out == ""
     assert captured.err == ("magsuper: error: a field value overflowed the double range; "
                             "use smaller field parameters\n")
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["verify", "--config", "{path}"], "config"),
+    (["verify", "--system", "constant_b", "--spec", "{path}"], "spec file"),
+], ids=["config", "spec-file"])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, argv, what):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"magsuper: error: {what} {path} nests arrays or "
+                            "objects too deeply\n")
+
+
+def test_validate_config_refuses_values_nested_past_the_recursion_limit():
+    # json reads a value nested just below the limit; jsonschema's message
+    # about it then recurses past the limit
+    nested = []
+    for _ in range(sys.getrecursionlimit()):
+        nested = [nested]
+    with pytest.raises(ms.ConfigError, match="^config nests arrays or objects too deeply$"):
+        cli.validate_config({"system": nested})
 
 
 def test_verify_and_fields_check_draws_are_pinned():
@@ -592,11 +644,19 @@ def test_byte_determinism(tmp_path):
     assert b"\r" not in raw and raw.endswith(b"\n")
 
 
-def test_shipped_schema_matches_module():
+def test_schema_grid_maximum_is_the_grid_cap():
+    grid_n = cli.CONFIG_SCHEMA["properties"]["grid"]["properties"]["n"]
+    assert grid_n["maximum"] == ms.quantum.GRID_MAX_POINTS
+
+
+def test_schema_ships_as_package_data():
+    import tomllib
+
     here = Path(__file__).resolve().parents[1]
-    shipped = json.loads((here / "docs" / "config.schema.json")
-                         .read_text(encoding="utf-8"))
-    assert shipped == cli.CONFIG_SCHEMA
+    with open(here / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "config.schema.json" in package_data["magsuper"]
+    assert (here / "src" / "magsuper" / "config.schema.json").is_file()
 
 
 @pytest.mark.parametrize("system", [

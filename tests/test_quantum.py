@@ -1,6 +1,7 @@
 """Separated quantum problems: Landau levels, Mathieu bands, radial states."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,7 +376,37 @@ def test_wronskian_overflow_raises_step_failure():
         ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, hbar=0.008, E=1.0)
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_magnus_memory_stays_flat_in_the_substeps():
+    # beta = 1e3 doubles m to 1024 and beta = 100 stops at m = 128; the steps
+    # go in blocks of MAGNUS_BLOCK_STEPS, so both peaks are about one block
+    large = _traced_peak(lambda: ms.helical_reduced_solve(1.0, 1e3, 1.0, 0.0, 1.0, 3.0))
+    small = _traced_peak(lambda: ms.helical_reduced_solve(1.0, 100.0, 1.0, 0.0, 1.0, 3.0))
+    assert large <= 1.25 * small
+
+
+def test_magnus_blocks_leave_the_bits(monkeypatch):
+    params = (1.0, 10.0, 1.0, 0.0, 1.0, 3.0)
+    whole = ms.helical_reduced_solve(*params)
+    # 100 steps a block: at m = 64 one interval a block, at m = 2 fifty
+    monkeypatch.setattr(quantum, "MAGNUS_BLOCK_STEPS", 100)
+    blocked = ms.helical_reduced_solve(*params)
+    for name in ("chi1", "dchi1", "chi2", "dchi2", "monodromy"):
+        assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+    assert whole.wronskian_drift == blocked.wronskian_drift
+
+
 def test_helical_solver_validation():
+    with pytest.raises(ms.ParameterError):
+        ms.helical_reduced_solve(1.0, 1.0, K=-0.5, phi_K=0.0, hbar=1.0, E=1.0)
     with pytest.raises(ValueError):
         ms.helical_reduced_solve(1.0, 1.0, K=-0.5, phi_K=0.0, hbar=1.0, E=1.0)
     with pytest.raises(ValueError):
