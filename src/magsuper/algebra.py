@@ -248,16 +248,15 @@ def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
     return [as_phase_function(sp, model) for sp in monopole_runge_lenz_specs(g, Q)]
 
 
-def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0,
-                   max_tries: int = 100000) -> np.ndarray:
+def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.ndarray:
     """n rows of `size` uniform draws in [-box, box], one row per try, kept
-    where `accept` passes it; a ConfigError after max_tries tries."""
-    rows = []
-    tries = 0
+    where `accept` passes it; a ConfigError after 1000 tries per row."""
+    rows, tries = [], 0
     while len(rows) < n:
+        if tries == 1000 * n:
+            raise ConfigError(f"state sampling failed: {len(rows)} of {n} admissible "
+                              f"points in {tries} tries")
         tries += 1
-        if tries > max_tries:
-            raise ConfigError("state sampling failed to find admissible points")
         row = rng.uniform(-box, box, size)
         if accept is None or accept(row):
             rows.append(row)
@@ -265,7 +264,7 @@ def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0,
 
 
 def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
-                  admissible=None, max_tries: int = 100000) -> list[PhaseState]:
+                  admissible=None) -> list[PhaseState]:
     """Uniform random states in [-box, box]^6 with optional constraints.
 
     `admissible` filters positions (used to stay off singular loci);
@@ -276,7 +275,7 @@ def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
         return ((p1_min <= 0 or abs(y[3]) >= p1_min)
                 and (admissible is None or admissible(y[:3])))
 
-    return [PhaseState(y[:3], y[3:]) for y in sample_uniform(rng, n, 6, accept, box, max_tries)]
+    return [PhaseState(y[:3], y[3:]) for y in sample_uniform(rng, n, 6, accept, box)]
 
 
 def monopole_admissible(x) -> bool:

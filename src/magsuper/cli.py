@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .closedform import helix_solution, pendulum_reduction, helical_z_of_t, x5_integral
 from .dynamics import IntegratorConfig, PhaseState, integrate
-from .errors import ConfigError, MagsuperError, ParameterError
+from .errors import OVERFLOW_MESSAGE, ConfigError, MagsuperError, ParameterError
 from .fields import (ConstantB, HelicalB, Monopole, divergence_checks, field_record,
                      model_from_config)
 from .integrals import (
@@ -594,24 +594,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sp, config_required: bool) -> None:
+#: the flags that some commands read, beyond --config and --out
+_FLAGS = {
+    "--seed": {"type": int, "help": "PCG64 seed for sampled points (default 0)"},
+    "--format": {"choices": ("csv", "json"), "help": "artifact format"},
+    "--tolerance": {"type": float, "help": "override the pass/fail tolerance"},
+    "--system": {"choices": ("constant_b", "helical", "monopole"),
+                 "help": "use a default config for this model"},
+    "--n-points": {"type": int, "help": "number of sampled points/states (default 100)"},
+    "--potential": {"choices": ("modified", "coulomb-only"),
+                    "help": "monopole scalar-potential variant"},
+}
+#: the flags of the commands that check sampled points
+_SAMPLED = ("--seed", "--tolerance", "--system", "--n-points")
+
+
+def _add_command(sub, name: str, text: str, config_required: bool, *flags: str):
+    sp = sub.add_parser(name, help=text)
     sp.add_argument("--config", metavar="PATH", required=config_required,
                     help="JSON run configuration (see src/magsuper/config.schema.json)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="PCG64 seed for sampled points (default 0)")
     sp.add_argument("--out", metavar="PATH", default=None,
                     help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="artifact format where both make sense")
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="override the pass/fail tolerance")
-
-
-def _add_sampled(sp) -> None:
-    sp.add_argument("--system", choices=("constant_b", "helical", "monopole"),
-                    default=None, help="use a default config for this model")
-    sp.add_argument("--n-points", type=int, default=None,
-                    help="number of sampled points/states (default 100)")
+    for flag in flags:
+        sp.add_argument(flag, default=None, **_FLAGS[flag])
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,39 +625,22 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Charged-particle systems in static magnetic "
                             "fields: simulation, verification, spectra.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate and export a trajectory")
-    _add_common(sp, config_required=True)
-
-    sp = sub.add_parser("trajectory",
-                        help="like simulate, optionally with closed-form error")
-    _add_common(sp, config_required=True)
+    _add_command(sub, "simulate", "integrate and export a trajectory", True, "--format")
+    sp = _add_command(sub, "trajectory", "like simulate, optionally with closed-form error",
+                      True, "--format")
     sp.add_argument("--closed-form", action="store_true",
                     help="append a closed_form_error column")
-
-    sp = sub.add_parser("verify",
-                        help="determining-equation residuals and {X,H} brackets")
-    _add_common(sp, config_required=False)
-    _add_sampled(sp)
-    sp.add_argument("--potential", choices=("modified", "coulomb-only"),
-                    default=None, help="monopole scalar-potential variant")
+    sp = _add_command(sub, "verify", "determining-equation residuals and {X,H} brackets",
+                      False, *_SAMPLED, "--potential")
     sp.add_argument("--mode", choices=("classical", "quantum"),
                     default="classical", help="determining-equation mode")
     sp.add_argument("--spec", metavar="PATH", default=None,
                     help="JSON file of integral candidates to test instead")
-
-    sp = sub.add_parser("algebra", help="bracket-table and closure reports")
-    _add_common(sp, config_required=False)
-    _add_sampled(sp)
-
-    sp = sub.add_parser("spectrum", help="separated quantum eigenproblems")
-    _add_common(sp, config_required=True)
-
-    sp = sub.add_parser("fields-check", help="div B, curl A - B, div A report")
-    _add_common(sp, config_required=False)
-    _add_sampled(sp)
-    sp.add_argument("--potential", choices=("modified", "coulomb-only"),
-                    default=None, help="monopole scalar-potential variant")
+    _add_command(sub, "algebra", "bracket-table and closure reports", False, *_SAMPLED)
+    _add_command(sub, "spectrum", "separated quantum eigenproblems", True,
+                 "--format", "--tolerance")
+    _add_command(sub, "fields-check", "div B, curl A - B, div A report", False,
+                 *_SAMPLED, "--potential")
     return p
 
 
@@ -681,7 +670,7 @@ def main(argv=None) -> int:
         # overflow; Python's overflow of a float pow, or its division by a
         # square that underflowed to 0: such parameters exit 1 instead of
         # reporting inf or nan
-        message = "a field value overflowed the double range; use smaller field parameters"
+        message = OVERFLOW_MESSAGE
     except (MagsuperError, OSError) as exc:
         message = str(exc)
     print(f"magsuper: error: {message}", file=sys.stderr)

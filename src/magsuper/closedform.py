@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhaseState, _state_arrays
+from .dynamics import PhaseState, _run_rk45, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
 from .fields import HelicalB
@@ -245,22 +245,15 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
 
 
 def _separatrix_theta(theta0: float, dtheta0: float, taus: np.ndarray) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
-    out = np.empty_like(taus)
+    """theta at each tau from theta'' = -sin(theta) / 2, by the Dormand-Prince
+    loop of `dynamics` at tolerances 1e-13; the equation is time-reversible,
+    so negative tau runs forward from (theta0, -dtheta0)."""
+    out = np.full_like(taus, theta0)
     for sign in (1.0, -1.0):
-        mask = taus >= 0 if sign > 0 else taus < 0
-        if not np.any(mask):
-            continue
-        span = float(np.max(sign * taus[mask]))
-        if span == 0.0:
-            out[mask] = theta0
-            continue
-        sol = solve_ivp(
-            lambda _t, y: [y[1], -0.5 * math.sin(y[0])],
-            (0.0, sign * span),
-            [theta0, dtheta0],
-            method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True,
-        )
-        out[mask] = sol.sol(taus[mask])[0]
+        mask = sign * taus > 0
+        if np.any(mask):
+            span = sign * taus[mask]
+            _, _, dense, _ = _run_rk45(lambda y: [y[1], -0.5 * math.sin(y[0])],
+                                       [theta0, sign * dtheta0], float(span.max()), 1e-13, 1e-13)
+            out[mask] = [dense(t)[0] for t in span.tolist()]
     return out

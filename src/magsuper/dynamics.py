@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, StepFailure
+from .errors import OVERFLOW_MESSAGE, ConfigError, ParameterError, StepFailure
 from .fields import FieldModel, Vec3, _as_vec3, cross, dot
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
@@ -254,7 +254,9 @@ def integrate(
              for i, w in enumerate(watch)]
 
     if cfg.method == "rk45":
-        times, xs, ps, dense, stats = _run_rk45(model, s0, t_end, cfg)
+        times, y, dense, stats = _run_rk45(model.hamilton_rhs, s0.as_array().tolist(), t_end,
+                                           cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+        xs, ps = y[:, :3].copy(), y[:, 3:].copy()
     else:
         times, xs, ps, dense, stats = _run_boris(model, s0, t_end, cfg)
 
@@ -286,7 +288,7 @@ def _initial_step(rhs, y, f, t_end, max_step, rtol, atol) -> float:
 
 def _dp5_stepper(rhs):
     """step(y, k1, h) -> (y_new, (k1, k3, k4, k5, k6, k7)): one Dormand-
-    Prince attempt of size h from the state y (six floats) with slope
+    Prince attempt of size h from the state y (a list of floats) with slope
     k1 = rhs(y), and the stage slopes that the error and the dense output
     weigh (the second has weight 0 in both)."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -309,23 +311,23 @@ def _dp5_stepper(rhs):
     return step
 
 
-def _run_rk45(model, s0, t_end, cfg):
-    """Dormand-Prince 5(4) on Python floats, one list of six per state.
+def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
+    """Dormand-Prince 5(4) of dy/dt = fun(y) over [0, t_end] from y,
+    a list of floats of any length, as every state is.
 
     Steps as scipy's RK45: the error of an attempt is the RMS over
     components of h E.K / (atol + max(|y|, |y_new|) rtol), and an
     attempt with error below 1 is accepted; a step under 10 ulp(t) is a
-    StepFailure. Only the accepted times and states are kept: the dense
+    StepFailure, and so is an overflow in fun. Returns the accepted
+    times and states, the dense output and the SolverStats: the dense
     output repeats the step that holds t, which gives the same slopes.
     """
-    field_rhs = model.hamilton_rhs
 
     def rhs(y):
         if not all(map(math.isfinite, y)):
             raise StepFailure("integration aborted: vector has non-finite components")
-        return field_rhs(y)
+        return fun(y)
 
-    rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     if rtol < RTOL_FLOOR:
         warnings.warn(f"rel_tol {rtol:g} is below {RTOL_FLOOR:.3g}; using {RTOL_FLOOR:.3g}",
                       stacklevel=3)
@@ -334,7 +336,6 @@ def _run_rk45(model, s0, t_end, cfg):
     e1, _, e3, e4, e5, e6, e7 = RK45_E
     t_end = float(t_end)
     t = 0.0
-    y = s0.as_array().tolist()
     times, states = [t], [y]
     attempts = 0
     try:
@@ -368,15 +369,16 @@ def _run_rk45(model, s0, t_end, cfg):
             t, y, f = t_new, y_new, k7
             times.append(t)
             states.append(y)
-    except (ValueError, ArithmeticError) as exc:
-        # float division by zero or overflow in a right-hand side
+    except ArithmeticError as exc:
+        # overflow in a right-hand side, or a division by a value that underflowed to 0
+        raise StepFailure(OVERFLOW_MESSAGE) from exc
+    except ValueError as exc:
         raise StepFailure(f"integration aborted: {exc}") from exc
     times, y = np.array(times), np.array(states)
     steps = np.diff(times)
     stats = SolverStats(len(steps), attempts - len(steps), 2 + 6 * attempts,
                         float(steps.min()), float(steps.max()))
-    dense = _dp5_interpolant(rhs, step, times, y)
-    return times, y[:, :3].copy(), y[:, 3:].copy(), dense, stats
+    return times, y, _dp5_interpolant(rhs, step, times, y), stats
 
 
 def _dp5_interpolant(rhs, step, times, y):

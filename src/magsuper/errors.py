@@ -1,5 +1,8 @@
 """Exception types raised by the public API."""
 
+#: the message of every failure that a field value overflowing a double causes
+OVERFLOW_MESSAGE = "a field value overflowed the double range; use smaller field parameters"
+
 
 class MagsuperError(Exception):
     """Base class for all library-specific errors."""

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -114,3 +115,66 @@ def mathieu_shooting(r, parity, q, center, half_width=0.5):
         hi += half_width
         flo, fhi = f(lo), f(hi)
     return brentq(f, lo, hi, xtol=1e-11, rtol=8.9e-16)
+
+
+def _helical_pendulum(model, s0):
+    """theta0, dtheta/dtau at tau = 0, dtau/dt and phi_p - phi0 of the
+    helical z-motion: theta = (z + phi0 - phi_p) / beta with phi_p = beta
+    atan2(p2, p1) obeys theta'' = -sin(theta) / 2 in the time
+    tau = sqrt(2 A |(p1, p2)|) t / beta, with kappa = theta'^2 - cos(theta)."""
+    p1, p2, zdot = (float(c) for c in s0.p)
+    phi_p = model.beta * math.atan2(p2, p1)
+    theta0 = (float(s0.x[2]) + model.phi0 - phi_p) / model.beta
+    rate = math.sqrt(2.0 * model.A_amp * math.hypot(p1, p2))
+    return theta0, zdot / rate, rate / model.beta, phi_p - model.phi0
+
+
+def separatrix_z(model, s0, ts):
+    """Exact helical z(t) at kappa = 1, where theta' = +-sqrt(2) cos(theta/2):
+    theta = 2 gd(+-tau/sqrt(2) + gd^-1(theta0/2)) plus 2 pi per turn of theta0.
+    gd(u) = atan(sinh(u)) is arcsin(tanh(u)) without its loss of digits
+    near +-pi/2."""
+    theta0, dtheta0, rate, offset = _helical_pendulum(model, s0)
+    turns = round(theta0 / (2.0 * math.pi))
+    u0 = math.asinh(math.tan(0.5 * theta0 - math.pi * turns))
+    u = math.copysign(1.0, dtheta0) * rate * np.asarray(ts) / math.sqrt(2.0) + u0
+    return offset + model.beta * (2.0 * np.arctan(np.sinh(u)) + 2.0 * math.pi * turns)
+
+
+def pendulum_z_mp(model, s0, ts, dps=30):
+    """Helical z(t) from the Jacobi elliptic solution of the pendulum, with
+    mpmath at `dps` digits, for kappa on either side of 1.
+
+    Librating, m = (kappa + 1) / 2: sin(theta/2) = sqrt(m) sn(w0 + tau/sqrt(2) | m)
+    about the nearest multiple of 2 pi. Rotating, m = 2 / (kappa + 1):
+    theta/2 = am(w0 + sigma sqrt(kappa + 1) tau / 2 | m), where am is the
+    angle of (cn, sn) on the branch nearest pi w / (2 K), which stays
+    within pi/2 of it.
+    """
+    theta0, dtheta0, rate, offset = _helical_pendulum(model, s0)
+    out = []
+    with mpmath.workdps(dps):
+        th0 = mpmath.mpf(theta0)
+        kappa = mpmath.mpf(dtheta0) ** 2 - mpmath.cos(th0)
+        if kappa < 1:
+            m = (kappa + 1) / 2
+            turns = round(theta0 / (2.0 * math.pi))
+            half = (th0 - 2 * mpmath.pi * turns) / 2
+            w0 = mpmath.ellipf(mpmath.asin(mpmath.sin(half) / mpmath.sqrt(m)), m)
+            if dtheta0 < 0:
+                w0 = 2 * mpmath.ellipk(m) - w0
+            for t in ts:
+                w = w0 + rate * mpmath.mpf(t) / mpmath.sqrt(2)
+                sn = mpmath.ellipfun("sn", w, m=m)
+                out.append(2 * mpmath.asin(mpmath.sqrt(m) * sn) + 2 * mpmath.pi * turns)
+        else:
+            m = 2 / (kappa + 1)
+            quarter = mpmath.pi / (2 * mpmath.ellipk(m))
+            speed = math.copysign(1.0, dtheta0) * mpmath.sqrt(kappa + 1) / 2
+            w0 = mpmath.ellipf(th0 / 2, m)
+            for t in ts:
+                w = w0 + speed * rate * mpmath.mpf(t)
+                am = mpmath.atan2(mpmath.ellipfun("sn", w, m=m), mpmath.ellipfun("cn", w, m=m))
+                am += 2 * mpmath.pi * mpmath.nint((quarter * w - am) / (2 * mpmath.pi))
+                out.append(2 * am)
+        return np.array([float(offset + model.beta * th) for th in out])

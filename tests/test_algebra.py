@@ -169,12 +169,21 @@ def test_sample_states_contract():
     picky = ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible)
     assert all(ms.monopole_admissible(s.x) for s in picky)
     with pytest.raises(ms.ConfigError):
-        ms.sample_states(rng(73), 1, admissible=lambda x: False, max_tries=50)
+        ms.sample_states(rng(73), 1, admissible=lambda x: False)
 
 
 def test_sample_states_gives_up_with_config_error():
-    with pytest.raises(ms.ConfigError, match="state sampling failed"):
-        ms.sample_states(rng(76), 3, admissible=lambda x: False, max_tries=5)
+    with pytest.raises(ms.ConfigError, match=r"^state sampling failed: 0 of 3 admissible "
+                                             r"points in 3000 tries$"):
+        ms.sample_states(rng(76), 3, admissible=lambda x: False)
+
+
+def test_sample_uniform_draws_more_rows_than_a_fixed_cap():
+    # the try cap grows with n; every row is admissible here, and one row
+    # per try takes the same stream as a single draw of all of them
+    n = 100_001
+    rows = ms.algebra.sample_uniform(rng(77), n, 1, accept=lambda y: True)
+    assert np.array_equal(rows, rng(77).uniform(-2.0, 2.0, (n, 1)))
 
 
 def test_generator_inputs_match_lists():

@@ -405,6 +405,7 @@ def test_spec_file_names_are_strings(tmp_path, capsys, entry, message):
 
 _BORIS = {"state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": 5.0,
           "integrator": {"method": "boris", "dt": 0.5}}
+_FAR = {"state0": {"x": [1e110, 0, 1e110], "p": [0, 0, 0]}, "t_end": 1.0}
 
 
 @pytest.mark.parametrize("command, system, extra", [
@@ -418,9 +419,11 @@ _BORIS = {"state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": 5.0,
     ("spectrum", {"model": "constant_b", "B": 1e300},
      {"grid": {"lo": -12.0, "hi": 12.0, "n": 200}}),
     ("simulate", {"model": "constant_b", "B": 1e300}, _BORIS),
+    ("simulate", {"model": "monopole", "g": 2, "Q": 1}, _FAR),
+    ("trajectory", {"model": "monopole", "g": 2, "Q": 1}, _FAR),
 ], ids=["verify", "algebra-constant-b", "algebra-monopole", "fields-check",
         "spectrum-helical", "spectrum-helical-tiny-hbar", "spectrum-landau",
-        "simulate-boris"])
+        "simulate-boris", "simulate-rk45", "trajectory-rk45"])
 def test_field_overflow_exits_1(tmp_path, capsys, command, system, extra):
     cfg = _write_cfg(tmp_path, "cfg.json", {"system": system, **extra})
     with warnings.catch_warnings():
@@ -549,6 +552,21 @@ def test_sampled_flags_follow_schema_bounds(argv, message, tmp_path, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--seed", "1"), ("simulate", "--tolerance", "1e-3"),
+    ("trajectory", "--seed", "1"), ("trajectory", "--tolerance", "1e-3"),
+    ("spectrum", "--seed", "1"), ("verify", "--format", "csv"),
+    ("algebra", "--format", "csv"), ("fields-check", "--format", "json"),
+])
+def test_a_flag_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
+    cfg = _sim_cfg(tmp_path, {"model": "constant_b", "B": 1.0}, [0, 0, 0], [1, 0, 0],
+                   grid={"lo": -10.0, "hi": 10.0, "n": 400})
+    assert cli.main([command, "--config", cfg, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magsuper: error: unrecognized arguments: {flag} {value}\n"
+
+
 def test_one_parser_serves_every_call_in_a_process(tmp_path):
     # each call parses into a fresh namespace: no flag of one call reaches
     # the next, and the bytes equal those of a fresh process per call
@@ -602,6 +620,22 @@ def test_helical_spectrum_leaves_scipy_integrate_unloaded(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 False True"
+
+
+def test_separatrix_closed_form_leaves_scipy_integrate_unloaded(tmp_path):
+    # kappa = 1: the closed-form column comes from the Dormand-Prince loop
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg = _sim_cfg(tmp_path, {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+                   [0, 0, 0], [3.0, 0.0, 2.0 * 3.0 ** 0.5], t_end=2.0)
+    probe = ("import sys, magsuper.cli; "
+             f"code = magsuper.cli.main(['trajectory', '--closed-form', '--config', {cfg!r}, "
+             f"'--out', {os.devnull!r}]); "
+             "print(code, 'scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 False"
 
 
 def _readme_json_blocks():

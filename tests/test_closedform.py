@@ -7,7 +7,7 @@ import pytest
 
 import magsuper as ms
 
-from helpers import random_states, rng
+from helpers import pendulum_z_mp, random_states, rng, separatrix_z
 
 
 TIGHT = ms.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -182,6 +182,46 @@ def test_closed_form_z_separatrix_band():
     assert err < 1e-6
     with pytest.raises(ms.SeparatrixRegime):
         ms.zeta_solution(red, 1.0)
+
+
+_PHI0_MODEL = ms.HelicalB(A_amp=0.7, beta=-1.3, phi0=0.4)
+# theta0 = -0.4 / 1.3 and kappa = 1 at p = (2, 0, p3), as 2 A p = 2.8
+_PHI0_P3 = math.sqrt(2.8 * (1.0 + math.cos(0.4 / 1.3)))
+
+
+# each bound is the error of the solve_ivp (DOP853, 1e-12) route that the
+# Dormand-Prince loop replaced, on the same state and times, cut to 3 digits
+@pytest.mark.parametrize("model, s0, bound", [
+    (_helical(), ms.PhaseState([0, 0, 0], [3.0, 0.0, 2.0 * math.sqrt(3.0)]), 1.64e-8),
+    (_helical(), ms.PhaseState([0, 0, 0], [3.0, 0.0, -2.0 * math.sqrt(3.0)]), 1.64e-8),
+    (_PHI0_MODEL, ms.PhaseState([0, 0, 0], [2.0, 0.0, _PHI0_P3]), 3.45e-11),
+], ids=["up", "down", "phi0"])
+def test_separatrix_z_matches_the_exact_kappa_one_solution(model, s0, bound):
+    red = ms.pendulum_reduction(model, s0)
+    assert abs(red.kappa - 1.0) < 1e-15
+    ts = np.linspace(-8.0, 8.0, 4001)
+    err = np.max(np.abs(ms.helical_z_of_t(model, red, ts) - separatrix_z(model, s0, ts)))
+    assert err < bound, err
+
+
+@pytest.mark.parametrize("dkappa, z0, sign, bound", [
+    (-5e-7, 0.0, 1.0, 1.63e-8),
+    (-5e-7, 0.5, -1.0, 2.89e-8),
+    (5e-7, 0.0, -1.0, 1.65e-8),
+    (5e-7, 0.5, 1.0, 2.86e-8),
+], ids=["librating-up", "librating-down", "rotating-down", "rotating-up"])
+def test_near_separatrix_z_matches_the_elliptic_solution(dkappa, z0, sign, bound):
+    # inside the separatrix band, against the elliptic solution at 30 digits;
+    # bounds as for the kappa = 1 states above
+    model = _helical()
+    p3 = sign * math.sqrt(6.0 * (1.0 + dkappa + math.cos(z0)))
+    s0 = ms.PhaseState([0, 0, z0], [3.0, 0.0, p3])
+    red = ms.pendulum_reduction(model, s0)
+    assert red.regime == "separatrix"
+    assert red.kappa - 1.0 == pytest.approx(dkappa, rel=1e-6)
+    ts = np.linspace(-8.0, 8.0, 81)
+    err = np.max(np.abs(ms.helical_z_of_t(model, red, ts) - pendulum_z_mp(model, s0, ts)))
+    assert err < bound, err
 
 
 def test_closed_form_z_nonzero_phase_offset():

@@ -142,6 +142,13 @@ def test_non_finite_state_raises_step_failure():
         ms.integrate(model, s0, 1.0)
 
 
+def test_overflowing_right_hand_side_raises_step_failure():
+    # |x|^3 of Python floats overflows in the monopole's force
+    s0 = ms.PhaseState([1e110, 0.0, 1e110], [0.0, 0.0, 0.0])
+    with pytest.raises(ms.StepFailure, match="^a field value overflowed the double range"):
+        ms.integrate(ms.Monopole(g=2.0, Q=1.0), s0, 1.0)
+
+
 def test_monopole_orbit_into_the_dirac_string_raises_domain_error():
     # on the z-axis with V = 0 the force vanishes: free fall through the
     # center's neighbourhood onto the negative z-axis

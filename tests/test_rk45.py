@@ -51,6 +51,21 @@ def test_steps_follow_solve_ivp(name):
     assert np.max(np.abs(nodes - np.hstack([traj.x, traj.p])[::25])) < 1e-13
 
 
+def test_the_loop_takes_a_state_of_any_length():
+    # the reduced pendulum of the helical field, two floats per state
+    def rhs(y):
+        return [y[1], -0.5 * math.sin(y[0])]
+
+    times, y, dense, stats = dynamics._run_rk45(rhs, [0.3, 1.2], 20.0, 1e-13, 1e-13)
+    sol = solve_ivp(lambda _t, y: rhs(y), (0.0, 20.0), [0.3, 1.2], method="RK45",
+                    rtol=1e-13, atol=1e-13, dense_output=True)
+    assert y.shape == (len(sol.t), 2) and stats.nfev == sol.nfev
+    assert np.max(np.abs(times - sol.t)) < 1e-6
+    assert np.max(np.abs(y - sol.y.T)) < 1e-6
+    ts = np.linspace(0.0, 20.0, 41)
+    assert np.max(np.abs(np.array([dense(t) for t in ts]) - sol.sol(ts).T)) < 1e-6
+
+
 def test_collapsing_step_raises_step_failure():
     # V = -|x|^4 sends the particle to infinity in finite time; the step
     # shrinks below 10 ulp(t) before the state overflows, at any tolerance
