@@ -32,6 +32,10 @@ class StepFailure(MagsuperError):
     """The adaptive integrator could not take an acceptable step."""
 
 
+class EigenSolveFailure(MagsuperError):
+    """A LAPACK tridiagonal eigen-solve reported failure."""
+
+
 class GridTooSmall(MagsuperError):
     """An eigenproblem grid does not contain the requested states."""
 

@@ -8,16 +8,21 @@ field, and the radial equation of the axially symmetric family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridTooSmall, NoBoundStates, ParameterError, StepFailure
+from .errors import (
+    ConfigError, EigenSolveFailure, GridTooSmall, NoBoundStates, ParameterError, StepFailure,
+)
 from .fields import Cylindrical
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
 #: (several of 8 bytes per point) are allocated
 GRID_MAX_POINTS = 10**7
+#: largest Mathieu order of a table: its 2 r_max + 1 solves cost about r_max^2
+MATHIEU_R_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -44,27 +49,93 @@ class Grid1D:
         return (self.hi - self.lo) / (self.n - 1)
 
 
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise EigenSolveFailure(f"LAPACK {routine} failed with info = {info}")
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, order: str):
+    """Eigenvalues lo..hi (0-based, ascending) of a symmetric tridiagonal matrix.
+
+    One LAPACK dstebz call by index with abstol 0, the call of scipy's
+    eigh_tridiagonal(select="i"): order "E" sorts the values, order "B"
+    keeps them by split block as dstein needs. Returns the values with
+    their block indices iblock and the split points isplit.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ParameterError("the tridiagonal matrix has non-finite entries")
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, order)
+    _check_info("dstebz", info)
+    return w[:m], iblock, isplit
+
+
+class _Tridiagonal:
+    """Lowest eigenvalues of a symmetric tridiagonal matrix, vectors on demand.
+
+    The values come from one `_bisect` call in block order; `vectors`
+    runs dstein on them as eigh_tridiagonal does, so values and vectors
+    are bit for bit those of eigh_tridiagonal(select="i").
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray, n_levels: int):
+        self.diag, self.off = diag, off
+        self.w, self.iblock, self.isplit = _bisect(diag, off, 0, n_levels - 1, "B")
+        self.order = np.argsort(self.w)
+        self.values = self.w[self.order]
+
+    def vectors(self, count: int) -> np.ndarray:
+        """Interior eigenvectors of the `count` lowest values, one per column.
+
+        dstein seeds each inverse iteration from where the previous one
+        left its random generator, so it runs over the block-ordered
+        values up to the last one wanted: a prefix of the full call, with
+        the same bits.
+        """
+        from scipy.linalg.lapack import dstein
+
+        want = self.order[:count]
+        stop = int(want.max()) + 1
+        vecs, info = dstein(self.diag, self.off, self.w[:stop], self.iblock, self.isplit)
+        _check_info("dstein", info)
+        return vecs[:, want]
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues with trapezoid-normalized grid eigenfunctions."""
+    """Ascending eigenvalues with trapezoid-normalized grid eigenfunctions.
+
+    The solve computes the eigenvalues, and the ground vector only where
+    a check needs it. `eigenfunctions` (n_levels, grid.n), zero at both
+    ends, is built on first read, by one dstein call on every level, and
+    cached; the JSON report of `spectrum` never reads it.
+    """
 
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray  # (n_levels, grid.n), zero at both ends
     grid: Grid1D
+    _solve: _Tridiagonal = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        return _embed(self._solve.vectors(len(self.eigenvalues)), self.grid.spacing, self.grid.n)
 
 
-def _dirichlet_solve(w: np.ndarray, h: float, hbar: float, n_levels: int):
-    """Lowest eigenpairs of -hbar^2 f'' + w f on interior points."""
-    from scipy.linalg import eigh_tridiagonal
-
-    n_in = len(w)
+def _check_levels(grid: Grid1D, n_levels: int) -> None:
+    """Refuse a level count the grid cannot hold before any array is made."""
+    n_in = grid.n - 2
     if not 1 <= n_levels <= n_in:
         raise ParameterError(f"n_levels must be in [1, {n_in}]")
+    if n_levels * grid.n > GRID_MAX_POINTS:
+        raise ConfigError(f"{n_levels} eigenfunctions on a grid of n = {grid.n} points exceed "
+                          f"the maximum of {GRID_MAX_POINTS} values")
+
+
+def _dirichlet(w: np.ndarray, h: float, hbar: float, n_levels: int) -> _Tridiagonal:
+    """Lowest eigenvalues of -hbar^2 f'' + w f on interior points."""
     diag = 2.0 * hbar**2 / h**2 + w
-    off = np.full(n_in - 1, -(hbar**2) / h**2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, n_levels - 1))
-    return vals, vecs
+    off = np.full(len(w) - 1, -(hbar**2) / h**2)
+    return _Tridiagonal(diag, off, n_levels)
 
 
 def _embed(vecs: np.ndarray, h: float, n_total: int) -> np.ndarray:
@@ -93,17 +164,16 @@ def landau_reduced_solve(
         raise GridTooSmall(
             f"grid [{grid.lo}, {grid.hi}] spans fewer than 8 oscillator "
             f"lengths {ell:g} around the center {center:g}")
+    _check_levels(grid, n_levels)
     z = grid.points
     w = (B * z[1:-1] - k2) ** 2
-    vals, vecs = _dirichlet_solve(w, grid.spacing, hbar, n_levels)
-    funcs = _embed(vecs, grid.spacing, grid.n)
-    ground = np.abs(funcs[0])
+    solve = _dirichlet(w, grid.spacing, hbar, n_levels)
+    ground = np.abs(_embed(solve.vectors(1), grid.spacing, grid.n)[0])
     tail = max(ground[1], ground[-2]) / np.max(ground)
     if tail > 1e-10:
         raise GridTooSmall(
             f"ground-state boundary tail {tail:g} exceeds 1e-10; enlarge the box")
-    energies = 0.5 * (vals + k1**2)
-    return SpectrumResult(energies, funcs, grid)
+    return SpectrumResult(0.5 * (solve.values + k1**2), grid, solve)
 
 
 def hermite_values(n: int, xi: np.ndarray) -> np.ndarray:
@@ -164,14 +234,11 @@ def mathieu_characteristic(r: int, parity: str, q: float) -> float:
         raise ParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
     if r < 0 or (parity == "odd" and r == 0):
         raise ParameterError(f"no characteristic value of parity {parity!r} at r={r}")
-    if abs(q) > 1e4:
-        raise ParameterError("|q| must not exceed 1e4")
-    from scipy.linalg import eigh_tridiagonal
-
+    if not abs(q) <= 1e4:
+        raise ParameterError("|q| must be finite and not exceed 1e4")
     n_dim = 50 + 2 * math.ceil(math.sqrt(abs(q))) + r
     diag, off, idx = _mathieu_matrix(r, parity, float(q), n_dim)
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
-                            eigvals_only=True)
+    vals, _, _ = _bisect(diag, off, idx, idx, "E")
     return float(vals[0])
 
 
@@ -190,6 +257,8 @@ class MathieuResult:
 def mathieu_table(r_max: int, q: float) -> MathieuResult:
     if r_max < 1:
         raise ParameterError("r_max must be at least 1")
+    if r_max > MATHIEU_R_MAX:
+        raise ConfigError(f"r_max = {r_max} exceeds the maximum of {MATHIEU_R_MAX}")
     even = np.array([mathieu_characteristic(r, "even", q) for r in range(r_max + 1)])
     odd = np.array([mathieu_characteristic(r, "odd", q) for r in range(1, r_max + 1)])
     return MathieuResult(float(q), even, odd)
@@ -347,6 +416,7 @@ def radial_reduced_solve(
         raise ParameterError("radial grid must start at lo > 0")
     if hbar <= 0:
         raise ParameterError("hbar must be positive")
+    _check_levels(grid, n_levels)
     r_in = grid.points[1:-1]
     w = np.array([
         (model.f1(r) - hbar * k) ** 2
@@ -354,11 +424,11 @@ def radial_reduced_solve(
         + 2.0 * model.v(r)
         for r in r_in
     ])
-    vals, vecs = _dirichlet_solve(w, grid.spacing, hbar, n_levels)
-    funcs = _embed(vecs, grid.spacing, grid.n)
+    solve = _dirichlet(w, grid.spacing, hbar, n_levels)
+    res = SpectrumResult(0.5 * solve.values, grid, solve)
     edge = max(2, int(0.05 * grid.n))
     n_bound = 0
-    for f in funcs:
+    for f in res.eigenfunctions:
         tail_mass = float(np.sum(f[-edge:] ** 2) / np.sum(f**2))
         if tail_mass > 1e-8:
             break
@@ -366,4 +436,4 @@ def radial_reduced_solve(
     if n_bound < n_levels:
         raise NoBoundStates(
             f"only {n_bound} of {n_levels} requested states are bound in the box")
-    return SpectrumResult(0.5 * vals, funcs, grid)
+    return res

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -661,6 +662,80 @@ def test_spectrum_refuses_a_grid_beyond_the_cap(tmp_path, capsys):
     assert "greater than the maximum of 10000000" in capsys.readouterr().err
 
 
+def test_schema_level_and_order_maxima_are_the_library_caps():
+    props = cli.CONFIG_SCHEMA["properties"]
+    # n_levels * grid.n <= GRID_MAX_POINTS with grid.n >= 16
+    assert props["n_levels"]["maximum"] == ms.quantum.GRID_MAX_POINTS // 16
+    assert props["r_max"]["maximum"] == ms.quantum.MATHIEU_R_MAX
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"grid": {"lo": -12.0, "hi": 12.0, "n": 10**6}, "n_levels": 999998},
+     "999998 is greater than the maximum of 625000"),
+    ({"grid": {"lo": -12.0, "hi": 12.0, "n": 10**6}, "n_levels": 11},
+     "11 eigenfunctions on a grid of n = 1000000 points exceed the maximum"),
+])
+def test_spectrum_refuses_levels_beyond_the_cap(tmp_path, capsys, extra, message):
+    cfg = _write_cfg(tmp_path, "levels.json",
+                     {"system": {"model": "constant_b", "B": 1.0}, **extra})
+    assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_spectrum_refuses_an_order_beyond_the_cap(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "order.json", {
+        "system": {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+        "K": 1.0, "E": 3.0, "r_max": ms.quantum.MATHIEU_R_MAX + 1})
+    assert cli.main(["spectrum", "--config", cfg]) == 1
+    assert "1001 is greater than the maximum of 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("routine, fmt, system", [
+    ("dstebz", "json", "constant_b"),
+    ("dstein", "json", "constant_b"),
+    ("dstein", "csv", "constant_b"),
+    ("dstebz", "json", "helical"),
+])
+def test_a_lapack_failure_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                      routine, fmt, system):
+    from scipy.linalg import lapack
+
+    real = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *args: (*real(*args)[:-1], 3))
+    if system == "constant_b":
+        cfg = {"system": {"model": "constant_b", "B": 1.0},
+               "grid": {"lo": -12.0, "hi": 12.0, "n": 400}, "n_levels": 3}
+    else:
+        cfg = {"system": {"model": "helical", "A_amp": 1.0, "beta": 1.0}, "K": 1.0, "E": 3.0}
+    path = _write_cfg(tmp_path, "spec.json", cfg)
+    argv = ["spectrum", "--config", path, "--format", fmt, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"magsuper: error: LAPACK {routine} failed with info = 3" in err
+    assert "Traceback" not in err
+
+
+def test_json_spectrum_forms_no_eigenvector_array(tmp_path, capsys):
+    # one column of interior values is 8 (n - 2) bytes; the eigenvectors of
+    # 4 levels would add three or four of them to the 1-level peak
+    n = 100000
+    out = str(tmp_path / "out.json")
+    peaks = {}
+    for n_levels in (1, 1, 4):  # the first run is a warm-up
+        cfg = _write_cfg(tmp_path, "spec.json", {
+            "system": {"model": "constant_b", "B": 1.0},
+            "grid": {"lo": -12.0, "hi": 12.0, "n": n}, "n_levels": n_levels})
+        tracemalloc.start()
+        try:
+            assert cli.main(["spectrum", "--config", cfg, "--out", out]) == 0
+            peaks[n_levels] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[4] <= 1.25 * peaks[1]
+    assert peaks[4] - peaks[1] < 8 * (n - 2)
+
+
 def test_byte_determinism(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for path in (a, b):
@@ -684,7 +759,10 @@ def test_schema_grid_maximum_is_the_grid_cap():
 
 
 def test_schema_ships_as_package_data():
-    import tomllib
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        import tomli as tomllib
 
     here = Path(__file__).resolve().parents[1]
     with open(here / "pyproject.toml", "rb") as fh:

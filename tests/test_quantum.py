@@ -121,6 +121,99 @@ def test_eigenfunctions_orthonormal():
         assert res.eigenfunctions[i][-1] == 0.0
 
 
+def _eigh_reference(w, h, hbar, n_levels):
+    """scipy's eigh_tridiagonal on the Dirichlet matrix of -hbar^2 f'' + w f."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag = 2.0 * hbar**2 / h**2 + w
+    off = np.full(len(w) - 1, -(hbar**2) / h**2)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    return vals, vecs.T / math.sqrt(h)
+
+
+@pytest.mark.parametrize("B", [1.5, -1.5])
+@pytest.mark.parametrize("n_levels", [1, 198])
+def test_landau_solve_is_eigh_tridiagonal_bit_for_bit(B, n_levels):
+    grid, k1, k2, hbar = ms.Grid1D(-12.0, 12.0, 200), 0.3, -0.4, 0.8
+    res = ms.landau_reduced_solve(B, k1, k2, hbar, grid, n_levels)
+    z = grid.points
+    vals, funcs = _eigh_reference((B * z[1:-1] - k2) ** 2, grid.spacing, hbar, n_levels)
+    assert np.array_equal(res.eigenvalues, 0.5 * (vals + k1**2))
+    assert np.array_equal(res.eigenfunctions[:, 1:-1], funcs)
+    assert not res.eigenfunctions[:, [0, -1]].any()
+
+
+def test_radial_solve_is_eigh_tridiagonal_bit_for_bit():
+    model = _free_radial_model(v=lambda r: 0.5 * r**2, dv=lambda r: r)
+    grid = ms.Grid1D(1e-3, 12.0, 3000)
+    res = ms.radial_reduced_solve(model, m_quantum=1, k=0.0, hbar=1.0, grid=grid, n_levels=3)
+    r = grid.points[1:-1]
+    vals, funcs = _eigh_reference(0.75 / r**2 + r**2, grid.spacing, 1.0, 3)
+    assert np.array_equal(res.eigenvalues, 0.5 * vals)
+    assert np.array_equal(res.eigenfunctions[:, 1:-1], funcs)
+
+
+def test_eigenfunctions_are_built_once_and_only_when_read(monkeypatch):
+    from scipy.linalg import lapack
+
+    sizes = []
+    real = lapack.dstein
+
+    def counting(d, e, w, iblock, isplit):
+        sizes.append(len(w))
+        return real(d, e, w, iblock, isplit)
+
+    monkeypatch.setattr(lapack, "dstein", counting)
+    res = ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, LANDAU_GRID, 4)
+    assert sizes == [1]  # the ground vector of the wall-tail gate
+    funcs = res.eigenfunctions
+    assert sizes == [1, 4] and funcs.shape == (4, LANDAU_GRID.n)
+    assert res.eigenfunctions is funcs
+    assert sizes == [1, 4]
+
+
+def test_vectors_of_a_split_matrix_keep_the_full_call_bits():
+    # zero off-diagonals split the matrix into blocks, and the lowest value
+    # (-1) is in the third block: dstein still runs the block-ordered prefix
+    from scipy.linalg import eigh_tridiagonal
+
+    diag = np.array([0.0, 5.0, 6.0, 7.0, 5.0, 6.0, 7.0, -1.0, 3.0, 4.0])
+    off = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.5])
+    solve = quantum._Tridiagonal(diag, off, 4)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+    assert list(solve.order) == [1, 0, 2, 3]
+    assert np.array_equal(solve.values, vals)
+    for count in range(1, 5):
+        assert np.array_equal(solve.vectors(count), vecs[:, :count])
+
+
+def test_tridiagonal_solve_refuses_non_finite_entries():
+    # a NaN k2 passes the box check (every comparison with NaN is false)
+    with pytest.raises(ms.ParameterError, match="non-finite"):
+        ms.landau_reduced_solve(1.0, 0.0, math.nan, 1.0, LANDAU_GRID, 2)
+    with np.errstate(over="ignore"), pytest.raises(ms.ParameterError, match="non-finite"):
+        ms.landau_reduced_solve(1e200, 0.0, 0.0, 1.0, LANDAU_GRID, 2)
+
+
+@pytest.mark.parametrize("solve", ["landau", "radial"])
+@pytest.mark.parametrize("n, n_levels", [(10**6, 11), (10**7, 2), (625002, 625000)])
+def test_level_cap_is_refused_before_any_array(monkeypatch, solve, n, n_levels):
+    assert n_levels * n > quantum.GRID_MAX_POINTS
+    grid = ms.Grid1D(-12.0, 12.0, n) if solve == "landau" else ms.Grid1D(1.0, 13.0, n)
+    model = _free_radial_model(v=lambda r: 0.5 * r**2, dv=lambda r: r)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated arrays for a refused level count")
+
+    for name in ("linspace", "empty", "zeros", "full", "array"):
+        monkeypatch.setattr(quantum.np, name, no_allocation)
+    with pytest.raises(ms.ConfigError, match="exceed the maximum of 10000000 values"):
+        if solve == "landau":
+            ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, grid, n_levels)
+        else:
+            ms.radial_reduced_solve(model, 1, 0.0, 1.0, grid, n_levels)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         ms.Grid1D(1.0, 1.0, 100)
@@ -203,10 +296,35 @@ def test_mathieu_validation():
         ms.mathieu_characteristic(-1, "even", 1.0)
     with pytest.raises(ValueError):
         ms.mathieu_characteristic(1, "even", 2e4)
+    with pytest.raises(ms.ParameterError, match="finite"):
+        ms.mathieu_characteristic(1, "even", math.nan)
     with pytest.raises(ValueError):
         ms.mathieu_table(0, 1.0)
     table = ms.mathieu_table(3, -4.0)
     assert table.even.shape == (4,) and table.odd.shape == (3,)
+
+
+@pytest.mark.parametrize("q", [0.0, 5e-324, 0.3, -3.7, 12.5, 1e4, -1e4])
+def test_mathieu_values_are_eigh_tridiagonal_bit_for_bit(q):
+    # at q = 0 every off-diagonal is zero and each row is a block of its own
+    from scipy.linalg import eigh_tridiagonal
+
+    for r in range(12):
+        for parity in ("even", "odd") if r else ("even",):
+            n_dim = 50 + 2 * math.ceil(math.sqrt(abs(q))) + r
+            diag, off, idx = quantum._mathieu_matrix(r, parity, q, n_dim)
+            want = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
+                                    eigvals_only=True)
+            assert ms.mathieu_characteristic(r, parity, q) == float(want[0])
+
+
+def test_mathieu_order_cap_is_refused_before_the_first_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved for a refused table")
+
+    monkeypatch.setattr(quantum, "mathieu_characteristic", no_solve)
+    with pytest.raises(ms.ConfigError, match="exceeds the maximum of 1000"):
+        ms.mathieu_table(quantum.MATHIEU_R_MAX + 1, 1.0)
 
 
 def test_helical_reduced_fundamental_solutions():
