@@ -248,9 +248,17 @@ def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
     return [as_phase_function(sp, model) for sp in monopole_runge_lenz_specs(g, Q)]
 
 
+#: most points or states a sampled check may ask for (the schema's n_points
+#: maximum); at this many, `algebra` peaks at about 380 MB and `verify` at 240 MB
+SAMPLE_MAX_ROWS = 200_000
+
+
 def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.ndarray:
     """n rows of `size` uniform draws in [-box, box], one row per try, kept
-    where `accept` passes it; a ConfigError after 1000 tries per row."""
+    where `accept` passes it; a ConfigError after 1000 tries per row, and
+    before any draw when n exceeds SAMPLE_MAX_ROWS."""
+    if n > SAMPLE_MAX_ROWS:
+        raise ConfigError(f"{n} sampled points exceed the maximum of {SAMPLE_MAX_ROWS}")
     rows, tries = [], 0
     while len(rows) < n:
         if tries == 1000 * n:

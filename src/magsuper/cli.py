@@ -220,12 +220,13 @@ def _setting(ns, cfg: dict, key: str, default, kind):
         import jsonschema
 
         flag = "--" + key.replace("_", "-")
+        # argparse's float() reads nan and inf, and int() integers beyond a
+        # double, which a config cannot hold
+        _finite(value, f"{flag}: {value}")
         schema = CONFIG_SCHEMA["properties"][key]
         err = next(jsonschema.Draft202012Validator(schema).iter_errors(value), None)
         if err is not None:
             raise ConfigError(f"{flag}: {err.message}")
-        # argparse's float() reads nan and inf, which a config cannot hold
-        _finite(value, f"{flag}: {value}")
     return None if value is None else kind(value)
 
 

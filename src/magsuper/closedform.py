@@ -255,5 +255,5 @@ def _separatrix_theta(theta0: float, dtheta0: float, taus: np.ndarray) -> np.nda
             span = sign * taus[mask]
             _, _, dense, _ = _run_rk45(lambda y: [y[1], -0.5 * math.sin(y[0])],
                                        [theta0, sign * dtheta0], float(span.max()), 1e-13, 1e-13)
-            out[mask] = [dense(t)[0] for t in span.tolist()]
+            out[mask] = dense(span)[:, 0]
     return out

@@ -20,11 +20,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OVERFLOW_MESSAGE, ConfigError, ParameterError, StepFailure
-from .fields import FieldModel, Vec3, _as_vec3, cross, dot
+from .fields import FieldModel, Vec3, _as_vec3, dot
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
-#: its arrays (about 100 bytes per step) are allocated
+#: any step is taken
 BORIS_MAX_STEPS = 10**7
+#: most steps an RK45 run may accept before it stops with a ConfigError: an
+#: accepted step peaks at about 390 traced bytes (a list of Python floats per
+#: state) and a Boris step at about 112, so the states of a run at this cap
+#: take no more memory than a Boris run of BORIS_MAX_STEPS
+RK45_MAX_STEPS = 2_500_000
 
 
 def _rationals(row: str) -> tuple[float, ...]:
@@ -265,6 +270,13 @@ def integrate(
     return Trajectory(times, xs, ps, energy, diag, model, cfg.method, dense, stats)
 
 
+def _finite(y):
+    """y, a list of floats, or a StepFailure if a component is not finite."""
+    if not all(map(math.isfinite, y)):
+        raise StepFailure("integration aborted: vector has non-finite components")
+    return y
+
+
 def _rms(v) -> float:
     return math.hypot(*v) / math.sqrt(len(v))
 
@@ -277,7 +289,7 @@ def _initial_step(rhs, y, f, t_end, max_step, rtol, atol) -> float:
     d1 = _rms([c / s for c, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = rhs([c + h0 * d for c, d in zip(y, f)])
+    f1 = rhs(_finite([c + h0 * d for c, d in zip(y, f)]))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -290,7 +302,8 @@ def _dp5_stepper(rhs):
     """step(y, k1, h) -> (y_new, (k1, k3, k4, k5, k6, k7)): one Dormand-
     Prince attempt of size h from the state y (a list of floats) with slope
     k1 = rhs(y), and the stage slopes that the error and the dense output
-    weigh (the second has weight 0 in both)."""
+    weigh (the second has weight 0 in both). A y_new that is not finite is
+    a StepFailure before its slope k7 is taken."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = RK45_A[1:]
     b1, _, b3, b4, b5, b6 = RK45_B
@@ -306,7 +319,7 @@ def _dp5_stepper(rhs):
                   for c, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
         y_new = [c + (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w) * h
                  for c, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-        return y_new, (k1, k3, k4, k5, k6, rhs(y_new))
+        return y_new, (k1, k3, k4, k5, k6, rhs(_finite(y_new)))
 
     return step
 
@@ -318,30 +331,30 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     Steps as scipy's RK45: the error of an attempt is the RMS over
     components of h E.K / (atol + max(|y|, |y_new|) rtol), and an
     attempt with error below 1 is accepted; a step under 10 ulp(t) is a
-    StepFailure, and so is an overflow in fun. Returns the accepted
-    times and states, the dense output and the SolverStats: the dense
-    output repeats the step that holds t, which gives the same slopes.
+    StepFailure, and so are an overflow in fun and a state that is not
+    finite (checked on y, on the initial-step probe and on each y_new).
+    A run that needs more than RK45_MAX_STEPS steps is a ConfigError.
+    Returns the accepted times and states, the dense output and the
+    SolverStats: the dense output repeats each step that holds a query
+    time, which gives the same slopes.
     """
-
-    def rhs(y):
-        if not all(map(math.isfinite, y)):
-            raise StepFailure("integration aborted: vector has non-finite components")
-        return fun(y)
-
     if rtol < RTOL_FLOOR:
         warnings.warn(f"rel_tol {rtol:g} is below {RTOL_FLOOR:.3g}; using {RTOL_FLOOR:.3g}",
                       stacklevel=3)
         rtol = RTOL_FLOOR
-    step = _dp5_stepper(rhs)
+    step = _dp5_stepper(fun)
     e1, _, e3, e4, e5, e6, e7 = RK45_E
     t_end = float(t_end)
     t = 0.0
     times, states = [t], [y]
     attempts = 0
     try:
-        f = rhs(y)
-        h_abs = _initial_step(rhs, y, f, t_end, max_step, rtol, atol)
+        f = fun(_finite(y))
+        h_abs = _initial_step(fun, y, f, t_end, max_step, rtol, atol)
         while t < t_end:
+            if len(times) > RK45_MAX_STEPS:
+                raise ConfigError(f"an RK45 run reached the maximum of {RK45_MAX_STEPS} steps "
+                                  f"at t = {t:.6g}, before t_end = {t_end:.6g}")
             min_step = 10 * math.ulp(t)
             if h_abs > max_step:
                 h_abs = max_step
@@ -378,23 +391,34 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     steps = np.diff(times)
     stats = SolverStats(len(steps), attempts - len(steps), 2 + 6 * attempts,
                         float(steps.min()), float(steps.max()))
-    return times, y, _dp5_interpolant(rhs, step, times, y), stats
+    return times, y, _dp5_interpolant(fun, step, times, y), stats
 
 
-def _dp5_interpolant(rhs, step, times, y):
-    """State at t from the 4th-order Dormand-Prince interpolant of the step
-    that holds t (the earlier one at a step boundary, as scipy's
-    OdeSolution), y_i + h (K^T P) (theta, theta^2, theta^3, theta^4),
-    with the slopes K of that step taken again from y_i and h."""
+def _dp5_interpolant(fun, step, times, y):
+    """States at t, a number or an array of times, from the 4th-order
+    Dormand-Prince interpolant of the step that holds each t (the earlier
+    one at a step boundary, as scipy's OdeSolution),
+    y_i + h (K^T P) (theta, theta^2, theta^3, theta^4). The slopes K of a
+    step are taken again from y_i and h, once per call for each step that
+    holds a query; shape (n,) for a number, (len(t), n) for an array."""
     last = len(times) - 2
 
-    def at(t: float) -> np.ndarray:
-        i = min(max(int(np.searchsorted(times, t, side="left")) - 1, 0), last)
-        h = times[i + 1] - times[i]
-        y0 = y[i].tolist()
-        _, slopes = step(y0, rhs(y0), float(h))
-        theta = np.cumprod(np.full(4, (t - times[i]) / h))
-        return y[i] + h * ((np.array(slopes).T @ _P_USED) @ theta)
+    def at(t):
+        ts = np.asarray(t, dtype=float)
+        out = np.empty(ts.shape + y.shape[1:])
+        rows = out.reshape(-1, y.shape[1])
+        found = np.searchsorted(times, ts.ravel(), side="left") - 1
+        weights = {}
+        for j, (tq, i) in enumerate(zip(ts.ravel().tolist(), found.tolist())):
+            i = min(max(i, 0), last)
+            h = times[i + 1] - times[i]
+            if i not in weights:
+                y0 = y[i].tolist()
+                _, slopes = step(y0, fun(y0), float(h))
+                weights[i] = np.array(slopes).T @ _P_USED
+            theta = np.cumprod(np.full(4, (tq - times[i]) / h))
+            rows[j] = y[i] + h * (weights[i] @ theta)
+        return out
 
     return at
 
@@ -405,39 +429,52 @@ def _run_boris(model, s0, t_end, cfg):
     Per step: half position drift, half potential kick, magnetic
     rotation (exactly norm-preserving), half kick, half drift; the
     canonical momentum is reconstructed as p = v - A at the new x.
-    A run of more than BORIS_MAX_STEPS steps is a ConfigError.
+    A run of more than BORIS_MAX_STEPS steps is a ConfigError, and a
+    position or velocity that leaves the double range a StepFailure.
+
+    The step runs on Python floats with the operations, and so the bits,
+    of the same step on 3-vectors; B and grad V come from the model's
+    own methods at one point, and |t|^2 from numpy's dot product of the
+    rotation vector t = -B dt / 2 (BLAS may fuse its multiply-adds).
     """
     steps = float(t_end) / cfg.dt
     if not steps <= BORIS_MAX_STEPS:
         raise ConfigError(f"a Boris run of t_end / dt = {steps:.3g} steps exceeds "
                           f"the maximum of {BORIS_MAX_STEPS} steps")
     n_steps = max(1, int(math.ceil(steps)))
-    dts = np.full(n_steps, float(t_end) / n_steps)
+    dt = float(t_end) / n_steps
+    half, rot = 0.5 * dt, -0.5 * dt
 
-    x = s0.x.copy()
-    v = s0.p + model.vector_potential(x)
-    times = np.empty(n_steps + 1)
-    xs = np.empty((n_steps + 1, 3))
-    vs = np.empty((n_steps + 1, 3))
-    times[0], xs[0], vs[0] = 0.0, x, v
+    x0, x1, x2 = s0.x.tolist()
+    v0, v1, v2 = (s0.p + model.vector_potential(s0.x)).tolist()
+    table = np.empty((n_steps + 1, 7))  # t, x and v of each step
+    table[0] = (0.0, x0, x1, x2, v0, v1, v2)
     t = 0.0
-    for i, dt in enumerate(dts):
-        x = x + 0.5 * dt * v
-        g = -model.grad_potential(x)
-        b = model.magnetic_field(x)
-        v = v + 0.5 * dt * g
-        tv = -0.5 * dt * b
-        sv = 2.0 * tv / (1.0 + tv @ tv)
-        v = v + cross(v + cross(v, tv), sv)
-        v = v + 0.5 * dt * g
-        x = x + 0.5 * dt * v
-        model.check_domain(x)
+    for i in range(1, n_steps + 1):
+        x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
+        x = np.array((x0, x1, x2))
+        g0, g1, g2 = model.grad_potential(x).tolist()
+        tv = rot * model.magnetic_field(x)
+        den = 1.0 + float(tv @ tv)
+        tv0, tv1, tv2 = tv.tolist()
+        sv0, sv1, sv2 = 2.0 * tv0 / den, 2.0 * tv1 / den, 2.0 * tv2 / den
+        # each kick adds -half grad V; the rotation is v += (v + v x t) x s
+        v0, v1, v2 = v0 - half * g0, v1 - half * g1, v2 - half * g2
+        w0, w1, w2 = (v0 + (v1 * tv2 - v2 * tv1), v1 + (v2 * tv0 - v0 * tv2),
+                      v2 + (v0 * tv1 - v1 * tv0))
+        v0, v1, v2 = (v0 + (w1 * sv2 - w2 * sv1), v1 + (w2 * sv0 - w0 * sv2),
+                      v2 + (w0 * sv1 - w1 * sv0))
+        v0, v1, v2 = v0 - half * g0, v1 - half * g1, v2 - half * g2
+        x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
+        if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
+            raise StepFailure(OVERFLOW_MESSAGE)
+        model.check_domain(np.array((x0, x1, x2)))
         t += dt
-        times[i + 1] = t
-        xs[i + 1] = x
-        vs[i + 1] = v
+        table[i] = (t, x0, x1, x2, v0, v1, v2)
+    times, xs, vs = table[:, 0].copy(), table[:, 1:4].copy(), table[:, 4:].copy()
+    del table  # before p is formed, so that a step peaks at about 112 bytes
     times[-1] = float(t_end)
     ps = vs - model.vector_potential(xs)
     ps[0] = s0.p
-    stats = SolverStats(n_steps, 0, n_steps, dts[0], dts[0])
+    stats = SolverStats(n_steps, 0, n_steps, dt, dt)
     return times, xs, ps, None, stats

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from magsuper import PhaseState
+from magsuper.fields import cross
 
 
 def rng(seed):
@@ -178,3 +179,37 @@ def pendulum_z_mp(model, s0, ts, dps=30):
                 am += 2 * mpmath.pi * mpmath.nint((quarter * w - am) / (2 * mpmath.pi))
                 out.append(2 * am)
         return np.array([float(offset + model.beta * th) for th in out])
+
+
+def boris_numpy(model, s0, t_end, dt):
+    """Times, x and p of the synchronized Boris scheme written on numpy
+    3-vectors, one array operation per vector update: the loop that
+    `dynamics._run_boris` replaced, kept as its bit-for-bit reference."""
+    n_steps = max(1, int(math.ceil(float(t_end) / dt)))
+    dts = np.full(n_steps, float(t_end) / n_steps)
+    x = s0.x.copy()
+    v = s0.p + model.vector_potential(x)
+    times = np.empty(n_steps + 1)
+    xs = np.empty((n_steps + 1, 3))
+    vs = np.empty((n_steps + 1, 3))
+    times[0], xs[0], vs[0] = 0.0, x, v
+    t = 0.0
+    for i, h in enumerate(dts):
+        x = x + 0.5 * h * v
+        g = -model.grad_potential(x)
+        b = model.magnetic_field(x)
+        v = v + 0.5 * h * g
+        tv = -0.5 * h * b
+        sv = 2.0 * tv / (1.0 + tv @ tv)
+        v = v + cross(v + cross(v, tv), sv)
+        v = v + 0.5 * h * g
+        x = x + 0.5 * h * v
+        model.check_domain(x)
+        t += h
+        times[i + 1] = t
+        xs[i + 1] = x
+        vs[i + 1] = v
+    times[-1] = float(t_end)
+    ps = vs - model.vector_potential(xs)
+    ps[0] = s0.p
+    return times, xs, ps

@@ -186,6 +186,19 @@ def test_sample_uniform_draws_more_rows_than_a_fixed_cap():
     assert np.array_equal(rows, rng(77).uniform(-2.0, 2.0, (n, 1)))
 
 
+def test_sample_uniform_refuses_rows_beyond_the_cap_before_drawing():
+    class NoDraws:
+        def uniform(self, *args):
+            raise AssertionError("drew rows for a refused request")
+
+    cap = ms.algebra.SAMPLE_MAX_ROWS
+    with pytest.raises(ms.ConfigError, match=f"^{cap + 1} sampled points exceed the maximum "
+                                             f"of {cap}$"):
+        ms.sample_states(NoDraws(), cap + 1)
+    with pytest.raises(ms.ConfigError, match="exceed the maximum"):
+        ms.algebra.sample_uniform(NoDraws(), 10**18, 3)
+
+
 def test_generator_inputs_match_lists():
     cb = _states(74, 20, p1_min=0.1)
     mono = monopole_states(rng(75), 20)

@@ -529,6 +529,50 @@ def test_boris_run_beyond_the_step_cap_exits_1(tmp_path, capsys):
     assert "exceeds the maximum of 10000000 steps" in captured.err
 
 
+def test_boris_overflow_exits_1_without_a_traceback(tmp_path, capsys):
+    cfg = _sim_cfg(tmp_path, {"model": "constant_b", "B": 1.0}, [0.0, 0.0, 0.0],
+                   [1e308, 0.0, 0.0], t_end=100.0, integrator={"method": "boris", "dt": 10.0})
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"magsuper: error: {ms.errors.OVERFLOW_MESSAGE}\n"
+
+
+def test_rk45_run_past_the_step_cap_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ms.dynamics, "RK45_MAX_STEPS", 40)
+    cfg = _sim_cfg(tmp_path, {"model": "constant_b", "B": 1.0}, [0.1, 0.2, -0.3],
+                   [0.5, 0.3, -0.2], t_end=40.0)
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("magsuper: error: an RK45 run reached the maximum of 40 steps")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, system", [
+    ("verify", {"model": "constant_b", "B": 1.0}),
+    ("algebra", {"model": "monopole", "g": 1.0}),
+    ("fields-check", {"model": "helical", "A_amp": 1.0, "beta": 1.0}),
+], ids=["verify", "algebra", "fields-check"])
+def test_n_points_beyond_the_cap_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                                        command, system):
+    class NoDraws:
+        def uniform(self, *args):
+            raise AssertionError("sampled points for a refused run")
+
+    monkeypatch.setattr(cli, "_rng", lambda seed: NoDraws())
+    over = ms.algebra.SAMPLE_MAX_ROWS + 1
+    assert cli.main([command, "--system", system["model"], "--n-points", str(over)]) == 1
+    assert f"--n-points: {over} is greater than the maximum of 200000" in capsys.readouterr().err
+    cfg = _write_cfg(tmp_path, "big.json", {"system": system, "n_points": over})
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{over} is greater than the maximum of 200000" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--system", "constant_b", "--n-points", "0"], "--n-points"),
     (["algebra", "--system", "monopole", "--n-points", "0"], "--n-points"),
@@ -667,6 +711,7 @@ def test_schema_level_and_order_maxima_are_the_library_caps():
     # n_levels * grid.n <= GRID_MAX_POINTS with grid.n >= 16
     assert props["n_levels"]["maximum"] == ms.quantum.GRID_MAX_POINTS // 16
     assert props["r_max"]["maximum"] == ms.quantum.MATHIEU_R_MAX
+    assert props["n_points"]["maximum"] == ms.algebra.SAMPLE_MAX_ROWS
 
 
 @pytest.mark.parametrize("extra, message", [

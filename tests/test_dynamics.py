@@ -1,12 +1,14 @@
 """Equations of motion, integrators, trajectory diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import magsuper as ms
 from magsuper import dynamics
 
-from helpers import kepler_orbit, monopole_states, random_states, rng
+from helpers import boris_numpy, kepler_orbit, monopole_states, random_states, rng
 
 
 def _models():
@@ -213,6 +215,40 @@ def test_boris_closure_error_falls_like_dt_squared(g, q, a):
         errors.append(np.linalg.norm(traj.x[-1] - x0) / r_max)
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.8 <= coarse / fine <= 4.2
+
+
+def _custom_model():
+    # B is the model's own central-difference curl of A; grad V is written out
+    return ms.Custom(a=lambda x: 0.5 * (1.0 + 0.1 * x[2] ** 2) * np.array([-x[1], x[0], 0.0]),
+                     v=lambda x: 0.05 * float(x @ x), grad_v=lambda x: 0.1 * x)
+
+
+@pytest.mark.parametrize("index", range(5), ids=["constant_b", "helical", "monopole",
+                                                 "cylindrical", "custom"])
+def test_boris_keeps_the_bits_of_the_step_on_vectors(index):
+    # the loop on floats against a frozen copy of the same step on numpy 3-vectors
+    model = (_models() + [_custom_model()])[index]
+    if isinstance(model, ms.Monopole):
+        x0, p0, _, period, _ = kepler_orbit(rng(41), 2.0, 1.0, 6.0)
+        s0, t_end, dt = ms.PhaseState(x0, p0), 0.3 * period, 0.05
+    else:
+        s0, t_end, dt = ms.PhaseState([0.9, -0.4, 0.3], [0.6, 0.2, -0.5]), 3.0, 0.007
+    traj = ms.integrate(model, s0, t_end, ms.IntegratorConfig(method="boris", dt=dt))
+    times, xs, ps = boris_numpy(model, s0, t_end, dt)
+    assert len(traj) > 100
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.x, xs) and np.array_equal(traj.p, ps)
+
+
+def test_boris_overflow_raises_step_failure():
+    # the first half drift 5 * 1e308 overflows a Python float to inf without
+    # a sound; the step's finiteness check turns it into the overflow message
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [1e308, 0.0, 0.0])
+    cfg = ms.IntegratorConfig(method="boris", dt=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.StepFailure, match="^a field value overflowed the double range"):
+            ms.integrate(ms.ConstantB(B=1.0), s0, 100.0, cfg)
 
 
 @pytest.mark.parametrize("t_end, dt", [(1e308, 1e-10), (1e6, 1e-6)])

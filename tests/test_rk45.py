@@ -128,3 +128,86 @@ def test_solver_statistics_repeat_and_add_up():
     assert boris.stats == ms.SolverStats(n, 0, n, 3.0 / n, 3.0 / n)
     assert boris.stats == ms.integrate(model, s0, 3.0, ms.IntegratorConfig(
         method="boris", dt=0.007)).stats
+
+
+class _Counted:
+    """A right-hand side that counts its calls."""
+
+    def __init__(self, fun):
+        self.fun, self.calls = fun, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.fun(y)
+
+
+def test_nfev_counts_every_right_hand_side_call():
+    # a run with rejected attempts: 2 + 6 calls per attempt, the finiteness
+    # checks add none
+    x0, p0, _, period, _ = kepler_orbit(rng(811), 2.0, 1.0, 6.0)
+    fun = _Counted(ms.Monopole(g=2.0, Q=1.0).hamilton_rhs)
+    y0 = ms.PhaseState(x0, p0).as_array().tolist()
+    _, _, _, stats = dynamics._run_rk45(fun, y0, 3 * period, 1e-6, 1e-6)
+    assert stats.rejected > 0 and fun.calls == stats.nfev
+
+
+def test_dense_output_of_an_array_matches_one_time_calls():
+    fun = _Counted(lambda y: [y[1], -0.5 * math.sin(y[0])])
+    times, y, dense, _ = dynamics._run_rk45(fun, [0.3, 1.2], 20.0, 1e-10, 1e-10)
+    ts = np.concatenate([np.linspace(0.0, 20.0, 301), times[3:9], [times[5]] * 3])[::-1]
+    fun.calls = 0
+    values = dense(ts)
+    holding = np.unique(np.clip(np.searchsorted(times, ts) - 1, 0, len(times) - 2))
+    # one Dormand-Prince step (7 calls) per step that holds a query
+    assert fun.calls <= 7 * len(holding)
+    assert values.shape == (len(ts), 2)
+    assert np.array_equal(values, np.array([dense(t) for t in ts.tolist()]))
+    assert np.array_equal(dense(np.float64(ts[7])), values[7])
+    # at the nodes the interpolant returns the stored states
+    assert np.max(np.abs(dense(times) - y)) < 1e-13
+
+
+def test_rk45_stops_past_the_step_cap(monkeypatch):
+    model, x0, p0, t_end = RUNS["constant_b"]
+    s0 = ms.PhaseState(x0, p0)
+    steps = ms.integrate(model, s0, t_end).stats.steps
+    # a run that needs exactly the cap runs; one more step is refused
+    monkeypatch.setattr(dynamics, "RK45_MAX_STEPS", steps)
+    assert ms.integrate(model, s0, t_end).stats.steps == steps
+    monkeypatch.setattr(dynamics, "RK45_MAX_STEPS", steps - 1)
+    with pytest.raises(ms.ConfigError,
+                       match=rf"^an RK45 run reached the maximum of {steps - 1} steps at t = "):
+        ms.integrate(model, s0, t_end)
+
+
+def test_rk45_cap_keeps_stored_states_within_the_boris_budget():
+    # traced peak bytes per step of each method, times its step cap
+    import tracemalloc
+
+    model, x0, p0, _ = RUNS["helical"]
+    s0 = ms.PhaseState(x0, p0)
+    per_step = {}
+    for cfg, t_end in ((ms.IntegratorConfig(), 150.0),
+                       (ms.IntegratorConfig(method="boris", dt=0.01), 30.0)):
+        ms.integrate(model, s0, 1.0, cfg)
+        tracemalloc.start()
+        try:
+            traj = ms.integrate(model, s0, t_end, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.stats.steps > 2000
+        per_step[cfg.method] = peak / traj.stats.steps
+    assert (dynamics.RK45_MAX_STEPS * per_step["rk45"]
+            <= dynamics.BORIS_MAX_STEPS * per_step["boris"])
+
+
+def test_a_state_that_leaves_the_doubles_raises_step_failure():
+    # the slope turns infinite past y = 1; the next accepted state would
+    # hold inf, and is refused before its slope is taken
+    def fun(y):
+        return [math.inf if y[0] >= 1.0 else 1.0]
+
+    with pytest.raises(ms.StepFailure,
+                       match=r"^integration aborted: vector has non-finite components$"):
+        dynamics._run_rk45(fun, [0.0], 5.0, 1e-8, 1e-8)
