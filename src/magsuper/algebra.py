@@ -8,9 +8,11 @@ angular momenta. Both facts are checked numerically at sampled states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .closedform import x5_integral, x6_integral
 from .dynamics import PhaseState, _state_arrays
 from .errors import ConfigError, DomainError, ParameterError
 from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _pow, _zeros
@@ -31,9 +33,9 @@ def constantB_basis(B: float) -> list[PhaseFunction]:
     """The 7 closed-algebra generators X1t=p1^2/2, X2..X7, with gradients.
 
     Each takes a PhaseState or a pair (x, p) of (n,3) stacks; squares go
-    through `_pow`, so a stack has the bits of its states. X5 and X6
-    contain cos(Bx/p1) and sin(Bx/p1) and are regular only away from
-    p1 = 0.
+    through `_pow`, so a stack has the bits of its states. X5 and X6 are
+    `closedform.x5_integral` and `x6_integral`: they contain cos(Bx/p1)
+    and sin(Bx/p1) and raise DegenerateMomentum at |p1| < 1e-8.
     """
     if B == 0:
         raise ParameterError("constantB_basis requires B != 0")
@@ -48,25 +50,15 @@ def constantB_basis(B: float) -> list[PhaseFunction]:
         c = np.broadcast_arrays(*c, _zeros(_state_arrays(s)[0]))
         return np.array(c[:3]).T, np.array(c[3:6]).T
 
-    def x5(s):
-        x0, _, x2, p0, p1, p2 = parts(s)
-        th = B * x0 / p0
-        return (B * x2 - p1) * np.cos(th) - p2 * np.sin(th)
-
-    def x6(s):
-        x0, _, x2, p0, p1, p2 = parts(s)
-        th = B * x0 / p0
-        return (p1 - B * x2) * np.sin(th) - p2 * np.cos(th)
-
     def grad_x5(s, record=None):
         x0, _, _, p0, _, _ = parts(s)
-        th, v6 = B * x0 / p0, x6(s)
+        th, v6 = B * x0 / p0, x6_integral(B, s)
         return vectors(s, B / p0 * v6, 0.0, B * np.cos(th),
                        -B * x0 / _pow(p0, 2) * v6, -np.cos(th), -np.sin(th))
 
     def grad_x6(s, record=None):
         x0, _, _, p0, _, _ = parts(s)
-        th, v5 = B * x0 / p0, x5(s)
+        th, v5 = B * x0 / p0, x5_integral(B, s)
         return vectors(s, -B / p0 * v5, 0.0, -B * np.sin(th),
                        B * x0 / _pow(p0, 2) * v5, np.sin(th), -np.cos(th))
 
@@ -87,8 +79,8 @@ def constantB_basis(B: float) -> list[PhaseFunction]:
         ("X3", lambda s: parts(s)[5] - B * parts(s)[1],
          lambda s, record=None: vectors(s, 0.0, -B, 0.0, 0.0, 0.0, 1.0)),
         ("X4", x4, grad_x4),
-        ("X5", x5, grad_x5),
-        ("X6", x6, grad_x6),
+        ("X5", partial(x5_integral, B), grad_x5),
+        ("X6", partial(x6_integral, B), grad_x6),
         ("X7", lambda s: 1.0, lambda s, record=None: vectors(s, *[0.0] * 6)),
     )]
 
@@ -128,19 +120,13 @@ def _stack_states(states) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.p for s in states]).reshape(-1, 3))
 
 
-def verify_bracket_table(B: float, states, use_gradients: bool = True) -> dict:
-    """Max discrepancy of every basis pair against the structure table.
-
-    All states go through one bracket table. With use_gradients=False
-    the analytic gradients are stripped and the brackets fall back to
-    central differences, state by state.
-    """
+def verify_bracket_table(B: float, states) -> dict:
+    """Max discrepancy of every basis pair against the structure table,
+    all states through one bracket table."""
     states = list(states)
     s = _stack_states(states)
     basis = constantB_basis(B)
     vals = {f.name: f.fn(s) for f in basis}
-    if not use_gradients:
-        basis = [PhaseFunction(f.name, f.fn, None) for f in basis]
     br = bracket_matrix(basis, s)
     table = constantB_bracket_table(B)
     pairs = {}
@@ -201,13 +187,11 @@ def _monopole_model(g: float, Q: float = 0.0):
     return Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
 
 
-def monopole_closure_check(g: float, states, Q: float = 0.0,
-                           use_gradients: bool = True) -> dict:
+def monopole_closure_check(g: float, states, Q: float = 0.0) -> dict:
     """Checks {X1,X2}=X3 (cyclically) and involution of (X)^2 with each X_j.
 
     g = 0 reduces to the ordinary angular momenta l_j. All states go
-    through one bracket table. Analytic gradients are the default;
-    use_gradients=False falls back to central differences.
+    through one bracket table, with the specs' exact gradients.
     """
     states = list(states)
     s = _stack_states(states)
@@ -215,8 +199,6 @@ def monopole_closure_check(g: float, states, Q: float = 0.0,
     fns = [as_phase_function(sp, model) for sp in monopole_angular_specs(g)]
     vals = [f.fn(s) for f in fns]
     fns.append(as_phase_function(monopole_total_square_spec(g), model))
-    if not use_gradients:
-        fns = [PhaseFunction(f.name, f.fn, None) for f in fns]
     br = bracket_matrix(fns, s)  # rows X1, X2, X3, X_sq
     checks = {}
     for j in range(3):

@@ -380,6 +380,7 @@ def _cmd_verify(ns) -> int:
     tol = _setting(ns, cfg, "tolerance", 1e-6, float)
     n = _setting(ns, cfg, "n_points", 100, int)
     seed = _setting(ns, cfg, "seed", 0, int)
+    hbar = float(cfg.get("hbar", 1.0))
     rng = _rng(seed)
     specs = _load_spec_file(ns.spec, model) if ns.spec else _verify_specs(model)
 
@@ -391,7 +392,7 @@ def _cmd_verify(ns) -> int:
     by_eq = dict.fromkeys(RESIDUAL_KEYS, 0.0)
     by_int = {}
     for sp in specs:
-        res = determining_residuals(sp, model, rec, mode=ns.mode)
+        res = determining_residuals(sp, model, rec, mode=ns.mode, hbar=hbar)
         worst = {key: float(np.max(np.abs(val))) for key, val in res.items()}
         for key, val in worst.items():
             by_eq[key] = max(by_eq[key], val)

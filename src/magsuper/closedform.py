@@ -21,7 +21,7 @@ from .fields import HelicalB
 __all__ = [
     "helix_solution", "x5_integral", "x6_integral", "tilde_transform",
     "PendulumReduction", "pendulum_reduction", "zeta_solution",
-    "helical_z_of_t", "jacobi_sn",
+    "helical_z_of_t",
 ]
 
 #: half-width of the separatrix band |kappa - 1| routed to numerics

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,9 +27,9 @@ from .fields import FieldModel, Vec3, _as_vec3, dot
 #: any step is taken
 BORIS_MAX_STEPS = 10**7
 #: most steps an RK45 run may accept before it stops with a ConfigError: an
-#: accepted step peaks at about 390 traced bytes (a list of Python floats per
-#: state) and a Boris step at about 112, so the states of a run at this cap
-#: take no more memory than a Boris run of BORIS_MAX_STEPS
+#: accepted step peaks at about 110 traced bytes (its time and state kept in
+#: flat buffers of doubles) and a Boris step at about 112, so the states of a
+#: run at this cap take no more memory than a Boris run of BORIS_MAX_STEPS
 RK45_MAX_STEPS = 2_500_000
 
 
@@ -136,18 +137,6 @@ def hamiltonian(model: FieldModel, s: PhaseState):
     return h if np.ndim(x) == 2 else float(h)
 
 
-def eom_rhs(model: FieldModel, s: PhaseState) -> tuple[Vec3, Vec3]:
-    """Right-hand side of Hamilton's equations at one state, a PhaseState
-    or a pair (x, p) of 3-vectors.
-
-    dx/dt = p + A(x); dp/dt = -J_A(x)^T (p + A) - grad V, from the
-    model's `hamilton_rhs`.
-    """
-    x, p = _state_arrays(s)
-    f = model.hamilton_rhs(np.concatenate([x, p], dtype=float).tolist())
-    return np.array(f[:3]), np.array(f[3:])
-
-
 @dataclass(frozen=True)
 class SolverStats:
     """What an integrator did: accepted steps, rejected steps, right-hand
@@ -243,10 +232,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate Hamilton's equations from s0 over [0, t_end].
 
-    Watched quantities (integral specs, phase functions, objects with
-    .name/.value, or callables of a PhaseState; one without a name is
-    `watch{i}`) and the energy are evaluated at every accepted step, each
-    in one pass over the stacked samples through `as_phase_function`.
+    Watched quantities (integral specs, phase functions, or callables of
+    a PhaseState; one without a name is `watch{i}`) and the energy are
+    evaluated at every accepted step, each in one pass over the stacked
+    samples through `as_phase_function`.
     """
     from .integrals import as_phase_function
 
@@ -262,6 +251,8 @@ def integrate(
         times, y, dense, stats = _run_rk45(model.hamilton_rhs, s0.as_array().tolist(), t_end,
                                            cfg.rel_tol, cfg.abs_tol, cfg.max_step)
         xs, ps = y[:, :3].copy(), y[:, 3:].copy()
+        del y  # with dense, it holds the store: freed before the energy is formed
+        dense = _dp5_interpolant(model.hamilton_rhs, times, (xs, ps))
     else:
         times, xs, ps, dense, stats = _run_boris(model, s0, t_end, cfg)
 
@@ -346,7 +337,7 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     e1, _, e3, e4, e5, e6, e7 = RK45_E
     t_end = float(t_end)
     t = 0.0
-    times, states = [t], [y]
+    times, states = array("d", [t]), array("d", y)
     attempts = 0
     try:
         f = fun(_finite(y))
@@ -381,43 +372,50 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
                 rejected = True
             t, y, f = t_new, y_new, k7
             times.append(t)
-            states.append(y)
+            states.extend(y)
     except ArithmeticError as exc:
         # overflow in a right-hand side, or a division by a value that underflowed to 0
         raise StepFailure(OVERFLOW_MESSAGE) from exc
     except ValueError as exc:
         raise StepFailure(f"integration aborted: {exc}") from exc
-    times, y = np.array(times), np.array(states)
+    # the arrays share the buffers of the store
+    times, y = np.frombuffer(times), np.frombuffer(states).reshape(len(times), -1)
     steps = np.diff(times)
     stats = SolverStats(len(steps), attempts - len(steps), 2 + 6 * attempts,
                         float(steps.min()), float(steps.max()))
-    return times, y, _dp5_interpolant(fun, step, times, y), stats
+    return times, y, _dp5_interpolant(fun, times, (y,)), stats
 
 
-def _dp5_interpolant(fun, step, times, y):
+def _dp5_interpolant(fun, times, blocks):
     """States at t, a number or an array of times, from the 4th-order
     Dormand-Prince interpolant of the step that holds each t (the earlier
     one at a step boundary, as scipy's OdeSolution),
-    y_i + h (K^T P) (theta, theta^2, theta^3, theta^4). The slopes K of a
-    step are taken again from y_i and h, once per call for each step that
-    holds a query; shape (n,) for a number, (len(t), n) for an array."""
+    y_i + h (K^T P) (theta, theta^2, theta^3, theta^4). State y_i is row i
+    of the arrays `blocks` side by side (the states, or x and p). The
+    slopes K of a step are taken again from y_i and h, once per call for
+    each step that holds a query; shape (n,) for a number, (len(t), n) for
+    an array."""
+    step = _dp5_stepper(fun)
     last = len(times) - 2
+    width = sum(b.shape[1] for b in blocks)
 
     def at(t):
         ts = np.asarray(t, dtype=float)
-        out = np.empty(ts.shape + y.shape[1:])
-        rows = out.reshape(-1, y.shape[1])
+        out = np.empty(ts.shape + (width,))
+        rows = out.reshape(-1, width)
         found = np.searchsorted(times, ts.ravel(), side="left") - 1
-        weights = {}
+        weights = {}  # step -> (y_i, K^T P)
         for j, (tq, i) in enumerate(zip(ts.ravel().tolist(), found.tolist())):
             i = min(max(i, 0), last)
             h = times[i + 1] - times[i]
             if i not in weights:
-                y0 = y[i].tolist()
+                y_i = np.concatenate([b[i] for b in blocks])
+                y0 = y_i.tolist()
                 _, slopes = step(y0, fun(y0), float(h))
-                weights[i] = np.array(slopes).T @ _P_USED
+                weights[i] = y_i, np.array(slopes).T @ _P_USED
+            y_i, kp = weights[i]
             theta = np.cumprod(np.full(4, (tq - times[i]) / h))
-            rows[j] = y[i] + h * (weights[i] @ theta)
+            rows[j] = y_i + h * (kp @ theta)
         return out
 
     return at
@@ -452,6 +450,9 @@ def _run_boris(model, s0, t_end, cfg):
     t = 0.0
     for i in range(1, n_steps + 1):
         x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
+        # a drift to inf stops here, before the model's numpy methods see it
+        if not all(map(math.isfinite, (x0, x1, x2))):
+            raise StepFailure(OVERFLOW_MESSAGE)
         x = np.array((x0, x1, x2))
         g0, g1, g2 = model.grad_potential(x).tolist()
         tv = rot * model.magnetic_field(x)

@@ -489,7 +489,7 @@ class Custom:
     def grad_potential(self, x: Vec3) -> Vec3:
         if self.grad_v is not None:
             return _as_vec3(self.grad_v(x))
-        return grad_fd(self.v, x)
+        return jacobian_fd(self.v, x)
 
     @_rowwise(3, 3)
     def jacobian_a(self, x: Vec3) -> np.ndarray:
@@ -626,10 +626,6 @@ def jacobian_fd(f: Callable, x) -> np.ndarray:
         xm.T[j] -= h
         cols.append((np.subtract(f(xp), f(xm)).T / (2 * h)).T)
     return np.moveaxis(np.array(cols), 0, -1)
-
-
-def grad_fd(f: Callable[[Vec3], float], x: Vec3) -> Vec3:
-    return jacobian_fd(f, x)
 
 
 def _curl(j):

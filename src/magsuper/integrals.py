@@ -44,36 +44,25 @@ from .fields import (
     norm,
 )
 
-_PAIRS = [(a, b) for a in range(1, 7) for b in range(a, 7)]
-
 
 def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
-    """Accept {(a,b): v} with 1 <= a <= b <= 6 and v a real number,
-    {"ab": v} with two digits a, b, or a 6x6 array."""
+    """Accept {(a,b): v} with 1 <= a <= b <= 6 and v a real number, or
+    {"ab": v} with two digits a, b."""
     if alpha is None:
         return {}
+    if not isinstance(alpha, Mapping):
+        raise ParameterError(f"alpha must be a mapping, not {type(alpha).__name__}")
     out: dict[tuple[int, int], float] = {}
-    if isinstance(alpha, Mapping):
-        for key, val in alpha.items():
-            if isinstance(key, str) and not (len(key) == 2 and key.isascii() and key.isdigit()):
-                raise ParameterError(f"alpha key {key!r} is not two digits 'ab'")
-            if isinstance(val, bool) or not isinstance(val, Real):
-                raise ParameterError(f"alpha value {val!r} at {key!r} is not a number")
-            a, b = map(int, key)
-            if not (1 <= a <= b <= 6):
-                raise ParameterError(f"alpha index ({a},{b}) out of range or unordered")
-            if val != 0.0:
-                out[(a, b)] = out.get((a, b), 0.0) + float(val)
-        return out
-    arr = np.asarray(alpha, dtype=float)
-    if arr.shape != (6, 6):
-        raise ParameterError("alpha array must be 6x6")
-    if not np.allclose(arr, arr.T):
-        raise ParameterError("alpha array must be symmetric")
-    for a, b in _PAIRS:
-        v = arr[a - 1, b - 1]
-        if v != 0.0:
-            out[(a, b)] = float(v)
+    for key, val in alpha.items():
+        if isinstance(key, str) and not (len(key) == 2 and key.isascii() and key.isdigit()):
+            raise ParameterError(f"alpha key {key!r} is not two digits 'ab'")
+        if isinstance(val, bool) or not isinstance(val, Real):
+            raise ParameterError(f"alpha value {val!r} at {key!r} is not a number")
+        a, b = map(int, key)
+        if not (1 <= a <= b <= 6):
+            raise ParameterError(f"alpha index ({a},{b}) out of range or unordered")
+        if val != 0.0:
+            out[(a, b)] = out.get((a, b), 0.0) + float(val)
     return out
 
 
@@ -105,12 +94,6 @@ class IntegralSpec:
                          ("jac_s", lambda j: np.asarray(j, dtype=float))):
             object.__setattr__(self, key, _lift_point_function(getattr(self, key), one))
 
-    def is_first_order(self) -> bool:
-        return not self.alpha
-
-    def value_at(self, model: FieldModel, s: PhaseState) -> float:
-        return evaluate_integral(self, model, s)
-
 
 @dataclass(frozen=True)
 class CoeffPolynomials:
@@ -119,11 +102,15 @@ class CoeffPolynomials:
     They are exactly the coefficients of the momentum-quadratic part:
     sum alpha_ab Y_a Y_b = sum_j h_j (p_j^A)^2
                            + n_1 p_2^A p_3^A + n_2 p_1^A p_3^A + n_3 p_1^A p_2^A.
-    Each method takes one point (3,) or an (n,3) stack; squares go
-    through `_pow`, so a stack has the bits of its points.
+    `alpha` takes the forms that `IntegralSpec` does. Each method takes
+    one point (3,) or an (n,3) stack; squares go through `_pow`, so a
+    stack has the bits of its points.
     """
 
     alpha: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
 
     def h(self, pos) -> Vec3:
         x, y, z = _coords(pos)
@@ -153,22 +140,6 @@ class CoeffPolynomials:
               - _a(al, 4, 5) * _pow(z, 2) + (_a(al, 2, 5) - _a(al, 1, 4)) * z + _a(al, 1, 2))
         return np.array([n1, n2, n3]).T
 
-    def jac_h(self, pos) -> np.ndarray:
-        x, y, z = _coords(pos)
-        al = self.alpha
-        zero = np.zeros_like(x)
-        return _rows([
-            [zero,
-             2 * _a(al, 6, 6) * y - _a(al, 5, 6) * z - _a(al, 1, 6),
-             -_a(al, 5, 6) * y + 2 * _a(al, 5, 5) * z + _a(al, 1, 5)],
-            [2 * _a(al, 6, 6) * x - _a(al, 4, 6) * z + _a(al, 2, 6),
-             zero,
-             -_a(al, 4, 6) * x + 2 * _a(al, 4, 4) * z - _a(al, 2, 4)],
-            [2 * _a(al, 5, 5) * x - _a(al, 4, 5) * y - _a(al, 3, 5),
-             -_a(al, 4, 5) * x + 2 * _a(al, 4, 4) * y + _a(al, 3, 4),
-             zero],
-        ])
-
     def jac_n(self, pos) -> np.ndarray:
         x, y, z = _coords(pos)
         al = self.alpha
@@ -197,10 +168,6 @@ def _coords(pos):
 def _rows(rows) -> np.ndarray:
     """A 3x3 matrix, or one per point, from rows of numbers or (n,) arrays."""
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
-
-
-def build_hn_from_alpha(alpha) -> CoeffPolynomials:
-    return CoeffPolynomials(_normalize_alpha(alpha))
 
 
 def covariant_momentum(model: FieldModel, s: PhaseState) -> Vec3:
@@ -269,10 +236,6 @@ class PhaseFunction:
     def __call__(self, s: PhaseState) -> float:
         return float(self.fn(s))
 
-    @property
-    def value(self):
-        return self.fn
-
 
 def _model_gradient(model: FieldModel, kernel: Callable) -> Callable:
     """grad(s, record=None) of a phase function made on a model, from
@@ -312,9 +275,9 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
     A PhaseFunction made on a model passes through, with central
     differences for a missing grad; an IntegralSpec on `model` carries
     the spec's exact gradient. Anything else is user code of one
-    PhaseState (a PhaseFunction without a model, an object with a callable
-    `.value`, a plain callable), called one state at a time, as is its
-    own grad; central differences stand in for a missing one.
+    PhaseState (a PhaseFunction without a model, a plain callable), called
+    one state at a time, as is its own grad; central differences stand in
+    for a missing one.
     """
     if isinstance(obj, IntegralSpec):
         if model is None:
@@ -328,10 +291,9 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
             return obj
         return replace(obj, grad=_coordinate_gradient(
             partial(jacobian_fd, lambda z: obj.fn((z[..., :3], z[..., 3:])))))
-    fn = obj.value if callable(getattr(obj, "value", None)) else obj
-    if not callable(fn):
+    if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a phase-space function")
-    grad = obj.grad if isinstance(obj, PhaseFunction) else None
+    fn, grad = (obj.fn, obj.grad) if isinstance(obj, PhaseFunction) else (obj, None)
     value = _lift_point_function(lambda z: fn(PhaseState.from_array(z)), float)
     dz = partial(jacobian_fd, value) if grad is None else _lift_point_function(
         lambda z: grad(PhaseState.from_array(z)),
@@ -476,7 +438,7 @@ def determining_residuals(
         xs, one = _as_points(x)
         rec = field_record(model, xs)
     xs = rec.x
-    poly = build_hn_from_alpha(spec.alpha)
+    poly = CoeffPolynomials(spec.alpha)
     h1, h2, h3 = poly.h(xs).T
     n1, n2, n3 = poly.n(xs).T
     b1, b2, b3 = rec.b.T

@@ -26,10 +26,29 @@ def test_bracket_table_negative_field():
     assert rep["max_discrepancy"] < 1e-12
 
 
+def _stripped_discrepancy(fns, states, want):
+    """max |bracket_matrix - want| of fns with their gradients stripped,
+    so that every bracket comes from central differences of fn."""
+    stripped = [ms.PhaseFunction(f.name, f.fn) for f in fns]
+    x = np.array([s.x for s in states])
+    p = np.array([s.p for s in states])
+    return float(np.max(np.abs(ms.bracket_matrix(stripped, (x, p)) - want((x, p)))))
+
+
 def test_bracket_table_fd_fallback():
-    rep = ms.verify_bracket_table(2.0, _states(63, 40, p1_min=0.5),
-                                  use_gradients=False)
-    assert rep["max_discrepancy"] < 1e-6
+    B = 2.0
+    basis = ms.constantB_basis(B)
+    table = ms.constantB_bracket_table(B)
+
+    def want(s):
+        vals = {f.name: f.fn(s) for f in basis}
+        out = np.zeros((len(s[0]), 7, 7))
+        for i in range(7):
+            for j in range(7):
+                out[:, i, j] = sum(c * vals[n] for n, c in table.combination(i, j).items())
+        return out
+
+    assert _stripped_discrepancy(basis, _states(63, 40, p1_min=0.5), want) < 1e-6
 
 
 def test_basis_gradients_match_finite_differences():
@@ -92,10 +111,21 @@ def test_monopole_closure_analytic():
 
 
 def test_monopole_closure_fd_fallback():
-    gen = rng(68)
-    rep = ms.monopole_closure_check(2.0, monopole_states(gen, 30), Q=1.0,
-                                    use_gradients=False)
-    assert rep["max_discrepancy"] < 1e-6
+    g, Q = 2.0, 1.0
+    model = ms.Monopole(g=g, Q=Q)
+    specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
+    fns = [ms.as_phase_function(sp, model) for sp in specs]
+
+    def want(s):
+        # {X_j, X_k} = X_l cyclically, {X_sq, X_j} = 0
+        out = np.zeros((len(s[0]), 4, 4))
+        for j in range(3):
+            k, l = (j + 1) % 3, (j + 2) % 3
+            out[:, j, k] = fns[l].fn(s)
+            out[:, k, j] = -out[:, j, k]
+        return out
+
+    assert _stripped_discrepancy(fns, monopole_states(rng(68), 30), want) < 1e-6
 
 
 def test_zero_charge_reduces_to_angular_momenta():
@@ -111,10 +141,11 @@ def test_monopole_function_values_match_covariant_specs():
     specs = {sp.name: sp for sp in ms.known_integrals(model)}
     gen = rng(70)
     for s in monopole_states(gen, 25):
-        want = np.array([specs[f"R{j + 1}"].value_at(model, s) for j in range(3)])
+        want = np.array([ms.evaluate_integral(specs[f"R{j + 1}"], model, s)
+                         for j in range(3)])
         got = ms.runge_lenz(g, Q, s)
         assert np.max(np.abs(got - want)) < 1e-12
-        x_sq = specs["X_sq"].value_at(model, s)
+        x_sq = ms.evaluate_integral(specs["X_sq"], model, s)
         la = ms.covariant_angular_momentum(model, s)
         xvec = la + g * s.x / np.linalg.norm(s.x)
         assert float(xvec @ xvec) == pytest.approx(x_sq, rel=1e-12)

@@ -131,6 +131,26 @@ def test_verify_quantum_mode(capsys):
         assert doc["mode"] == "quantum" and doc["pass"] is True
 
 
+def test_verify_quantum_mode_uses_the_config_hbar(tmp_path):
+    # the hbar^2/4 correction of the zero-order residual, at the config's hbar
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": [{"name": "q", "alpha": {"16": 1.0}}]})
+    system = {"model": "monopole", "g": 2.0, "Q": 1.0}
+    model = ms.model_from_config(system)
+    xs = cli._sample_positions(cli._rng(7), 30, model)
+    worst = {}
+    for hbar in (0.5, 3.0):
+        cfg = _write_cfg(tmp_path, "cfg.json", {"system": system, "n_points": 30, "hbar": hbar})
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--config", cfg, "--mode", "quantum", "--spec", spec,
+                         "--seed", "7", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        res = ms.determining_residuals(ms.IntegralSpec("q", {"16": 1.0}), model, xs,
+                                       mode="quantum", hbar=hbar)
+        worst[hbar] = doc["max_residual_by_equation"]["zero_order"]
+        assert worst[hbar] == float(np.max(np.abs(res["zero_order"])))
+    assert worst[3.0] > worst[0.5]
+
+
 def test_verify_spec_file_flows(tmp_path, capsys):
     good = _write_cfg(tmp_path, "good.json", {"integrals": [{"known": "X2"}]})
     assert cli.main(["verify", "--system", "constant_b", "--spec", good]) == 0

@@ -39,7 +39,8 @@ def test_eom_matches_hamiltonian_gradients():
     h = 1e-6
     for model in _models():
         for s in _states_for(model, gen, 12):
-            dx, dp = ms.eom_rhs(model, s)
+            f = model.hamilton_rhs(s.as_array().tolist())
+            dx, dp = f[:3], f[3:]
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
@@ -240,6 +241,17 @@ def test_boris_keeps_the_bits_of_the_step_on_vectors(index):
     assert np.array_equal(traj.x, xs) and np.array_equal(traj.p, ps)
 
 
+def test_boris_overflow_before_the_field_calls_raises_step_failure():
+    # the first half drift 5 * 1e308 of z overflows to inf; HelicalB's field
+    # methods take cos and sin of z, which would warn before the step ends
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [0.0, 0.0, 1e308])
+    cfg = ms.IntegratorConfig(method="boris", dt=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.StepFailure, match="^a field value overflowed the double range"):
+            ms.integrate(ms.HelicalB(A_amp=1.0, beta=1.0), s0, 100.0, cfg)
+
+
 def test_boris_overflow_raises_step_failure():
     # the first half drift 5 * 1e308 overflows a Python float to inf without
     # a sound; the step's finiteness check turns it into the overflow message
@@ -318,14 +330,6 @@ def test_trajectory_validation():
         ms.Trajectory(times, arr, arr, np.zeros(3), {}, ms.ConstantB(B=1.0), "rk45")
 
 
-class _Named:
-    name = "named"
-
-    @staticmethod
-    def value(s):
-        return s.x[0] * s.p[2]
-
-
 def test_every_watch_kind_keeps_its_name_and_bits():
     from magsuper.closedform import x5_integral
 
@@ -340,30 +344,39 @@ def test_every_watch_kind_keeps_its_name_and_bits():
 
     for method in ("rk45", "boris"):
         cfg = ms.IntegratorConfig(method=method, dt=0.01)
-        traj = ms.integrate(model, s0, 2.0, cfg, watch=[spec, x5, bare, _Named(), plain])
-        assert list(traj.diagnostics) == ["X4", "X5", "half_px", "named", "watch4"]
+        traj = ms.integrate(model, s0, 2.0, cfg, watch=[spec, x5, bare, plain])
+        assert list(traj.diagnostics) == ["X4", "X5", "half_px", "watch3"]
         states = [ms.PhaseState(x, p) for x, p in zip(traj.x, traj.p)]
         want = {
             "X4": ms.evaluate_integral(spec, model, (traj.x, traj.p)),
             "X5": x5_integral(1.3, (traj.x, traj.p)),
             "half_px": np.array([bare.fn(s) for s in states], dtype=float),
-            "named": np.array([_Named.value(s) for s in states], dtype=float),
-            "watch4": np.array([plain(s) for s in states], dtype=float),
+            "watch3": np.array([plain(s) for s in states], dtype=float),
         }
         for name, values in want.items():
             assert traj.diagnostics[name].tobytes() == values.tobytes(), (method, name)
         # a one-state spec value and the stacked column agree bit for bit
-        assert traj.diagnostics["X4"][-1] == spec.value_at(model, traj.final_state)
+        assert traj.diagnostics["X4"][-1] == ms.evaluate_integral(spec, model, traj.final_state)
 
 
 def test_watch_refuses_objects_with_only_value_at():
+    # a watch is an integral spec, a phase function or a callable; an object
+    # that only carries a method of some name is none of these
     class ValueAt:
         name = "v"
 
         def value_at(self, model, s):
             return 0.0
 
+    class Value:
+        name = "v"
+
+        @staticmethod
+        def value(s):
+            return 0.0
+
     model = ms.ConstantB(B=1.0)
     s0 = ms.PhaseState([0, 0, 0], [1.0, 0, 0])
-    with pytest.raises(TypeError, match="cannot interpret ValueAt"):
-        ms.integrate(model, s0, 1.0, watch=[ValueAt()])
+    for obj in (ValueAt(), Value()):
+        with pytest.raises(TypeError, match=f"cannot interpret {type(obj).__name__}"):
+            ms.integrate(model, s0, 1.0, watch=[obj])

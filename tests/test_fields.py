@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magsuper as ms
-from magsuper.fields import curl_fd, grad_fd, jacobian_fd
+from magsuper.fields import curl_fd, jacobian_fd
 
 from helpers import monopole_positions, rng
 
@@ -70,7 +70,7 @@ def test_monopole_potential_variants():
     assert np.isclose(full.scalar_potential(x), -1.5 / r + 2.0 / r**2)
     assert np.isclose(bare.scalar_potential(x), -1.5 / r)
     for mdl in (full, bare):
-        assert np.allclose(grad_fd(mdl.scalar_potential, x),
+        assert np.allclose(jacobian_fd(mdl.scalar_potential, x),
                            mdl.grad_potential(x), atol=1e-9)
 
 

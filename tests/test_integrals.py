@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import magsuper as ms
-from magsuper.integrals import RESIDUAL_KEYS, build_hn_from_alpha
+from magsuper.integrals import RESIDUAL_KEYS
 
 from helpers import monopole_states, random_states, rng
 
@@ -29,15 +29,13 @@ def test_alpha_input_forms_agree():
     model = ms.Monopole(g=2.0)
     dict_form = {(2, 6): 1.0, (3, 5): -1.0}
     str_form = {"26": 1.0, "35": -1.0}
-    mat = np.zeros((6, 6))
-    mat[1, 5] = mat[5, 1] = 1.0
-    mat[2, 4] = mat[4, 2] = -1.0
-    specs = [ms.IntegralSpec("a", form) for form in (dict_form, str_form, mat)]
-    assert specs[0].alpha == specs[1].alpha == specs[2].alpha
+    specs = [ms.IntegralSpec("a", form) for form in (dict_form, str_form)]
+    assert specs[0].alpha == specs[1].alpha
+    assert ms.CoeffPolynomials(str_form).alpha == specs[0].alpha
     gen = rng(31)
     for s in monopole_states(gen, 10):
         vals = [ms.evaluate_integral(sp, model, s) for sp in specs]
-        assert vals[0] == vals[1] == vals[2]
+        assert vals[0] == vals[1]
 
 
 def test_alpha_validation():
@@ -49,12 +47,15 @@ def test_alpha_validation():
         ms.IntegralSpec("bad", {(1, 7): 1.0})
     with pytest.raises(ValueError):
         ms.IntegralSpec("bad", np.ones((5, 5)))
-    asym = np.zeros((6, 6))
-    asym[0, 1] = 1.0
+    # a 6x6 array is not an alpha, symmetric or not
+    with pytest.raises(ValueError, match="alpha must be a mapping"):
+        ms.IntegralSpec("bad", np.eye(6))
+    with pytest.raises(ValueError, match="alpha must be a mapping"):
+        ms.CoeffPolynomials(np.eye(6))
     with pytest.raises(ValueError):
-        ms.IntegralSpec("bad", asym)
-    assert ms.IntegralSpec("ok", None).is_first_order()
-    assert not ms.IntegralSpec("ok", {(1, 1): 2.0}).is_first_order()
+        ms.CoeffPolynomials({(3, 2): 1.0})
+    assert ms.IntegralSpec("ok", None).alpha == {}
+    assert ms.IntegralSpec("ok", {(1, 1): 2.0}).alpha == {(1, 1): 2.0}
 
 
 def test_quadratic_expansion_identity():
@@ -62,7 +63,7 @@ def test_quadratic_expansion_identity():
     gen = rng(32)
     alpha = {pair: float(gen.standard_normal()) for pair in _all_pairs()}
     spec = ms.IntegralSpec("q", alpha)
-    poly = build_hn_from_alpha(alpha)
+    poly = ms.CoeffPolynomials(alpha)
     model = ms.HelicalB(A_amp=2.0, beta=1.5)
     for s in random_states(gen, 50):
         left = ms.evaluate_integral(spec, model, s)
@@ -77,21 +78,20 @@ def test_quadratic_expansion_identity():
 def test_coefficient_polynomial_jacobians():
     gen = rng(33)
     alpha = {pair: float(gen.standard_normal()) for pair in _all_pairs()}
-    poly = build_hn_from_alpha(alpha)
+    poly = ms.CoeffPolynomials(alpha)
     h = 1e-6
     for _ in range(20):
         x = gen.uniform(-3, 3, 3)
-        jh, jn = poly.jac_h(x), poly.jac_n(x)
+        jn = poly.jac_n(x)
         for col in range(3):
             e = np.zeros(3)
             e[col] = h
-            assert np.allclose((poly.h(x + e) - poly.h(x - e)) / (2 * h),
-                               jh[:, col], atol=1e-7)
             assert np.allclose((poly.n(x + e) - poly.n(x - e)) / (2 * h),
                                jn[:, col], atol=1e-7)
-        # structural identities: div n = 0 and dh_j/dx_j = 0
+            # h_j does not depend on x_j at all
+            assert poly.h(x + e)[col] == poly.h(x)[col]
+        # structural identity: div n = 0
         assert abs(np.trace(jn)) < 1e-13
-        assert np.max(np.abs(np.diag(jh))) < 1e-13
 
 
 def test_known_integrals_satisfy_determining_equations():
@@ -127,7 +127,7 @@ def test_quantum_mode_matches_classical_for_first_order():
     model = ms.HelicalB(A_amp=1.0, beta=2.0)
     x = np.array([0.4, -0.6, 1.1])
     for spec in ms.known_integrals(model):
-        assert spec.is_first_order()
+        assert not spec.alpha
         rc = ms.determining_residuals(spec, model, x, mode="classical")
         rq = ms.determining_residuals(spec, model, x, mode="quantum", hbar=3.0)
         assert rc == rq
@@ -155,7 +155,7 @@ def test_quantum_correction_vanishes_for_monopole_integrals():
     model = ms.Monopole(g=2.0, Q=1.0)
     gen = rng(36)
     states = monopole_states(gen, 25)
-    second_order = [sp for sp in ms.known_integrals(model) if not sp.is_first_order()]
+    second_order = [sp for sp in ms.known_integrals(model) if sp.alpha]
     assert {sp.name for sp in second_order} == {"X_sq", "R1", "R2", "R3"}
     for spec in second_order:
         for s in states:
@@ -249,7 +249,7 @@ def test_x4_reference_value():
     model = ms.ConstantB(B=2.0)
     spec = next(sp for sp in ms.known_integrals(model) if sp.name == "X4")
     s = ms.PhaseState([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-    assert spec.value_at(model, s) == pytest.approx(3.0, abs=1e-14)
+    assert ms.evaluate_integral(spec, model, s) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_as_phase_function_paths():
@@ -259,7 +259,6 @@ def test_as_phase_function_paths():
     assert pf.name == "X1"
     s = ms.PhaseState([0, 0, 0], [2.0, 0, 0])
     assert pf(s) == ms.evaluate_integral(spec, model, s)
-    assert pf.value(s) == pf(s)
     with pytest.raises(ValueError):
         ms.as_phase_function(spec)  # spec without model
     with pytest.raises(TypeError):

@@ -118,11 +118,39 @@ def _reference_bracket_table(B, states, use_gradients):
             "n_states": len(states)}
 
 
+def _stack(states):
+    return np.array([s.x for s in states]), np.array([s.p for s in states])
+
+
+def _stripped(fns):
+    """The functions without their gradients: brackets by central differences."""
+    return [ms.PhaseFunction(f.name, f.fn) for f in fns]
+
+
+def _stripped_bracket_table(B, states):
+    """The report of verify_bracket_table for the basis with its gradients
+    stripped, all states through one bracket_matrix."""
+    basis = ms.constantB_basis(B)
+    table = ms.constantB_bracket_table(B)
+    s = _stack(states)
+    vals = {f.name: f.fn(s) for f in basis}
+    br = ms.bracket_matrix(_stripped(basis), s)
+    pairs = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            pred = sum(c * vals[n] for n, c in table.combination(i, j).items())
+            pairs[f"{{{basis[i].name},{basis[j].name}}}"] = float(
+                np.max(np.abs(br[:, i, j] - pred)))
+    return {"pairs": pairs, "max_discrepancy": max(pairs.values()),
+            "n_states": len(states)}
+
+
 @pytest.mark.parametrize("use_gradients", [True, False])
 @pytest.mark.parametrize("B", [1.3, -0.7])
 def test_bracket_table_matches_per_pair_loop(B, use_gradients):
     states = random_states(rng(611), 300 if use_gradients else 40, p1_min=0.1)
-    got = ms.verify_bracket_table(B, states, use_gradients=use_gradients)
+    got = (ms.verify_bracket_table(B, states) if use_gradients
+           else _stripped_bracket_table(B, states))
     assert got == _reference_bracket_table(B, states, use_gradients)
 
 
@@ -149,11 +177,31 @@ def _reference_closure(g, states, Q, use_gradients):
             "n_states": len(states)}
 
 
+def _stripped_closure(g, states, Q):
+    """The report of monopole_closure_check for the functions with their
+    gradients stripped, all states through one bracket_matrix."""
+    model = _monopole_model(g, Q)
+    specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
+    fns = [ms.as_phase_function(sp, model) for sp in specs]
+    s = _stack(states)
+    vals = [f.fn(s) for f in fns[:3]]
+    br = ms.bracket_matrix(_stripped(fns), s)
+    checks = {}
+    for j in range(3):
+        k, l = (j + 1) % 3, (j + 2) % 3
+        checks[f"{{X{j + 1},X{k + 1}}}-X{l + 1}"] = float(np.max(np.abs(br[:, j, k] - vals[l])))
+    for j in range(3):
+        checks[f"{{X_sq,X{j + 1}}}"] = float(np.max(np.abs(br[:, 3, j])))
+    return {"checks": checks, "max_discrepancy": max(checks.values()),
+            "n_states": len(states)}
+
+
 @pytest.mark.parametrize("use_gradients", [True, False])
 @pytest.mark.parametrize("g, Q", [(2.0, 1.0), (-1.5, 0.0), (0.0, 0.0)])
 def test_closure_check_matches_per_pair_loop(g, Q, use_gradients):
     states = monopole_states(rng(612), 300 if use_gradients else 40)
-    got = ms.monopole_closure_check(g, states, Q=Q, use_gradients=use_gradients)
+    got = (ms.monopole_closure_check(g, states, Q=Q) if use_gradients
+           else _stripped_closure(g, states, Q))
     assert got == _reference_closure(g, states, Q, use_gradients)
 
 
@@ -349,7 +397,7 @@ def _reference_spec_parts(spec, x):
 
 def _reference_residuals(spec, model, x, mode, hbar=1.0):
     """The one-point determining_residuals: a list in RESIDUAL_KEYS order."""
-    poly = ms.build_hn_from_alpha(spec.alpha)
+    poly = ms.CoeffPolynomials(spec.alpha)
     h1, h2, h3 = poly.h(x)
     n1, n2, n3 = poly.n(x)
     b1, b2, b3 = model.magnetic_field(x)
@@ -488,9 +536,9 @@ def _squares_unlike_pow(seed, n):
 
 def test_stacked_polynomials_have_one_point_bits():
     xs = _squares_unlike_pow(641, 60)
-    poly = ms.build_hn_from_alpha({(a, b): 0.5 + a - 0.3 * b for a in range(1, 7)
-                                   for b in range(a, 7)})
-    for name in ("h", "n", "jac_h", "jac_n"):
+    poly = ms.CoeffPolynomials({(a, b): 0.5 + a - 0.3 * b for a in range(1, 7)
+                                for b in range(a, 7)})
+    for name in ("h", "n", "jac_n"):
         method = getattr(poly, name)
         assert np.array_equal(method(xs), [method(x) for x in xs]), name
 
@@ -600,4 +648,4 @@ def test_integrate_energy_and_integrals_have_one_state_bits(name):
     assert np.array_equal(traj.energy, [ms.hamiltonian(model, s) for s in states])
     for spec in specs:
         assert np.array_equal(traj.diagnostics[spec.name],
-                              [spec.value_at(model, s) for s in states]), spec.name
+                              [ms.evaluate_integral(spec, model, s) for s in states]), spec.name
