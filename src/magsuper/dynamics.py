@@ -7,10 +7,19 @@ Two integrators are provided: adaptive Dormand-Prince 5(4) ("RK45"), a
 loop on Python floats with the step control of scipy's RK45, for general
 accuracy, and a synchronized Boris-style rotation step that bounds
 energy drift on long magnetic-field runs.
+
+An RK45 attempt is one function generated from the tableau for states
+of n floats (`_dp5_source`): each stage sum and the error norm are
+written out per component, in the order of the list comprehensions over
+components that they replace, so every float keeps their bits. It is
+compiled on the first run for each n and kept in a small cache; the
+loop, the dense output and the separatrix z(t) of `closedform` all use
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -21,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OVERFLOW_MESSAGE, ConfigError, ParameterError, StepFailure
-from .fields import FieldModel, Vec3, _as_vec3, dot
+from .fields import FieldModel, Vec3, _as_real, _as_vec3, dot
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
 #: any step is taken
@@ -102,7 +111,9 @@ class IntegratorConfig:
 
     `dt` is the fixed step used by the Boris method; the adaptive RK45
     path ignores it, and raises a `rel_tol` below RTOL_FLOOR (100
-    machine epsilons) to that floor with a warning.
+    machine epsilons) to that floor with a warning. `rel_tol`, `abs_tol`
+    and `dt` are finite positive real numbers and `max_step` a positive
+    one (inf by default), each kept as a float.
     """
 
     method: str = "rk45"
@@ -114,10 +125,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk45", "boris"):
             raise ParameterError(f"unknown integrator method {self.method!r}")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ParameterError("tolerances must be positive")
-        if not (self.max_step > 0 and self.dt > 0):
-            raise ParameterError("max_step and dt must be positive")
+        for key in ("rel_tol", "abs_tol", "max_step", "dt"):
+            value = getattr(self, key)
+            object.__setattr__(self, key, _as_real(value, f"{key} {value!r}", positive=True,
+                                                   finite=key != "max_step"))
 
 
 def _state_arrays(s):
@@ -241,8 +252,7 @@ def integrate(
 
     if cfg is None:
         cfg = IntegratorConfig()
-    if not t_end > 0:
-        raise ParameterError("t_end must be positive")
+    t_end = _as_real(t_end, f"t_end {t_end!r}", positive=True)
     model.check_domain(s0.x)
     items = [(getattr(w, "name", None) or f"watch{i}", as_phase_function(w, model).fn)
              for i, w in enumerate(watch)]
@@ -261,10 +271,13 @@ def integrate(
     return Trajectory(times, xs, ps, energy, diag, model, cfg.method, dense, stats)
 
 
+_NON_FINITE = "integration aborted: vector has non-finite components"
+
+
 def _finite(y):
     """y, a list of floats, or a StepFailure if a component is not finite."""
     if not all(map(math.isfinite, y)):
-        raise StepFailure("integration aborted: vector has non-finite components")
+        raise StepFailure(_NON_FINITE)
     return y
 
 
@@ -289,35 +302,79 @@ def _initial_step(rhs, y, f, t_end, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, t_end, max_step)
 
 
-def _dp5_stepper(rhs):
-    """step(y, k1, h) -> (y_new, (k1, k3, k4, k5, k6, k7)): one Dormand-
-    Prince attempt of size h from the state y (a list of floats) with slope
-    k1 = rhs(y), and the stage slopes that the error and the dense output
-    weigh (the second has weight 0 in both). A y_new that is not finite is
-    a StepFailure before its slope k7 is taken."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = RK45_A[1:]
-    b1, _, b3, b4, b5, b6 = RK45_B
+#: names of the stage slopes k1 .. k7 in a generated stepper: component j
+#: of k1 is p{j}; those of the state y and of y_new are c{j} and d{j}
+_SLOPE_NAMES = "pqrsuwz"
 
-    def step(y, k1, h):
-        k2 = rhs([c + (a21 * p) * h for c, p in zip(y, k1)])
-        k3 = rhs([c + (a31 * p + a32 * q) * h for c, p, q in zip(y, k1, k2)])
-        k4 = rhs([c + (a41 * p + a42 * q + a43 * r) * h
-                  for c, p, q, r in zip(y, k1, k2, k3)])
-        k5 = rhs([c + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                  for c, p, q, r, s in zip(y, k1, k2, k3, k4)])
-        k6 = rhs([c + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
-                  for c, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [c + (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w) * h
-                 for c, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
-        return y_new, (k1, k3, k4, k5, k6, rhs(_finite(y_new)))
 
-    return step
+def _dp5_source(n: int) -> str:
+    """Source of `make(rhs)`, which returns the attempt `step` of
+    `_dp5_stepper` for states of n floats. Each stage sum, y_new and the
+    error norm are written out per component with the operations, in the
+    order, of list comprehensions over the components such as
+    `[c + (a21 * p) * h for c, p in zip(y, k1)]`, zero weights left out,
+    so every float has the bits of the comprehension's."""
+    idx = range(n)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{j}" for j in idx)
+
+    def weighted(tag, weights, j):
+        return " + ".join(f"{tag}{i} * {k}{j}" for i, (w, k)
+                          in enumerate(zip(weights, _SLOPE_NAMES), 1) if w)
+
+    lines = ["def make(rhs):",
+             "    def step(y, p, h, atol=1.0, rtol=1.0):",
+             f"        {names('c')}, = y",
+             f"        {names('p')}, = p"]
+    for i, (k, row) in enumerate(zip(_SLOPE_NAMES[1:6], RK45_A[1:]), 2):
+        sums = ", ".join(f"c{j} + ({weighted(f'a{i}', row, j)}) * h" for j in idx)
+        lines += [f"        {k} = rhs([{sums}])", f"        {names(k)}, = {k}"]
+    lines += [f"        d{j} = c{j} + ({weighted('b', RK45_B, j)}) * h" for j in idx]
+    finite = " and ".join(f"isfinite(d{j})" for j in idx)
+    errors = ", ".join(f"({weighted('e', RK45_E, j)}) * h / (atol + (abs(c{j})"
+                       f" if abs(c{j}) > abs(d{j}) else abs(d{j})) * rtol)" for j in idx)
+    lines += [f"        if not ({finite}):",
+              "            raise StepFailure(NON_FINITE)",
+              f"        y_new = [{names('d')}]",
+              "        z = rhs(y_new)",
+              f"        {names('z')}, = z",
+              f"        err = hypot({errors}) / {math.sqrt(n)!r}",
+              "        return y_new, err, (p, r, s, u, w, z)",
+              "    return step"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=8)
+def _dp5_maker(n: int):
+    """`make` of `_dp5_source(n)`, compiled on the first call for n."""
+    if n < 1:
+        raise ParameterError("an RK45 state needs at least one component")
+    namespace = {"isfinite": math.isfinite, "hypot": math.hypot, "StepFailure": StepFailure,
+                 "NON_FINITE": _NON_FINITE}
+    namespace.update({f"a{i}{j}": w for i, row in enumerate(RK45_A, 1)
+                      for j, w in enumerate(row, 1)})
+    namespace.update({f"b{j}": w for j, w in enumerate(RK45_B, 1)})
+    namespace.update({f"e{j}": w for j, w in enumerate(RK45_E, 1)})
+    exec(compile(_dp5_source(n), f"<dp5 stepper, n={n}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _dp5_stepper(rhs, n: int):
+    """step(y, k1, h, atol=1.0, rtol=1.0) -> (y_new, err, (k1, k3, k4, k5,
+    k6, k7)): one Dormand-Prince attempt of size h from the state y (n
+    floats) with slope k1 = rhs(y), its error norm (the RMS over
+    components of h E.K / (atol + max(|y|, |y_new|) rtol)), and the stage
+    slopes that the error and the dense output weigh (the second has
+    weight 0 in both). A y_new that is not finite is a StepFailure before
+    its slope k7 is taken."""
+    return _dp5_maker(n)(rhs)
 
 
 def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     """Dormand-Prince 5(4) of dy/dt = fun(y) over [0, t_end] from y,
-    a list of floats of any length, as every state is.
+    a list of n >= 1 floats (an empty one is a ParameterError), as every
+    state is; each attempt is one call of the stepper generated for n.
 
     Steps as scipy's RK45: the error of an attempt is the RMS over
     components of h E.K / (atol + max(|y|, |y_new|) rtol), and an
@@ -329,12 +386,11 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     SolverStats: the dense output repeats each step that holds a query
     time, which gives the same slopes.
     """
+    step = _dp5_stepper(fun, len(y))
     if rtol < RTOL_FLOOR:
         warnings.warn(f"rel_tol {rtol:g} is below {RTOL_FLOOR:.3g}; using {RTOL_FLOOR:.3g}",
                       stacklevel=3)
         rtol = RTOL_FLOOR
-    step = _dp5_stepper(fun)
-    e1, _, e3, e4, e5, e6, e7 = RK45_E
     t_end = float(t_end)
     t = 0.0
     times, states = array("d", [t]), array("d", y)
@@ -359,18 +415,14 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 attempts += 1
-                y_new, (k1, k3, k4, k5, k6, k7) = step(y, f, h)
-                err = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
-                            / (atol + (c if c > d else d) * rtol)
-                            for c, d, p, r, s, u, w, z in zip(
-                                map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)])
+                y_new, err, slopes = step(y, f, h, atol, rtol)
                 if err < 1:
                     factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
                     h_abs *= min(1, factor) if rejected else factor
                     break
                 h_abs *= max(MIN_FACTOR, SAFETY * err ** -0.2)
                 rejected = True
-            t, y, f = t_new, y_new, k7
+            t, y, f = t_new, y_new, slopes[-1]
             times.append(t)
             states.extend(y)
     except ArithmeticError as exc:
@@ -395,9 +447,9 @@ def _dp5_interpolant(fun, times, blocks):
     slopes K of a step are taken again from y_i and h, once per call for
     each step that holds a query; shape (n,) for a number, (len(t), n) for
     an array."""
-    step = _dp5_stepper(fun)
-    last = len(times) - 2
     width = sum(b.shape[1] for b in blocks)
+    step = _dp5_stepper(fun, width)
+    last = len(times) - 2
 
     def at(t):
         ts = np.asarray(t, dtype=float)
@@ -411,7 +463,7 @@ def _dp5_interpolant(fun, times, blocks):
             if i not in weights:
                 y_i = np.concatenate([b[i] for b in blocks])
                 y0 = y_i.tolist()
-                _, slopes = step(y0, fun(y0), float(h))
+                _, _, slopes = step(y0, fun(y0), float(h))
                 weights[i] = y_i, np.array(slopes).T @ _P_USED
             y_i, kp = weights[i]
             theta = np.cumprod(np.full(4, (tq - times[i]) / h))

@@ -44,6 +44,24 @@ def _as_vec3(x) -> Vec3:
     return a
 
 
+def _as_real(value, what: str, *, positive: bool = False, finite: bool = True) -> float:
+    """value as a float, or a ParameterError that starts with `what` (the
+    argument's name, and its value) unless value is a real number and not
+    a bool, not nan, finite unless `finite` is false, and > 0 if
+    `positive`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} is not a number")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the double range
+        raise ParameterError(f"{what} is beyond the double range") from None
+    if math.isnan(x) or (finite and math.isinf(x)):
+        raise ParameterError(f"{what} is not finite")
+    if positive and not x > 0:
+        raise ParameterError(f"{what} is not positive")
+    return x
+
+
 def _as_points(x) -> tuple[np.ndarray, bool]:
     """x as an (n,3) stack of finite points, and whether it was one (3,) point."""
     a = np.asarray(x, dtype=float)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from numbers import Real
+from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
@@ -33,6 +33,7 @@ from .fields import (
     Monopole,
     Vec3,
     _as_points,
+    _as_real,
     _as_vec3,
     _per_radius,
     _pow,
@@ -46,23 +47,27 @@ from .fields import (
 
 
 def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
-    """Accept {(a,b): v} with 1 <= a <= b <= 6 and v a real number, or
-    {"ab": v} with two digits a, b."""
+    """Accept {(a,b): v} with integers 1 <= a <= b <= 6 and v a finite real
+    number, or {"ab": v} with two digits a, b."""
     if alpha is None:
         return {}
     if not isinstance(alpha, Mapping):
         raise ParameterError(f"alpha must be a mapping, not {type(alpha).__name__}")
     out: dict[tuple[int, int], float] = {}
     for key, val in alpha.items():
-        if isinstance(key, str) and not (len(key) == 2 and key.isascii() and key.isdigit()):
-            raise ParameterError(f"alpha key {key!r} is not two digits 'ab'")
-        if isinstance(val, bool) or not isinstance(val, Real):
-            raise ParameterError(f"alpha value {val!r} at {key!r} is not a number")
+        if isinstance(key, str):
+            if not (len(key) == 2 and key.isascii() and key.isdigit()):
+                raise ParameterError(f"alpha key {key!r} is not two digits 'ab'")
+        elif not (isinstance(key, tuple) and len(key) == 2 and all(
+                isinstance(i, Integral) and not isinstance(i, bool) for i in key)):
+            raise ParameterError(f"alpha key {key!r} is not two digits 'ab' "
+                                 "or a pair of integers")
+        val = _as_real(val, f"alpha value {val!r} at {key!r}")
         a, b = map(int, key)
         if not (1 <= a <= b <= 6):
             raise ParameterError(f"alpha index ({a},{b}) out of range or unordered")
         if val != 0.0:
-            out[(a, b)] = out.get((a, b), 0.0) + float(val)
+            out[(a, b)] = out.get((a, b), 0.0) + val
     return out
 
 

@@ -7,7 +7,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import PhaseState
+from magsuper import PhaseState, StepFailure
+from magsuper.dynamics import RK45_A, RK45_B, RK45_E
 from magsuper.fields import cross
 
 
@@ -213,3 +214,42 @@ def boris_numpy(model, s0, t_end, dt):
     ps = vs - model.vector_potential(xs)
     ps[0] = s0.p
     return times, xs, ps
+
+
+def dp5_step_reference(rhs):
+    """step(y, k1, h) -> (y_new, (k1, k3, k4, k5, k6, k7)): the Dormand-Prince
+    attempt written as one list comprehension per stage, the stepper that
+    `dynamics._dp5_stepper` replaced, kept as its bit-for-bit reference."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = RK45_A[1:]
+    b1, _, b3, b4, b5, b6 = RK45_B
+
+    def step(y, k1, h):
+        k2 = rhs([c + (a21 * p) * h for c, p in zip(y, k1)])
+        k3 = rhs([c + (a31 * p + a32 * q) * h for c, p, q in zip(y, k1, k2)])
+        k4 = rhs([c + (a41 * p + a42 * q + a43 * r) * h
+                  for c, p, q, r in zip(y, k1, k2, k3)])
+        k5 = rhs([c + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                  for c, p, q, r, s in zip(y, k1, k2, k3, k4)])
+        k6 = rhs([c + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                  for c, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [c + (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w) * h
+                 for c, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+        if not all(map(math.isfinite, y_new)):
+            raise StepFailure("integration aborted: vector has non-finite components")
+        return y_new, (k1, k3, k4, k5, k6, rhs(y_new))
+
+    return step
+
+
+def dp5_error_reference(y, y_new, slopes, h, atol, rtol):
+    """The RMS error norm of a Dormand-Prince attempt as the comprehension
+    that `dynamics._dp5_stepper` replaced: over components of
+    h E.K / (atol + max(|y|, |y_new|) rtol)."""
+    e1, _, e3, e4, e5, e6, e7 = RK45_E
+    k1, k3, k4, k5, k6, k7 = slopes
+    v = [(e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+         / (atol + (c if c > d else d) * rtol)
+         for c, d, p, r, s, u, w, z in zip(
+             map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)]
+    return math.hypot(*v) / math.sqrt(len(v))

@@ -1,5 +1,6 @@
 """Equations of motion, integrators, trajectory diagnostics."""
 
+import math
 import warnings
 
 import numpy as np
@@ -295,6 +296,55 @@ def test_t_end_and_config_validation():
         ms.IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         ms.IntegratorConfig(dt=-0.1)
+
+
+class _NoCalls(ms.HelicalB):
+    """A HelicalB whose right-hand side must not be called."""
+
+    def hamilton_rhs(self, y):
+        raise AssertionError("a step was taken")
+
+
+@pytest.mark.parametrize("t_end, message", [
+    (math.inf, "t_end inf is not finite"),
+    (math.nan, "t_end nan is not finite"),
+    ("5", "t_end '5' is not a number"),
+    (None, "t_end None is not a number"),
+    (True, "t_end True is not a number"),
+    (0, "t_end 0 is not positive"),
+    (-math.inf, "t_end -inf is not finite"),
+    (10**400, "t_end 1000.* is beyond the double range"),
+])
+@pytest.mark.parametrize("method", ["rk45", "boris"])
+def test_t_end_that_is_not_a_finite_positive_real_is_refused_before_any_step(
+        t_end, message, method):
+    s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        ms.integrate(_NoCalls(1.0, 1.0), s0, t_end, ms.IntegratorConfig(method=method))
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "dt", "max_step"])
+@pytest.mark.parametrize("value, problem", [
+    ("1", "is not a number"), (None, "is not a number"), (True, "is not a number"),
+    (math.nan, "is not finite"), (math.inf, "is not finite"), (0.0, "is not positive"),
+    (-1e-3, "is not positive"), (-math.inf, "is not positive"),
+    (10**400, "is beyond the double range"),
+])
+def test_integrator_config_holds_finite_positive_reals(key, value, problem):
+    if key == "max_step" and value == math.inf:
+        assert ms.IntegratorConfig(max_step=value).max_step == math.inf
+        return
+    if key != "max_step" and value == -math.inf:
+        problem = "is not finite"
+    with pytest.raises(ms.ParameterError, match=rf"^{key} .* {problem}$"):
+        ms.IntegratorConfig(**{key: value})
+
+
+def test_integrator_config_keeps_floats():
+    cfg = ms.IntegratorConfig(rel_tol=np.float64(1e-8), abs_tol=1, max_step=2, dt=np.float32(0.5))
+    assert (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.dt) == (1e-8, 1.0, 2.0, 0.5)
+    assert all(type(v) is float for v in (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.dt))
+    assert cfg == ms.IntegratorConfig(rel_tol=1e-8, abs_tol=1.0, max_step=2.0, dt=0.5)
 
 
 def test_gauge_invariance_of_positions():

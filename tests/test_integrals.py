@@ -58,6 +58,28 @@ def test_alpha_validation():
     assert ms.IntegralSpec("ok", {(1, 1): 2.0}).alpha == {(1, 1): 2.0}
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ({26: 1.0}, "alpha key 26 is not two digits 'ab' or a pair of integers"),
+    ({(1, 2, 3): 1.0}, r"alpha key \(1, 2, 3\) is not two digits"),
+    ({(1.5, 2): 1.0}, r"alpha key \(1.5, 2\) is not two digits"),
+    ({(True, 2): 1.0}, r"alpha key \(True, 2\) is not two digits"),
+    ({"11": float("nan")}, "alpha value nan at '11' is not finite"),
+    ({(1, 1): float("-inf")}, r"alpha value -inf at \(1, 1\) is not finite"),
+    ({"11": 10**400}, "alpha value 1000.* at '11' is beyond the double range"),
+    ({"11": "2"}, "alpha value '2' at '11' is not a number"),
+], ids=["int-key", "triple", "float-index", "bool-index", "nan", "inf", "huge-int", "str-value"])
+def test_alpha_keys_and_values_are_refused_by_name(alpha, message):
+    for cls in (lambda a: ms.IntegralSpec("bad", a), ms.CoeffPolynomials):
+        with pytest.raises(ms.ParameterError, match=f"^{message}"):
+            cls(alpha)
+
+
+def test_alpha_integer_pairs_of_any_integer_type_are_accepted():
+    spec = ms.IntegralSpec("ok", {(np.int64(2), 6): np.float64(1.5), "35": 2})
+    assert spec.alpha == {(2, 6): 1.5, (3, 5): 2.0}
+    assert all(type(v) is float for v in spec.alpha.values())
+
+
 def test_quadratic_expansion_identity():
     # sum alpha_ab Y_a Y_b == sum_j h_j (pA_j)^2 + n1 pA2 pA3 + n2 pA1 pA3 + n3 pA1 pA2
     gen = rng(32)

@@ -3,6 +3,9 @@ control against scipy's RK45, its failures, its convergence to the exact
 helix, and the solver statistics a trajectory carries."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from scipy.integrate import RK45, solve_ivp
 import magsuper as ms
 from magsuper import dynamics
 
-from helpers import kepler_orbit, rng
+from helpers import (dp5_error_reference, dp5_step_reference, kepler_orbit, monopole_states,
+                     random_states, rng)
 
 RUNS = {
     "constant_b": (ms.ConstantB(B=1.0), [0.1, 0.2, -0.3], [0.5, 0.3, -0.2], 40.0),
@@ -213,3 +217,108 @@ def test_a_state_that_leaves_the_doubles_raises_step_failure():
     with pytest.raises(ms.StepFailure,
                        match=r"^integration aborted: vector has non-finite components$"):
         dynamics._run_rk45(fun, [0.0], 5.0, 1e-8, 1e-8)
+
+
+def _pendulum(y):
+    return [y[1], -0.5 * math.sin(y[0])]
+
+
+_HELICAL = ms.HelicalB(A_amp=1.0, beta=1.0).hamilton_rhs
+_MONOPOLE = ms.Monopole(g=2.0, Q=1.0).hamilton_rhs
+
+# right-hand sides of n = 1, 2, 6 and 7 floats, with states drawn for each
+STEPPER_CASES = {
+    "pendulum-force-1": (lambda y: [-0.5 * math.sin(y[0])],
+                         lambda gen: gen.uniform(-3.0, 3.0, 1)),
+    "pendulum-2": (_pendulum, lambda gen: gen.uniform(-3.0, 3.0, 2)),
+    "helical-6": (_HELICAL, lambda gen: random_states(gen, 1)[0].as_array()),
+    "monopole-6": (_MONOPOLE, lambda gen: monopole_states(gen, 1)[0].as_array()),
+    "helical-with-clock-7": (lambda y: (*_HELICAL(y[:6]), 1.0),
+                             lambda gen: np.append(random_states(gen, 1)[0].as_array(), 0.0)),
+    "monopole-with-energy-7": (lambda y: (*_MONOPOLE(y[:6]), y[3] * y[3] - y[5]),
+                               lambda gen: np.append(monopole_states(gen, 1)[0].as_array(),
+                                                     gen.uniform(-1.0, 1.0))),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", list(STEPPER_CASES))
+def test_generated_stepper_has_the_bits_of_the_comprehensions(case):
+    rhs, draw = STEPPER_CASES[case]
+    gen = rng(1601)
+    reference = dp5_step_reference(rhs)
+    for _ in range(40):
+        y = draw(gen).tolist()
+        n = len(y)
+        step = dynamics._dp5_stepper(rhs, n)
+        h = float(10.0 ** gen.uniform(-5.0, -0.5))
+        atol, rtol = (float(10.0 ** gen.uniform(-13.0, -3.0)) for _ in range(2))
+        k1 = rhs(y)
+        y_new, err, slopes = step(y, k1, h, atol, rtol)
+        ref_new, ref_slopes = reference(y, k1, h)
+        assert len(y_new) == n and _bits(y_new) == _bits(ref_new)
+        assert len(slopes) == 6 and slopes[0] is k1
+        for k, ref_k in zip(slopes, ref_slopes):
+            assert _bits(k) == _bits(ref_k)
+        assert err == dp5_error_reference(y, ref_new, ref_slopes, h, atol, rtol)
+
+
+def _reference_stepper(rhs, n):
+    """The comprehension stepper and error norm in the signature of
+    `dynamics._dp5_stepper`."""
+    reference = dp5_step_reference(rhs)
+
+    def step(y, k1, h, atol=1.0, rtol=1.0):
+        y_new, slopes = reference(y, k1, h)
+        return y_new, dp5_error_reference(y, y_new, slopes, h, atol, rtol), slopes
+
+    return step
+
+
+@pytest.mark.parametrize("case", ["kepler", "pendulum", "helical"])
+def test_a_run_on_the_reference_stepper_is_the_library_run(case, monkeypatch):
+    if case == "kepler":  # rejected attempts included
+        x0, p0, _, period, _ = kepler_orbit(rng(811), 2.0, 1.0, 6.0)
+        args = (_MONOPOLE, ms.PhaseState(x0, p0).as_array().tolist(), 3 * period, 1e-6, 1e-6)
+    elif case == "pendulum":
+        args = (_pendulum, [0.3, 1.2], 20.0, 1e-13, 1e-13)
+    else:
+        args = (_HELICAL, [0.1, 0.2, -0.3, 0.5, 0.3, 0.4], 60.0, 1e-10, 1e-10, 0.5)
+    times, y, dense, stats = dynamics._run_rk45(*args)
+    ts = np.linspace(0.0, args[2], 57)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_dp5_stepper", _reference_stepper)
+        ref_times, ref_y, ref_dense, ref_stats = dynamics._run_rk45(*args)
+        ref_values = ref_dense(ts)
+    assert stats == ref_stats and (case != "kepler" or stats.rejected > 0)
+    assert _bits(times) == _bits(ref_times) and _bits(y) == _bits(ref_y)
+    assert _bits(dense(ts)) == _bits(ref_values)
+
+
+def test_an_empty_state_is_a_parameter_error():
+    def fun(y):
+        raise AssertionError("called")
+
+    with pytest.raises(ms.ParameterError, match="^an RK45 state needs at least one component$"):
+        dynamics._run_rk45(fun, [], 1.0, 1e-8, 1e-8)
+    with pytest.raises(ms.ParameterError):
+        dynamics._dp5_stepper(fun, 0)
+
+
+def test_steppers_are_compiled_on_first_use_and_cached():
+    # importing the package and the command line compiles none
+    code = ("import magsuper.cli\n"
+            "from magsuper import dynamics\n"
+            "print(dynamics._dp5_maker.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
+    # one compiled maker per state length, shared by every right-hand side
+    dynamics._dp5_maker(3)
+    hits = dynamics._dp5_maker.cache_info().hits
+    assert dynamics._dp5_stepper(_pendulum, 3) is not dynamics._dp5_stepper(_pendulum, 3)
+    assert dynamics._dp5_maker.cache_info().hits == hits + 2
+    assert dynamics._dp5_maker.cache_info().maxsize == 8
