@@ -15,7 +15,7 @@ import numpy as np
 from .closedform import x5_integral, x6_integral
 from .dynamics import PhaseState, _state_arrays
 from .errors import ConfigError, DomainError, ParameterError
-from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _pow, _zeros
+from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _as_count, _pow, _zeros
 from .integrals import (
     PhaseFunction,
     as_phase_function,
@@ -238,7 +238,9 @@ SAMPLE_MAX_ROWS = 200_000
 def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.ndarray:
     """n rows of `size` uniform draws in [-box, box], one row per try, kept
     where `accept` passes it; a ConfigError after 1000 tries per row, and
-    before any draw when n exceeds SAMPLE_MAX_ROWS."""
+    before any draw when n exceeds SAMPLE_MAX_ROWS; a ParameterError when n
+    is not a count."""
+    n = _as_count(n, f"n {n!r}")
     if n > SAMPLE_MAX_ROWS:
         raise ConfigError(f"{n} sampled points exceed the maximum of {SAMPLE_MAX_ROWS}")
     rows, tries = [], 0

@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import PhaseState, _run_rk45, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
-from .fields import HelicalB
+from .fields import HelicalB, _as_real
 
 __all__ = [
     "helix_solution", "x5_integral", "x6_integral", "tilde_transform",
@@ -43,15 +43,19 @@ def helix_solution(B: float, s0: PhaseState, t):
     Uniform drift along x and gyration in the (y, z) plane with
     angular frequency B; p1 and p2 are constant. For an array of times
     the states come as a pair (x, p) of (n,3) stacks, each row with the
-    bits of the one-time call.
+    bits of the one-time call. B and a single t are finite real numbers,
+    else a ParameterError names them.
     """
+    B = _as_real(B, f"helix_solution B {B!r}")
     if B == 0:
         raise ParameterError("helix_solution requires B != 0")
-    x0, y0, z0 = s0.x
-    p1, p2, p3 = s0.p
+    x0, y0, z0 = s0.x.tolist()
+    p1, p2, p3 = s0.p.tolist()
     stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
     if stacked:
         t = np.asarray(t, dtype=float)
+    else:  # a number, or an array of one
+        t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
     c, s = _cos_sin(B * t)
     x = x0 + p1 * t
     y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
@@ -131,7 +135,10 @@ class PendulumReduction:
 
 
 def pendulum_reduction(model: HelicalB, s0: PhaseState) -> PendulumReduction:
-    """Conserved pendulum data (p, phi_p, kappa, tau0) of an initial state."""
+    """Conserved pendulum data (p, phi_p, kappa, tau0) of an initial state
+    in a HelicalB model (another model is a ParameterError)."""
+    if not isinstance(model, HelicalB):
+        raise ParameterError(f"pendulum_reduction needs a HelicalB model, got {model!r}")
     p1, p2, zdot0 = s0.p
     p = math.hypot(p1, p2)
     if p < 1e-12:

@@ -11,17 +11,24 @@ energy drift on long magnetic-field runs.
 An RK45 attempt is one function generated from the tableau for states
 of n floats (`_dp5_source`): each stage sum and the error norm are
 written out per component, in the order of the list comprehensions over
-components that they replace, so every float keeps their bits. It is
-compiled on the first run for each n and kept in a small cache; the
-loop, the dense output and the separatrix z(t) of `closedform` all use
-it.
+components that they replace, so every float keeps their bits. Where
+the right-hand side is the `hamilton_rhs` of a model that states it as
+source (`fields.RhsSource`: `ConstantB`, `HelicalB`, `Monopole`), each
+stage evaluates that source in place and calls nothing; any other
+right-hand side (`Cylindrical`, `Custom`, an override of `hamilton_rhs`
+in a subclass, a wrapper, the separatrix pendulum) is called once per
+stage. It is compiled on the first run for each n, or each model class
+and n, in 1-3 ms, and kept in a small cache; the loop, the dense
+output and the separatrix z(t) of `closedform` all use it.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import sys
+import textwrap
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -30,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OVERFLOW_MESSAGE, ConfigError, ParameterError, StepFailure
-from .fields import FieldModel, Vec3, _as_real, _as_vec3, dot
+from .fields import (RHS_GLOBALS, RHS_STATE, FieldModel, RhsSource, Vec3, _as_real,
+                     _as_vec3, dot)
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
 #: any step is taken
@@ -152,6 +160,11 @@ def hamiltonian(model: FieldModel, s: PhaseState):
 class SolverStats:
     """What an integrator did: accepted steps, rejected steps, right-hand
     side evaluations and the smallest and largest accepted step.
+
+    `nfev` counts the evaluations, whether the attempt writes the model's
+    source in place or calls `hamilton_rhs`: an RK45 run evaluates it
+    twice to start and six times per attempt, and only the two starting
+    evaluations of a closed-form model are calls.
 
     A Boris run takes `steps` equal steps of t_end / steps, rejects none
     and evaluates the fields once per step.
@@ -302,61 +315,74 @@ def _initial_step(rhs, y, f, t_end, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, t_end, max_step)
 
 
-#: names of the stage slopes k1 .. k7 in a generated stepper: component j
-#: of k1 is p{j}; those of the state y and of y_new are c{j} and d{j}
-_SLOPE_NAMES = "pqrsuwz"
-
-
-def _dp5_source(n: int) -> str:
-    """Source of `make(rhs)`, which returns the attempt `step` of
+def _dp5_source(n: int, source: RhsSource | None = None) -> str:
+    """Source of `make(_rhs, *params)`, which returns the attempt `step` of
     `_dp5_stepper` for states of n floats. Each stage sum, y_new and the
     error norm are written out per component with the operations, in the
     order, of list comprehensions over the components such as
     `[c + (a21 * p) * h for c, p in zip(y, k1)]`, zero weights left out,
-    so every float has the bits of the comprehension's."""
+    so every float has the bits of the comprehension's.
+
+    Each of the seven stages evaluates the right-hand side in place: the
+    body and slopes of the model's RhsSource, its state x0 .. p2 bound to
+    the stage sums and its parameters to the arguments of `make` (n is 6);
+    without a source, the call `_rhs([...])` of the stage sums. Every
+    other name of the attempt starts with an underscore, so none meets a
+    name of the source."""
     idx = range(n)
+    if source is None:
+        state = [f"_x{j}" for j in idx]
+        source = RhsSource((), "", f"_rhs([{', '.join(state)}])")
+    else:
+        state = RHS_STATE
+    # a component that the source does not read is not summed: its sum has
+    # no effect, and float sums raise nothing
+    read = {node.id for node in ast.walk(ast.parse(f"{source.body}\n({source.slopes})"))
+            if isinstance(node, ast.Name)}
 
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in idx)
 
-    def weighted(tag, weights, j):
-        return " + ".join(f"{tag}{i} * {k}{j}" for i, (w, k)
-                          in enumerate(zip(weights, _SLOPE_NAMES), 1) if w)
+    def weighted(weights, j):
+        # each weight as its float's repr, which reads back as the same float
+        return " + ".join(f"{w!r} * _k{i}_{j}" for i, w in enumerate(weights, 1) if w)
 
-    lines = ["def make(rhs):",
-             "    def step(y, p, h, atol=1.0, rtol=1.0):",
-             f"        {names('c')}, = y",
-             f"        {names('p')}, = p"]
-    for i, (k, row) in enumerate(zip(_SLOPE_NAMES[1:6], RK45_A[1:]), 2):
-        sums = ", ".join(f"c{j} + ({weighted(f'a{i}', row, j)}) * h" for j in idx)
-        lines += [f"        {k} = rhs([{sums}])", f"        {names(k)}, = {k}"]
-    lines += [f"        d{j} = c{j} + ({weighted('b', RK45_B, j)}) * h" for j in idx]
-    finite = " and ".join(f"isfinite(d{j})" for j in idx)
-    errors = ", ".join(f"({weighted('e', RK45_E, j)}) * h / (atol + (abs(c{j})"
-                       f" if abs(c{j}) > abs(d{j}) else abs(d{j})) * rtol)" for j in idx)
+    def stage(i, sums):
+        # the state bound to the sums, then the slopes k_i and their components
+        return ([f"        {x} = {v}" for x, v in zip(state, sums) if x in read]
+                + ([textwrap.indent(source.body, " " * 8)] if source.body else [])
+                + [f"        _k{i} = ({source.slopes})", f"        {names(f'_k{i}_')}, = _k{i}"])
+
+    lines = [f"def make({', '.join(('_rhs', *source.params))}):",
+             "    def step(_y, _k1, _h, _atol=1.0, _rtol=1.0):",
+             f"        {names('_y')}, = _y",
+             f"        {names('_k1_')}, = _k1"]
+    for i, row in enumerate(RK45_A[1:], 2):
+        lines += stage(i, [f"_y{j} + ({weighted(row, j)}) * _h" for j in idx])
+    lines += [f"        _d{j} = _y{j} + ({weighted(RK45_B, j)}) * _h" for j in idx]
+    finite = " and ".join(f"_isfinite(_d{j})" for j in idx)
+    errors = ", ".join(f"({weighted(RK45_E, j)}) * _h / (_atol + (abs(_y{j})"
+                       f" if abs(_y{j}) > abs(_d{j}) else abs(_d{j})) * _rtol)" for j in idx)
     lines += [f"        if not ({finite}):",
-              "            raise StepFailure(NON_FINITE)",
-              f"        y_new = [{names('d')}]",
-              "        z = rhs(y_new)",
-              f"        {names('z')}, = z",
-              f"        err = hypot({errors}) / {math.sqrt(n)!r}",
-              "        return y_new, err, (p, r, s, u, w, z)",
+              "            raise _StepFailure(_NON_FINITE)",
+              f"        _y_new = [{names('_d')}]",
+              *stage(7, [f"_d{j}" for j in idx]),
+              f"        _err = _hypot({errors}) / {math.sqrt(n)!r}",
+              "        return _y_new, _err, (_k1, _k3, _k4, _k5, _k6, _k7)",
               "    return step"]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=8)
-def _dp5_maker(n: int):
-    """`make` of `_dp5_source(n)`, compiled on the first call for n."""
+def _dp5_maker(n: int, source: RhsSource | None = None):
+    """`make` of `_dp5_source(n, source)`, compiled on the first call for
+    the pair: one per state length in the call form, and one per model
+    class that states its right-hand side, whatever its parameters."""
     if n < 1:
         raise ParameterError("an RK45 state needs at least one component")
-    namespace = {"isfinite": math.isfinite, "hypot": math.hypot, "StepFailure": StepFailure,
-                 "NON_FINITE": _NON_FINITE}
-    namespace.update({f"a{i}{j}": w for i, row in enumerate(RK45_A, 1)
-                      for j, w in enumerate(row, 1)})
-    namespace.update({f"b{j}": w for j, w in enumerate(RK45_B, 1)})
-    namespace.update({f"e{j}": w for j, w in enumerate(RK45_E, 1)})
-    exec(compile(_dp5_source(n), f"<dp5 stepper, n={n}>", "exec"), namespace)
+    namespace = {**RHS_GLOBALS, "_isfinite": math.isfinite, "_hypot": math.hypot,
+                 "_StepFailure": StepFailure, "_NON_FINITE": _NON_FINITE}
+    exec(compile(_dp5_source(n, source), f"<dp5 stepper, n={n}>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -367,8 +393,17 @@ def _dp5_stepper(rhs, n: int):
     components of h E.K / (atol + max(|y|, |y_new|) rtol)), and the stage
     slopes that the error and the dense output weigh (the second has
     weight 0 in both). A y_new that is not finite is a StepFailure before
-    its slope k7 is taken."""
-    return _dp5_maker(n)(rhs)
+    its slope k7 is taken.
+
+    When rhs is the `hamilton_rhs` of a model that carries its RhsSource
+    (the class's own method, not an override or a wrapper) the attempt
+    evaluates that source in place, with the model's parameters, and
+    calls nothing; any other rhs is called once per stage."""
+    source = getattr(getattr(rhs, "__func__", None), "source", None)
+    if not isinstance(source, RhsSource):
+        return _dp5_maker(n)(rhs)
+    model = rhs.__self__
+    return _dp5_maker(n, source)(rhs, *(getattr(model, name) for name in source.params))
 
 
 def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):

@@ -12,9 +12,14 @@ point or one radius at a time. `field_record` gathers A, J_A, B and
 grad V at a stack into one `FieldRecord`, which the checks share.
 
 Every model also has `hamilton_rhs`, the right-hand side of Hamilton's
-equations at one state given as six floats: the three closed-form
-models write it out in scalar arithmetic, `Cylindrical` and `Custom`
-assemble it from their A, J_A and grad V (`_matrix_rhs`).
+equations at one state given as six floats. The three closed-form
+models state it once, as straight-line source over the state
+x0, x1, x2, p0, p1, p2 and their parameters (an `RhsSource`, the
+`source` of their `hamilton_rhs`): `hamilton_rhs` is compiled from it
+at import, and the Dormand-Prince attempt of `dynamics` writes it into
+each of its stages instead of calling it. `Cylindrical` and `Custom`
+assemble it from their A, J_A and grad V (`_matrix_rhs`); they, and any
+model whose `hamilton_rhs` carries no `source`, are called.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -39,7 +45,7 @@ def _as_vec3(x) -> Vec3:
     a = np.asarray(x, dtype=float)
     if a.shape != (3,):
         raise ParameterError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all(map(math.isfinite, a.tolist())):
         raise ParameterError("vector has non-finite components")
     return a
 
@@ -60,6 +66,25 @@ def _as_real(value, what: str, *, positive: bool = False, finite: bool = True) -
     if positive and not x > 0:
         raise ParameterError(f"{what} is not positive")
     return x
+
+
+def _as_count(value, what: str, *, least: int = 0) -> int:
+    """value as an int, or a ParameterError that starts with `what` unless
+    value is an integer, not a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} is not an integer")
+    if value < least:
+        raise ParameterError(f"{what} is below {least}")
+    return int(value)
+
+
+def _real_fields(model, *names: str) -> None:
+    """Store each named number of a frozen model as a float, or raise the
+    ParameterError of `_as_real` that names the model and the parameter."""
+    for name in names:
+        value = getattr(model, name)
+        object.__setattr__(model, name,
+                           _as_real(value, f"{type(model).__name__} {name} {value!r}"))
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -161,6 +186,53 @@ def _matrix_rhs(model, y) -> tuple:
     return (*v.tolist(), *dp.tolist())
 
 
+class RhsSource(NamedTuple):
+    """Hamilton's right-hand side of a closed-form model as straight-line
+    source: the statements `body`, then `slopes`, the six slopes as the
+    items of a tuple (they may span lines). Both read the state x0, x1,
+    x2, p0, p1, p2, the model's attributes named in `params` and the
+    names of `RHS_GLOBALS`, and bind no name that starts with an
+    underscore: the generated stepper keeps those for its own."""
+
+    params: tuple[str, ...]
+    body: str
+    slopes: str
+
+
+def _monopole_domain_error(point) -> DomainError:
+    where = ("is too close to the monopole at the origin"
+             if norm(point) < EPS_DOMAIN
+             else "lies on the Dirac string (negative z-axis)")
+    return DomainError(f"point {point} {where}")
+
+
+#: the state of an RhsSource, in the order of Hamilton's six equations
+RHS_STATE = ("x0", "x1", "x2", "p0", "p1", "p2")
+#: what an RhsSource may read besides its state and parameters
+RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "array": np.array,
+               "EPS_DOMAIN": EPS_DOMAIN, "domain_error": _monopole_domain_error}
+
+
+def _compiled_rhs(model: str, params: str, body: str, slopes: str):
+    """The method `hamilton_rhs(self, y)` of a model, compiled from the
+    RhsSource of the attributes `params` (separated by spaces), `body` and
+    `slopes`, which it keeps as its `source`."""
+    source = RhsSource(tuple(params.split()), textwrap.dedent(body).strip(),
+                       textwrap.dedent(slopes).strip())
+    code = "\n".join(["def hamilton_rhs(self, y):",
+                      f"    {', '.join(RHS_STATE)} = y",
+                      *(f"    {name} = self.{name}" for name in source.params),
+                      textwrap.indent(source.body, "    "),
+                      f"    return ({source.slopes})\n"])
+    namespace = dict(RHS_GLOBALS)
+    exec(compile(code, f"<{model}.hamilton_rhs>", "exec"), namespace)
+    method = namespace["hamilton_rhs"]
+    method.__doc__ = "(v, dp) at one state of six floats, from `hamilton_rhs.source`."
+    method.__qualname__ = f"{model}.hamilton_rhs"
+    method.source = source
+    return method
+
+
 def _per_radius(fn, r):
     """fn(r) of a user function of one radius, r a number or shape (n,)."""
     if np.ndim(r) == 0:
@@ -178,7 +250,8 @@ class ConstantB:
     B: float
 
     def __post_init__(self):
-        if not abs(self.B) > 0:
+        _real_fields(self, "B")
+        if self.B == 0:
             raise ParameterError("ConstantB requires B != 0")
 
     def check_domain(self, x: Vec3) -> None:
@@ -205,11 +278,10 @@ class ConstantB:
         j.T[2, 1] = -self.B
         return j
 
-    def hamilton_rhs(self, y) -> tuple:
-        """(v, dp) at one state of six floats; J_A^T v = (0, 0, -B v_y)."""
-        _, _, x2, p0, p1, p2 = y
-        v1 = p1 - self.B * x2
-        return p0, v1, p2, 0.0, 0.0, self.B * v1
+    # J_A^T v = (0, 0, -B v_y)
+    hamilton_rhs = _compiled_rhs("ConstantB", "B", """
+        v1 = p1 - B * x2
+        """, "p0, v1, p2, 0.0, 0.0, B * v1")
 
 
 @dataclass(frozen=True)
@@ -225,6 +297,7 @@ class HelicalB:
     phi0: float = 0.0
 
     def __post_init__(self):
+        _real_fields(self, "A_amp", "beta", "phi0")
         if not self.A_amp > 0:
             raise ParameterError("HelicalB requires A_amp > 0")
         if self.beta == 0:
@@ -264,16 +337,14 @@ class HelicalB:
         j.T[2, 1] = -self.A_amp * np.cos(u) / self.beta
         return j
 
-    def hamilton_rhs(self, y) -> tuple:
-        """(v, dp) at one state of six floats; J_A has the one column
-        dA/dz = (A_amp sin u, -A_amp cos u, 0) / beta."""
-        _, _, x2, p0, p1, p2 = y
-        u = (x2 + self.phi0) / self.beta
-        c, s = math.cos(u), math.sin(u)
-        v0 = p0 - self.A_amp * c
-        v1 = p1 - self.A_amp * s
-        dp2 = -(self.A_amp * s / self.beta * v0 - self.A_amp * c / self.beta * v1)
-        return v0, v1, p2, 0.0, 0.0, dp2
+    # J_A has the one column dA/dz = (A_amp sin u, -A_amp cos u, 0) / beta
+    hamilton_rhs = _compiled_rhs("HelicalB", "A_amp beta phi0", """
+        u = (x2 + phi0) / beta
+        c = cos(u)
+        s = sin(u)
+        v0 = p0 - A_amp * c
+        v1 = p1 - A_amp * s
+        """, "v0, v1, p2, 0.0, 0.0, -(A_amp * s / beta * v0 - A_amp * c / beta * v1)")
 
 
 @dataclass(frozen=True)
@@ -294,31 +365,22 @@ class Monopole:
     barrier: bool = True
 
     def __post_init__(self):
+        _real_fields(self, "g", "Q")
         if self.g == 0:
             raise ParameterError("Monopole requires g != 0")
-
-    @staticmethod
-    def _off_domain(r, z):
-        """Whether a point of radius r and height z is on the center or the
-        string: r below EPS_DOMAIN, or r + z, the gauge's denominator, below
-        the relative clearance EPS_DOMAIN r (numbers or (n,) arrays)."""
-        return (r < EPS_DOMAIN) | (r + z < EPS_DOMAIN * r)
+        if not isinstance(self.barrier, bool):
+            raise ParameterError(f"Monopole barrier {self.barrier!r} is not a bool")
 
     def _radius(self, x: Vec3):
-        """|x| per point, after rejecting points on the center or the string."""
+        """|x| per point, after rejecting points on the center or the string:
+        r below EPS_DOMAIN, or r + z, the gauge's denominator, below the
+        relative clearance EPS_DOMAIN r (the test of `hamilton_rhs` too)."""
         x0, x1, x2 = x.T
         r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        point = _first_flagged(x, self._off_domain(r, x2))
+        point = _first_flagged(x, (r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r))
         if point is not None:
-            raise self._domain_error(point)
+            raise _monopole_domain_error(point)
         return r
-
-    @staticmethod
-    def _domain_error(point: Vec3) -> DomainError:
-        where = ("is too close to the monopole at the origin"
-                 if norm(point) < EPS_DOMAIN
-                 else "lies on the Dirac string (negative z-axis)")
-        return DomainError(f"point {point} {where}")
 
     def check_domain(self, x: Vec3) -> None:
         self._radius(x)
@@ -366,29 +428,29 @@ class Monopole:
         j.T[0, 1] -= c
         return j
 
-    def hamilton_rhs(self, y) -> tuple:
-        """(v, dp) at one state of six floats, after the domain test of
-        `_radius`; J_A as in `jacobian_a`, J_A^T v summed row by row."""
-        x0, x1, x2, p0, p1, p2 = y
-        r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if self._off_domain(r, x2):
-            raise self._domain_error(np.array([x0, x1, x2]))
+    # after the domain test of `_radius`; J_A as in `jacobian_a`, J_A^T v
+    # summed row by row
+    hamilton_rhs = _compiled_rhs("Monopole", "g Q barrier", """
+        r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if r < EPS_DOMAIN or r + x2 < EPS_DOMAIN * r:
+            raise domain_error(array((x0, x1, x2)))
         w = r * (r + x2)
-        c = -self.g / w
+        c = -g / w
         v0 = p0 + c * x1
         v1 = p1 - c * x0
         k = 2 * r + x2
         w2 = w**2
-        dc0 = self.g * (x0 / r * k) / w2
-        dc1 = self.g * (x1 / r * k) / w2
-        dc2 = self.g * (x2 / r * k + r) / w2
-        dv_dr = self.Q / r**2
-        if self.barrier:
-            dv_dr -= self.g**2 / r**3
-        return (v0, v1, p2,
-                -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
-                -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
-                -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r)
+        dc0 = g * (x0 / r * k) / w2
+        dc1 = g * (x1 / r * k) / w2
+        dc2 = g * (x2 / r * k + r) / w2
+        dv_dr = Q / r**2
+        if barrier:
+            dv_dr -= g**2 / r**3
+        """, """
+        v0, v1, p2,
+        -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
+        -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
+        -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r""")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     ConfigError, EigenSolveFailure, GridTooSmall, NoBoundStates, ParameterError, StepFailure,
 )
-from .fields import Cylindrical
+from .fields import Cylindrical, _as_count
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
 #: (several of 8 bytes per point) are allocated
@@ -255,8 +255,7 @@ class MathieuResult:
 
 
 def mathieu_table(r_max: int, q: float) -> MathieuResult:
-    if r_max < 1:
-        raise ParameterError("r_max must be at least 1")
+    r_max = _as_count(r_max, f"r_max {r_max!r}", least=1)
     if r_max > MATHIEU_R_MAX:
         raise ConfigError(f"r_max = {r_max} exceeds the maximum of {MATHIEU_R_MAX}")
     even = np.array([mathieu_characteristic(r, "even", q) for r in range(r_max + 1)])

@@ -7,9 +7,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import PhaseState, StepFailure
+from magsuper import ConstantB, DomainError, HelicalB, Monopole, PhaseState, StepFailure
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E
-from magsuper.fields import cross
+from magsuper.fields import EPS_DOMAIN, cross
 
 
 def rng(seed):
@@ -253,3 +253,44 @@ def dp5_error_reference(y, y_new, slopes, h, atol, rtol):
          for c, d, p, r, s, u, w, z in zip(
              map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)]
     return math.hypot(*v) / math.sqrt(len(v))
+
+
+def hamilton_rhs_reference(model, y):
+    """Hamilton's right-hand side of a ConstantB, HelicalB or Monopole at
+    one state of six floats, as the methods written out by hand that the
+    models' compiled `hamilton_rhs` replaced, kept as its bit-for-bit
+    reference. A Monopole state on the center or the string is a
+    DomainError."""
+    if isinstance(model, ConstantB):
+        _, _, x2, p0, p1, p2 = y
+        v1 = p1 - model.B * x2
+        return p0, v1, p2, 0.0, 0.0, model.B * v1
+    if isinstance(model, HelicalB):
+        _, _, x2, p0, p1, p2 = y
+        u = (x2 + model.phi0) / model.beta
+        c, s = math.cos(u), math.sin(u)
+        v0 = p0 - model.A_amp * c
+        v1 = p1 - model.A_amp * s
+        dp2 = -(model.A_amp * s / model.beta * v0 - model.A_amp * c / model.beta * v1)
+        return v0, v1, p2, 0.0, 0.0, dp2
+    assert isinstance(model, Monopole)
+    x0, x1, x2, p0, p1, p2 = y
+    r = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    if (r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r):
+        raise DomainError(f"point {np.array([x0, x1, x2])} is off the domain")
+    w = r * (r + x2)
+    c = -model.g / w
+    v0 = p0 + c * x1
+    v1 = p1 - c * x0
+    k = 2 * r + x2
+    w2 = w**2
+    dc0 = model.g * (x0 / r * k) / w2
+    dc1 = model.g * (x1 / r * k) / w2
+    dc2 = model.g * (x2 / r * k + r) / w2
+    dv_dr = model.Q / r**2
+    if model.barrier:
+        dv_dr -= model.g**2 / r**3
+    return (v0, v1, p2,
+            -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
+            -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
+            -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r)

@@ -217,6 +217,15 @@ def test_sample_uniform_draws_more_rows_than_a_fixed_cap():
     assert np.array_equal(rows, rng(77).uniform(-2.0, 2.0, (n, 1)))
 
 
+def test_a_count_of_states_that_is_not_a_nonnegative_integer_is_refused():
+    for n, problem in ((-1, "is below 0"), (2.0, "is not an integer"), (None, "is not an integer"),
+                       (True, "is not an integer")):
+        with pytest.raises(ms.ParameterError, match=f"^n {n!r} {problem}$"):
+            ms.sample_states(rng(74), n)
+    assert ms.sample_states(rng(74), 0) == []
+    assert len(ms.sample_states(rng(74), np.int64(3))) == 3
+
+
 def test_sample_uniform_refuses_rows_beyond_the_cap_before_drawing():
     class NoDraws:
         def uniform(self, *args):

@@ -50,6 +50,25 @@ def test_helix_requires_field():
         ms.helix_solution(0.0, ms.PhaseState([0, 0, 0], [1, 0, 0]), 1.0)
 
 
+@pytest.mark.parametrize("B, t, message", [
+    ("1", 1.0, "helix_solution B '1' is not a number"),
+    (math.nan, 1.0, "helix_solution B nan is not finite"),
+    (None, 1.0, "helix_solution B None is not a number"),
+    (1.0, "1", "helix_solution t '1' is not a number"),
+    (1.0, math.inf, "helix_solution t inf is not finite"),
+])
+def test_helix_refuses_arguments_that_are_not_finite_reals_by_name(B, t, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        ms.helix_solution(B, ms.PhaseState([0, 0, 0], [1, 0, 0]), t)
+
+
+def test_pendulum_reduction_of_another_model_names_it():
+    s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
+    with pytest.raises(ms.ParameterError,
+                       match=r"^pendulum_reduction needs a HelicalB model, got ConstantB\(B=1.0\)$"):
+        ms.pendulum_reduction(ms.ConstantB(1.0), s0)
+
+
 def test_x5_x6_constant_along_helix():
     B = 2.0
     s0 = ms.PhaseState([0.1, 0.5, -0.3], [1.2, 0.4, 0.7])

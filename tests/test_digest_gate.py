@@ -37,6 +37,10 @@ def test_a_new_digest_an_exit_code_and_a_lone_task_count_as_moves():
 def test_the_list_must_name_exactly_the_moved_tasks():
     listed = digest_gate.read_expected("# header\n\nchecks/verify-helical-0  # the %.16g change\n")
     assert listed == {"checks/verify-helical-0"}
+    # a gate of one workload expects only that workload's listed tasks to move
+    both = "checks/verify-helical-0\norbits/simulate-monopole-rk45\n"
+    assert digest_gate.read_expected(both, "orbits") == {"orbits/simulate-monopole-rk45"}
+    assert digest_gate.read_expected(both, "spectra") == set()
     assert digest_gate.problems({"checks/verify-helical-0"}, listed) == []
     assert digest_gate.problems(set(), set()) == []
     moved = {"checks/verify-helical-0", "spectra/spectrum-landau"}

@@ -169,6 +169,19 @@ def test_monopole_orbit_into_the_dirac_string_raises_domain_error():
     assert msg == str(direct.value)
 
 
+def test_the_inlined_monopole_source_raises_the_domain_error_in_a_run():
+    # the stage that lands on the string raises from the generated attempt,
+    # which writes the model's source in place and calls nothing
+    model = ms.Monopole(g=1.0, Q=0.0, barrier=False)
+    s0 = ms.PhaseState([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    with pytest.raises(ms.DomainError, match=r"lies on the Dirac string \(negative z-axis\)$") as run:
+        ms.integrate(model, s0, 3.0)
+    tb = run.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_filename == "<dp5 stepper, n=6>"
+
+
 def test_monopole_state_beside_the_string_raises_domain_error():
     # r + z, the gauge's denominator in g / (r (r + z)), rounds to 0 or
     # falls below the relative clearance: refused like a point on the string
@@ -430,3 +443,10 @@ def test_watch_refuses_objects_with_only_value_at():
     for obj in (ValueAt(), Value()):
         with pytest.raises(TypeError, match=f"cannot interpret {type(obj).__name__}"):
             ms.integrate(model, s0, 1.0, watch=[obj])
+
+
+def test_a_subclass_that_overrides_hamilton_rhs_is_called_by_the_stepper():
+    y = [0.1, 0.2, 0.3, 0.5, 0.3, 0.4]
+    step = dynamics._dp5_stepper(_NoCalls(1.0, 1.0).hamilton_rhs, 6)
+    with pytest.raises(AssertionError, match="^a step was taken$"):
+        step(y, ms.HelicalB(1.0, 1.0).hamilton_rhs(y), 0.01)

@@ -1,5 +1,7 @@
 """Field models: values, derivatives, domains, gauge shifts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,30 @@ def test_constant_b_requires_nonzero_b():
     assert np.allclose(m.vector_potential(x), [0.0, 2.5 * 0.7, 0.0])
     assert np.allclose(m.magnetic_field(x), [-2.5, 0.0, 0.0])
     assert np.allclose(curl_fd(m.vector_potential, x), m.magnetic_field(x), atol=1e-9)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ms.ConstantB("1"), "ConstantB B '1' is not a number"),
+    (lambda: ms.ConstantB(True), "ConstantB B True is not a number"),
+    (lambda: ms.ConstantB(math.inf), "ConstantB B inf is not finite"),
+    (lambda: ms.HelicalB(1.0, None), "HelicalB beta None is not a number"),
+    (lambda: ms.HelicalB(1, 1, phi0=math.nan), "HelicalB phi0 nan is not finite"),
+    (lambda: ms.HelicalB([1.0], 1.0), r"HelicalB A_amp \[1.0\] is not a number"),
+    (lambda: ms.Monopole(math.inf), "Monopole g inf is not finite"),
+    (lambda: ms.Monopole(1.0, Q="x"), "Monopole Q 'x' is not a number"),
+    (lambda: ms.Monopole(10**400), "Monopole g 1000.* is beyond the double range"),
+    (lambda: ms.Monopole(1.0, barrier="yes"), "Monopole barrier 'yes' is not a bool"),
+])
+def test_model_numbers_that_are_not_finite_reals_are_refused_by_name(make, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        make()
+
+
+def test_model_numbers_are_stored_as_floats():
+    models = [ms.ConstantB(2), ms.HelicalB(3, -1, phi0=np.float32(0.5)), ms.Monopole(2, Q=1)]
+    for model, names in zip(models, (["B"], ["A_amp", "beta", "phi0"], ["g", "Q"])):
+        assert all(type(getattr(model, name)) is float for name in names)
+    assert models[1] == ms.HelicalB(3.0, -1.0, 0.5)
 
 
 def test_helical_field_is_curl_of_potential():

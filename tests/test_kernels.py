@@ -6,7 +6,8 @@ import pytest
 import magsuper as ms
 from magsuper.fields import cross
 
-from helpers import monopole_positions, monopole_states, random_states, rng
+from helpers import (hamilton_rhs_reference, monopole_positions, monopole_states,
+                     random_states, rng)
 
 METHODS = ("vector_potential", "magnetic_field", "scalar_potential",
            "grad_potential", "jacobian_a")
@@ -231,6 +232,36 @@ def test_hamilton_rhs_matches_matrix_form(model):
             assert np.array_equal(got, want)
         else:
             assert np.all(np.abs(got - want) <= 4 * eps * size), (x, p)
+
+
+def _rhs_states(model, gen, n=200):
+    """n states of six floats; for a Monopole every fourth lies beside the
+    z-axis, on the string when z < 0, and every twelfth at the center."""
+    ys = gen.uniform(-3.0, 3.0, (n, 6))
+    if isinstance(model, ms.Monopole):
+        near = ys[::4]
+        near[:, :2] *= 10.0 ** gen.integers(-12, -2, (len(near), 1))
+        near[::3, :3] *= 1e-9
+    return ys.tolist()
+
+
+@pytest.mark.parametrize("model", RHS_MODELS, ids=repr)
+def test_compiled_hamilton_rhs_has_the_bits_of_the_hand_written_one(model):
+    # the method compiled from the model's RhsSource against the methods
+    # written out by hand that it replaced: six equal floats, and a
+    # DomainError at the same states
+    refused = 0
+    for y in _rhs_states(model, rng(517)):
+        try:
+            want = hamilton_rhs_reference(model, y)
+        except ms.DomainError:
+            refused += 1
+            with pytest.raises(ms.DomainError):
+                model.hamilton_rhs(y)
+            continue
+        got = model.hamilton_rhs(y)
+        assert type(got) is tuple and len(got) == 6 and got == want, y
+    assert (refused > 0) == isinstance(model, ms.Monopole)
 
 
 @pytest.mark.parametrize("model", RHS_MODELS + [_cyl_model()], ids=repr)

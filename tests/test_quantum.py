@@ -300,6 +300,10 @@ def test_mathieu_validation():
         ms.mathieu_characteristic(1, "even", math.nan)
     with pytest.raises(ValueError):
         ms.mathieu_table(0, 1.0)
+    for r_max, problem in ((2.5, "is not an integer"), (True, "is not an integer"),
+                           ("3", "is not an integer"), (0, "is below 1")):
+        with pytest.raises(ms.ParameterError, match=f"^r_max {r_max!r} {problem}$"):
+            ms.mathieu_table(r_max, 1.0)
     table = ms.mathieu_table(3, -4.0)
     assert table.even.shape == (4,) and table.odd.shape == (3,)
 

@@ -14,8 +14,8 @@ from scipy.integrate import RK45, solve_ivp
 import magsuper as ms
 from magsuper import dynamics
 
-from helpers import (dp5_error_reference, dp5_step_reference, kepler_orbit, monopole_states,
-                     random_states, rng)
+from helpers import (dp5_error_reference, dp5_step_reference, hamilton_rhs_reference, kepler_orbit,
+                     monopole_states, random_states, rng)
 
 RUNS = {
     "constant_b": (ms.ConstantB(B=1.0), [0.1, 0.2, -0.3], [0.5, 0.3, -0.2], 40.0),
@@ -223,16 +223,36 @@ def _pendulum(y):
     return [y[1], -0.5 * math.sin(y[0])]
 
 
+# the `hamilton_rhs` of a closed-form model: its stepper writes the model's
+# source into each stage and calls nothing
 _HELICAL = ms.HelicalB(A_amp=1.0, beta=1.0).hamilton_rhs
 _MONOPOLE = ms.Monopole(g=2.0, Q=1.0).hamilton_rhs
+_CONSTANT_B = ms.ConstantB(B=-0.7).hamilton_rhs
+_HELICAL_SHIFTED = ms.HelicalB(A_amp=1.5, beta=-1.3, phi0=-1.1).hamilton_rhs
+_MONOPOLE_BARE = ms.Monopole(g=-1.1, Q=0.0, barrier=False).hamilton_rhs
 
-# right-hand sides of n = 1, 2, 6 and 7 floats, with states drawn for each
+
+def _random_state(gen):
+    return random_states(gen, 1)[0].as_array()
+
+
+def _monopole_state(gen):
+    return monopole_states(gen, 1)[0].as_array()
+
+
+# right-hand sides of n = 1, 2, 6 and 7 floats, with states drawn for each;
+# the "-called" cases wrap a model's method, so their stepper calls it
 STEPPER_CASES = {
     "pendulum-force-1": (lambda y: [-0.5 * math.sin(y[0])],
                          lambda gen: gen.uniform(-3.0, 3.0, 1)),
     "pendulum-2": (_pendulum, lambda gen: gen.uniform(-3.0, 3.0, 2)),
-    "helical-6": (_HELICAL, lambda gen: random_states(gen, 1)[0].as_array()),
-    "monopole-6": (_MONOPOLE, lambda gen: monopole_states(gen, 1)[0].as_array()),
+    "helical-6": (_HELICAL, _random_state),
+    "helical-called-6": (lambda y: _HELICAL(y), _random_state),
+    "helical-shifted-6": (_HELICAL_SHIFTED, _random_state),
+    "constant-b-6": (_CONSTANT_B, _random_state),
+    "monopole-6": (_MONOPOLE, _monopole_state),
+    "monopole-called-6": (lambda y: _MONOPOLE(y), _monopole_state),
+    "monopole-bare-6": (_MONOPOLE_BARE, _monopole_state),
     "helical-with-clock-7": (lambda y: (*_HELICAL(y[:6]), 1.0),
                              lambda gen: np.append(random_states(gen, 1)[0].as_array(), 0.0)),
     "monopole-with-energy-7": (lambda y: (*_MONOPOLE(y[:6]), y[3] * y[3] - y[5]),
@@ -278,17 +298,28 @@ def _reference_stepper(rhs, n):
     return step
 
 
-@pytest.mark.parametrize("case", ["kepler", "pendulum", "helical"])
+@pytest.mark.parametrize("case", ["kepler", "pendulum", "helical", "helical-shifted",
+                                  "constant-b", "monopole-bare"])
 def test_a_run_on_the_reference_stepper_is_the_library_run(case, monkeypatch):
     if case == "kepler":  # rejected attempts included
         x0, p0, _, period, _ = kepler_orbit(rng(811), 2.0, 1.0, 6.0)
         args = (_MONOPOLE, ms.PhaseState(x0, p0).as_array().tolist(), 3 * period, 1e-6, 1e-6)
     elif case == "pendulum":
         args = (_pendulum, [0.3, 1.2], 20.0, 1e-13, 1e-13)
-    else:
+    elif case == "helical":
         args = (_HELICAL, [0.1, 0.2, -0.3, 0.5, 0.3, 0.4], 60.0, 1e-10, 1e-10, 0.5)
+    elif case == "helical-shifted":
+        args = (_HELICAL_SHIFTED, [0.1, 0.2, -0.3, 0.5, 0.3, 0.4], 40.0, 1e-9, 1e-9)
+    elif case == "constant-b":
+        args = (_CONSTANT_B, [0.1, 0.2, -0.3, 0.5, 0.3, -0.2], 40.0, 1e-10, 1e-10)
+    else:
+        args = (_MONOPOLE_BARE, [3.0, 0.5, 1.0, 0.1, 0.3, 0.05], 30.0, 1e-8, 1e-8)
     times, y, dense, stats = dynamics._run_rk45(*args)
     ts = np.linspace(0.0, args[2], 57)
+    # the reference calls the hand-written right-hand side of a model
+    model = getattr(args[0], "__self__", None)
+    if model is not None:
+        args = (lambda y: hamilton_rhs_reference(model, y), *args[1:])
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_dp5_stepper", _reference_stepper)
         ref_times, ref_y, ref_dense, ref_stats = dynamics._run_rk45(*args)
@@ -322,3 +353,49 @@ def test_steppers_are_compiled_on_first_use_and_cached():
     assert dynamics._dp5_stepper(_pendulum, 3) is not dynamics._dp5_stepper(_pendulum, 3)
     assert dynamics._dp5_maker.cache_info().hits == hits + 2
     assert dynamics._dp5_maker.cache_info().maxsize == 8
+
+
+def test_models_of_one_class_share_one_compiled_stepper():
+    # the parameters are bound when the maker is called, not compiled in
+    first, second = ms.HelicalB(1.0, 1.0), ms.HelicalB(2.5, -0.5, 0.3)
+    dynamics._dp5_stepper(first.hamilton_rhs, 6)
+    before = dynamics._dp5_maker.cache_info()
+    step = dynamics._dp5_stepper(second.hamilton_rhs, 6)
+    after = dynamics._dp5_maker.cache_info()
+    assert after.hits == before.hits + 1 and after.currsize == before.currsize
+    y = [0.1, 0.2, -0.3, 0.5, 0.3, 0.4]
+    k1 = second.hamilton_rhs(y)
+    ref_new, ref_slopes = dp5_step_reference(lambda v: hamilton_rhs_reference(second, v))(
+        y, k1, 0.05)
+    y_new, _, slopes = step(y, k1, 0.05)
+    assert _bits(y_new) == _bits(ref_new) and _bits(slopes) == _bits(ref_slopes)
+
+
+class _CountedHelical(ms.HelicalB):
+    """A HelicalB whose right-hand side counts its calls."""
+
+    calls = [0]
+
+    def hamilton_rhs(self, y):
+        self.calls[0] += 1
+        return super().hamilton_rhs(y)
+
+
+class _PlainHelical(ms.HelicalB):
+    """A HelicalB subclass that keeps the class's right-hand side."""
+
+
+def test_a_model_that_overrides_hamilton_rhs_is_called_and_keeps_the_bits():
+    y = [0.1, 0.2, -0.3, 0.5, 0.3, 0.4]
+    base = ms.HelicalB(1.5, -2.0, -1.1)
+    k1 = base.hamilton_rhs(y)
+    want = dynamics._dp5_stepper(base.hamilton_rhs, 6)(y, k1, 0.05, 1e-8, 1e-8)
+    counted = _CountedHelical(1.5, -2.0, -1.1)
+    step = dynamics._dp5_stepper(counted.hamilton_rhs, 6)
+    _CountedHelical.calls[0] = 0
+    got = step(y, k1, 0.05, 1e-8, 1e-8)
+    assert _CountedHelical.calls[0] == 6
+    plain = dynamics._dp5_stepper(_PlainHelical(1.5, -2.0, -1.1).hamilton_rhs, 6)
+    for y_new, err, slopes in (got, plain(y, k1, 0.05, 1e-8, 1e-8)):
+        assert _bits(y_new) == _bits(want[0]) and err == want[1]
+        assert _bits(slopes) == _bits(want[2])
