@@ -1,17 +1,24 @@
-"""A symbolic oracle for the uniform-field algebra.
+"""A symbolic oracle for the uniform-field algebra and the built-in integrals.
 
 The seven generators of `constantB_basis` are written out in sympy in the
 gauge A = (0, -B z, 0), and their Poisson brackets are taken exactly. The
 structure table and the numerical bracket tables are checked against
-them, so neither depends on the code under test.
+them, so neither depends on the code under test. Likewise every entry of
+`known_integrals` is written out in sympy for each model; its bracket
+with H must simplify to 0, and the spec's parts, their derivatives and
+the phase gradients of `bracket_matrix` must match the exact ones.
 """
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import magsuper as ms
+from magsuper.integrals import _spec_grad_m, _spec_jac_s, _spec_s
 
-from helpers import random_states, rng
+from helpers import monopole_positions, random_states, rng
 
 sp = pytest.importorskip("sympy")
 
@@ -103,3 +110,221 @@ def test_basis_refuses_a_vanishing_p1():
     for name in ("X5", "X6"):
         with pytest.raises(ms.DegenerateMomentum):
             basis[name](s)
+
+
+
+# ---------------------------------------------------------------------------
+# the built-in integrals of every model
+#
+# Each model's A and V and each integral X(x, p) are written out below in
+# the canonical momenta: the generators P_j, L_j and the screw L3 + beta P3
+# made covariant, the monopole's X_j = l_j^A + g x_j/|x|, their square and
+# the Runge-Lenz vector. The covariant parts s and m are derived from X
+# alone: with p = pi - A(x), X is a polynomial of degree at most 2 in pi,
+# s_i = dX/dpi_i and m = X at pi = 0. Nothing here reads the library's s,
+# m or their derivatives.
+#
+# A radius sqrt(x^2 + y^2 (+ z^2)) is the positive symbol r, differentiated
+# by the chain rule, dr/dq = q/r; an expression in r vanishes when the
+# numerator of its rational normal form is 0 modulo r^2 = x^2 + y^2 (+ z^2),
+# any other when sympy simplifies it to 0.
+
+PI = sp.symbols("pi1 pi2 pi3", real=True)
+AMP, BETA, PHI0, G, Q = sp.symbols("A_amp beta phi0 g Q", real=True)
+RADIUS = sp.Symbol("r", positive=True)
+
+
+class Case(NamedTuple):
+    model: object
+    params: dict  # sympy parameter -> its value in `model`
+    a: list
+    v: object
+    integrals: dict  # name -> X(x, p)
+    r2: object  # the square of RADIUS in the coordinates, or None
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _covariant(a):
+    return [p + c for p, c in zip(MOMENTA, a)]
+
+
+@functools.cache
+def _constant_b():
+    integrals = {"X1": P1, "X2": P2, "X3": P3 - B * Y,
+                 "X4": Y * P3 - Z * P2 + B * (Z**2 - Y**2) / 2}
+    return Case(ms.ConstantB(-1.3), {B: -1.3}, [0, -B * Z, 0], 0, integrals, None)
+
+
+@functools.cache
+def _helical():
+    u = (Z + PHI0) / BETA
+    integrals = {"X1": P1, "X2": P2, "X3": X * P2 - Y * P1 + BETA * P3}
+    return Case(ms.HelicalB(1.7, -0.8, phi0=0.4), {AMP: 1.7, BETA: -0.8, PHI0: 0.4},
+                [-AMP * sp.cos(u), -AMP * sp.sin(u), 0], 0, integrals, None)
+
+
+@functools.cache
+def _monopole():
+    coef = -G / (RADIUS * (RADIUS + Z))
+    a = [coef * Y, -coef * X, 0]
+    pa = _covariant(a)
+    angular = [c + G * q / RADIUS for c, q in zip(_cross(COORDS, pa), COORDS)]
+    integrals = {f"X{j + 1}": c for j, c in enumerate(angular)}
+    integrals["X_sq"] = sum(c**2 for c in angular)
+    # R_j = eps_jkl p_k^A X_l - Q x_j/|x|
+    integrals.update({f"R{j + 1}": c - Q * q / RADIUS
+                      for j, (c, q) in enumerate(zip(_cross(pa, angular), COORDS))})
+    return Case(ms.Monopole(1.3, Q=0.9), {G: 1.3, Q: 0.9}, a,
+                G**2 / (2 * RADIUS**2) - Q / RADIUS, integrals, X**2 + Y**2 + Z**2)
+
+
+# polynomial F1, F2 and V of the radius, with coefficients exact in binary
+_F1 = (sp.Rational(1, 2), sp.Rational(-1, 4), sp.Rational(3, 8))
+_F2 = (0, 0, sp.Rational(3, 4), sp.Rational(1, 8))
+_V = (0, 0, sp.Rational(1, 2), 0, sp.Rational(-1, 16))
+
+
+def _poly(coefs):
+    return sum(c * RADIUS**k for k, c in enumerate(coefs))
+
+
+def _radial(coefs):
+    """The polynomial and its derivative as functions of one radius."""
+    c = [float(k) for k in coefs]
+    return (lambda r: sum(ck * r**k for k, ck in enumerate(c)),
+            lambda r: sum(k * ck * r ** (k - 1) for k, ck in enumerate(c) if k))
+
+
+@functools.cache
+def _cylindrical():
+    f2 = _poly(_F2)
+    a = [-Y * f2 / RADIUS**2, X * f2 / RADIUS**2, -_poly(_F1)]
+    model = ms.Cylindrical(*_radial(_F1), *_radial(_F2), *_radial(_V))
+    return Case(model, {}, a, _poly(_V), {"l3": X * P2 - Y * P1, "p3": P3}, X**2 + Y**2)
+
+
+CASES = {"constant_b": _constant_b, "helical": _helical, "monopole": _monopole,
+         "cylindrical": _cylindrical}
+INTEGRALS = [(case, name) for case, make in CASES.items() for name in make().integrals]
+
+
+def _d(expr, q, r2):
+    """d expr/dq, RADIUS depending on the coordinates through r2."""
+    out = sp.diff(expr, q)
+    if r2 is not None and q in COORDS:
+        out += sp.diff(expr, RADIUS) * sp.diff(r2, q) / (2 * RADIUS)
+    return out
+
+
+@functools.cache
+def _radial_bracket(f, g, r2):
+    return sum(_d(f, q, r2) * _d(g, p, r2) - _d(f, p, r2) * _d(g, q, r2)
+               for q, p in zip(COORDS, MOMENTA))
+
+
+def _hamiltonian(case: Case):
+    return sum(c**2 for c in _covariant(case.a)) / 2 + case.v
+
+
+def _vanishes(expr, r2) -> bool:
+    if r2 is None:
+        return sp.simplify(expr) == 0
+    # in the field of rational functions, with RADIUS first so that the
+    # remainder holds RADIUS to degree below 2
+    variables = (RADIUS, *COORDS, *MOMENTA)
+    field, *_ = sp.field((*variables, *expr.free_symbols - set(variables)), sp.QQ)
+    return field(expr).numer.rem([field.ring(RADIUS**2 - r2)]) == 0
+
+
+def _numeric(exprs, case: Case, x, p):
+    """The expressions at the parameters of the case's model and at the
+    (x, p) stacks, shape (n, len(exprs))."""
+    fn = sp.lambdify((*COORDS, *MOMENTA, RADIUS),
+                     [sp.sympify(e).subs(case.params) for e in exprs], "numpy", cse=True)
+    r = None if case.r2 is None else np.sqrt(sp.lambdify(COORDS, case.r2)(*x.T))
+    return np.stack([np.broadcast_to(v, len(x)) for v in fn(*x.T, *p.T, r)], axis=-1)
+
+
+def _gradient(expr, variables, case: Case, x, p):
+    """d expr/d variables at the (x, p) stacks, shape (n, len(variables))."""
+    return _numeric([_d(expr, q, case.r2) for q in variables], case, x, p)
+
+
+def _covariant_parts(case: Case, name: str):
+    """(s, m) of an integral: its linear and constant terms in pi."""
+    of_pi = case.integrals[name].subs(dict(zip(MOMENTA, [q - c for q, c in zip(PI, case.a)])),
+                                      simultaneous=True)
+    at_zero = dict.fromkeys(PI, 0)
+    return [sp.diff(of_pi, q).subs(at_zero) for q in PI], of_pi.subs(at_zero)
+
+
+def _sample(case: str, n: int, seed: int):
+    """n seeded states (x, p) inside the model's domain."""
+    gen = rng(seed)
+    if case == "monopole":
+        x = np.array(monopole_positions(gen, n))
+    else:
+        x = gen.uniform(-2.0, 2.0, (4 * n, 3))
+        if case == "cylindrical":  # off the axis, where F2/R^2 is singular
+            x = x[np.hypot(x[:, 0], x[:, 1]) > 0.3]
+        x = x[:n]
+    return x, gen.uniform(-2.0, 2.0, x.shape)
+
+
+def _close(got, want) -> bool:
+    """Within 1e-12 relative, or absolute below magnitude 1."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return bool(np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_known_integral_names_are_the_symbolic_ones(case):
+    c = CASES[case]()
+    assert [spec.name for spec in ms.known_integrals(c.model)] == list(c.integrals)
+
+
+@pytest.mark.parametrize("case, name", INTEGRALS)
+def test_symbolic_integral_commutes_with_h(case, name):
+    c = CASES[case]()
+    assert _vanishes(_radial_bracket(c.integrals[name], _hamiltonian(c), c.r2), c.r2)
+
+
+@pytest.mark.parametrize("case, name", INTEGRALS)
+def test_spec_parts_match_the_symbolic_derivatives(case, name):
+    c = CASES[case]()
+    spec = {s.name: s for s in ms.known_integrals(c.model)}[name]
+    s_sym, m_sym = _covariant_parts(c, name)
+    x, p = _sample(case, 40, 71)
+    # the value pins alpha, s and m together
+    assert _close(ms.evaluate_integral(spec, c.model, (x, p)),
+                  _numeric([c.integrals[name]], c, x, p)[:, 0])
+    assert _close(_spec_s(spec, x), _numeric(s_sym, c, x, p))
+    assert _close(_spec_jac_s(spec, x), np.stack([_gradient(e, COORDS, c, x, p) for e in s_sym],
+                                                 axis=-2))
+    assert _close(np.zeros(len(x)) if spec.m is None else spec.m(x),
+                  _numeric([m_sym], c, x, p)[:, 0])
+    assert _close(_spec_grad_m(spec, x), _gradient(m_sym, COORDS, c, x, p))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bracket_matrix_gradients_match_the_symbolic_ones(case):
+    c = CASES[case]()
+    exprs = [_hamiltonian(c), *c.integrals.values()]
+    fns = [ms.hamiltonian_function(c.model),
+           *(ms.as_phase_function(s, c.model) for s in ms.known_integrals(c.model))]
+    x, p = _sample(case, 40, 73)
+    want_x, want_p = [], []
+    for f, expr in zip(fns, exprs):
+        gx, gp = ms.phase_gradient(f, (x, p))
+        want = _gradient(expr, (*COORDS, *MOMENTA), c, x, p)
+        want_x.append(want[:, :3])
+        want_p.append(want[:, 3:])
+        assert _close(gx, want_x[-1]), f.name
+        assert _close(gp, want_p[-1]), f.name
+    # {f_i, f_j} from the exact gradients
+    m = np.einsum("ink,jnk->nij", want_x, want_p)
+    assert _close(ms.bracket_matrix(fns, (x, p)), m - m.transpose(0, 2, 1))
