@@ -241,17 +241,6 @@ def _state0(cfg: dict) -> PhaseState:
     return PhaseState(np.array(st["x"], dtype=float), np.array(st["p"], dtype=float))
 
 
-def _integrator(cfg: dict) -> IntegratorConfig:
-    raw = cfg.get("integrator", {})
-    return IntegratorConfig(
-        method=raw.get("method", "rk45"),
-        rel_tol=float(raw.get("rel_tol", 1e-10)),
-        abs_tol=float(raw.get("abs_tol", 1e-10)),
-        max_step=float(raw.get("max_step", math.inf)),
-        dt=float(raw.get("dt", 1e-3)),
-    )
-
-
 def _sample_positions(rng, n: int, model) -> np.ndarray:
     """n uniform positions in [-2, 2]^3, filtered to the model's domain."""
     return sample_uniform(rng, n, 3, monopole_admissible if isinstance(model, Monopole) else None)
@@ -289,7 +278,8 @@ def _run_trajectory(ns, closed_form: bool) -> int:
         raise ConfigError("config needs 't_end'")
     s0 = _state0(cfg)
     watch = _watch_for(model, s0)
-    traj = integrate(model, s0, float(cfg["t_end"]), _integrator(cfg), watch)
+    traj = integrate(model, s0, float(cfg["t_end"]),
+                     IntegratorConfig(**cfg.get("integrator", {})), watch)
     names = [w.name for w in watch]
 
     extra = None
@@ -432,15 +422,14 @@ _CASIMIR_TOL = 1e-10
 
 def _cmd_algebra(ns) -> int:
     cfg = _config_for(ns)
-    sys_cfg = cfg["system"]
-    kind = sys_cfg.get("model")
     tol = _setting(ns, cfg, "tolerance", 1e-6, float)
     n = _setting(ns, cfg, "n_points", 100, int)
     seed = _setting(ns, cfg, "seed", 0, int)
     rng = _rng(seed)
+    model = model_from_config(cfg["system"])
 
-    if kind == "constant_b":
-        B = float(sys_cfg["B"])
+    if isinstance(model, ConstantB):
+        B = model.B
         states = sample_states(rng, n, p1_min=0.1)
         pairs = verify_bracket_table(B, states)
         cas = casimir_check(B, states)
@@ -459,14 +448,13 @@ def _cmd_algebra(ns) -> int:
                          "second": cas["second_casimir"]},
             "pass": ok,
         }
-    elif kind == "monopole":
-        g = float(sys_cfg["g"])
+    elif isinstance(model, Monopole):
         states = sample_states(rng, n, admissible=monopole_admissible)
-        rep = monopole_closure_check(g, states, Q=float(sys_cfg.get("Q", 0.0)))
+        rep = monopole_closure_check(model.g, states, Q=model.Q)
         ok = rep["max_discrepancy"] < tol
         report = {
             "system": "monopole",
-            "g": g,
+            "g": model.g,
             "seed": seed,
             "n_states": n,
             "tolerance": tol,

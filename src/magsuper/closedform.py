@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhaseState, _run_rk45, _state_arrays
+from .dynamics import PhaseState, _dp5_interpolant, _run_rk45, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
 from .fields import HelicalB, _as_real
@@ -82,6 +82,7 @@ def x5_integral(B: float, s: PhaseState, tol: float = 1e-8):
     At a PhaseState, or per state of a pair (x, p) of (n,3) stacks with
     the bits of the one-state call.
     """
+    B = _as_real(B, f"x5_integral B {B!r}")
     x, p = _state_arrays(s)
     c, sn = _cos_sin(_phase_angle(B, x, p, tol))
     return (B * x.T[2] - p.T[1]) * c - p.T[2] * sn
@@ -89,6 +90,7 @@ def x5_integral(B: float, s: PhaseState, tol: float = 1e-8):
 
 def x6_integral(B: float, s: PhaseState, tol: float = 1e-8):
     """(p2 - Bz) sin(Bx/p1) - p3 cos(Bx/p1); companion of x5_integral."""
+    B = _as_real(B, f"x6_integral B {B!r}")
     x, p = _state_arrays(s)
     c, sn = _cos_sin(_phase_angle(B, x, p, tol))
     return (p.T[1] - B * x.T[2]) * sn - p.T[2] * c
@@ -235,6 +237,10 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
     and the rest state kappa = -1 fall back to direct integration or a
     constant. Accepts scalar or array t.
     """
+    if not isinstance(model, HelicalB):
+        raise ParameterError(f"helical_z_of_t needs a HelicalB model, got {model!r}")
+    if not isinstance(red, PendulumReduction):
+        raise ParameterError(f"helical_z_of_t needs a PendulumReduction, got {red!r}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     scale = math.sqrt(2.0 * model.A_amp * red.p) / model.beta
     taus = scale * t_arr
@@ -255,12 +261,15 @@ def _separatrix_theta(theta0: float, dtheta0: float, taus: np.ndarray) -> np.nda
     """theta at each tau from theta'' = -sin(theta) / 2, by the Dormand-Prince
     loop of `dynamics` at tolerances 1e-13; the equation is time-reversible,
     so negative tau runs forward from (theta0, -dtheta0)."""
+    def pendulum(y):
+        return [y[1], -0.5 * math.sin(y[0])]
+
     out = np.full_like(taus, theta0)
     for sign in (1.0, -1.0):
         mask = sign * taus > 0
         if np.any(mask):
             span = sign * taus[mask]
-            _, _, dense, _ = _run_rk45(lambda y: [y[1], -0.5 * math.sin(y[0])],
-                                       [theta0, sign * dtheta0], float(span.max()), 1e-13, 1e-13)
-            out[mask] = dense(span)[:, 0]
+            times, y, _ = _run_rk45(pendulum, [theta0, sign * dtheta0], float(span.max()),
+                                    1e-13, 1e-13)
+            out[mask] = _dp5_interpolant(pendulum, times, (y,))(span)[:, 0]
     return out

@@ -271,10 +271,10 @@ def integrate(
              for i, w in enumerate(watch)]
 
     if cfg.method == "rk45":
-        times, y, dense, stats = _run_rk45(model.hamilton_rhs, s0.as_array().tolist(), t_end,
-                                           cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+        times, y, stats = _run_rk45(model.hamilton_rhs, s0.as_array().tolist(), t_end,
+                                    cfg.rel_tol, cfg.abs_tol, cfg.max_step)
         xs, ps = y[:, :3].copy(), y[:, 3:].copy()
-        del y  # with dense, it holds the store: freed before the energy is formed
+        del y  # it holds the run's store: freed before the energy is formed
         dense = _dp5_interpolant(model.hamilton_rhs, times, (xs, ps))
     else:
         times, xs, ps, dense, stats = _run_boris(model, s0, t_end, cfg)
@@ -417,9 +417,8 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     StepFailure, and so are an overflow in fun and a state that is not
     finite (checked on y, on the initial-step probe and on each y_new).
     A run that needs more than RK45_MAX_STEPS steps is a ConfigError.
-    Returns the accepted times and states, the dense output and the
-    SolverStats: the dense output repeats each step that holds a query
-    time, which gives the same slopes.
+    Returns the accepted times and states and the SolverStats; the dense
+    output of a run is `_dp5_interpolant` of them.
     """
     step = _dp5_stepper(fun, len(y))
     if rtol < RTOL_FLOOR:
@@ -470,7 +469,7 @@ def _run_rk45(fun, y, t_end, rtol, atol, max_step=math.inf):
     steps = np.diff(times)
     stats = SolverStats(len(steps), attempts - len(steps), 2 + 6 * attempts,
                         float(steps.min()), float(steps.max()))
-    return times, y, _dp5_interpolant(fun, times, (y,)), stats
+    return times, y, stats
 
 
 def _dp5_interpolant(fun, times, blocks):
@@ -480,8 +479,8 @@ def _dp5_interpolant(fun, times, blocks):
     y_i + h (K^T P) (theta, theta^2, theta^3, theta^4). State y_i is row i
     of the arrays `blocks` side by side (the states, or x and p). The
     slopes K of a step are taken again from y_i and h, once per call for
-    each step that holds a query; shape (n,) for a number, (len(t), n) for
-    an array."""
+    each step that holds a query, which gives the slopes of the run; shape
+    (n,) for a number, (len(t), n) for an array."""
     width = sum(b.shape[1] for b in blocks)
     step = _dp5_stepper(fun, width)
     last = len(times) - 2

@@ -87,6 +87,16 @@ def _real_fields(model, *names: str) -> None:
                            _as_real(value, f"{type(model).__name__} {name} {value!r}"))
 
 
+def _callable_fields(obj, required=(), optional=()) -> None:
+    """A ParameterError that names the class, the field and its value
+    unless each field of obj named in `required` is callable and each
+    named in `optional` is callable or None."""
+    for name in (*required, *optional):
+        value = getattr(obj, name)
+        if not (callable(value) or (value is None and name in optional)):
+            raise ParameterError(f"{type(obj).__name__} {name} {value!r} is not callable")
+
+
 def _as_points(x) -> tuple[np.ndarray, bool]:
     """x as an (n,3) stack of finite points, and whether it was one (3,) point."""
     a = np.asarray(x, dtype=float)
@@ -472,6 +482,9 @@ class Cylindrical:
 
     hamilton_rhs = _matrix_rhs
 
+    def __post_init__(self):
+        _callable_fields(self, ("f1", "df1", "f2", "df2", "v", "dv"))
+
     def _radius(self, x: Vec3):
         return np.hypot(x.T[0], x.T[1])
 
@@ -498,11 +511,16 @@ class Cylindrical:
     def scalar_potential(self, x: Vec3) -> float:
         return _per_radius(self.v, self._radius(x))
 
-    def grad_potential(self, x: Vec3) -> Vec3:
+    def _radial_gradient(self, fn, x: Vec3) -> Vec3:
+        """The gradient of a function of R whose derivative is fn, a user
+        function of one radius."""
         r = self._radius(x)
-        d = _per_radius(self.dv, r)
+        d = _per_radius(fn, r)
         x0, x1, _ = x.T
         return np.array([d * x0 / r, d * x1 / r, _zeros(x)]).T
+
+    def grad_potential(self, x: Vec3) -> Vec3:
+        return self._radial_gradient(self.dv, x)
 
     def jacobian_a(self, x: Vec3) -> np.ndarray:
         self.check_domain(x)
@@ -542,6 +560,9 @@ class Custom:
     domain: Callable[[Vec3], None] | None = None
 
     hamilton_rhs = _matrix_rhs
+
+    def __post_init__(self):
+        _callable_fields(self, ("a", "v"), ("b", "jac_a", "grad_v", "domain"))
 
     @_rowwise()
     def check_domain(self, x: Vec3) -> None:

@@ -11,6 +11,15 @@ User code of one point or one state is lifted to (n,3) stacks where it
 enters: in the constructor of `IntegralSpec` for its s, m, jac_s and
 grad_m, and in `as_phase_function`, the one place that decides how a
 phase-space function is called.
+
+Each built-in first-order integral (`known_integrals`) is a generator
+a.P + b.L of the Euclidean algebra made covariant,
+X = (a + b x x) . p^A + m(x), with only m written per model:
+    uniform field      X1, X2, X3 = P1, P2, P3 and X4 = L1;
+    helical field      X1, X2 = P1, P2 and X3 = L3 + beta P3, a screw;
+    monopole           X1, X2, X3 = L1, L2, L3;
+    cylindrical family l3 = L3 and p3 = P3.
+The monopole's X_sq and Runge-Lenz components R1-R3 are of second order.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .fields import (
     _as_points,
     _as_real,
     _as_vec3,
+    _callable_fields,
     _per_radius,
     _pow,
     _zeros,
@@ -95,6 +105,7 @@ class IntegralSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
+        _callable_fields(self, optional=("s", "m", "jac_s", "grad_m"))
         for key, one in (("s", _as_vec3), ("m", float), ("grad_m", _as_vec3),
                          ("jac_s", lambda j: np.asarray(j, dtype=float))):
             object.__setattr__(self, key, _lift_point_function(getattr(self, key), one))
@@ -237,6 +248,9 @@ class PhaseFunction:
     fn: Callable[[PhaseState], float]
     grad: Callable[[PhaseState], tuple[Vec3, Vec3]] | None = None
     model: FieldModel | None = None
+
+    def __post_init__(self):
+        _callable_fields(self, ("fn",), ("grad",))
 
     def __call__(self, s: PhaseState) -> float:
         return float(self.fn(s))
@@ -495,75 +509,53 @@ def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec
     return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
 
 
-def _unit(x, j: int):
-    """e_j at each point of x."""
-    e = np.zeros(x.shape)
-    e.T[j] = 1.0
-    return e
+def _generator(name, a, b, m, grad_m) -> IntegralSpec:
+    """The first-order integral X = (a + b x x) . p^A + m(x): the Euclidean
+    generator a.P + b.L made covariant, from constant 3-vectors a and b
+    (None for zero). Its jac_s is the constant [b]_x, whose column k is
+    b x e_k."""
+    if b is None:
+        def s(x):
+            return np.broadcast_to(a, x.shape).copy()
+
+        jac = np.zeros((3, 3))
+    else:
+        def s(x):
+            return cross(b, x) if a is None else cross(b, x) + a
+
+        jac = cross(b, _E).T
+    return _known(name, {}, s, m, lambda x: jac, grad_m)
 
 
 def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
+    """P1, P2, P3 and L1."""
     B = model.B
     return [
-        _known(
-            "X1", {},
-            s=lambda x: _unit(x, 0),
-            m=lambda x: _zeros(x),
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.zeros(3),
-        ),
-        _known(
-            "X2", {},
-            s=lambda x: _unit(x, 1),
-            m=lambda x: B * x.T[2],
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([0.0, 0.0, B]),
-        ),
-        _known(
-            "X3", {},
-            s=lambda x: _unit(x, 2),
-            m=lambda x: -B * x.T[1],
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([0.0, -B, 0.0]),
-        ),
-        _known(
-            "X4", {},
-            s=lambda x: cross(_E[0], x),
-            m=lambda x: -0.5 * B * (_pow(x.T[1], 2) + _pow(x.T[2], 2)),
-            jac_s=lambda x: np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float),
-            grad_m=lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T,
-        ),
+        _generator("X1", _E[0], None, lambda x: _zeros(x), lambda x: np.zeros(3)),
+        _generator("X2", _E[1], None, lambda x: B * x.T[2], lambda x: np.array([0.0, 0.0, B])),
+        _generator("X3", _E[2], None, lambda x: -B * x.T[1], lambda x: np.array([0.0, -B, 0.0])),
+        _generator("X4", None, _E[0],
+                   lambda x: -0.5 * B * (_pow(x.T[1], 2) + _pow(x.T[2], 2)),
+                   lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T),
     ]
 
 
 def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
+    """P1, P2 and the screw L3 + beta P3."""
     amp, beta, phi0 = model.A_amp, model.beta, model.phi0
 
     def u(x):
         return (x.T[2] + phi0) / beta
 
     return [
-        _known(
-            "X1", {},
-            s=lambda x: _unit(x, 0),
-            m=lambda x: amp * np.cos(u(x)),
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([_zeros(x), _zeros(x), -amp * np.sin(u(x)) / beta]).T,
-        ),
-        _known(
-            "X2", {},
-            s=lambda x: _unit(x, 1),
-            m=lambda x: amp * np.sin(u(x)),
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=lambda x: np.array([_zeros(x), _zeros(x), amp * np.cos(u(x)) / beta]).T,
-        ),
-        _known(
-            "X3", {},
-            # a screw: rotation about the z-axis with pitch beta
-            s=lambda x: cross(_E[2], x) + beta * _E[2],
-            m=lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
-            jac_s=lambda x: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
-            grad_m=lambda x: np.array([
+        _generator("X1", _E[0], None, lambda x: amp * np.cos(u(x)),
+                   lambda x: np.array([_zeros(x), _zeros(x), -amp * np.sin(u(x)) / beta]).T),
+        _generator("X2", _E[1], None, lambda x: amp * np.sin(u(x)),
+                   lambda x: np.array([_zeros(x), _zeros(x), amp * np.cos(u(x)) / beta]).T),
+        _generator(
+            "X3", beta * _E[2], _E[2],
+            lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
+            lambda x: np.array([
                 amp * np.sin(u(x)),
                 -amp * np.cos(u(x)),
                 amp * (x.T[0] * np.cos(u(x)) + x.T[1] * np.sin(u(x))) / beta,
@@ -588,19 +580,12 @@ def _unit_radial(j: int):
 
 
 def monopole_angular_specs(g: float) -> list[IntegralSpec]:
-    """X_j = l_j^A + g x_j/|x| for j = 1..3."""
+    """X_j = l_j^A + g x_j/|x| for j = 1..3: L1, L2, L3."""
     specs = []
     for j in range(3):
         val, grad = _unit_radial(j)
-        # s = e_j x x; column k of its constant Jacobian is e_j x e_k
-        jac = cross(_E[j], _E).T
-        specs.append(_known(
-            f"X{j + 1}", {},
-            s=(lambda x, e=_E[j]: cross(e, x)),
-            m=(lambda x, v=val: g * v(x)),
-            jac_s=(lambda x, jr=jac: jr),
-            grad_m=(lambda x, gr=grad: g * gr(x)),
-        ))
+        specs.append(_generator(f"X{j + 1}", None, _E[j],
+                                lambda x, v=val: g * v(x), lambda x, gr=grad: g * gr(x)))
     return specs
 
 
@@ -660,33 +645,16 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
 
 
 def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
+    """L3 and P3."""
     # F1, F2 and their derivatives are the user's: one radius per call
     def of_radius(fn, x):
         return _per_radius(fn, model._radius(x))
 
-    def radial_gradient(dfn, sign):
-        def grad(x):
-            r = model._radius(x)
-            d = sign * of_radius(dfn, x)
-            return np.array([d * x.T[0] / r, d * x.T[1] / r, _zeros(x)]).T
-
-        return grad
-
     return [
-        _known(
-            "l3", {},
-            s=lambda x: cross(_E[2], x),
-            m=lambda x: -of_radius(model.f2, x),
-            jac_s=lambda x: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float),
-            grad_m=radial_gradient(model.df2, -1.0),
-        ),
-        _known(
-            "p3", {},
-            s=lambda x: _unit(x, 2),
-            m=lambda x: of_radius(model.f1, x),
-            jac_s=lambda x: np.zeros((3, 3)),
-            grad_m=radial_gradient(model.df1, 1.0),
-        ),
+        _generator("l3", None, _E[2], lambda x: -of_radius(model.f2, x),
+                   lambda x: -model._radial_gradient(model.df2, x)),
+        _generator("p3", _E[2], None, lambda x: of_radius(model.f1, x),
+                   lambda x: model._radial_gradient(model.df1, x)),
     ]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     ConfigError, EigenSolveFailure, GridTooSmall, NoBoundStates, ParameterError, StepFailure,
 )
-from .fields import Cylindrical, _as_count
+from .fields import Cylindrical, _as_count, _as_real, _real_fields
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
 #: (several of 8 bytes per point) are allocated
@@ -32,10 +32,10 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        _real_fields(self, "lo", "hi")
+        object.__setattr__(self, "n", _as_count(self.n, f"Grid1D n {self.n!r}", least=16))
         if not self.lo < self.hi:
             raise ParameterError("grid needs lo < hi")
-        if self.n < 16:
-            raise ParameterError("grid needs at least 16 points")
         if self.n > GRID_MAX_POINTS:
             raise ConfigError(f"a grid of n = {self.n} points exceeds the maximum "
                               f"of {GRID_MAX_POINTS} points")
@@ -124,7 +124,7 @@ class SpectrumResult:
 def _check_levels(grid: Grid1D, n_levels: int) -> None:
     """Refuse a level count the grid cannot hold before any array is made."""
     n_in = grid.n - 2
-    if not 1 <= n_levels <= n_in:
+    if not 1 <= _as_count(n_levels, f"n_levels {n_levels!r}") <= n_in:
         raise ParameterError(f"n_levels must be in [1, {n_in}]")
     if n_levels * grid.n > GRID_MAX_POINTS:
         raise ConfigError(f"{n_levels} eigenfunctions on a grid of n = {grid.n} points exceed "
@@ -156,8 +156,11 @@ def landau_reduced_solve(
     sides of the center z = k2/B, and the computed ground state must have
     a negligible tail at the walls; otherwise GridTooSmall is raised.
     """
-    if not (abs(B) > 0 and hbar > 0):
-        raise ParameterError("landau_reduced_solve needs B != 0 and hbar > 0")
+    B, k1, k2 = (_as_real(v, f"landau_reduced_solve {k} {v!r}")
+                 for k, v in (("B", B), ("k1", k1), ("k2", k2)))
+    hbar = _as_real(hbar, f"landau_reduced_solve hbar {hbar!r}", positive=True)
+    if B == 0:
+        raise ParameterError("landau_reduced_solve needs B != 0")
     center = k2 / B
     ell = math.sqrt(hbar / abs(B))
     if center - grid.lo < 8 * ell or grid.hi - center < 8 * ell:
@@ -232,12 +235,14 @@ def mathieu_characteristic(r: int, parity: str, q: float) -> float:
     """Characteristic value a_r(q) (even parity) or b_r(q) (odd parity)."""
     if parity not in ("even", "odd"):
         raise ParameterError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if r < 0 or (parity == "odd" and r == 0):
+    r = _as_count(r, f"r {r!r}")
+    if parity == "odd" and r == 0:
         raise ParameterError(f"no characteristic value of parity {parity!r} at r={r}")
+    q = _as_real(q, f"q {q!r}")
     if not abs(q) <= 1e4:
-        raise ParameterError("|q| must be finite and not exceed 1e4")
+        raise ParameterError("|q| must not exceed 1e4")
     n_dim = 50 + 2 * math.ceil(math.sqrt(abs(q))) + r
-    diag, off, idx = _mathieu_matrix(r, parity, float(q), n_dim)
+    diag, off, idx = _mathieu_matrix(r, parity, q, n_dim)
     vals, _, _ = _bisect(diag, off, idx, idx, "E")
     return float(vals[0])
 

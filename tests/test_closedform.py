@@ -62,6 +62,24 @@ def test_helix_refuses_arguments_that_are_not_finite_reals_by_name(B, t, message
         ms.helix_solution(B, ms.PhaseState([0, 0, 0], [1, 0, 0]), t)
 
 
+_HELICAL_REDUCTION = ms.pendulum_reduction(
+    ms.HelicalB(1.0, 1.0), ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: ms.x5_integral("1", s), "x5_integral B '1' is not a number"),
+    (lambda s: ms.x5_integral(math.nan, s), "x5_integral B nan is not finite"),
+    (lambda s: ms.x6_integral(None, s), "x6_integral B None is not a number"),
+    (lambda s: ms.helical_z_of_t(ms.ConstantB(1.0), _HELICAL_REDUCTION, 1.0),
+     r"helical_z_of_t needs a HelicalB model, got ConstantB\(B=1.0\)"),
+    (lambda s: ms.helical_z_of_t(ms.HelicalB(1.0, 1.0), None, 1.0),
+     "helical_z_of_t needs a PendulumReduction, got None"),
+])
+def test_closed_form_entry_points_refuse_bad_arguments_by_name(call, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        call(ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4]))
+
+
 def test_pendulum_reduction_of_another_model_names_it():
     s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
     with pytest.raises(ms.ParameterError,

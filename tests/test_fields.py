@@ -47,6 +47,22 @@ def test_model_numbers_that_are_not_finite_reals_are_refused_by_name(make, messa
         make()
 
 
+def _radius_fn(r):
+    return r
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ms.Custom(a=5, v=1), "Custom a 5 is not callable"),
+    (lambda: ms.Custom(a=np.zeros, v=None), "Custom v None is not callable"),
+    (lambda: ms.Custom(a=np.zeros, v=np.sum, grad_v="x"), "Custom grad_v 'x' is not callable"),
+    (lambda: ms.Cylindrical(*[_radius_fn] * 5, 0.0), "Cylindrical dv 0.0 is not callable"),
+    (lambda: ms.Cylindrical(None, *[_radius_fn] * 5), "Cylindrical f1 None is not callable"),
+])
+def test_model_functions_that_are_not_callable_are_refused_by_name(make, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        make()
+
+
 def test_model_numbers_are_stored_as_floats():
     models = [ms.ConstantB(2), ms.HelicalB(3, -1, phi0=np.float32(0.5)), ms.Monopole(2, Q=1)]
     for model, names in zip(models, (["B"], ["A_amp", "beta", "phi0"], ["g", "Q"])):

@@ -74,6 +74,19 @@ def test_alpha_keys_and_values_are_refused_by_name(alpha, message):
             cls(alpha)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ms.IntegralSpec("a", {}, s=[1, 2]), r"IntegralSpec s \[1, 2\] is not callable"),
+    (lambda: ms.IntegralSpec("a", {}, s="abc"), "IntegralSpec s 'abc' is not callable"),
+    (lambda: ms.IntegralSpec("a", {}, m=5), "IntegralSpec m 5 is not callable"),
+    (lambda: ms.IntegralSpec("a", {}, grad_m=0.0), "IntegralSpec grad_m 0.0 is not callable"),
+    (lambda: ms.PhaseFunction("f", 3), "PhaseFunction fn 3 is not callable"),
+    (lambda: ms.PhaseFunction("f", abs, grad=1), "PhaseFunction grad 1 is not callable"),
+], ids=["s-list", "s-str", "m-int", "grad_m-float", "fn", "grad"])
+def test_functions_that_are_not_callable_are_refused_by_name(make, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        make()
+
+
 def test_alpha_integer_pairs_of_any_integer_type_are_accepted():
     spec = ms.IntegralSpec("ok", {(np.int64(2), 6): np.float64(1.5), "35": 2})
     assert spec.alpha == {(2, 6): 1.5, (3, 5): 2.0}

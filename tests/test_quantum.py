@@ -188,9 +188,12 @@ def test_vectors_of_a_split_matrix_keep_the_full_call_bits():
 
 
 def test_tridiagonal_solve_refuses_non_finite_entries():
-    # a NaN k2 passes the box check (every comparison with NaN is false)
-    with pytest.raises(ms.ParameterError, match="non-finite"):
+    # a NaN k2 would pass the box check (every comparison with NaN is false):
+    # the entry point refuses it by name, and the solve refuses a NaN entry
+    with pytest.raises(ms.ParameterError, match="^landau_reduced_solve k2 nan is not finite$"):
         ms.landau_reduced_solve(1.0, 0.0, math.nan, 1.0, LANDAU_GRID, 2)
+    with pytest.raises(ms.ParameterError, match="non-finite"):
+        quantum._Tridiagonal(np.array([2.0, math.nan, 2.0]), np.full(2, -1.0), 1)
     with np.errstate(over="ignore"), pytest.raises(ms.ParameterError, match="non-finite"):
         ms.landau_reduced_solve(1e200, 0.0, 0.0, 1.0, LANDAU_GRID, 2)
 
@@ -285,6 +288,33 @@ def test_mathieu_large_q_follows_the_asymptotic_series():
     asymptotic = -2 * q + 2 * w * np.sqrt(q) - (w**2 + 1) / 8
     assert asymptotic == -19401.25
     assert ms.mathieu_characteristic(r, "even", q) == pytest.approx(asymptotic, abs=0.01)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ms.landau_reduced_solve(1.0, math.inf, 0.0, 1.0, LANDAU_GRID, 2),
+     "landau_reduced_solve k1 inf is not finite"),
+    (lambda: ms.landau_reduced_solve("1", 0.0, 0.0, 1.0, LANDAU_GRID, 2),
+     "landau_reduced_solve B '1' is not a number"),
+    (lambda: ms.landau_reduced_solve(1.0, 0.0, 0.0, 0.0, LANDAU_GRID, 2),
+     "landau_reduced_solve hbar 0.0 is not positive"),
+    (lambda: ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, LANDAU_GRID, 2.5),
+     "n_levels 2.5 is not an integer"),
+    (lambda: ms.Grid1D(0.0, math.inf, 20), "Grid1D hi inf is not finite"),
+    (lambda: ms.Grid1D("0", 1.0, 20), "Grid1D lo '0' is not a number"),
+    (lambda: ms.Grid1D(0.0, 1.0, 20.5), "Grid1D n 20.5 is not an integer"),
+    (lambda: ms.Grid1D(0.0, 1.0, 15), "Grid1D n 15 is below 16"),
+    (lambda: ms.mathieu_table(3, "x"), "q 'x' is not a number"),
+    (lambda: ms.mathieu_table(3, None), "q None is not a number"),
+    (lambda: ms.mathieu_characteristic(1.5, "even", 1.0), "r 1.5 is not an integer"),
+])
+def test_quantum_entry_points_refuse_bad_arguments_by_name(call, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        call()
+
+
+def test_grid_bounds_are_stored_as_floats():
+    grid = ms.Grid1D(0, 2, 17)
+    assert type(grid.lo) is float and type(grid.hi) is float and grid.spacing == 0.125
 
 
 def test_mathieu_validation():

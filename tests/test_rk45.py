@@ -60,7 +60,8 @@ def test_the_loop_takes_a_state_of_any_length():
     def rhs(y):
         return [y[1], -0.5 * math.sin(y[0])]
 
-    times, y, dense, stats = dynamics._run_rk45(rhs, [0.3, 1.2], 20.0, 1e-13, 1e-13)
+    times, y, stats = dynamics._run_rk45(rhs, [0.3, 1.2], 20.0, 1e-13, 1e-13)
+    dense = dynamics._dp5_interpolant(rhs, times, (y,))
     sol = solve_ivp(lambda _t, y: rhs(y), (0.0, 20.0), [0.3, 1.2], method="RK45",
                     rtol=1e-13, atol=1e-13, dense_output=True)
     assert y.shape == (len(sol.t), 2) and stats.nfev == sol.nfev
@@ -151,13 +152,14 @@ def test_nfev_counts_every_right_hand_side_call():
     x0, p0, _, period, _ = kepler_orbit(rng(811), 2.0, 1.0, 6.0)
     fun = _Counted(ms.Monopole(g=2.0, Q=1.0).hamilton_rhs)
     y0 = ms.PhaseState(x0, p0).as_array().tolist()
-    _, _, _, stats = dynamics._run_rk45(fun, y0, 3 * period, 1e-6, 1e-6)
+    _, _, stats = dynamics._run_rk45(fun, y0, 3 * period, 1e-6, 1e-6)
     assert stats.rejected > 0 and fun.calls == stats.nfev
 
 
 def test_dense_output_of_an_array_matches_one_time_calls():
     fun = _Counted(lambda y: [y[1], -0.5 * math.sin(y[0])])
-    times, y, dense, _ = dynamics._run_rk45(fun, [0.3, 1.2], 20.0, 1e-10, 1e-10)
+    times, y, _ = dynamics._run_rk45(fun, [0.3, 1.2], 20.0, 1e-10, 1e-10)
+    dense = dynamics._dp5_interpolant(fun, times, (y,))
     ts = np.concatenate([np.linspace(0.0, 20.0, 301), times[3:9], [times[5]] * 3])[::-1]
     fun.calls = 0
     values = dense(ts)
@@ -314,7 +316,8 @@ def test_a_run_on_the_reference_stepper_is_the_library_run(case, monkeypatch):
         args = (_CONSTANT_B, [0.1, 0.2, -0.3, 0.5, 0.3, -0.2], 40.0, 1e-10, 1e-10)
     else:
         args = (_MONOPOLE_BARE, [3.0, 0.5, 1.0, 0.1, 0.3, 0.05], 30.0, 1e-8, 1e-8)
-    times, y, dense, stats = dynamics._run_rk45(*args)
+    times, y, stats = dynamics._run_rk45(*args)
+    dense = dynamics._dp5_interpolant(args[0], times, (y,))
     ts = np.linspace(0.0, args[2], 57)
     # the reference calls the hand-written right-hand side of a model
     model = getattr(args[0], "__self__", None)
@@ -322,8 +325,8 @@ def test_a_run_on_the_reference_stepper_is_the_library_run(case, monkeypatch):
         args = (lambda y: hamilton_rhs_reference(model, y), *args[1:])
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_dp5_stepper", _reference_stepper)
-        ref_times, ref_y, ref_dense, ref_stats = dynamics._run_rk45(*args)
-        ref_values = ref_dense(ts)
+        ref_times, ref_y, ref_stats = dynamics._run_rk45(*args)
+        ref_values = dynamics._dp5_interpolant(args[0], ref_times, (ref_y,))(ts)
     assert stats == ref_stats and (case != "kepler" or stats.rejected > 0)
     assert _bits(times) == _bits(ref_times) and _bits(y) == _bits(ref_y)
     assert _bits(dense(ts)) == _bits(ref_values)

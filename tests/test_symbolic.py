@@ -112,7 +112,6 @@ def test_basis_refuses_a_vanishing_p1():
             basis[name](s)
 
 
-
 # ---------------------------------------------------------------------------
 # the built-in integrals of every model
 #
@@ -121,13 +120,14 @@ def test_basis_refuses_a_vanishing_p1():
 # made covariant, the monopole's X_j = l_j^A + g x_j/|x|, their square and
 # the Runge-Lenz vector. The covariant parts s and m are derived from X
 # alone: with p = pi - A(x), X is a polynomial of degree at most 2 in pi,
-# s_i = dX/dpi_i and m = X at pi = 0. Nothing here reads the library's s,
-# m or their derivatives.
+# s_i = dX/dpi_i and m = X at pi = 0. The library's s, m and their
+# derivatives are only compared with these, never used to build them.
 #
 # A radius sqrt(x^2 + y^2 (+ z^2)) is the positive symbol r, differentiated
-# by the chain rule, dr/dq = q/r; an expression in r vanishes when the
-# numerator of its rational normal form is 0 modulo r^2 = x^2 + y^2 (+ z^2),
-# any other when sympy simplifies it to 0.
+# by the chain rule, dr/dq = q/r. A bracket of functions rational in r is
+# taken in the field of rational functions and vanishes when its numerator
+# is 0 modulo r^2 = x^2 + y^2 (+ z^2); any other when sympy simplifies it
+# to 0.
 
 PI = sp.symbols("pi1 pi2 pi3", real=True)
 AMP, BETA, PHI0, G, Q = sp.symbols("A_amp beta phi0 g Q", real=True)
@@ -219,24 +219,28 @@ def _d(expr, q, r2):
     return out
 
 
-@functools.cache
-def _radial_bracket(f, g, r2):
-    return sum(_d(f, q, r2) * _d(g, p, r2) - _d(f, p, r2) * _d(g, q, r2)
-               for q, p in zip(COORDS, MOMENTA))
-
-
 def _hamiltonian(case: Case):
     return sum(c**2 for c in _covariant(case.a)) / 2 + case.v
 
 
-def _vanishes(expr, r2) -> bool:
-    if r2 is None:
-        return sp.simplify(expr) == 0
-    # in the field of rational functions, with RADIUS first so that the
-    # remainder holds RADIUS to degree below 2
+def _radial_bracket_vanishes(f, g, r2) -> bool:
+    """{f, g} = 0 for f and g rational in the coordinates, the momenta and
+    RADIUS. RADIUS is the first variable of the field, so the remainder of
+    the numerator holds it to degree below 2."""
     variables = (RADIUS, *COORDS, *MOMENTA)
-    field, *_ = sp.field((*variables, *expr.free_symbols - set(variables)), sp.QQ)
-    return field(expr).numer.rem([field.ring(RADIUS**2 - r2)]) == 0
+    field, r, *_ = sp.field((*variables, *(f.free_symbols | g.free_symbols) - set(variables)),
+                            sp.QQ)
+
+    def d(e, q):
+        out = e.diff(field(q))
+        if q in COORDS:
+            out += e.diff(r) * field(sp.diff(r2, q)) / (2 * r)
+        return out
+
+    f, g = field(f), field(g)
+    bracket = sum((d(f, q) * d(g, p) - d(f, p) * d(g, q) for q, p in zip(COORDS, MOMENTA)),
+                  field(0))
+    return bracket.numer.rem([field.ring(RADIUS**2 - r2)]) == 0
 
 
 def _numeric(exprs, case: Case, x, p):
@@ -290,7 +294,10 @@ def test_known_integral_names_are_the_symbolic_ones(case):
 @pytest.mark.parametrize("case, name", INTEGRALS)
 def test_symbolic_integral_commutes_with_h(case, name):
     c = CASES[case]()
-    assert _vanishes(_radial_bracket(c.integrals[name], _hamiltonian(c), c.r2), c.r2)
+    if c.r2 is None:
+        assert sp.simplify(_bracket(c.integrals[name], _hamiltonian(c))) == 0
+    else:
+        assert _radial_bracket_vanishes(c.integrals[name], _hamiltonian(c), c.r2)
 
 
 @pytest.mark.parametrize("case, name", INTEGRALS)
