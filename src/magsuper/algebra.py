@@ -235,47 +235,75 @@ def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
 SAMPLE_MAX_ROWS = 200_000
 
 
+def _row_mask(fn, what: str, rows: np.ndarray) -> np.ndarray:
+    """fn(rows) as one bool per row, or a ParameterError that names `what`
+    and fn when fn returns anything else."""
+    ok = np.asarray(fn(rows))
+    if ok.shape != (len(rows),) or ok.dtype != bool:
+        raise ParameterError(f"{what} {getattr(fn, '__name__', fn)!r} returned {ok.dtype} of "
+                             f"shape {ok.shape} for {len(rows)} rows; it must return "
+                             "one bool per row")
+    return ok
+
+
 def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.ndarray:
-    """n rows of `size` uniform draws in [-box, box], one row per try, kept
-    where `accept` passes it; a ConfigError after 1000 tries per row, and
-    before any draw when n exceeds SAMPLE_MAX_ROWS; a ParameterError when n
-    is not a count."""
+    """n rows of `size` uniform draws in [-box, box], kept where `accept`
+    passes them; a ConfigError after 1000 tries per row, and before any
+    draw when n exceeds SAMPLE_MAX_ROWS; a ParameterError when n is not a
+    count, or when `accept` does not return one bool per row.
+
+    Each round draws the rows still missing as one (m, size) block and
+    `accept` takes the whole block. A row kept is a row fewer to draw, so
+    no round draws a row past the one that completes n (or past the try
+    cap): the rows, the generator's state after them and the failure
+    message are those of drawing one row per try.
+    """
     n = _as_count(n, f"n {n!r}")
     if n > SAMPLE_MAX_ROWS:
         raise ConfigError(f"{n} sampled points exceed the maximum of {SAMPLE_MAX_ROWS}")
-    rows, tries = [], 0
-    while len(rows) < n:
+    blocks, kept, tries = [], 0, 0
+    while kept < n:
         if tries == 1000 * n:
-            raise ConfigError(f"state sampling failed: {len(rows)} of {n} admissible "
+            raise ConfigError(f"state sampling failed: {kept} of {n} admissible "
                               f"points in {tries} tries")
-        tries += 1
-        row = rng.uniform(-box, box, size)
-        if accept is None or accept(row):
-            rows.append(row)
-    return np.array(rows).reshape(-1, size)
+        m = min(n - kept, 1000 * n - tries)
+        block = rng.uniform(-box, box, (m, size))
+        tries += m
+        if accept is not None:
+            block = block[_row_mask(accept, "accept", block)]
+        blocks.append(block)
+        kept += len(block)
+    return np.concatenate(blocks) if blocks else np.empty((0, size))
 
 
 def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
                   admissible=None) -> list[PhaseState]:
     """Uniform random states in [-box, box]^6 with optional constraints.
 
-    `admissible` filters positions (used to stay off singular loci);
+    `admissible` filters positions (used to stay off singular loci): it
+    takes an (m,3) block of positions and returns one bool per row.
     `p1_min` keeps |p1| away from 0 where X5, X6 need it.
     """
 
     def accept(y):
-        return ((p1_min <= 0 or abs(y[3]) >= p1_min)
-                and (admissible is None or admissible(y[:3])))
+        ok = np.abs(y.T[3]) >= p1_min  # every row when p1_min <= 0
+        if admissible is not None:
+            ok &= _row_mask(admissible, "admissible", y[:, :3])
+        return ok
 
     return [PhaseState(y[:3], y[3:]) for y in sample_uniform(rng, n, 6, accept, box)]
 
 
-def monopole_admissible(x) -> bool:
-    """Position filter keeping samples well off the center and the string.
+def monopole_admissible(x):
+    """Position filter keeping samples well off the center and the string:
+    a bool for one point (3,), one per row of an (n,3) stack.
 
     The gauge factor 1/(r (r + z)) controls both the size of A and the
     accuracy of finite-difference probes, so the exclusion is phrased as
     a lower bound on r + z rather than on the cylinder radius.
     """
-    r = float(np.linalg.norm(x))
-    return 0.5 < r < 5.0 and r + x[2] > 0.5
+    x = np.asarray(x, dtype=float)
+    # vecdot: per row the bits of a one-point `x @ x`, hence of np.linalg.norm
+    r = np.sqrt(np.vecdot(x, x))
+    ok = (0.5 < r) & (r < 5.0) & (r + x.T[2] > 0.5)
+    return bool(ok) if x.ndim == 1 else ok

@@ -688,9 +688,14 @@ def divergence_checks(model: FieldModel, points) -> FieldCheckReport:
 
     Checks div B = 0 and curl A = B; also reports div A, which vanishes
     for every built-in gauge choice. All points go through the model as
-    one stack, and one Jacobian of A serves both curl A and div A.
+    one stack, and one Jacobian of A serves both curl A and div A. An
+    (n,3) array is validated as one stack; any other iterable point by
+    point.
     """
-    x = np.array([_as_vec3(p) for p in points]).reshape(-1, 3)
+    if isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] == 3:
+        x = _as_points(points)[0]
+    else:
+        x = np.array([_as_vec3(p) for p in points]).reshape(-1, 3)
     if not len(x):
         return FieldCheckReport(0.0, 0.0, 0.0, 0)
     model.check_domain(x)

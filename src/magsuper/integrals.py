@@ -457,9 +457,12 @@ def determining_residuals(
         xs, one = _as_points(x)
         rec = field_record(model, xs)
     xs = rec.x
-    poly = CoeffPolynomials(spec.alpha)
-    h1, h2, h3 = poly.h(xs).T
-    n1, n2, n3 = poly.n(xs).T
+    if spec.alpha:
+        poly = CoeffPolynomials(spec.alpha)
+        h1, h2, h3 = poly.h(xs).T
+        n1, n2, n3 = poly.n(xs).T
+    else:  # a first-order integral: h and n vanish
+        h1 = h2 = h3 = n1 = n2 = n3 = np.zeros(len(xs))
     b1, b2, b3 = rec.b.T
     vx, vy, vz = rec.grad_v.T
     sv = _spec_s(spec, xs).T

@@ -358,12 +358,15 @@ def helical_reduced_solve(
     returned. A non-finite Phi or Wronskian, or m past
     MAGNUS_MAX_SUBSTEPS, raises StepFailure.
     """
-    if not all(math.isfinite(v) for v in (A_amp, beta, K, phi_K, hbar, E)):
-        raise ParameterError("helical_reduced_solve needs finite parameters")
+    A_amp, beta, K, phi_K, E = (
+        _as_real(v, f"helical_reduced_solve {k} {v!r}")
+        for k, v in (("A_amp", A_amp), ("beta", beta), ("K", K), ("phi_K", phi_K), ("E", E)))
+    hbar = _as_real(hbar, f"helical_reduced_solve hbar {hbar!r}", positive=True)
+    n_samples = _as_count(n_samples, f"helical_reduced_solve n_samples {n_samples!r}", least=2)
     if K < 0:
         raise ParameterError("K must be nonnegative")
-    if beta == 0 or hbar <= 0:
-        raise ParameterError("beta must be nonzero and hbar positive")
+    if beta == 0:
+        raise ParameterError("beta must be nonzero")
 
     a = -4.0 * beta**2 * (A_amp**2 + K**2 - 2.0 * E) / hbar**2
     q = -4.0 * beta**2 * A_amp * K / hbar**2
@@ -416,10 +419,11 @@ def radial_reduced_solve(
     eigenfunctions are the symmetrized u. States whose probability mass
     leaks into the outer 5% of the box are not counted as bound.
     """
+    m_quantum, k = (_as_real(v, f"radial_reduced_solve {name} {v!r}")
+                    for name, v in (("m_quantum", m_quantum), ("k", k)))
+    hbar = _as_real(hbar, f"radial_reduced_solve hbar {hbar!r}", positive=True)
     if grid.lo <= 0:
         raise ParameterError("radial grid must start at lo > 0")
-    if hbar <= 0:
-        raise ParameterError("hbar must be positive")
     _check_levels(grid, n_levels)
     r_in = grid.points[1:-1]
     w = np.array([

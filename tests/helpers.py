@@ -7,7 +7,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import ConstantB, DomainError, HelicalB, Monopole, PhaseState, StepFailure
+from magsuper import (ConfigError, ConstantB, DomainError, HelicalB, Monopole, PhaseState,
+                      StepFailure)
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E
 from magsuper.fields import EPS_DOMAIN, cross
 
@@ -37,6 +38,28 @@ def monopole_positions(gen, n):
             continue
         out.append(x)
     return out
+
+
+def sample_uniform_per_row(gen, n, size, accept=None, box=2.0):
+    """The reference of `algebra.sample_uniform`: one row of `size` uniform
+    draws per try, kept where `accept(row)` is true, a ConfigError after
+    1000 tries per row."""
+    rows, tries = [], 0
+    while len(rows) < n:
+        if tries == 1000 * n:
+            raise ConfigError(f"state sampling failed: {len(rows)} of {n} admissible "
+                              f"points in {tries} tries")
+        tries += 1
+        row = gen.uniform(-box, box, size)
+        if accept is None or accept(row):
+            rows.append(row)
+    return np.array(rows).reshape(-1, size)
+
+
+def monopole_admissible_per_point(x):
+    """The reference of `algebra.monopole_admissible` at one point."""
+    r = float(np.linalg.norm(x))
+    return 0.5 < r < 5.0 and r + x[2] > 0.5
 
 
 def monopole_states(gen, n):

@@ -5,7 +5,8 @@ import pytest
 
 import magsuper as ms
 
-from helpers import monopole_states, rng
+from helpers import (monopole_admissible_per_point, monopole_states, rng,
+                     sample_uniform_per_row)
 
 
 def _states(seed, n, p1_min=0.0):
@@ -200,20 +201,20 @@ def test_sample_states_contract():
     picky = ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible)
     assert all(ms.monopole_admissible(s.x) for s in picky)
     with pytest.raises(ms.ConfigError):
-        ms.sample_states(rng(73), 1, admissible=lambda x: False)
+        ms.sample_states(rng(73), 1, admissible=lambda x: np.zeros(len(x), bool))
 
 
 def test_sample_states_gives_up_with_config_error():
     with pytest.raises(ms.ConfigError, match=r"^state sampling failed: 0 of 3 admissible "
                                              r"points in 3000 tries$"):
-        ms.sample_states(rng(76), 3, admissible=lambda x: False)
+        ms.sample_states(rng(76), 3, admissible=lambda x: np.zeros(len(x), bool))
 
 
 def test_sample_uniform_draws_more_rows_than_a_fixed_cap():
     # the try cap grows with n; every row is admissible here, and one row
     # per try takes the same stream as a single draw of all of them
     n = 100_001
-    rows = ms.algebra.sample_uniform(rng(77), n, 1, accept=lambda y: True)
+    rows = ms.algebra.sample_uniform(rng(77), n, 1, accept=lambda y: np.ones(len(y), bool))
     assert np.array_equal(rows, rng(77).uniform(-2.0, 2.0, (n, 1)))
 
 
@@ -237,6 +238,124 @@ def test_sample_uniform_refuses_rows_beyond_the_cap_before_drawing():
         ms.sample_states(NoDraws(), cap + 1)
     with pytest.raises(ms.ConfigError, match="exceed the maximum"):
         ms.algebra.sample_uniform(NoDraws(), 10**18, 3)
+
+
+# (size, block filter for the library, row filter for the per-row reference):
+# None, p1_min, the monopole domain, about 90% and nearly all rows rejected
+_SAMPLER_FILTERS = {
+    "none": (3, None, None),
+    "p1_min": (6, lambda y: np.abs(y.T[3]) >= 0.3, lambda y: abs(y[3]) >= 0.3),
+    "monopole": (3, ms.monopole_admissible, monopole_admissible_per_point),
+    "rejects_90pc": (2, lambda y: y.T[0] > 1.6, lambda y: y[0] > 1.6),
+    "rejects_nearly_all": (3, lambda y: y.T[1] > 1.999, lambda y: y[1] > 1.999),
+}
+
+
+def _sampled(sample, seed):
+    """The rows or the failure message of sample(gen), and the next draw."""
+    gen = rng(seed)
+    try:
+        out = sample(gen)
+    except ms.ConfigError as exc:
+        out = str(exc)
+    return out, gen.uniform(-2.0, 2.0, 5)
+
+
+def _assert_same_sampling(got, want):
+    (rows, after), (ref_rows, ref_after) = got, want
+    if isinstance(ref_rows, str):
+        assert rows == ref_rows
+    else:
+        assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(after, ref_after)
+
+
+@pytest.mark.parametrize("kind", list(_SAMPLER_FILTERS))
+def test_block_sampler_keeps_the_rows_stream_and_failure_of_the_per_row_loop(kind):
+    size, block, row = _SAMPLER_FILTERS[kind]
+    failures = 0
+    for seed in range(900, 924):
+        # small counts for the rare filter, so that the try cap is reached
+        n = 1 + seed % 4 if kind == "rejects_nearly_all" else 3 * (seed - 890)
+        got = _sampled(lambda g: ms.algebra.sample_uniform(g, n, size, block), seed)
+        want = _sampled(lambda g: sample_uniform_per_row(g, n, size, row), seed)
+        _assert_same_sampling(got, want)
+        failures += isinstance(want[0], str)
+    if kind == "rejects_nearly_all":
+        assert failures >= 10
+    else:
+        assert failures == 0
+
+
+@pytest.mark.parametrize("kind", ["none", "p1_min", "monopole", "rejects_90pc"])
+def test_sample_states_keeps_the_states_of_the_per_row_loop(kind):
+    p1_min = 0.3 if kind == "p1_min" else 0.0
+    admissible = {"monopole": ms.monopole_admissible,
+                  "rejects_90pc": lambda x: x.T[0] > 1.6}.get(kind)
+    row = {"p1_min": lambda y: abs(y[3]) >= 0.3,
+           "monopole": lambda y: monopole_admissible_per_point(y[:3]),
+           "rejects_90pc": lambda y: y[0] > 1.6}.get(kind)
+    for seed in range(930, 950):
+        n = 5 * (seed - 925)
+        got = _sampled(lambda g: np.array([np.concatenate([s.x, s.p]) for s in ms.sample_states(
+            g, n, p1_min=p1_min, admissible=admissible)]), seed)
+        _assert_same_sampling(got, _sampled(lambda g: sample_uniform_per_row(g, n, 6, row), seed))
+
+
+def test_p1_min_keeps_a_momentum_on_the_bound():
+    class Rows:
+        """A generator that hands out fixed rows, as many as asked for."""
+
+        def __init__(self, rows):
+            self.rows = np.array(rows, dtype=float)
+
+        def uniform(self, low, high, shape):
+            out, self.rows = self.rows[:shape[0]], self.rows[shape[0]:]
+            return out
+
+    rows = [[0, 0, 0, 0.3, 0, 0], [0, 0, 0, 0.2999, 0, 0], [0, 0, 0, -0.3, 0, 0]]
+    assert [s.p[0] for s in ms.sample_states(Rows(rows), 2, p1_min=0.3)] == [0.3, -0.3]
+
+
+def test_monopole_admissible_takes_a_stack():
+    xs = rng(951).uniform(-2.0, 2.0, (12000, 3))
+    # points on the boundary of each test: r = 0.5, r + z = 0.5, the string;
+    # then two where np.linalg.norm gives r = 0.5 but a written-out sum of
+    # squares rounds above it (OpenBLAS dot, numpy 2.4)
+    xs[:5] = [[0.5, 0.0, 0.0], [1.0, 0.0, -0.75], [0.0, 0.0, -1.5],
+              [-0.07531673496565527, -0.004883886887780187, 0.49427071234595793],
+              [-0.04553671344240057, 0.33193033528147875, 0.3711450663134159]]
+    ok = ms.monopole_admissible(xs)
+    assert ok.shape == (12000,) and ok.dtype == bool
+    want = [monopole_admissible_per_point(x) for x in xs]
+    assert ok.tolist() == want == [ms.monopole_admissible(x) for x in xs]
+    assert 0.5 < np.mean(ok) < 1.0 and not ok[:5].any()
+    assert ms.monopole_admissible([1.0, 0.0, 0.0]) is True
+    # a slice of phase-space rows, as sample_states passes them
+    ys = rng(952).uniform(-2.0, 2.0, (10000, 6))
+    assert ms.monopole_admissible(ys[:, :3]).tolist() == [
+        monopole_admissible_per_point(y[:3]) for y in ys]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda y: True,
+    lambda y: np.ones((len(y), 1), bool),
+    lambda y: np.ones(len(y) + 1, bool),
+    lambda y: np.ones(len(y), int),
+], ids=["scalar", "column", "one_more", "ints"])
+def test_a_filter_that_does_not_return_one_bool_per_row_is_refused(bad):
+    with pytest.raises(ms.ParameterError, match=r"^accept '<lambda>' returned .* for 4 rows; "
+                                                r"it must return one bool per row$"):
+        ms.algebra.sample_uniform(rng(953), 4, 3, bad)
+    with pytest.raises(ms.ParameterError, match=r"^admissible '<lambda>' returned"):
+        ms.sample_states(rng(953), 4, admissible=bad)
+    with pytest.raises(ms.ParameterError, match=r"^admissible 'monopole_admissible_per_point'"):
+        ms.sample_states(rng(953), 4, admissible=monopole_admissible_per_point)
+
+
+def test_a_filter_may_return_a_list_of_bools():
+    rows = ms.algebra.sample_uniform(rng(954), 4, 3, lambda y: [bool(v > 0) for v in y.T[0]])
+    assert len(rows) == 4 and (rows.T[0] > 0).all()
 
 
 def test_generator_inputs_match_lists():

@@ -306,6 +306,33 @@ def test_mathieu_large_q_follows_the_asymptotic_series():
     (lambda: ms.mathieu_table(3, "x"), "q 'x' is not a number"),
     (lambda: ms.mathieu_table(3, None), "q None is not a number"),
     (lambda: ms.mathieu_characteristic(1.5, "even", 1.0), "r 1.5 is not an integer"),
+    (lambda: ms.helical_reduced_solve("x", 1.0, 1.0, 0.0, 1.0, 1.0),
+     "helical_reduced_solve A_amp 'x' is not a number"),
+    (lambda: ms.helical_reduced_solve(1.0, None, 1.0, 0.0, 1.0, 1.0),
+     "helical_reduced_solve beta None is not a number"),
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, True, 0.0, 1.0, 1.0),
+     "helical_reduced_solve K True is not a number"),
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, 1.0, math.inf, 1.0, 1.0),
+     "helical_reduced_solve phi_K inf is not finite"),
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, -1.0, 1.0),
+     "helical_reduced_solve hbar -1.0 is not positive"),
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, 1.0, "2"),
+     "helical_reduced_solve E '2' is not a number"),
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, n_samples=2.5),
+     "helical_reduced_solve n_samples 2.5 is not an integer"),
+    # one sample (or none) covers no period: it returned the identity as monodromy
+    (lambda: ms.helical_reduced_solve(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, n_samples=1),
+     "helical_reduced_solve n_samples 1 is below 2"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, "1", 1.0, LANDAU_GRID, 2),
+     "radial_reduced_solve k '1' is not a number"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, math.nan, 1.0, LANDAU_GRID, 2),
+     "radial_reduced_solve k nan is not finite"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), [1], 0.0, 1.0, LANDAU_GRID, 2),
+     r"radial_reduced_solve m_quantum \[1\] is not a number"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, 0.0, math.inf, LANDAU_GRID, 2),
+     "radial_reduced_solve hbar inf is not finite"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, 0.0, 0, LANDAU_GRID, 2),
+     "radial_reduced_solve hbar 0 is not positive"),
 ])
 def test_quantum_entry_points_refuse_bad_arguments_by_name(call, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):

@@ -311,6 +311,8 @@ def test_stacked_divergence_checks_match_per_point_loop(model):
     assert ms.divergence_checks(model, pts) == _reference_divergence_checks(model, pts)
     # a generator gives the same report
     assert ms.divergence_checks(model, (x for x in pts)) == _reference_divergence_checks(model, pts)
+    # and so does one (n,3) array, validated as a whole
+    assert ms.divergence_checks(model, np.array(pts)) == _reference_divergence_checks(model, pts)
 
 
 @pytest.mark.parametrize("model", [
@@ -358,6 +360,19 @@ def test_stacked_divergence_checks_validate_points():
         ms.divergence_checks(model, [np.zeros(3), np.zeros(2)])
     with pytest.raises(ValueError, match="non-finite"):
         ms.divergence_checks(model, [np.zeros(3), np.array([0.0, np.nan, 1.0])])
+
+
+def test_divergence_checks_validate_an_array_stack_at_once():
+    model = ms.ConstantB(B=1.0)
+    xs = rng(626).uniform(-2.0, 2.0, (50, 3))
+    assert ms.divergence_checks(model, xs) == ms.divergence_checks(model, list(xs))
+    assert ms.divergence_checks(model, np.empty((0, 3))) == ms.FieldCheckReport(0.0, 0.0, 0.0, 0)
+    xs[7, 1] = np.inf
+    with pytest.raises(ms.ParameterError, match="^vector has non-finite components$"):
+        ms.divergence_checks(model, xs)
+    # an array of other points still goes point by point, with its message
+    with pytest.raises(ms.ParameterError, match=r"^expected a 3-vector, got shape \(2,\)$"):
+        ms.divergence_checks(model, np.zeros((4, 2)))
 
 
 def test_jacobian_fd_of_a_stack_matches_each_point():
@@ -500,6 +515,24 @@ def test_stacked_residuals_match_per_point_loop(name, mode):
         # one point is a stack of one, with floats for values
         one = ms.determining_residuals(spec, model, xs[0], mode=mode)
         assert [one[k] for k in ms.RESIDUAL_KEYS] == want[0].tolist()
+
+
+@pytest.mark.parametrize("name", list(_STACK_SYSTEMS))
+def test_first_order_residuals_need_no_quadratic_polynomials(name, monkeypatch):
+    model, specs, xs, _ = _stack_case(name)
+    xs = xs[:40]
+    first = [sp for sp in specs if not sp.alpha]
+    assert first
+
+    def no_polynomials(alpha):
+        raise AssertionError("built h and n of a first-order integral")
+
+    monkeypatch.setattr(ms.integrals, "CoeffPolynomials", no_polynomials)
+    for spec in first:
+        for mode in ("classical", "quantum"):
+            want = np.array([_reference_residuals(spec, model, x, mode) for x in xs])
+            res = ms.determining_residuals(spec, model, xs, mode=mode)
+            assert np.array_equal(np.column_stack([res[k] for k in ms.RESIDUAL_KEYS]), want)
 
 
 @pytest.mark.parametrize("name", list(_STACK_SYSTEMS))
