@@ -44,18 +44,23 @@ def helix_solution(B: float, s0: PhaseState, t):
     angular frequency B; p1 and p2 are constant. For an array of times
     the states come as a pair (x, p) of (n,3) stacks, each row with the
     bits of the one-time call. B and a single t are finite real numbers,
-    else a ParameterError names them.
+    else a ParameterError names them, and so is a state that leaves the
+    double range at a single t.
     """
-    B = _as_real(B, f"helix_solution B {B!r}")
+    # a finite float passes as it is; any other B or t goes through its checks
+    if type(B) is not float or not math.isfinite(B):
+        B = _as_real(B, f"helix_solution B {B!r}")
     if B == 0:
         raise ParameterError("helix_solution requires B != 0")
     x0, y0, z0 = s0.x.tolist()
     p1, p2, p3 = s0.p.tolist()
-    stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
-    if stacked:
-        t = np.asarray(t, dtype=float)
-    else:  # a number, or an array of one
-        t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
+    stacked = False
+    if type(t) is not float or not math.isfinite(t):
+        stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
+        if stacked:
+            t = np.asarray(t, dtype=float)
+        else:  # a number, or an array of one
+            t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
     c, s = _cos_sin(B * t)
     x = x0 + p1 * t
     y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
@@ -64,7 +69,9 @@ def helix_solution(B: float, s0: PhaseState, t):
     if stacked:
         ones = np.ones_like(t)
         return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
-    return PhaseState(np.array([x, y, z]), np.array([p1, p2, p3t]))
+    if not all(map(math.isfinite, (x, y, z, p3t))):
+        raise ParameterError("vector has non-finite components")
+    return PhaseState._of_finite(np.array([x, y, z]), np.array([p1, p2, p3t]))
 
 
 def _phase_angle(B: float, x, p, tol: float):

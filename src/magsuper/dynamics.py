@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OVERFLOW_MESSAGE, ConfigError, ParameterError, StepFailure
-from .fields import (RHS_GLOBALS, RHS_STATE, FieldModel, RhsSource, Vec3, _as_real,
-                     _as_vec3, dot)
+from .fields import (RHS_GLOBALS, RHS_STATE, FieldModel, RhsSource, Vec3, _as_instance,
+                     _as_real, _as_vec3, dot)
 
 #: most steps a Boris run may take; a longer t_end / dt is refused before
 #: any step is taken
@@ -111,6 +111,15 @@ class PhaseState:
     def from_array(y) -> "PhaseState":
         y = np.asarray(y, dtype=float)
         return PhaseState(y[:3], y[3:6])
+
+    @classmethod
+    def _of_finite(cls, x: Vec3, p: Vec3) -> "PhaseState":
+        """The state of x and p, float arrays of shape (3,) that the caller
+        built from finite floats, without checking them again."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "x", x)
+        object.__setattr__(s, "p", p)
+        return s
 
 
 @dataclass(frozen=True)
@@ -259,12 +268,15 @@ def integrate(
     Watched quantities (integral specs, phase functions, or callables of
     a PhaseState; one without a name is `watch{i}`) and the energy are
     evaluated at every accepted step, each in one pass over the stacked
-    samples through `as_phase_function`.
+    samples through `as_phase_function`. A model, s0 or cfg of another
+    type is a ParameterError that names it.
     """
     from .integrals import as_phase_function
 
-    if cfg is None:
-        cfg = IntegratorConfig()
+    _as_instance(model, FieldModel, "model", "a field model")
+    _as_instance(s0, PhaseState, "s0", "a PhaseState")
+    cfg = IntegratorConfig() if cfg is None else _as_instance(
+        cfg, IntegratorConfig, "cfg", "an IntegratorConfig")
     t_end = _as_real(t_end, f"t_end {t_end!r}", positive=True)
     model.check_domain(s0.x)
     items = [(getattr(w, "name", None) or f"watch{i}", as_phase_function(w, model).fn)
@@ -324,7 +336,7 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
     so every float has the bits of the comprehension's.
 
     Each of the seven stages evaluates the right-hand side in place: the
-    body and slopes of the model's RhsSource, its state x0 .. p2 bound to
+    body and result of the model's RhsSource, its state x0 .. p2 bound to
     the stage sums and its parameters to the arguments of `make` (n is 6);
     without a source, the call `_rhs([...])` of the stage sums. Every
     other name of the attempt starts with an underscore, so none meets a
@@ -337,7 +349,7 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
         state = RHS_STATE
     # a component that the source does not read is not summed: its sum has
     # no effect, and float sums raise nothing
-    read = {node.id for node in ast.walk(ast.parse(f"{source.body}\n({source.slopes})"))
+    read = {node.id for node in ast.walk(ast.parse(f"{source.body}\n({source.result})"))
             if isinstance(node, ast.Name)}
 
     def names(prefix):
@@ -351,7 +363,7 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
         # the state bound to the sums, then the slopes k_i and their components
         return ([f"        {x} = {v}" for x, v in zip(state, sums) if x in read]
                 + ([textwrap.indent(source.body, " " * 8)] if source.body else [])
-                + [f"        _k{i} = ({source.slopes})", f"        {names(f'_k{i}_')}, = _k{i}"])
+                + [f"        _k{i} = ({source.result})", f"        {names(f'_k{i}_')}, = _k{i}"])
 
     lines = [f"def make({', '.join(('_rhs', *source.params))}):",
              "    def step(_y, _k1, _h, _atol=1.0, _rtol=1.0):",
@@ -517,9 +529,10 @@ def _run_boris(model, s0, t_end, cfg):
     position or velocity that leaves the double range a StepFailure.
 
     The step runs on Python floats with the operations, and so the bits,
-    of the same step on 3-vectors; B and grad V come from the model's
-    own methods at one point, and |t|^2 from numpy's dot product of the
-    rotation vector t = -B dt / 2 (BLAS may fuse its multiply-adds).
+    of the same step on 3-vectors; B and grad V come from one call of the
+    model's `b_and_grad_v` at the half-drifted point, and |t|^2 from
+    numpy's dot product of the rotation vector t = -B dt / 2 (BLAS may
+    fuse its multiply-adds).
     """
     steps = float(t_end) / cfg.dt
     if not steps <= BORIS_MAX_STEPS:
@@ -534,16 +547,16 @@ def _run_boris(model, s0, t_end, cfg):
     table = np.empty((n_steps + 1, 7))  # t, x and v of each step
     table[0] = (0.0, x0, x1, x2, v0, v1, v2)
     t = 0.0
+    fields = model.b_and_grad_v
     for i in range(1, n_steps + 1):
         x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
-        # a drift to inf stops here, before the model's numpy methods see it
+        # a drift to inf stops here, before the model's methods see it
         if not all(map(math.isfinite, (x0, x1, x2))):
             raise StepFailure(OVERFLOW_MESSAGE)
-        x = np.array((x0, x1, x2))
-        g0, g1, g2 = model.grad_potential(x).tolist()
-        tv = rot * model.magnetic_field(x)
+        b0, b1, b2, g0, g1, g2 = fields((x0, x1, x2))
+        tv0, tv1, tv2 = rot * b0, rot * b1, rot * b2
+        tv = np.array((tv0, tv1, tv2))
         den = 1.0 + float(tv @ tv)
-        tv0, tv1, tv2 = tv.tolist()
         sv0, sv1, sv2 = 2.0 * tv0 / den, 2.0 * tv1 / den, 2.0 * tv2 / den
         # each kick adds -half grad V; the rotation is v += (v + v x t) x s
         v0, v1, v2 = v0 - half * g0, v1 - half * g1, v2 - half * g2

@@ -20,6 +20,13 @@ at import, and the Dormand-Prince attempt of `dynamics` writes it into
 each of its stages instead of calling it. `Cylindrical` and `Custom`
 assemble it from their A, J_A and grad V (`_matrix_rhs`); they, and any
 model whose `hamilton_rhs` carries no `source`, are called.
+
+Every model likewise has `b_and_grad_v`, B and grad V at one point of
+three floats as six floats, which the Boris step calls once per step.
+The three closed-form models compile it at import from source of the
+same kind, with the bits of their `magnetic_field` and `grad_potential`
+at one point; `Cylindrical` and `Custom` call those two methods
+(`_matrix_b_and_grad_v`).
 """
 
 from __future__ import annotations
@@ -76,6 +83,15 @@ def _as_count(value, what: str, *, least: int = 0) -> int:
     if value < least:
         raise ParameterError(f"{what} is below {least}")
     return int(value)
+
+
+def _as_instance(value, kind, name: str, noun: str):
+    """value if it is an instance of `kind`, a class or a union of classes;
+    else a ParameterError that names the argument `name`, shows the value
+    and ends "is not `noun`"."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} {value!r} is not {noun}")
+    return value
 
 
 def _real_fields(model, *names: str) -> None:
@@ -186,6 +202,13 @@ def _pow(r, k):
     return np.array([v**k for v in r.tolist()])
 
 
+def _matrix_b_and_grad_v(model, x) -> tuple:
+    """B and grad V at one point x = (x0, x1, x2) from the model's
+    `magnetic_field` and `grad_potential`, returned as six floats."""
+    x = np.array(x)
+    return (*model.magnetic_field(x).tolist(), *model.grad_potential(x).tolist())
+
+
 def _matrix_rhs(model, y) -> tuple:
     """Hamilton's right-hand side at one state y = (x0, x1, x2, p0, p1, p2)
     from the model's A, J_A and grad V as arrays: v = p + A and
@@ -197,16 +220,18 @@ def _matrix_rhs(model, y) -> tuple:
 
 
 class RhsSource(NamedTuple):
-    """Hamilton's right-hand side of a closed-form model as straight-line
-    source: the statements `body`, then `slopes`, the six slopes as the
-    items of a tuple (they may span lines). Both read the state x0, x1,
-    x2, p0, p1, p2, the model's attributes named in `params` and the
-    names of `RHS_GLOBALS`, and bind no name that starts with an
-    underscore: the generated stepper keeps those for its own."""
+    """A per-point method of a closed-form model as straight-line source:
+    the statements `body`, then `result`, the six floats it returns as the
+    items of a tuple (they may span lines). Both read the method's state
+    (RHS_STATE for `hamilton_rhs`, x0, x1, x2 for `b_and_grad_v`), the
+    model's attributes named in `params` and the names of `RHS_GLOBALS`,
+    and bind no name that starts with an underscore: the generated
+    Dormand-Prince stepper keeps those for its own when it writes the
+    source of `hamilton_rhs` in place."""
 
     params: tuple[str, ...]
     body: str
-    slopes: str
+    result: str
 
 
 def _monopole_domain_error(point) -> DomainError:
@@ -221,26 +246,31 @@ RHS_STATE = ("x0", "x1", "x2", "p0", "p1", "p2")
 #: what an RhsSource may read besides its state and parameters
 RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "array": np.array,
                "EPS_DOMAIN": EPS_DOMAIN, "domain_error": _monopole_domain_error}
+#: what each compiled method returns, and the state it unpacks from its argument
+_COMPILED = {"hamilton_rhs": ("(v, dp) at one state of six floats", RHS_STATE),
+             "b_and_grad_v": ("(B, grad V) at one point of three floats", RHS_STATE[:3])}
 
 
-def _compiled_rhs(model: str, params: str, body: str, slopes: str):
-    """The method `hamilton_rhs(self, y)` of a model, compiled from the
-    RhsSource of the attributes `params` (separated by spaces), `body` and
-    `slopes`, which it keeps as its `source`."""
+def _compiled(model: str, method: str, params: str, body: str, result: str):
+    """The method `method(self, y)` of a model, `hamilton_rhs` or
+    `b_and_grad_v`, compiled from the RhsSource of the attributes `params`
+    (separated by spaces), `body` and `result`, which it keeps as its
+    `source`; y unpacks to the method's state."""
+    what, state = _COMPILED[method]
     source = RhsSource(tuple(params.split()), textwrap.dedent(body).strip(),
-                       textwrap.dedent(slopes).strip())
-    code = "\n".join(["def hamilton_rhs(self, y):",
-                      f"    {', '.join(RHS_STATE)} = y",
+                       textwrap.dedent(result).strip())
+    code = "\n".join([f"def {method}(self, y):",
+                      f"    {', '.join(state)}, = y",
                       *(f"    {name} = self.{name}" for name in source.params),
                       textwrap.indent(source.body, "    "),
-                      f"    return ({source.slopes})\n"])
+                      f"    return ({source.result})\n"])
     namespace = dict(RHS_GLOBALS)
-    exec(compile(code, f"<{model}.hamilton_rhs>", "exec"), namespace)
-    method = namespace["hamilton_rhs"]
-    method.__doc__ = "(v, dp) at one state of six floats, from `hamilton_rhs.source`."
-    method.__qualname__ = f"{model}.hamilton_rhs"
-    method.source = source
-    return method
+    exec(compile(code, f"<{model}.{method}>", "exec"), namespace)
+    function = namespace[method]
+    function.__doc__ = f"{what}, from `{method}.source`."
+    function.__qualname__ = f"{model}.{method}"
+    function.source = source
+    return function
 
 
 def _per_radius(fn, r):
@@ -289,9 +319,10 @@ class ConstantB:
         return j
 
     # J_A^T v = (0, 0, -B v_y)
-    hamilton_rhs = _compiled_rhs("ConstantB", "B", """
+    hamilton_rhs = _compiled("ConstantB", "hamilton_rhs", "B", """
         v1 = p1 - B * x2
         """, "p0, v1, p2, 0.0, 0.0, B * v1")
+    b_and_grad_v = _compiled("ConstantB", "b_and_grad_v", "B", "", "B, 0.0, 0.0, 0.0, 0.0, 0.0")
 
 
 @dataclass(frozen=True)
@@ -348,13 +379,17 @@ class HelicalB:
         return j
 
     # J_A has the one column dA/dz = (A_amp sin u, -A_amp cos u, 0) / beta
-    hamilton_rhs = _compiled_rhs("HelicalB", "A_amp beta phi0", """
+    hamilton_rhs = _compiled("HelicalB", "hamilton_rhs", "A_amp beta phi0", """
         u = (x2 + phi0) / beta
         c = cos(u)
         s = sin(u)
         v0 = p0 - A_amp * c
         v1 = p1 - A_amp * s
         """, "v0, v1, p2, 0.0, 0.0, -(A_amp * s / beta * v0 - A_amp * c / beta * v1)")
+    b_and_grad_v = _compiled("HelicalB", "b_and_grad_v", "A_amp beta phi0", """
+        u = (x2 + phi0) / beta
+        c = A_amp / beta
+        """, "c * cos(u), c * sin(u), 0.0, 0.0, 0.0, 0.0")
 
 
 @dataclass(frozen=True)
@@ -440,7 +475,7 @@ class Monopole:
 
     # after the domain test of `_radius`; J_A as in `jacobian_a`, J_A^T v
     # summed row by row
-    hamilton_rhs = _compiled_rhs("Monopole", "g Q barrier", """
+    hamilton_rhs = _compiled("Monopole", "hamilton_rhs", "g Q barrier", """
         r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
         if r < EPS_DOMAIN or r + x2 < EPS_DOMAIN * r:
             raise domain_error(array((x0, x1, x2)))
@@ -461,6 +496,18 @@ class Monopole:
         -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
         -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
         -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r""")
+    # as `magnetic_field` and `grad_potential`, after the domain test of `_radius`
+    b_and_grad_v = _compiled("Monopole", "b_and_grad_v", "g Q barrier", """
+        r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        if r < EPS_DOMAIN or r + x2 < EPS_DOMAIN * r:
+            raise domain_error(array((x0, x1, x2)))
+        r3 = r**3
+        dv_dr = Q / r**2
+        if barrier:
+            dv_dr -= g**2 / r3
+        """, """
+        g * x0 / r3, g * x1 / r3, g * x2 / r3,
+        dv_dr * x0 / r, dv_dr * x1 / r, dv_dr * x2 / r""")
 
 
 @dataclass(frozen=True)
@@ -481,6 +528,7 @@ class Cylindrical:
     dv: Callable[[float], float]
 
     hamilton_rhs = _matrix_rhs
+    b_and_grad_v = _matrix_b_and_grad_v
 
     def __post_init__(self):
         _callable_fields(self, ("f1", "df1", "f2", "df2", "v", "dv"))
@@ -560,6 +608,7 @@ class Custom:
     domain: Callable[[Vec3], None] | None = None
 
     hamilton_rhs = _matrix_rhs
+    b_and_grad_v = _matrix_b_and_grad_v
 
     def __post_init__(self):
         _callable_fields(self, ("a", "v"), ("b", "jac_a", "grad_v", "domain"))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (
     ConfigError, EigenSolveFailure, GridTooSmall, NoBoundStates, ParameterError, StepFailure,
 )
-from .fields import Cylindrical, _as_count, _as_real, _real_fields
+from .fields import Cylindrical, _as_count, _as_instance, _as_real, _real_fields
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
 #: (several of 8 bytes per point) are allocated
@@ -154,11 +154,13 @@ def landau_reduced_solve(
     Second-order central differences with Dirichlet ends, B of either
     sign. The box must cover 8 oscillator lengths sqrt(hbar/|B|) on both
     sides of the center z = k2/B, and the computed ground state must have
-    a negligible tail at the walls; otherwise GridTooSmall is raised.
+    a negligible tail at the walls; otherwise GridTooSmall is raised. A
+    grid that is not a Grid1D is a ParameterError.
     """
     B, k1, k2 = (_as_real(v, f"landau_reduced_solve {k} {v!r}")
                  for k, v in (("B", B), ("k1", k1), ("k2", k2)))
     hbar = _as_real(hbar, f"landau_reduced_solve hbar {hbar!r}", positive=True)
+    _as_instance(grid, Grid1D, "landau_reduced_solve grid", "a Grid1D")
     if B == 0:
         raise ParameterError("landau_reduced_solve needs B != 0")
     center = k2 / B
@@ -417,11 +419,15 @@ def radial_reduced_solve(
     -hbar^2 u'' + [(F1 - hbar k)^2 + ((F2 + hbar m)^2 - hbar^2/4)/R^2
     + 2V] u = 2E u, solved with Dirichlet ends; the returned
     eigenfunctions are the symmetrized u. States whose probability mass
-    leaks into the outer 5% of the box are not counted as bound.
+    leaks into the outer 5% of the box are not counted as bound. A model
+    that is not Cylindrical, or a grid that is not a Grid1D, is a
+    ParameterError.
     """
     m_quantum, k = (_as_real(v, f"radial_reduced_solve {name} {v!r}")
                     for name, v in (("m_quantum", m_quantum), ("k", k)))
     hbar = _as_real(hbar, f"radial_reduced_solve hbar {hbar!r}", positive=True)
+    _as_instance(model, Cylindrical, "radial_reduced_solve model", "a Cylindrical model")
+    _as_instance(grid, Grid1D, "radial_reduced_solve grid", "a Grid1D")
     if grid.lo <= 0:
         raise ParameterError("radial grid must start at lo > 0")
     _check_levels(grid, n_levels)

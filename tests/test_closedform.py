@@ -56,10 +56,22 @@ def test_helix_requires_field():
     (None, 1.0, "helix_solution B None is not a number"),
     (1.0, "1", "helix_solution t '1' is not a number"),
     (1.0, math.inf, "helix_solution t inf is not finite"),
+    (True, 1.0, "helix_solution B True is not a number"),
+    (np.float64(math.inf), 1.0, r"helix_solution B np\.float64\(inf\) is not finite"),
+    (1.0, np.float64(math.nan), r"helix_solution t np\.float64\(nan\) is not finite"),
+    (1.0, np.array(-math.inf), r"helix_solution t array\(-inf\) is not finite"),
+    (1.0, None, "helix_solution t None is not a number"),
 ])
 def test_helix_refuses_arguments_that_are_not_finite_reals_by_name(B, t, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):
         ms.helix_solution(B, ms.PhaseState([0, 0, 0], [1, 0, 0]), t)
+
+
+def test_helix_refuses_a_state_beyond_the_double_range():
+    # x = x0 + p1 t overflows at a finite t
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [4.0, 0.0, 0.0])
+    with pytest.raises(ms.ParameterError, match="^vector has non-finite components$"):
+        ms.helix_solution(1.0, s0, 1e308)
 
 
 _HELICAL_REDUCTION = ms.pendulum_reduction(

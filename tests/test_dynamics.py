@@ -255,6 +255,57 @@ def test_boris_keeps_the_bits_of_the_step_on_vectors(index):
     assert np.array_equal(traj.x, xs) and np.array_equal(traj.p, ps)
 
 
+@pytest.mark.parametrize("index", range(5), ids=["constant_b", "helical", "monopole",
+                                                 "cylindrical", "custom"])
+def test_boris_takes_b_and_grad_v_from_one_call_per_step(monkeypatch, index):
+    # the closed-form models answer from their compiled b_and_grad_v and never
+    # reach their numpy magnetic_field or grad_potential; Cylindrical and
+    # Custom reach each of them once per step
+    model = (_models() + [_custom_model()])[index]
+    s0, t_end, dt = ms.PhaseState([0.9, -0.4, 0.3], [0.6, 0.2, -0.5]), 1.0, 0.01
+    if isinstance(model, ms.Monopole):
+        x0, p0, _, period, _ = kepler_orbit(rng(43), 2.0, 1.0, 6.0)
+        s0, t_end, dt = ms.PhaseState(x0, p0), 0.1 * period, 0.05
+    cfg = ms.IntegratorConfig(method="boris", dt=dt)
+    want = ms.integrate(model, s0, t_end, cfg)
+    calls = []
+    for name in ("magnetic_field", "grad_potential"):
+        method = getattr(type(model), name)
+
+        def counted(self, x, method=method, name=name):
+            if not isinstance(self, (ms.Cylindrical, ms.Custom)):
+                raise AssertionError(f"{name} was called")
+            calls.append(name)
+            return method(self, x)
+
+        monkeypatch.setattr(type(model), name, counted)
+    traj = ms.integrate(model, s0, t_end, cfg)
+    assert np.array_equal(traj.x, want.x) and np.array_equal(traj.p, want.p)
+    user_code = isinstance(model, (ms.Cylindrical, ms.Custom))
+    assert sorted(calls) == sorted(["magnetic_field", "grad_potential"] * user_code
+                                   * want.stats.steps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s0, cfg: ms.integrate("x", s0, 1.0, cfg), "model 'x' is not a field model"),
+    (lambda s0, cfg: ms.integrate(ms.ConstantB(1.0), "x", 1.0, cfg),
+     "s0 'x' is not a PhaseState"),
+    (lambda s0, cfg: ms.integrate(ms.ConstantB(1.0), (s0.x, s0.p), 1.0, cfg),
+     r"s0 \(array.* is not a PhaseState"),
+    (lambda s0, cfg: ms.integrate(ms.ConstantB(1.0), s0, 1.0, "boris"),
+     "cfg 'boris' is not an IntegratorConfig"),
+    (lambda s0, cfg: ms.integrate(ms.ConstantB(1.0), s0, 1.0, {"method": "boris"}),
+     "cfg {'method': 'boris'} is not an IntegratorConfig"),
+])
+@pytest.mark.parametrize("method", ["rk45", "boris"])
+def test_integrate_refuses_arguments_of_another_type_by_name(call, message, method):
+    s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+            call(s0, ms.IntegratorConfig(method=method))
+
+
 def test_boris_overflow_before_the_field_calls_raises_step_failure():
     # the first half drift 5 * 1e308 of z overflows to inf; HelicalB's field
     # methods take cos and sin of z, which would warn before the step ends

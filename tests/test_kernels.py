@@ -281,9 +281,50 @@ def test_eom_rhs_goes_through_hamilton_rhs(model):
 @pytest.mark.parametrize("bad", [[0.0, 0.0, -1.0], [1e-9, -1e-9, -2.0], [0.0, 0.0, 0.0],
                                  [1e-9, 0.0, 1e-9]])
 def test_monopole_rhs_raises_the_domain_error_of_radius(bad):
+    # and so does b_and_grad_v, the other compiled method
     model = ms.Monopole(g=2.0, Q=1.0)
     with pytest.raises(ms.DomainError) as direct:
         model.check_domain(np.array(bad))
     with pytest.raises(ms.DomainError) as rhs:
         model.hamilton_rhs(bad + [0.5, 0.5, 0.5])
-    assert str(rhs.value) == str(direct.value)
+    with pytest.raises(ms.DomainError) as point:
+        model.b_and_grad_v(bad)
+    assert str(rhs.value) == str(point.value) == str(direct.value)
+
+
+# ---------------------------------------------------------------------------
+# b_and_grad_v: B and grad V at one point, in scalar arithmetic
+
+
+def _point_lists(gen, n):
+    """n points of three floats: uniform in a box of half-width 3, every
+    fourth beside the z-axis (on the string when z < 0), every seventh
+    scaled by a power of ten from 1e-4 to 1e4, and the center once."""
+    xs = gen.uniform(-3.0, 3.0, (n, 3))
+    near = xs[::4]
+    near[:, :2] *= 10.0 ** gen.integers(-12, -1, (len(near), 1))
+    xs[::7] *= 10.0 ** gen.integers(-4, 5, (len(xs[::7]), 1))
+    xs[-1] = 0.0
+    return xs.tolist()
+
+
+@pytest.mark.parametrize("model", RHS_MODELS, ids=repr)
+def test_b_and_grad_v_has_the_bits_of_the_numpy_methods(model):
+    # the compiled method against magnetic_field and grad_potential at one
+    # point: six floats with the same bytes, and the DomainError of `_radius`
+    # with the same message where those refuse the point
+    refused = 0
+    for x in _point_lists(rng(523), 10000):
+        try:
+            want = np.concatenate([model.magnetic_field(np.array(x)),
+                                   model.grad_potential(np.array(x))])
+        except ms.DomainError as exc:
+            refused += 1
+            with pytest.raises(ms.DomainError) as got:
+                model.b_and_grad_v(x)
+            assert str(got.value) == str(exc), x
+            continue
+        got = model.b_and_grad_v(x)
+        assert type(got) is tuple and len(got) == 6 and all(type(c) is float for c in got)
+        assert np.array(got).tobytes() == want.tobytes(), x
+    assert (refused > 100) == isinstance(model, ms.Monopole)

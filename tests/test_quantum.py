@@ -333,6 +333,18 @@ def test_mathieu_large_q_follows_the_asymptotic_series():
      "radial_reduced_solve hbar inf is not finite"),
     (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, 0.0, 0, LANDAU_GRID, 2),
      "radial_reduced_solve hbar 0 is not positive"),
+    (lambda: ms.radial_reduced_solve("x", 0, 0.0, 1.0, LANDAU_GRID, 2),
+     "radial_reduced_solve model 'x' is not a Cylindrical model"),
+    (lambda: ms.radial_reduced_solve(ms.ConstantB(1.0), 0, 0.0, 1.0, LANDAU_GRID, 2),
+     r"radial_reduced_solve model ConstantB\(B=1.0\) is not a Cylindrical model"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, 0.0, 1.0, "grid", 2),
+     "radial_reduced_solve grid 'grid' is not a Grid1D"),
+    (lambda: ms.radial_reduced_solve(_free_radial_model(), 0, 0.0, 1.0, (0, 1, 100), 2),
+     r"radial_reduced_solve grid \(0, 1, 100\) is not a Grid1D"),
+    (lambda: ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, "grid", 2),
+     "landau_reduced_solve grid 'grid' is not a Grid1D"),
+    (lambda: ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, (0, 1, 100), 2),
+     r"landau_reduced_solve grid \(0, 1, 100\) is not a Grid1D"),
 ])
 def test_quantum_entry_points_refuse_bad_arguments_by_name(call, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):

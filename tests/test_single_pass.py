@@ -632,8 +632,12 @@ def test_stacked_closed_forms_have_one_state_bits():
     xs, ps = ms.helix_solution(B, s0, times)
     refs = [ms.helix_solution(B, s0, float(t)) for t in times]
     assert np.array_equal(xs, [r.x for r in refs]) and np.array_equal(ps, [r.p for r in refs])
-    zero_d = ms.helix_solution(B, s0, np.array(times[5]))
-    assert np.array_equal(zero_d.x, refs[5].x) and np.array_equal(zero_d.p, refs[5].p)
+    # every other form of one time, through the checks a float skips
+    for form in (np.array(times[5]), np.float64(times[5])):
+        other = ms.helix_solution(np.float64(B), s0, form)
+        assert other.x.tobytes() == refs[5].x.tobytes()
+        assert other.p.tobytes() == refs[5].p.tobytes()
+    assert np.array_equal(ms.helix_solution(B, s0, 7).x, ms.helix_solution(B, s0, 7.0).x)
     states = random_states(gen, 2000, box=3.0, p1_min=0.05)
     xs, ps = np.array([s.x for s in states]), np.array([s.p for s in states])
     for fn in (ms.x5_integral, ms.x6_integral):
