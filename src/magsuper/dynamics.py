@@ -24,9 +24,9 @@ output and the separatrix z(t) of `closedform` all use it.
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
+import re
 import sys
 import textwrap
 import warnings
@@ -348,9 +348,11 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
     else:
         state = RHS_STATE
     # a component that the source does not read is not summed: its sum has
-    # no effect, and float sums raise nothing
-    read = {node.id for node in ast.walk(ast.parse(f"{source.body}\n({source.result})"))
-            if isinstance(node, ast.Name)}
+    # no effect, and float sums raise nothing. One that only a raise line
+    # reads, to name the point it refuses, is summed in that line.
+    read = set(re.findall(r"\w+", "\n".join(
+        line for line in f"{source.body}\n({source.result})".splitlines()
+        if not line.lstrip().startswith("raise "))))
 
     def names(prefix):
         return ", ".join(f"{prefix}{j}" for j in idx)
@@ -361,8 +363,12 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
 
     def stage(i, sums):
         # the state bound to the sums, then the slopes k_i and their components
+        unread = {x: f"({v})" for x, v in zip(state, sums) if x not in read}
+        body = "\n".join(re.sub(r"\w+", lambda w: unread.get(w[0], w[0]), line)
+                         if line.lstrip().startswith("raise ") else line
+                         for line in source.body.splitlines())
         return ([f"        {x} = {v}" for x, v in zip(state, sums) if x in read]
-                + ([textwrap.indent(source.body, " " * 8)] if source.body else [])
+                + ([textwrap.indent(body, " " * 8)] if body else [])
                 + [f"        _k{i} = ({source.result})", f"        {names(f'_k{i}_')}, = _k{i}"])
 
     lines = [f"def make({', '.join(('_rhs', *source.params))}):",

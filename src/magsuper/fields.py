@@ -11,22 +11,18 @@ shape (n,3) and answer per point. Callables a model holds from its user
 point or one radius at a time. `field_record` gathers A, J_A, B and
 grad V at a stack into one `FieldRecord`, which the checks share.
 
-Every model also has `hamilton_rhs`, the right-hand side of Hamilton's
-equations at one state given as six floats. The three closed-form
-models state it once, as straight-line source over the state
-x0, x1, x2, p0, p1, p2 and their parameters (an `RhsSource`, the
-`source` of their `hamilton_rhs`): `hamilton_rhs` is compiled from it
-at import, and the Dormand-Prince attempt of `dynamics` writes it into
-each of its stages instead of calling it. `Cylindrical` and `Custom`
-assemble it from their A, J_A and grad V (`_matrix_rhs`); they, and any
-model whose `hamilton_rhs` carries no `source`, are called.
+Every model also has two methods on floats: `hamilton_rhs`, the
+right-hand side of Hamilton's equations at one state of six floats, and
+`b_and_grad_v`, B and grad V at one point of three floats, which the
+Boris step calls once per step.
 
-Every model likewise has `b_and_grad_v`, B and grad V at one point of
-three floats as six floats, which the Boris step calls once per step.
-The three closed-form models compile it at import from source of the
-same kind, with the bits of their `magnetic_field` and `grad_potential`
-at one point; `Cylindrical` and `Custom` call those two methods
-(`_matrix_b_and_grad_v`).
+The three closed-form models are each stated once, as a `Statement` of
+A, J_A, B, V, grad V and the domain test in straight-line source, and
+all their methods are generated from it at import (`_generated`). The
+source of `hamilton_rhs` is its `source`, which the Dormand-Prince
+attempt of `dynamics` writes into each of its stages instead of calling
+it. `Cylindrical` and `Custom` assemble both float methods from their
+numpy methods (`_matrix_rhs`, `_matrix_b_and_grad_v`).
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -161,11 +158,6 @@ def _zeros(x):
     return np.zeros(len(x)) if np.ndim(x) == 2 else 0.0
 
 
-def _zero_matrices(x) -> np.ndarray:
-    """A 3x3 zero matrix per point of x."""
-    return np.zeros(x.shape[:-1] + (3, 3))
-
-
 def _first_flagged(x, flags):
     """The first point of x whose flag is set, or None."""
     if x.ndim == 1:
@@ -173,25 +165,20 @@ def _first_flagged(x, flags):
     return x[np.argmax(flags)] if flags.any() else None
 
 
+def _per_point(fn, x, ndim=1, shape=(), dtype=None):
+    """fn(x) if x is one point of `ndim` dimensions (1 for a (3,) point, 0
+    for a radius), else the array of fn at each row of the stack x, of shape
+    (0, *shape) if empty: how models and specs call their user's code."""
+    if np.ndim(x) == ndim:
+        return fn(x)
+    rows = [fn(row) for row in x]
+    return np.array(rows, dtype=dtype) if rows else np.zeros((0, *shape))
+
+
 def _rowwise(*shape):
-    """Let a method of one point take a stack too, calling it row by row;
-    `shape` is its result's shape per point, which an empty stack keeps.
-
-    Used where a model calls user code, which only ever sees single
-    points of shape (3,).
-    """
-
-    def decorate(method):
-        @functools.wraps(method)
-        def wrapper(self, x):
-            if np.ndim(x) == 2:
-                rows = [method(self, row) for row in x]
-                return np.array(rows) if rows else np.zeros((0, *shape))
-            return method(self, x)
-
-        return wrapper
-
-    return decorate
+    """A method of one (3,) point that also takes a stack, row by row, each of value `shape`."""
+    return lambda method: functools.wraps(method)(
+        lambda self, x: _per_point(lambda row: method(self, row), x, 1, shape))
 
 
 def _pow(r, k):
@@ -219,15 +206,28 @@ def _matrix_rhs(model, y) -> tuple:
     return (*v.tolist(), *dp.tolist())
 
 
+class Statement(NamedTuple):
+    """A closed-form model stated once: `text`, lines `name = expression`
+    over x0, x1, x2, the attributes `params` (separated by spaces) and
+    RHS_GLOBALS, that end in the outputs A0..A2, Jik = dA_i/dx_k, B0..B2, V
+    and G0..G2 = grad V (one that no line assigns is a structural zero);
+    `domain`, written with `|`, true off the model's domain, where the
+    function `refusal` of RHS_GLOBALS gives a point's DomainError."""
+
+    params: str
+    text: str
+    domain: str | None = None
+    refusal: str | None = None
+
+
 class RhsSource(NamedTuple):
-    """A per-point method of a closed-form model as straight-line source:
-    the statements `body`, then `result`, the six floats it returns as the
-    items of a tuple (they may span lines). Both read the method's state
-    (RHS_STATE for `hamilton_rhs`, x0, x1, x2 for `b_and_grad_v`), the
-    model's attributes named in `params` and the names of `RHS_GLOBALS`,
-    and bind no name that starts with an underscore: the generated
+    """A float method of a closed-form model as straight-line source: the
+    statements `body`, then `result`, the items of the tuple of six floats
+    it returns. Both read the method's state (RHS_STATE for `hamilton_rhs`,
+    x0, x1, x2 for `b_and_grad_v`), the attributes `params` and the names
+    of `RHS_GLOBALS`, and bind no name that starts with an underscore: the
     Dormand-Prince stepper keeps those for its own when it writes the
-    source of `hamilton_rhs` in place."""
+    source of `hamilton_rhs` in place. A raise statement takes one line."""
 
     params: tuple[str, ...]
     body: str
@@ -241,43 +241,110 @@ def _monopole_domain_error(point) -> DomainError:
     return DomainError(f"point {point} {where}")
 
 
+def _helical_domain_error(point) -> DomainError:
+    return DomainError(f"point {point} puts the helical phase (z + phi0) / beta "
+                       "beyond the double range")
+
+
 #: the state of an RhsSource, in the order of Hamilton's six equations
 RHS_STATE = ("x0", "x1", "x2", "p0", "p1", "p2")
-#: what an RhsSource may read besides its state and parameters
-RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "array": np.array,
-               "EPS_DOMAIN": EPS_DOMAIN, "domain_error": _monopole_domain_error}
-#: what each compiled method returns, and the state it unpacks from its argument
-_COMPILED = {"hamilton_rhs": ("(v, dp) at one state of six floats", RHS_STATE),
-             "b_and_grad_v": ("(B, grad V) at one point of three floats", RHS_STATE[:3])}
+#: what a Statement, and so an RhsSource, may read besides its state and
+#: parameters, as functions of floats
+RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "pow": math.pow,
+               "inf": math.inf, "array": np.array, "EPS_DOMAIN": EPS_DOMAIN,
+               "monopole_domain_error": _monopole_domain_error,
+               "helical_domain_error": _helical_domain_error}
+#: the same names as functions of arrays, and what the stacked methods add
+_ARRAY_GLOBALS = {**RHS_GLOBALS, "sqrt": np.sqrt, "cos": np.cos, "sin": np.sin, "pow": _pow,
+                  "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged}
+#: each generated method, in the order `_generated` returns them: what it
+#: returns, and the outputs of the statement that it reads
+_METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl A", "B0 B1 B2"),
+            "scalar_potential": ("V", "V"), "grad_potential": ("grad V", "G0 G1 G2"),
+            "jacobian_a": ("J_A, rows dA_i/dx_k", "J00 J01 J02 J10 J11 J12 J20 J21 J22"),
+            "check_domain": ("None, or the DomainError of the first point off the domain", ""),
+            "b_and_grad_v": ("(B, grad V) at one point of three floats", "B0 B1 B2 G0 G1 G2"),
+            "hamilton_rhs": ("(v, dp) at one state of six floats", "")}
 
 
-def _compiled(model: str, method: str, params: str, body: str, result: str):
-    """The method `method(self, y)` of a model, `hamilton_rhs` or
-    `b_and_grad_v`, compiled from the RhsSource of the attributes `params`
-    (separated by spaces), `body` and `result`, which it keeps as its
-    `source`; y unpacks to the method's state."""
-    what, state = _COMPILED[method]
-    source = RhsSource(tuple(params.split()), textwrap.dedent(body).strip(),
-                       textwrap.dedent(result).strip())
-    code = "\n".join([f"def {method}(self, y):",
-                      f"    {', '.join(state)}, = y",
-                      *(f"    {name} = self.{name}" for name in source.params),
-                      textwrap.indent(source.body, "    "),
-                      f"    return ({source.result})\n"])
-    namespace = dict(RHS_GLOBALS)
-    exec(compile(code, f"<{model}.{method}>", "exec"), namespace)
+def _generated(model: str, st: Statement) -> tuple:
+    """The methods of _METHODS, in its order, generated from st."""
+    return tuple(_generated_method(model, method, st) for method in _METHODS)
+
+
+def _generated_method(model: str, method: str, st: Statement):
+    """One method of the model from st: the lines of st that its result
+    reads, walking back from it, and the domain test right after the last
+    line that the test reads. A line after the test that is read once is
+    written into its reader, in parentheses, with the same bits.
+
+    `b_and_grad_v` and `hamilton_rhs` run on floats and keep their
+    RhsSource as `source`; hamilton_rhs is v = p + A and
+    dp_k = -(sum_i J_ik v_i) - G_k without structural zeros, whose `+ 0.0`
+    could flip the sign of a zero. The stacked methods run on numpy arrays
+    for an (n,3) stack and on floats for one (3,) point, which overflow
+    without a warning, as in the float methods."""
+    lines = [tuple(line.strip().split(" = ", 1)) for line in st.text.strip().splitlines()]
+    has = {name for name, _ in lines}
+    outputs = [name for name in _METHODS[method][1].split() if name in has]
+    floats, tail = method in ("b_and_grad_v", "hamilton_rhs"), []
+    if method == "b_and_grad_v":
+        result = [name if name in has else "0.0" for name in _METHODS[method][1].split()]
+    elif method == "hamilton_rhs":
+        lines += [(f"v{i}", f"p{i} + A{i}") for i in range(3) if f"A{i}" in has]
+        result = [f"v{i}" if f"A{i}" in has else f"p{i}" for i in range(3)]
+        for k in range(3):
+            terms = [f"J{i}{k} * {result[i]}" for i in range(3) if f"J{i}{k}" in has]
+            dp = f"-({' + '.join(terms)})" if terms else ""
+            result.append((dp + f" - G{k}" * (f"G{k}" in has)).strip() or "0.0")
+    elif method == "scalar_potential":
+        tail = [f"return {'V' if outputs else '_zeros(x)'}"]
+    elif method != "check_domain":
+        # _out.T[i] is the component i at every point, _out.T[k, i] the entry J_ik
+        tail = [f"_out = _np.zeros(x.shape{' + (3,)' if method == 'jacobian_a' else ''})",
+                *(f"_out.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs), "return _out"]
+    if floats:
+        tail = [f"return ({', '.join(result)})"]
+    need = set(re.findall(r"\w+", "\n".join(tail + [st.domain or ""])))
+    body = []
+    for name, expr in reversed(lines):
+        if name in need:
+            body.insert(0, f"{name} = {expr}")
+            need |= set(re.findall(r"\w+", expr))
+    test = -1  # the index of the domain test in body
+    if st.domain:
+        tested = set(re.findall(r"\w+", st.domain))
+        test = 1 + max((i for i, line in enumerate(body) if line.split(" = ")[0] in tested),
+                       default=-1)
+        body.insert(test, f"if {st.domain}:\n    raise {st.refusal}(array((x0, x1, x2)))"
+                    if floats else f"_off = {st.domain}\nif _off if x.ndim == 1 else _off.any():"
+                    f"\n    raise {st.refusal}(_first_flagged(x, _off))")
+    code = body + tail
+    for i in range(len(body) - 1, test, -1):
+        name, expr = code[i].split(" = ", 1)
+        word = re.compile(rf"\b{name}\b")
+        uses = [len(word.findall(line)) for line in code[i + 1:]]
+        if sum(uses) == 1:
+            j = i + 1 + uses.index(1)
+            code[j] = word.sub(lambda _: f"({expr})", code[j])
+            del code[i]
+    text = "\n".join(code)
+    params = tuple(p for p in st.params.split() if re.search(rf"\b{p}\b", text))
+    if floats:
+        head = f"{', '.join(RHS_STATE[:6 if method == 'hamilton_rhs' else 3])}, = y"
+    else:
+        head = "x0, x1, x2 = x.tolist() if x.ndim == 1 else x.T" * bool(re.search(r"\bx\d", text))
+    source = "\n".join([f"def {method}(self, {'y' if floats else 'x'}):",
+                        textwrap.indent("\n".join([head, *(f"{p} = self.{p}" for p in params),
+                                                   text or "pass"]), "    ")])
+    namespace = dict(RHS_GLOBALS if floats else _ARRAY_GLOBALS)
+    exec(compile(source, f"<{model}.{method}>", "exec"), namespace)
     function = namespace[method]
-    function.__doc__ = f"{what}, from `{method}.source`."
+    function.__doc__ = f"{_METHODS[method][0]}, from the model's `statement`."
     function.__qualname__ = f"{model}.{method}"
-    function.source = source
+    if floats:
+        function.source = RhsSource(params, "\n".join(code[:-1]), code[-1][len("return ("):-1])
     return function
-
-
-def _per_radius(fn, r):
-    """fn(r) of a user function of one radius, r a number or shape (n,)."""
-    if np.ndim(r) == 0:
-        return fn(float(r))
-    return np.array([fn(float(q)) for q in r], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -294,35 +361,13 @@ class ConstantB:
         if self.B == 0:
             raise ParameterError("ConstantB requires B != 0")
 
-    def check_domain(self, x: Vec3) -> None:
-        pass
-
-    def vector_potential(self, x: Vec3) -> Vec3:
-        a = np.zeros(x.shape)
-        a.T[1] = -self.B * x.T[2]
-        return a
-
-    def magnetic_field(self, x: Vec3) -> Vec3:
-        b = np.zeros(x.shape)
-        b.T[0] = self.B
-        return b
-
-    def scalar_potential(self, x: Vec3) -> float:
-        return _zeros(x)
-
-    def grad_potential(self, x: Vec3) -> Vec3:
-        return np.zeros(x.shape)
-
-    def jacobian_a(self, x: Vec3) -> np.ndarray:
-        j = _zero_matrices(x)
-        j.T[2, 1] = -self.B
-        return j
-
-    # J_A^T v = (0, 0, -B v_y)
-    hamilton_rhs = _compiled("ConstantB", "hamilton_rhs", "B", """
-        v1 = p1 - B * x2
-        """, "p0, v1, p2, 0.0, 0.0, B * v1")
-    b_and_grad_v = _compiled("ConstantB", "b_and_grad_v", "B", "", "B, 0.0, 0.0, 0.0, 0.0, 0.0")
+    statement = Statement("B", """
+        A1 = -B * x2
+        J12 = -B
+        B0 = B
+        """)
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
+     check_domain, b_and_grad_v, hamilton_rhs) = _generated("ConstantB", statement)
 
 
 @dataclass(frozen=True)
@@ -344,52 +389,20 @@ class HelicalB:
         if self.beta == 0:
             raise ParameterError("HelicalB requires beta != 0")
 
-    def _u(self, x: Vec3):
-        return (x.T[2] + self.phi0) / self.beta
-
-    def check_domain(self, x: Vec3) -> None:
-        pass
-
-    def vector_potential(self, x: Vec3) -> Vec3:
-        u = self._u(x)
-        a = np.zeros(x.shape)
-        a.T[0] = -self.A_amp * np.cos(u)
-        a.T[1] = -self.A_amp * np.sin(u)
-        return a
-
-    def magnetic_field(self, x: Vec3) -> Vec3:
-        u = self._u(x)
-        c = self.A_amp / self.beta
-        b = np.zeros(x.shape)
-        b.T[0] = c * np.cos(u)
-        b.T[1] = c * np.sin(u)
-        return b
-
-    def scalar_potential(self, x: Vec3) -> float:
-        return _zeros(x)
-
-    def grad_potential(self, x: Vec3) -> Vec3:
-        return np.zeros(x.shape)
-
-    def jacobian_a(self, x: Vec3) -> np.ndarray:
-        u = self._u(x)
-        j = _zero_matrices(x)
-        j.T[2, 0] = self.A_amp * np.sin(u) / self.beta
-        j.T[2, 1] = -self.A_amp * np.cos(u) / self.beta
-        return j
-
-    # J_A has the one column dA/dz = (A_amp sin u, -A_amp cos u, 0) / beta
-    hamilton_rhs = _compiled("HelicalB", "hamilton_rhs", "A_amp beta phi0", """
+    statement = Statement("A_amp beta phi0", """
         u = (x2 + phi0) / beta
         c = cos(u)
         s = sin(u)
-        v0 = p0 - A_amp * c
-        v1 = p1 - A_amp * s
-        """, "v0, v1, p2, 0.0, 0.0, -(A_amp * s / beta * v0 - A_amp * c / beta * v1)")
-    b_and_grad_v = _compiled("HelicalB", "b_and_grad_v", "A_amp beta phi0", """
-        u = (x2 + phi0) / beta
-        c = A_amp / beta
-        """, "c * cos(u), c * sin(u), 0.0, 0.0, 0.0, 0.0")
+        A0 = -A_amp * c
+        A1 = -A_amp * s
+        J02 = A_amp * s / beta
+        J12 = -A_amp * c / beta
+        k = A_amp / beta
+        B0 = k * c
+        B1 = k * s
+        """, domain="abs(u) == inf", refusal="helical_domain_error")
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
+     check_domain, b_and_grad_v, hamilton_rhs) = _generated("HelicalB", statement)
 
 
 @dataclass(frozen=True)
@@ -416,98 +429,40 @@ class Monopole:
         if not isinstance(self.barrier, bool):
             raise ParameterError(f"Monopole barrier {self.barrier!r} is not a bool")
 
-    def _radius(self, x: Vec3):
-        """|x| per point, after rejecting points on the center or the string:
-        r below EPS_DOMAIN, or r + z, the gauge's denominator, below the
-        relative clearance EPS_DOMAIN r (the test of `hamilton_rhs` too)."""
-        x0, x1, x2 = x.T
-        r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        point = _first_flagged(x, (r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r))
-        if point is not None:
-            raise _monopole_domain_error(point)
-        return r
-
-    def check_domain(self, x: Vec3) -> None:
-        self._radius(x)
-
-    def vector_potential(self, x: Vec3) -> Vec3:
-        r = self._radius(x)
-        x0, x1, x2 = x.T
-        c = -self.g / (r * (r + x2))
-        a = np.zeros(x.shape)
-        a.T[0] = c * x1
-        a.T[1] = -c * x0
-        return a
-
-    def magnetic_field(self, x: Vec3) -> Vec3:
-        r = self._radius(x)
-        return (self.g * x.T / _pow(r, 3)).T
-
-    def scalar_potential(self, x: Vec3) -> float:
-        r = self._radius(x)
-        v = -self.Q / r
-        if self.barrier:
-            v += 0.5 * self.g**2 / _pow(r, 2)
-        return v
-
-    def grad_potential(self, x: Vec3) -> Vec3:
-        r = self._radius(x)
-        dv_dr = self.Q / _pow(r, 2)
-        if self.barrier:
-            dv_dr -= self.g**2 / _pow(r, 3)
-        return (dv_dr * x.T / r).T
-
-    def jacobian_a(self, x: Vec3) -> np.ndarray:
-        r = self._radius(x)
-        x0, x1, x2 = x.T
-        w = r * (r + x2)
-        c = -self.g / w
-        # grad of w = (x/r)(2r+z) + r e_z
-        dw = x.T / r * (2 * r + x2)
-        dw[2] += r
-        dc = self.g * dw / _pow(w, 2)
-        j = _zero_matrices(x)
-        j.T[:, 0] = dc * x1
-        j.T[1, 0] += c
-        j.T[:, 1] = -dc * x0
-        j.T[0, 1] -= c
-        return j
-
-    # after the domain test of `_radius`; J_A as in `jacobian_a`, J_A^T v
-    # summed row by row
-    hamilton_rhs = _compiled("Monopole", "hamilton_rhs", "g Q barrier", """
+    # w = r (r + z), A = -g / w (y, -x, 0) and d_k = g dw/dx_k / w^2, with
+    # grad w = (x/r)(2r + z) + r e_z; off the domain: r below EPS_DOMAIN, or
+    # w / r, the gauge's denominator, below the relative clearance EPS_DOMAIN r
+    statement = Statement("g Q barrier", """
         r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if r < EPS_DOMAIN or r + x2 < EPS_DOMAIN * r:
-            raise domain_error(array((x0, x1, x2)))
         w = r * (r + x2)
         c = -g / w
-        v0 = p0 + c * x1
-        v1 = p1 - c * x0
+        A0 = c * x1
+        A1 = -c * x0
         k = 2 * r + x2
-        w2 = w**2
-        dc0 = g * (x0 / r * k) / w2
-        dc1 = g * (x1 / r * k) / w2
-        dc2 = g * (x2 / r * k + r) / w2
-        dv_dr = Q / r**2
-        if barrier:
-            dv_dr -= g**2 / r**3
-        """, """
-        v0, v1, p2,
-        -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
-        -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
-        -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r""")
-    # as `magnetic_field` and `grad_potential`, after the domain test of `_radius`
-    b_and_grad_v = _compiled("Monopole", "b_and_grad_v", "g Q barrier", """
-        r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-        if r < EPS_DOMAIN or r + x2 < EPS_DOMAIN * r:
-            raise domain_error(array((x0, x1, x2)))
-        r3 = r**3
-        dv_dr = Q / r**2
-        if barrier:
-            dv_dr -= g**2 / r3
-        """, """
-        g * x0 / r3, g * x1 / r3, g * x2 / r3,
-        dv_dr * x0 / r, dv_dr * x1 / r, dv_dr * x2 / r""")
+        w2 = pow(w, 2)
+        d0 = g * (x0 / r * k) / w2
+        d1 = g * (x1 / r * k) / w2
+        d2 = g * (x2 / r * k + r) / w2
+        J00 = d0 * x1
+        J01 = d1 * x1 + c
+        J02 = d2 * x1
+        J10 = -d0 * x0 - c
+        J11 = -d1 * x0
+        J12 = -d2 * x0
+        r2 = pow(r, 2)
+        r3 = pow(r, 3)
+        B0 = g * x0 / r3
+        B1 = g * x1 / r3
+        B2 = g * x2 / r3
+        V = -Q / r + 0.5 * pow(g, 2) / r2 if barrier else -Q / r
+        dv = Q / r2 - pow(g, 2) / r3 if barrier else Q / r2
+        G0 = dv * x0 / r
+        G1 = dv * x1 / r
+        G2 = dv * x2 / r
+        """, domain="(r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r)",
+        refusal="monopole_domain_error")
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
+     check_domain, b_and_grad_v, hamilton_rhs) = _generated("Monopole", statement)
 
 
 @dataclass(frozen=True)
@@ -536,6 +491,11 @@ class Cylindrical:
     def _radius(self, x: Vec3):
         return np.hypot(x.T[0], x.T[1])
 
+    @staticmethod
+    def _at_radius(fn, r):
+        """fn, a user function of one radius, at R a number or shape (n,)."""
+        return _per_point(lambda q: fn(float(q)), r, 0, dtype=float)
+
     def check_domain(self, x: Vec3) -> None:
         point = _first_flagged(x, self._radius(x) < EPS_DOMAIN)
         if point is not None and abs(self.f2(EPS_DOMAIN)) > EPS_DOMAIN:
@@ -544,26 +504,26 @@ class Cylindrical:
     def vector_potential(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         r = self._radius(x)
-        f2 = _per_radius(self.f2, r)
+        f2 = self._at_radius(self.f2, r)
         x0, x1, _ = x.T
         r2 = _pow(r, 2)
-        return np.array([-x1 * f2 / r2, x0 * f2 / r2, -_per_radius(self.f1, r)]).T
+        return np.array([-x1 * f2 / r2, x0 * f2 / r2, -self._at_radius(self.f1, r)]).T
 
     def magnetic_field(self, x: Vec3) -> Vec3:
         self.check_domain(x)
         r = self._radius(x)
-        d1 = _per_radius(self.df1, r)
+        d1 = self._at_radius(self.df1, r)
         x0, x1, _ = x.T
-        return np.array([-d1 * x1 / r, d1 * x0 / r, _per_radius(self.df2, r) / r]).T
+        return np.array([-d1 * x1 / r, d1 * x0 / r, self._at_radius(self.df2, r) / r]).T
 
     def scalar_potential(self, x: Vec3) -> float:
-        return _per_radius(self.v, self._radius(x))
+        return self._at_radius(self.v, self._radius(x))
 
     def _radial_gradient(self, fn, x: Vec3) -> Vec3:
         """The gradient of a function of R whose derivative is fn, a user
         function of one radius."""
         r = self._radius(x)
-        d = _per_radius(fn, r)
+        d = self._at_radius(fn, r)
         x0, x1, _ = x.T
         return np.array([d * x0 / r, d * x1 / r, _zeros(x)]).T
 
@@ -573,14 +533,14 @@ class Cylindrical:
     def jacobian_a(self, x: Vec3) -> np.ndarray:
         self.check_domain(x)
         r = self._radius(x)
-        f2, d2, d1 = (_per_radius(f, r) for f in (self.f2, self.df2, self.df1))
+        f2, d2, d1 = (self._at_radius(f, r) for f in (self.f2, self.df2, self.df1))
         x0, x1, _ = x.T
         # d/dxj of f2/R^2, with dR/dx = (x/R, y/R, 0)
         gx = x0 / r
         gy = x1 / r
         dq = (d2 * r - 2 * f2) / _pow(r, 3)  # d/dR (f2/R^2)
         q = f2 / _pow(r, 2)
-        j = _zero_matrices(x)
+        j = np.zeros(x.shape + (3,))
         j.T[0, 0] = -x1 * dq * gx
         j.T[1, 0] = -q - x1 * dq * gy
         j.T[0, 1] = q + x0 * dq * gx

@@ -45,7 +45,7 @@ from .fields import (
     _as_real,
     _as_vec3,
     _callable_fields,
-    _per_radius,
+    _per_point,
     _pow,
     _zeros,
     cross,
@@ -197,16 +197,12 @@ def covariant_angular_momentum(model: FieldModel, s: PhaseState) -> Vec3:
 
 
 def _lift_point_function(fn, one):
-    """fn of one point, called once per point of an (n,3) stack, each value
-    passed through `one`; None and functions marked `stacks` pass through."""
+    """fn of one point, called once per point of an (n,3) stack
+    (`_per_point`), each value passed through `one`; None and functions
+    marked `stacks` pass through."""
     if fn is None or getattr(fn, "stacks", False):
         return fn
-
-    def lifted(x):
-        if x.ndim == 1:
-            return one(fn(x))
-        return np.array([one(fn(row)) for row in x])
-
+    lifted = partial(_per_point, lambda x: one(fn(x)))
     lifted.stacks = True
     return lifted
 
@@ -651,7 +647,7 @@ def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
     """L3 and P3."""
     # F1, F2 and their derivatives are the user's: one radius per call
     def of_radius(fn, x):
-        return _per_radius(fn, model._radius(x))
+        return model._at_radius(fn, model._radius(x))
 
     return [
         _generator("l3", None, _E[2], lambda x: -of_radius(model.f2, x),

@@ -181,35 +181,6 @@ def landau_reduced_solve(
     return SpectrumResult(0.5 * (solve.values + k1**2), grid, solve)
 
 
-def hermite_values(n: int, xi: np.ndarray) -> np.ndarray:
-    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
-    h_prev = np.ones_like(xi)
-    if n == 0:
-        return h_prev
-    h = 2.0 * xi
-    for m in range(1, n):
-        h, h_prev = 2.0 * xi * h - 2.0 * m * h_prev, h
-    return h
-
-
-def hermite_check(result: SpectrumResult, B: float, k2: float, hbar: float, n: int) -> float:
-    """L2 distance of the n-th grid eigenfunction from the Hermite-Gaussian.
-
-    Both functions are trapezoid-normalized and sign-aligned before the
-    distance is taken, so the value is phase-unambiguous.
-    """
-    if n >= len(result.eigenvalues):
-        raise ParameterError(f"level {n} not computed")
-    z = result.grid.points
-    xi = math.sqrt(abs(B) / hbar) * (z - k2 / B)
-    phi = hermite_values(n, xi) * np.exp(-0.5 * xi**2)
-    phi = phi / math.sqrt(np.trapezoid(phi**2, z))
-    psi = result.eigenfunctions[n]
-    if np.trapezoid(psi * phi, z) < 0:
-        psi = -psi
-    return float(math.sqrt(np.trapezoid((psi - phi) ** 2, z)))
-
-
 # ---------------------------------------------------------------------------
 # Mathieu characteristic values
 

@@ -7,8 +7,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import (ConfigError, ConstantB, DomainError, HelicalB, Monopole, PhaseState,
-                      StepFailure)
+from magsuper import (ConfigError, ConstantB, DomainError, HelicalB, Monopole, ParameterError,
+                      PhaseState, StepFailure)
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E
 from magsuper.fields import EPS_DOMAIN, cross
 
@@ -99,6 +99,36 @@ def kepler_orbit(gen, g, q, a):
     a_vec = -g / (r * (r + x[2])) * np.array([x[1], -x[0], 0.0])
     period = 2.0 * math.pi * q / (-2.0 * energy) ** 1.5
     return x, v - a_vec, energy, period, r_max
+
+
+def hermite_values(n, xi):
+    """Physicists' Hermite polynomial H_n by the three-term recurrence."""
+    h_prev = np.ones_like(xi)
+    if n == 0:
+        return h_prev
+    h = 2.0 * xi
+    for m in range(1, n):
+        h, h_prev = 2.0 * xi * h - 2.0 * m * h_prev, h
+    return h
+
+
+def hermite_check(result, B, k2, hbar, n):
+    """L2 distance of the n-th grid eigenfunction of a Landau solve from the
+    Hermite-Gaussian of level n, the oracle of the Landau eigenfunctions.
+
+    Both functions are trapezoid-normalized and sign-aligned before the
+    distance is taken, so the value is phase-unambiguous.
+    """
+    if n >= len(result.eigenvalues):
+        raise ParameterError(f"level {n} not computed")
+    z = result.grid.points
+    xi = math.sqrt(abs(B) / hbar) * (z - k2 / B)
+    phi = hermite_values(n, xi) * np.exp(-0.5 * xi**2)
+    phi = phi / math.sqrt(np.trapezoid(phi**2, z))
+    psi = result.eigenfunctions[n]
+    if np.trapezoid(psi * phi, z) < 0:
+        psi = -psi
+    return float(math.sqrt(np.trapezoid((psi - phi) ** 2, z)))
 
 
 def _mathieu_endpoint(a, q, y0, dy0):
@@ -317,3 +347,115 @@ def hamilton_rhs_reference(model, y):
             -(dc0 * x1 * v0 + (-dc0 * x0 - c) * v1) - dv_dr * x0 / r,
             -((dc1 * x1 + c) * v0 - dc1 * x0 * v1) - dv_dr * x1 / r,
             -(dc2 * x1 * v0 - dc2 * x0 * v1) - dv_dr * x2 / r)
+
+
+def _pow(r, k):
+    # libm's pow per element, the bits of a one-point call
+    return r**k if np.ndim(r) == 0 else np.array([v**k for v in r.tolist()])
+
+
+def _first_flagged(x, flags):
+    if x.ndim == 1:
+        return x if flags else None
+    return x[np.argmax(flags)] if flags.any() else None
+
+
+def _monopole_radius(x):
+    """|x| per point after the Monopole's domain test, with its DomainError."""
+    x0, x1, x2 = x.T
+    r = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    point = _first_flagged(x, (r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r))
+    if point is not None:
+        where = ("is too close to the monopole at the origin"
+                 if np.linalg.norm(point) < EPS_DOMAIN
+                 else "lies on the Dirac string (negative z-axis)")
+        raise DomainError(f"point {point} {where}")
+    return r
+
+
+def _helical_phase(model, x):
+    """u = (z + phi0) / beta per point, after the HelicalB's domain test."""
+    with np.errstate(over="ignore"):
+        u = (x.T[2] + model.phi0) / model.beta
+    point = _first_flagged(x, np.isinf(u))
+    if point is not None:
+        raise DomainError(f"point {point} puts the helical phase (z + phi0) / beta "
+                          "beyond the double range")
+    return u
+
+
+def field_reference(model, method, x):
+    """`method` of a ConstantB, HelicalB or Monopole at one point (3,) or an
+    (n,3) stack x, as the numpy methods written out by hand that the
+    models' generated methods replaced, kept as their bit-for-bit
+    reference; a point off the domain is the DomainError of the model's
+    domain test."""
+    zeros = np.zeros(x.shape)
+    jac = np.zeros(x.shape[:-1] + (3, 3))
+    scalar_zero = np.zeros(len(x)) if x.ndim == 2 else 0.0
+    if isinstance(model, ConstantB):
+        if method == "vector_potential":
+            zeros.T[1] = -model.B * x.T[2]
+        elif method == "magnetic_field":
+            zeros.T[0] = model.B
+        elif method == "jacobian_a":
+            jac.T[2, 1] = -model.B
+            return jac
+        elif method == "scalar_potential":
+            return scalar_zero
+        elif method == "check_domain":
+            return None
+        return zeros
+    if isinstance(model, HelicalB):
+        u = _helical_phase(model, x)
+        if method == "vector_potential":
+            zeros.T[0] = -model.A_amp * np.cos(u)
+            zeros.T[1] = -model.A_amp * np.sin(u)
+        elif method == "magnetic_field":
+            c = model.A_amp / model.beta
+            zeros.T[0] = c * np.cos(u)
+            zeros.T[1] = c * np.sin(u)
+        elif method == "jacobian_a":
+            jac.T[2, 0] = model.A_amp * np.sin(u) / model.beta
+            jac.T[2, 1] = -model.A_amp * np.cos(u) / model.beta
+            return jac
+        elif method == "scalar_potential":
+            return scalar_zero
+        elif method == "check_domain":
+            return None
+        return zeros
+    assert isinstance(model, Monopole)
+    r = _monopole_radius(x)
+    x0, x1, x2 = x.T
+    g = model.g
+    if method == "vector_potential":
+        c = -g / (r * (r + x2))
+        zeros.T[0] = c * x1
+        zeros.T[1] = -c * x0
+        return zeros
+    if method == "magnetic_field":
+        return (g * x.T / _pow(r, 3)).T
+    if method == "scalar_potential":
+        v = -model.Q / r
+        if model.barrier:
+            v += 0.5 * g**2 / _pow(r, 2)
+        return v
+    if method == "grad_potential":
+        dv_dr = model.Q / _pow(r, 2)
+        if model.barrier:
+            dv_dr -= g**2 / _pow(r, 3)
+        return (dv_dr * x.T / r).T
+    if method == "jacobian_a":
+        w = r * (r + x2)
+        c = -g / w
+        # grad of w = (x/r)(2r+z) + r e_z
+        dw = x.T / r * (2 * r + x2)
+        dw[2] += r
+        dc = g * dw / _pow(w, 2)
+        jac.T[:, 0] = dc * x1
+        jac.T[1, 0] += c
+        jac.T[:, 1] = -dc * x0
+        jac.T[0, 1] -= c
+        return jac
+    assert method == "check_domain"
+    return None

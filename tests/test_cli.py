@@ -559,6 +559,29 @@ def test_boris_overflow_exits_1_without_a_traceback(tmp_path, capsys):
     assert captured.err == f"magsuper: error: {ms.errors.OVERFLOW_MESSAGE}\n"
 
 
+@pytest.mark.parametrize("system, state0", [
+    ({"model": "helical", "A_amp": 1.0, "beta": 1e-3}, {"x": [0, 0, 1e306], "p": [0.1, 0.2, 0.3]}),
+    ({"model": "helical", "A_amp": 1e-300, "beta": 1e-300}, {"x": [0, 0, 1.7e8], "p": [0, 0, 1e8]}),
+], ids=["at-the-start", "on-the-way"])
+@pytest.mark.parametrize("integrator", [{}, {"integrator": {"method": "boris", "dt": 0.01}}],
+                         ids=["rk45", "boris"])
+def test_helical_phase_overflow_exits_1_with_the_domain_error(tmp_path, capsys, system,
+                                                               state0, integrator):
+    # the phase (z + phi0) / beta beyond the double range is off the domain,
+    # not a "math domain error" of cos and sin
+    cfg = _write_cfg(tmp_path, "cfg.json",
+                     {"system": system, "state0": state0, "t_end": 1.0, **integrator})
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("magsuper: error: point [")
+    assert captured.err.endswith(" puts the helical phase (z + phi0) / beta "
+                                 "beyond the double range\n")
+
+
 def test_rk45_run_past_the_step_cap_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ms.dynamics, "RK45_MAX_STEPS", 40)
     cfg = _sim_cfg(tmp_path, {"model": "constant_b", "B": 1.0}, [0.1, 0.2, -0.3],

@@ -153,6 +153,26 @@ def test_overflowing_right_hand_side_raises_step_failure():
         ms.integrate(ms.Monopole(g=2.0, Q=1.0), s0, 1.0)
 
 
+@pytest.mark.parametrize("cfg", [ms.IntegratorConfig(),
+                                 ms.IntegratorConfig(method="boris", dt=0.01)],
+                         ids=["rk45", "boris"])
+def test_orbit_into_the_helical_phase_overflow_raises_domain_error(cfg):
+    # B = A_amp / beta = 1, and an A of size 1e-300 leaves v = p + A almost
+    # free: z runs at 1e8 past 1.8e8, where u = z / beta leaves the double range
+    model = ms.HelicalB(A_amp=1e-300, beta=1e-300)
+    s0 = ms.PhaseState([0.0, 0.0, 1.7e8], [0.0, 0.0, 1e8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.DomainError, match="puts the helical phase") as run:
+            ms.integrate(model, s0, 1.0, cfg)
+        # at the start, the domain test of integrate refuses it
+        with pytest.raises(ms.DomainError, match="puts the helical phase"):
+            ms.integrate(ms.HelicalB(1.0, 1e-3), ms.PhaseState([0.0, 0.0, 1e306], s0.p), 1.0, cfg)
+    msg = str(run.value)
+    point = np.array([float(c) for c in msg[msg.index("[") + 1:msg.index("]")].split()])
+    assert point[2] > 1.7e8
+
+
 def test_monopole_orbit_into_the_dirac_string_raises_domain_error():
     # on the z-axis with V = 0 the force vanishes: free fall through the
     # center's neighbourhood onto the negative z-axis

@@ -91,6 +91,51 @@ def test_helical_field_magnitude_constant():
         assert b[2] == 0.0
 
 
+#: (model, point) where the helical phase u = (z + phi0) / beta leaves the
+#: double range: far along z, for a tiny beta, or in z + phi0 itself
+PHASE_OVERFLOWS = [(ms.HelicalB(1.0, 1e-3), [0.0, 0.0, 1e306]),
+                   (ms.HelicalB(1.0, 1e-300), [0.5, -0.5, 1e9]),
+                   (ms.HelicalB(1.0, -1.0, phi0=1e308), [0.0, 0.0, 1e308])]
+PHASE_MESSAGE = r"^point \[.*\] puts the helical phase \(z \+ phi0\) / beta beyond the double range$"
+
+
+@pytest.mark.parametrize("model, x", PHASE_OVERFLOWS)
+def test_helical_phase_beyond_the_double_range_is_off_the_domain(model, x):
+    # every method refuses the point with one DomainError that names it: the
+    # float methods and one (3,) point without a warning, a stack after
+    # numpy's overflow warning of its phase
+    with pytest.raises(ms.DomainError, match=PHASE_MESSAGE) as first:
+        model.b_and_grad_v(x)
+    messages = set()
+    for call in [lambda: model.hamilton_rhs(x + [0.1, 0.2, 0.3])] + [
+            (lambda name: lambda: getattr(model, name)(np.array(x)))(name)
+            for name in ("check_domain", *STACKED)]:
+        with pytest.raises(ms.DomainError) as exc:
+            call()
+        messages.add(str(exc.value))
+    stack = np.array([[0.1, 0.2, 0.3], x])
+    for name in ("check_domain", *STACKED):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ms.DomainError) as exc:
+            getattr(model, name)(stack)
+        messages.add(str(exc.value))
+    assert messages == {str(first.value)}
+
+
+def test_helical_phase_within_the_double_range_is_in_the_domain():
+    # u = 1e308 and u = 0 from z + phi0 = 0 are numbers like any other
+    for model, x in ((ms.HelicalB(1.0, 1e-3), [0.0, 0.0, 1e305]),
+                     (ms.HelicalB(1.0, -1.0, phi0=1e308), [0.0, 0.0, -1e308])):
+        model.check_domain(np.array(x))
+        model.check_domain(np.array([x, x]))
+        assert all(map(math.isfinite, model.hamilton_rhs(x + [0.1, 0.2, 0.3])))
+        assert np.isfinite(model.magnetic_field(np.array(x))).all()
+
+
+STACKED = ("vector_potential", "magnetic_field", "scalar_potential", "grad_potential",
+           "jacobian_a")
+
+
 def test_monopole_field_is_radial():
     g = 2.0
     m = ms.Monopole(g=g)

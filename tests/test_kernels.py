@@ -6,8 +6,8 @@ import pytest
 import magsuper as ms
 from magsuper.fields import cross
 
-from helpers import (hamilton_rhs_reference, monopole_positions, monopole_states,
-                     random_states, rng)
+from helpers import (field_reference, hamilton_rhs_reference, monopole_positions,
+                     monopole_states, random_states, rng)
 
 METHODS = ("vector_potential", "magnetic_field", "scalar_potential",
            "grad_potential", "jacobian_a")
@@ -264,6 +264,21 @@ def test_compiled_hamilton_rhs_has_the_bits_of_the_hand_written_one(model):
     assert (refused > 0) == isinstance(model, ms.Monopole)
 
 
+@pytest.mark.parametrize("model", RHS_MODELS, ids=repr)
+def test_hamilton_rhs_keeps_the_sign_of_zeros(model):
+    # the structural zeros of J_A and grad V are left out, not added as 0.0,
+    # so each of the six floats has the bytes of the hand-written method,
+    # the sign of a zero included, at states with zero and -0.0 components
+    gen = rng(531)
+    for y in _rhs_states(model, gen, 400):
+        y = [(0.0, -0.0)[i % 2] if gen.uniform() < 0.3 else c for i, c in enumerate(y)]
+        try:
+            want = hamilton_rhs_reference(model, y)
+        except ms.DomainError:
+            continue
+        assert np.array(model.hamilton_rhs(y)).tobytes() == np.array(want).tobytes(), y
+
+
 @pytest.mark.parametrize("model", RHS_MODELS + [_cyl_model()], ids=repr)
 def test_eom_rhs_goes_through_hamilton_rhs(model):
     # the right-hand side of the equations of motion is one call of
@@ -328,3 +343,47 @@ def test_b_and_grad_v_has_the_bits_of_the_numpy_methods(model):
         assert type(got) is tuple and len(got) == 6 and all(type(c) is float for c in got)
         assert np.array(got).tobytes() == want.tobytes(), x
     assert (refused > 100) == isinstance(model, ms.Monopole)
+
+
+# ---------------------------------------------------------------------------
+# the stacked methods generated from each model's statement
+
+
+def _outcome(call):
+    """What a call gives: its type, shape, dtype and bytes, or the text of
+    its DomainError."""
+    try:
+        value = call()
+    except ms.DomainError as exc:
+        return "DomainError", str(exc)
+    if value is None:
+        return None
+    return type(value), np.shape(value), np.asarray(value).dtype, np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("model", RHS_MODELS + [ms.HelicalB(A_amp=2.0, beta=1e-300, phi0=0.5)],
+                         ids=repr)
+def test_stacked_methods_have_the_bits_of_the_hand_written_ones(model):
+    # each method generated from the statement against the numpy methods
+    # written out by hand that it replaced, on a stack of 20000 points and
+    # on 2000 of them one by one: the same type, shape and bytes, and the
+    # same DomainError text where the domain test refuses a point. The
+    # last point, z = 1e9, puts the phase of the tiny beta beyond the
+    # double range (a stack would warn of numpy's overflow first).
+    xs = np.array(_point_lists(rng(529), 20000))
+    xs[1::13] *= -1.0
+    xs[2::13, 0] = -0.0
+    xs[3::13, :2] = [0.0, -0.0]
+    refused = np.array([_outcome(lambda: model.check_domain(x)) is not None for x in xs])
+    assert refused.any() == isinstance(model, ms.Monopole)
+    kept = xs[~refused]
+    for name in METHODS + ("check_domain",):
+        method = getattr(model, name)
+        for stack in (kept, xs, kept[:0]):
+            assert _outcome(lambda: method(stack)) == _outcome(
+                lambda: field_reference(model, name, stack)), name
+        for x in [*xs[:2000], np.array([0.0, 0.0, 1e9])]:
+            assert _outcome(lambda: method(x)) == _outcome(
+                lambda: field_reference(model, name, x)), (name, x)
+    far = _outcome(lambda: model.check_domain(np.array([0.0, 0.0, 1e9])))
+    assert (far is not None) == (getattr(model, "beta", None) == 1e-300)

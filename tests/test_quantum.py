@@ -10,7 +10,7 @@ import scipy.special as sps
 import magsuper as ms
 from magsuper import quantum
 
-from helpers import mathieu_shooting
+from helpers import hermite_check, mathieu_shooting
 
 
 LANDAU_GRID = ms.Grid1D(-12.0, 12.0, 2000)
@@ -32,10 +32,10 @@ def test_landau_levels():
     rel = np.max(np.abs(res.eigenvalues - want) / want)
     assert rel < 1e-4
     assert np.all(np.diff(res.eigenvalues) > 0)
-    assert ms.hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=0) < 1e-5
-    assert ms.hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=3) < 1e-4
+    assert hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=0) < 1e-5
+    assert hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=3) < 1e-4
     with pytest.raises(ValueError):
-        ms.hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=6)
+        hermite_check(res, B=1.0, k2=0.0, hbar=1.0, n=6)
 
 
 def test_landau_scaling_with_field():
@@ -57,7 +57,7 @@ def test_landau_levels_negative_field(B, grid, n_levels):
                                   grid=grid, n_levels=n_levels)
     want = 0.5 * k1**2 + abs(B) * (np.arange(n_levels) + 0.5)
     assert np.max(np.abs(res.eigenvalues - want) / want) < 1e-4
-    assert ms.hermite_check(res, B=B, k2=k2, hbar=1.0, n=0) < 1e-5
+    assert hermite_check(res, B=B, k2=k2, hbar=1.0, n=0) < 1e-5
     # the mirrored problem z -> -z has the same levels
     mirror = ms.landau_reduced_solve(B=-B, k1=k1, k2=-k2, hbar=1.0,
                                      grid=grid, n_levels=n_levels)

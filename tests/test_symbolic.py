@@ -335,3 +335,38 @@ def test_bracket_matrix_gradients_match_the_symbolic_ones(case):
     # {f_i, f_j} from the exact gradients
     m = np.einsum("ink,jnk->nij", want_x, want_p)
     assert _close(ms.bracket_matrix(fns, (x, p)), m - m.transpose(0, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# each closed-form model's statement, read in sympy
+
+
+def _statement_outputs(cls, barrier):
+    """Every name that cls.statement assigns, in sympy: its lines evaluated
+    in order on the symbols x, y, z and the model's parameters, with sqrt,
+    cos, sin and pow as sympy's, and its decimals as exact rationals."""
+    st = cls.statement
+    env = {"x0": X, "x1": Y, "x2": Z, "barrier": barrier}
+    env.update((p, sp.Symbol(p, real=True)) for p in st.params.split() if p != "barrier")
+    functions = {"sqrt": sp.sqrt, "cos": sp.cos, "sin": sp.sin, "pow": sp.Pow}
+    for line in st.text.strip().splitlines():
+        name, expr = line.strip().split(" = ", 1)
+        value = sp.sympify(eval(expr, functions, env))
+        env[name] = value.xreplace({f: sp.Rational(str(f)) for f in value.atoms(sp.Float)})
+    return env
+
+
+@pytest.mark.parametrize("cls, barrier", [(ms.ConstantB, True), (ms.HelicalB, True),
+                                          (ms.Monopole, True), (ms.Monopole, False)])
+def test_statement_states_b_j_and_grad_v_of_its_a_and_v(cls, barrier):
+    # an output that the statement does not assign is a structural zero
+    out = _statement_outputs(cls, barrier)
+    a = [out.get(f"A{i}", 0) for i in range(3)]
+    v = out.get("V", 0)
+    curl = [sp.diff(a[2], Y) - sp.diff(a[1], Z), sp.diff(a[0], Z) - sp.diff(a[2], X),
+            sp.diff(a[1], X) - sp.diff(a[0], Y)]
+    for i in range(3):
+        assert sp.simplify(out.get(f"B{i}", 0) - curl[i]) == 0, f"B{i}"
+        assert sp.simplify(out.get(f"G{i}", 0) - sp.diff(v, COORDS[i])) == 0, f"G{i}"
+        for k in range(3):
+            assert sp.simplify(out.get(f"J{i}{k}", 0) - sp.diff(a[i], COORDS[k])) == 0, f"J{i}{k}"
