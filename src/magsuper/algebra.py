@@ -13,16 +13,15 @@ from functools import partial
 import numpy as np
 
 from .closedform import x5_integral, x6_integral
-from .dynamics import PhaseState, _state_arrays
+from .dynamics import _state_arrays
 from .errors import ConfigError, DomainError, ParameterError
-from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, Vec3, _as_count, _pow, _zeros
+from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, _as_count, _pow, _zeros
 from .integrals import (
     PhaseFunction,
+    _state_stacks,
     as_phase_function,
     bracket_matrix,
-    evaluate_integral,
     monopole_angular_specs,
-    monopole_runge_lenz_specs,
     monopole_total_square_spec,
 )
 
@@ -114,17 +113,10 @@ def constantB_bracket_table(B: float) -> BracketTable:
     return BracketTable(_BASIS_NAMES, s)
 
 
-def _stack_states(states) -> tuple[np.ndarray, np.ndarray]:
-    """The positions and momenta of a list of PhaseStates as (n,3) stacks."""
-    return (np.array([s.x for s in states]).reshape(-1, 3),
-            np.array([s.p for s in states]).reshape(-1, 3))
-
-
 def verify_bracket_table(B: float, states) -> dict:
-    """Max discrepancy of every basis pair against the structure table,
-    all states through one bracket table."""
-    states = list(states)
-    s = _stack_states(states)
+    """Max discrepancy of every basis pair against the structure table at
+    `states`, a pair (x, p) of (n,3) stacks, all through one bracket table."""
+    s = _state_stacks(states)
     basis = constantB_basis(B)
     vals = {f.name: f.fn(s) for f in basis}
     br = bracket_matrix(basis, s)
@@ -137,7 +129,7 @@ def verify_bracket_table(B: float, states) -> dict:
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
-        "n_states": len(states),
+        "n_states": len(s[0]),
     }
 
 
@@ -148,9 +140,9 @@ def _max_abs(v) -> float:
 
 def casimir_check(B: float, states) -> dict:
     """Residuals of 2 X1t X7 + X5^2 + X6^2 = 2H and
-    2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H at the given states."""
-    states = list(states)
-    x, p = s = _stack_states(states)
+    2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H at `states`, a pair (x, p) of
+    (n,3) stacks."""
+    x, p = s = _state_stacks(states)
     v = {f.name: f.fn(s) for f in constantB_basis(B)}
     # H in the gauge of the basis, squared by pow: `hamiltonian` sums v.v by
     # products, and the bits of the two differ in about 1 state of 1400
@@ -162,7 +154,7 @@ def casimir_check(B: float, states) -> dict:
         "first_casimir": r1,
         "second_casimir": r2,
         "max_residual": max(r1, r2),
-        "n_states": len(states),
+        "n_states": len(x),
     }
 
 
@@ -183,19 +175,15 @@ def _zero_field_model() -> Custom:
     )
 
 
-def _monopole_model(g: float, Q: float = 0.0):
-    return Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
-
-
 def monopole_closure_check(g: float, states, Q: float = 0.0) -> dict:
     """Checks {X1,X2}=X3 (cyclically) and involution of (X)^2 with each X_j.
 
-    g = 0 reduces to the ordinary angular momenta l_j. All states go
-    through one bracket table, with the specs' exact gradients.
+    g = 0 reduces to the ordinary angular momenta l_j. All of `states`, a
+    pair (x, p) of (n,3) stacks, go through one bracket table, with the
+    specs' exact gradients.
     """
-    states = list(states)
-    s = _stack_states(states)
-    model = _monopole_model(g, Q)
+    s = _state_stacks(states)
+    model = Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
     fns = [as_phase_function(sp, model) for sp in monopole_angular_specs(g)]
     vals = [f.fn(s) for f in fns]
     fns.append(as_phase_function(monopole_total_square_spec(g), model))
@@ -209,29 +197,12 @@ def monopole_closure_check(g: float, states, Q: float = 0.0) -> dict:
     return {
         "checks": checks,
         "max_discrepancy": max(checks.values()),
-        "n_states": len(states),
+        "n_states": len(s[0]),
     }
 
 
-def runge_lenz(g: float, Q: float, s: PhaseState) -> Vec3:
-    """Modified Runge-Lenz vector R = p^A x X - Q x/|x|.
-
-    X = l^A + g x/|x| is the conserved angular vector; R is conserved
-    when the scalar potential is g^2/(2|x|^2) - Q/|x|.
-    """
-    model = _monopole_model(g, Q)
-    return np.array([evaluate_integral(sp, model, s)
-                     for sp in monopole_runge_lenz_specs(g, Q)])
-
-
-def runge_lenz_functions(g: float, Q: float) -> list[PhaseFunction]:
-    """R_1, R_2, R_3 as watchable phase functions with exact gradients."""
-    model = _monopole_model(g, Q)
-    return [as_phase_function(sp, model) for sp in monopole_runge_lenz_specs(g, Q)]
-
-
 #: most points or states a sampled check may ask for (the schema's n_points
-#: maximum); at this many, `algebra` peaks at about 380 MB and `verify` at 240 MB
+#: maximum); at this many, `algebra` peaks at about 300 MB and `verify` at 240 MB
 SAMPLE_MAX_ROWS = 200_000
 
 
@@ -277,8 +248,9 @@ def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.
 
 
 def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
-                  admissible=None) -> list[PhaseState]:
-    """Uniform random states in [-box, box]^6 with optional constraints.
+                  admissible=None) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform random states in [-box, box]^6 with optional constraints,
+    as the pair (x, p) of (n,3) stacks that the checks take.
 
     `admissible` filters positions (used to stay off singular loci): it
     takes an (m,3) block of positions and returns one bool per row.
@@ -291,7 +263,8 @@ def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
             ok &= _row_mask(admissible, "admissible", y[:, :3])
         return ok
 
-    return [PhaseState(y[:3], y[3:]) for y in sample_uniform(rng, n, 6, accept, box)]
+    y = sample_uniform(rng, n, 6, accept, box)
+    return y[:, :3], y[:, 3:]
 
 
 def monopole_admissible(x):

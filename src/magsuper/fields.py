@@ -388,6 +388,9 @@ class HelicalB:
             raise ParameterError("HelicalB requires A_amp > 0")
         if self.beta == 0:
             raise ParameterError("HelicalB requires beta != 0")
+        if not math.isfinite(self.A_amp / self.beta):
+            raise ParameterError(f"HelicalB A_amp / beta = {self.A_amp!r} / {self.beta!r} "
+                                 "is not finite")
 
     statement = Statement("A_amp beta phi0", """
         u = (x2 + phi0) / beta

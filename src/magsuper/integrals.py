@@ -191,11 +191,6 @@ def covariant_momentum(model: FieldModel, s: PhaseState) -> Vec3:
     return p + model.vector_potential(x)
 
 
-def covariant_angular_momentum(model: FieldModel, s: PhaseState) -> Vec3:
-    x, _ = _state_arrays(s)
-    return cross(x, covariant_momentum(model, s))
-
-
 def _lift_point_function(fn, one):
     """fn of one point, called once per point of an (n,3) stack
     (`_per_point`), each value passed through `one`; None and functions
@@ -364,16 +359,30 @@ def phase_gradient(f, s, record: FieldRecord | None = None):
     return as_phase_function(f).grad(s, record)
 
 
+def _state_stacks(s, what: str = "states") -> tuple[np.ndarray, np.ndarray]:
+    """s, a pair (x, p) of sampled states, as two finite (n,3) float stacks
+    of one shape; anything else is a ParameterError that names `what`."""
+    try:
+        x, p = (np.asarray(a, dtype=float) for a in s)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} is not a pair (x, p) of (n,3) arrays") from None
+    if x.ndim != 2 or x.shape[1] != 3 or p.shape != x.shape:
+        raise ParameterError(f"{what} has x of shape {x.shape} and p of shape {p.shape}, "
+                             "not two (n,3) stacks of one shape")
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ParameterError(f"{what} has non-finite components")
+    return x, p
+
+
 def bracket_matrix(fns, s, record: FieldRecord | None = None) -> np.ndarray:
     """The antisymmetric table of {f_i, f_j}: (k, k) at a PhaseState,
-    (n, k, k) at a pair (x, p) of (n,3) stacks.
+    (n, k, k) at a pair (x, p) of (n,3) stacks (`_state_stacks`).
 
     One phase gradient per function; the functions made on one model
     share one FieldRecord, `record` when it is given.
     """
-    x, p = _state_arrays(s)
-    xs, one = _as_points(x)
-    ps = np.reshape(p, xs.shape)
+    one = isinstance(s, PhaseState)
+    xs, ps = (s.x[None], s.p[None]) if one else _state_stacks(s, "s")
     records = {} if record is None else {id(record.model): record}
     gx, gp = [], []
     for f in fns:
@@ -387,11 +396,6 @@ def bracket_matrix(fns, s, record: FieldRecord | None = None) -> np.ndarray:
     m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
     out = m - m.transpose(0, 2, 1)
     return out[0] if one else out
-
-
-def poisson_bracket(f, g, s: PhaseState) -> float:
-    """{f, g} at s; analytic gradients are used when both carry them."""
-    return float(bracket_matrix([f, g], s)[0, 1])
 
 
 # ---------------------------------------------------------------------------

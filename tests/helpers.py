@@ -28,6 +28,19 @@ def random_states(gen, n, box=2.0, p1_min=0.0):
     return out
 
 
+def stack_states(states):
+    """The pair (x, p) of (n,3) stacks of an iterable of PhaseStates, the
+    form the sampled checks take."""
+    states = list(states)
+    return (np.array([s.x for s in states]).reshape(-1, 3),
+            np.array([s.p for s in states]).reshape(-1, 3))
+
+
+def state_list(pair):
+    """The PhaseStates of a pair (x, p) of (n,3) stacks, one per row."""
+    return [PhaseState(x, p) for x, p in zip(*pair)]
+
+
 def monopole_positions(gen, n):
     # off the center, with r + z bounded away from the gauge string
     out = []

@@ -13,7 +13,7 @@ import pytest
 
 import magsuper as ms
 
-from helpers import mathieu_shooting, monopole_positions, monopole_states, rng
+from helpers import mathieu_shooting, monopole_positions, monopole_states, rng, stack_states
 
 
 def _helical():
@@ -118,12 +118,12 @@ def test_criterion_06_mathieu_characteristic_values():
 
 def test_criterion_07_monopole_closure_and_runge_lenz():
     g, Q = 2.0, 1.0
-    rep = ms.monopole_closure_check(g, monopole_states(rng(7), 100), Q=Q)
+    rep = ms.monopole_closure_check(g, stack_states(monopole_states(rng(7), 100)), Q=Q)
     assert rep["max_discrepancy"] < 1e-6
     assert "{X1,X2}-X3" in rep["checks"] and "{X_sq,X1}" in rep["checks"]
 
     s0 = ms.PhaseState([1.2, 0.0, 0.4], [0.1, 0.9, 0.3])
-    watch = ms.runge_lenz_functions(g, Q)
+    watch = ms.monopole_runge_lenz_specs(g, Q)
     kept = ms.integrate(ms.Monopole(g=g, Q=Q), s0, 20.0, watch=watch)
     assert max(kept.drift(f"R{j}") for j in (1, 2, 3)) < 1e-6
     lost = ms.integrate(ms.Monopole(g=g, Q=Q, barrier=False), s0, 20.0,

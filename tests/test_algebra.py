@@ -6,7 +6,7 @@ import pytest
 import magsuper as ms
 
 from helpers import (monopole_admissible_per_point, monopole_states, rng,
-                     sample_uniform_per_row)
+                     sample_uniform_per_row, stack_states, state_list)
 
 
 def _states(seed, n, p1_min=0.0):
@@ -31,9 +31,7 @@ def _stripped_discrepancy(fns, states, want):
     """max |bracket_matrix - want| of fns with their gradients stripped,
     so that every bracket comes from central differences of fn."""
     stripped = [ms.PhaseFunction(f.name, f.fn) for f in fns]
-    x = np.array([s.x for s in states])
-    p = np.array([s.p for s in states])
-    return float(np.max(np.abs(ms.bracket_matrix(stripped, (x, p)) - want((x, p)))))
+    return float(np.max(np.abs(ms.bracket_matrix(stripped, states) - want(states))))
 
 
 def test_bracket_table_fd_fallback():
@@ -55,7 +53,7 @@ def test_bracket_table_fd_fallback():
 def test_basis_gradients_match_finite_differences():
     basis = ms.constantB_basis(1.7)
     gen = rng(64)
-    states = ms.sample_states(gen, 15, p1_min=0.5)
+    states = state_list(ms.sample_states(gen, 15, p1_min=0.5))
     for f in basis:
         stripped = ms.PhaseFunction(f.name, f.fn)
         for s in states:
@@ -78,7 +76,7 @@ def test_basis_names_and_validation():
 def test_x5_x6_match_closed_form_integrals():
     B = 2.0
     basis = {f.name: f for f in ms.constantB_basis(B)}
-    for s in _states(65, 20, p1_min=0.2):
+    for s in state_list(_states(65, 20, p1_min=0.2)):
         assert basis["X5"](s) == pytest.approx(ms.x5_integral(B, s), abs=1e-12)
         assert basis["X6"](s) == pytest.approx(ms.x6_integral(B, s), abs=1e-12)
 
@@ -103,7 +101,7 @@ def test_structure_table_antisymmetry():
 
 def test_monopole_closure_analytic():
     gen = rng(67)
-    rep = ms.monopole_closure_check(2.0, monopole_states(gen, 60), Q=1.0)
+    rep = ms.monopole_closure_check(2.0, stack_states(monopole_states(gen, 60)), Q=1.0)
     assert rep["max_discrepancy"] < 1e-9
     assert set(rep["checks"]) == {
         "{X1,X2}-X3", "{X2,X3}-X1", "{X3,X1}-X2",
@@ -126,13 +124,13 @@ def test_monopole_closure_fd_fallback():
             out[:, k, j] = -out[:, j, k]
         return out
 
-    assert _stripped_discrepancy(fns, monopole_states(rng(68), 30), want) < 1e-6
+    assert _stripped_discrepancy(fns, stack_states(monopole_states(rng(68), 30)), want) < 1e-6
 
 
 def test_zero_charge_reduces_to_angular_momenta():
-    states = _states(69, 40)
+    states = state_list(_states(69, 40))
     states = [s for s in states if np.linalg.norm(s.x) > 0.3]
-    rep = ms.monopole_closure_check(0.0, states)
+    rep = ms.monopole_closure_check(0.0, stack_states(states))
     assert rep["max_discrepancy"] < 1e-9
 
 
@@ -144,10 +142,11 @@ def test_monopole_function_values_match_covariant_specs():
     for s in monopole_states(gen, 25):
         want = np.array([ms.evaluate_integral(specs[f"R{j + 1}"], model, s)
                          for j in range(3)])
-        got = ms.runge_lenz(g, Q, s)
+        got = np.array([ms.evaluate_integral(sp, model, s)
+                        for sp in ms.monopole_runge_lenz_specs(g, Q)])
         assert np.max(np.abs(got - want)) < 1e-12
         x_sq = ms.evaluate_integral(specs["X_sq"], model, s)
-        la = ms.covariant_angular_momentum(model, s)
+        la = np.cross(s.x, ms.covariant_momentum(model, s))
         xvec = la + g * s.x / np.linalg.norm(s.x)
         assert float(xvec @ xvec) == pytest.approx(x_sq, rel=1e-12)
 
@@ -155,7 +154,7 @@ def test_monopole_function_values_match_covariant_specs():
 def test_runge_lenz_conserved_only_with_barrier():
     g, Q = 2.0, 1.0
     s0 = ms.PhaseState([1.2, 0.0, 0.4], [0.1, 0.9, 0.3])
-    watch = ms.runge_lenz_functions(g, Q)
+    watch = ms.monopole_runge_lenz_specs(g, Q)
     kept = ms.integrate(ms.Monopole(g=g, Q=Q), s0, 20.0, watch=watch)
     assert max(kept.drift(f"R{j}") for j in (1, 2, 3)) < 1e-7
     lost = ms.integrate(ms.Monopole(g=g, Q=Q, barrier=False), s0, 20.0, watch=watch)
@@ -173,32 +172,35 @@ def test_runge_lenz_kepler_limit():
         grad_v=lambda x: Q * x / np.linalg.norm(x) ** 3,
     )
     s0 = ms.PhaseState([1.0, 0.0, 0.0], [0.0, 1.1, 0.2])
-    traj = ms.integrate(model, s0, 20.0, watch=ms.runge_lenz_functions(0.0, Q))
+    traj = ms.integrate(model, s0, 20.0, watch=ms.monopole_runge_lenz_specs(0.0, Q))
     assert max(traj.drift(f"R{j}") for j in (1, 2, 3)) < 1e-7
     # eccentricity vector length: |R| = sqrt(1 + 2 H l^2) for this orbit
     h0 = ms.hamiltonian(model, s0)
     l0 = np.cross(s0.x, s0.p)
     want = np.sqrt(1.0 + 2.0 * h0 * float(l0 @ l0))
-    got = np.linalg.norm(ms.runge_lenz(0.0, Q, s0))
+    got = np.linalg.norm([ms.evaluate_integral(sp, model, s0)
+                          for sp in ms.monopole_runge_lenz_specs(0.0, Q)])
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_runge_lenz_domain_errors():
     with pytest.raises(ms.DomainError):
-        ms.runge_lenz(0.0, 1.0, ms.PhaseState([0, 0, 0], [1, 0, 0]))
+        ms.monopole_closure_check(0.0, stack_states([ms.PhaseState([0, 0, 0], [1, 0, 0])]),
+                                  Q=1.0)
     with pytest.raises(ms.DomainError):
-        ms.runge_lenz(2.0, 1.0, ms.PhaseState([0, 0, -1.0], [1, 0, 0]))
+        ms.evaluate_integral(ms.monopole_runge_lenz_specs(2.0, 1.0)[0], ms.Monopole(g=2.0, Q=1.0),
+                             ms.PhaseState([0, 0, -1.0], [1, 0, 0]))
 
 
 def test_sample_states_contract():
-    a = ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3)
-    b = ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3)
+    a = state_list(ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3))
+    b = state_list(ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.p, sb.p)
     for s in a:
         assert np.all(np.abs(s.x) <= 1.5) and np.all(np.abs(s.p) <= 1.5)
         assert abs(s.p[0]) >= 0.3
-    picky = ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible)
+    picky = state_list(ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible))
     assert all(ms.monopole_admissible(s.x) for s in picky)
     with pytest.raises(ms.ConfigError):
         ms.sample_states(rng(73), 1, admissible=lambda x: np.zeros(len(x), bool))
@@ -223,8 +225,8 @@ def test_a_count_of_states_that_is_not_a_nonnegative_integer_is_refused():
                        (True, "is not an integer")):
         with pytest.raises(ms.ParameterError, match=f"^n {n!r} {problem}$"):
             ms.sample_states(rng(74), n)
-    assert ms.sample_states(rng(74), 0) == []
-    assert len(ms.sample_states(rng(74), np.int64(3))) == 3
+    assert state_list(ms.sample_states(rng(74), 0)) == []
+    assert len(state_list(ms.sample_states(rng(74), np.int64(3)))) == 3
 
 
 def test_sample_uniform_refuses_rows_beyond_the_cap_before_drawing():
@@ -297,8 +299,8 @@ def test_sample_states_keeps_the_states_of_the_per_row_loop(kind):
            "rejects_90pc": lambda y: y[0] > 1.6}.get(kind)
     for seed in range(930, 950):
         n = 5 * (seed - 925)
-        got = _sampled(lambda g: np.array([np.concatenate([s.x, s.p]) for s in ms.sample_states(
-            g, n, p1_min=p1_min, admissible=admissible)]), seed)
+        got = _sampled(lambda g: np.hstack(ms.sample_states(
+            g, n, p1_min=p1_min, admissible=admissible)), seed)
         _assert_same_sampling(got, _sampled(lambda g: sample_uniform_per_row(g, n, 6, row), seed))
 
 
@@ -314,7 +316,7 @@ def test_p1_min_keeps_a_momentum_on_the_bound():
             return out
 
     rows = [[0, 0, 0, 0.3, 0, 0], [0, 0, 0, 0.2999, 0, 0], [0, 0, 0, -0.3, 0, 0]]
-    assert [s.p[0] for s in ms.sample_states(Rows(rows), 2, p1_min=0.3)] == [0.3, -0.3]
+    assert [s.p[0] for s in state_list(ms.sample_states(Rows(rows), 2, p1_min=0.3))] == [0.3, -0.3]
 
 
 def test_monopole_admissible_takes_a_stack():
@@ -359,8 +361,8 @@ def test_a_filter_may_return_a_list_of_bools():
 
 
 def test_generator_inputs_match_lists():
-    cb = _states(74, 20, p1_min=0.1)
-    mono = monopole_states(rng(75), 20)
+    cb = list(_states(74, 20, p1_min=0.1))
+    mono = list(stack_states(monopole_states(rng(75), 20)))
     checks = [
         (lambda st: ms.verify_bracket_table(2.0, st), cb),
         (lambda st: ms.casimir_check(2.0, st), cb),
@@ -369,14 +371,61 @@ def test_generator_inputs_match_lists():
     for check, states in checks:
         from_list = check(states)
         assert from_list["n_states"] == 20
-        assert check(s for s in states) == from_list
+        assert check(a for a in states) == from_list
+
+
+_PAIR_TAKERS = {
+    "verify_bracket_table": ("states", lambda s: ms.verify_bracket_table(2.0, s)),
+    "casimir_check": ("states", lambda s: ms.casimir_check(2.0, s)),
+    "monopole_closure_check": ("states", lambda s: ms.monopole_closure_check(2.0, s, Q=1.0)),
+    "bracket_matrix": ("s", lambda s: ms.bracket_matrix(ms.constantB_basis(2.0), s)),
+}
+
+
+def _not_a_pair(case):
+    """A states argument of the kind `case` that is not a pair of (n,3)
+    stacks, and the end of its refusal."""
+    x, p = ms.sample_states(rng(955), 4, p1_min=0.1, admissible=ms.monopole_admissible)
+    bad_p = p.copy()
+    bad_p[2, 1] = np.nan
+    return {
+        # the old input; a list of exactly two would unpack as x and p
+        "two_states": (state_list((x[:2], p[:2])), r"is not a pair \(x, p\) of \(n,3\) arrays"),
+        "four_states": (state_list((x, p)), r"is not a pair \(x, p\) of \(n,3\) arrays"),
+        "shapes_differ": ((x, p[:3]), r"has x of shape \(4, 3\) and p of shape \(3, 3\), "
+                                      r"not two \(n,3\) stacks of one shape"),
+        "one_state": ((x[0], p[0]), r"has x of shape \(3,\) and p of shape \(3,\)"),
+        "non_finite_p": ((x, bad_p), "has non-finite components"),
+    }[case]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("taker", list(_PAIR_TAKERS))
+@pytest.mark.parametrize("case", ["two_states", "four_states", "shapes_differ", "one_state",
+                                  "non_finite_p"])
+def test_states_that_are_not_a_pair_of_stacks_are_refused_by_name(taker, case):
+    name, take = _PAIR_TAKERS[taker]
+    states, problem = _not_a_pair(case)
+    with pytest.raises(ms.ParameterError, match=f"^{name} {problem}"):
+        take(states)
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_sampled_states_are_two_empty_stacks():
+    x, p = ms.sample_states(rng(956), 0)
+    assert x.shape == p.shape == (0, 3)
+    for rep in (ms.verify_bracket_table(2.0, (x, p)), ms.monopole_closure_check(2.0, (x, p))):
+        assert rep["n_states"] == 0 and rep["max_discrepancy"] == 0.0
+    cas = ms.casimir_check(2.0, (x, p))
+    assert cas["n_states"] == 0 and cas["max_residual"] == 0.0
+    assert ms.bracket_matrix(ms.constantB_basis(2.0), (x, p)).shape == (0, 7, 7)
 
 
 def test_sample_states_draws_are_pinned():
     # PCG64 uniform doubles use no libm, so these bits hold on every
     # platform; each try draws x then p, rejected or not (here p1 and the
     # fourth position are rejected)
-    p1 = ms.sample_states(rng(5), 3, p1_min=1.0)
+    p1 = state_list(ms.sample_states(rng(5), 3, p1_min=1.0))
     assert [s.x.tolist() + s.p.tolist() for s in p1] == [
         [-0.3661071783200054, -1.8188992243902193, -1.8049691570913278,
          1.9967044602602857, 0.6094764463519509, -1.0619591933207042],
@@ -385,7 +434,7 @@ def test_sample_states_draws_are_pinned():
         [0.7167261320854599, 1.4803540093100134, -1.0907258993563675,
          1.581792957656504, 1.48878187209734, -1.925931129319157],
     ]
-    mono = ms.sample_states(rng(3), 4, admissible=ms.monopole_admissible)
+    mono = state_list(ms.sample_states(rng(3), 4, admissible=ms.monopole_admissible))
     assert [s.x.tolist() + s.p.tolist() for s in mono] == [
         [-1.6574033314255026, -1.0527579736156012, 1.2050978608255876,
          0.32864814425747113, -1.6234854310384033, -0.2674922390541048],

@@ -582,6 +582,27 @@ def test_helical_phase_overflow_exits_1_with_the_domain_error(tmp_path, capsys, 
                                  "beyond the double range\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "trajectory", "verify", "fields-check",
+                                     "algebra"])
+@pytest.mark.parametrize("params, shown", [
+    ({"A_amp": 1e300, "beta": 1e-10}, "1e+300 / 1e-10"),
+    ({"A_amp": 1.0, "beta": 1e-310}, "1.0 / 1e-310"),
+], ids=["large-amplitude", "tiny-pitch"])
+def test_helical_field_beyond_the_double_range_exits_1_naming_it(tmp_path, capsys, command,
+                                                                params, shown):
+    cfg = _write_cfg(tmp_path, "cfg.json", {
+        "system": {"model": "helical", **params},
+        "state0": {"x": [0.1, 0.2, 0.3], "p": [0.1, 0.2, 0.3]}, "t_end": 1.0})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("magsuper: error: bad parameters for model 'helical': HelicalB "
+                            f"A_amp / beta = {shown} is not finite\n")
+
+
 def test_rk45_run_past_the_step_cap_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ms.dynamics, "RK45_MAX_STEPS", 40)
     cfg = _sim_cfg(tmp_path, {"model": "constant_b", "B": 1.0}, [0.1, 0.2, -0.3],

@@ -37,6 +37,8 @@ def test_constant_b_requires_nonzero_b():
     (lambda: ms.HelicalB(1.0, None), "HelicalB beta None is not a number"),
     (lambda: ms.HelicalB(1, 1, phi0=math.nan), "HelicalB phi0 nan is not finite"),
     (lambda: ms.HelicalB([1.0], 1.0), r"HelicalB A_amp \[1.0\] is not a number"),
+    (lambda: ms.HelicalB(1e300, 1e-10), r"HelicalB A_amp / beta = 1e\+300 / 1e-10 is not finite"),
+    (lambda: ms.HelicalB(1.0, -1e-310), "HelicalB A_amp / beta = 1.0 / -1e-310 is not finite"),
     (lambda: ms.Monopole(math.inf), "Monopole g inf is not finite"),
     (lambda: ms.Monopole(1.0, Q="x"), "Monopole Q 'x' is not a number"),
     (lambda: ms.Monopole(10**400), "Monopole g 1000.* is beyond the double range"),
@@ -45,6 +47,13 @@ def test_constant_b_requires_nonzero_b():
 def test_model_numbers_that_are_not_finite_reals_are_refused_by_name(make, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):
         make()
+
+
+def test_helical_fields_up_to_the_double_range_are_kept():
+    # A_amp / beta = 1e300 and 1.0: the field stays finite at the edge
+    for model in (ms.HelicalB(1e300, 1.0), ms.HelicalB(1.0, 1e-300), ms.HelicalB(1e-300, 1e-300)):
+        assert np.isfinite(model.magnetic_field(np.array([0.1, 0.2, 0.3]))).all()
+        assert np.isfinite(model.b_and_grad_v([0.1, 0.2, 0.3])).all()
 
 
 def _radius_fn(r):

@@ -3,7 +3,7 @@
 Hypothesis draws the sign of B, the monopole charge g, the sign of the
 helical pitch beta and the phase phi0, then checks identities that hold
 for every such system: the bracket table is antisymmetric and agrees
-with `poisson_bracket` pair by pair, every known integral commutes with
+with the table of each pair alone, every known integral commutes with
 H up to round-off, in any gauge, and the uniform-field algebra keeps its
 structure constants and both Casimirs.
 """
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import magsuper as ms
 
-from helpers import monopole_states, random_states, rng
+from helpers import monopole_states, random_states, rng, stack_states
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -61,7 +61,7 @@ def test_bracket_matrix_is_antisymmetric_and_pairwise(model, seed):
         assert not np.diag(m).any()
         for i, f in enumerate(fns):
             for j, g in enumerate(fns):
-                assert m[i, j] == ms.poisson_bracket(f, g, s)
+                assert m[i, j] == ms.bracket_matrix([f, g], s)[0, 1]
 
 
 @SETTINGS
@@ -124,11 +124,12 @@ def test_constant_b_structure_constants_and_casimirs(sign, size, seed):
                          + np.linalg.norm(gx) * np.linalg.norm(fp) + sum(map(abs, terms)))
                 assert abs(m[i, j] - sum(terms)) <= ROUND_OFF * scale
     # 2 X1t X7 + X5^2 + X6^2 = 2H and 2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H
-    assert ms.casimir_check(B, states)["max_residual"] < 1e-10
+    assert ms.casimir_check(B, stack_states(states))["max_residual"] < 1e-10
 
 
 @SETTINGS
 @given(sign, size, st.floats(-2.0, 2.0), seed)
 def test_monopole_closure_either_charge(sign, size, Q, seed):
-    rep = ms.monopole_closure_check(sign * size, monopole_states(rng(seed), 20), Q=Q)
+    rep = ms.monopole_closure_check(sign * size, stack_states(monopole_states(rng(seed), 20)),
+                                    Q=Q)
     assert rep["max_discrepancy"] < 1e-9

@@ -15,9 +15,9 @@ import pytest
 
 import magsuper as ms
 from magsuper import cli
-from magsuper.algebra import _monopole_model
+from magsuper.algebra import _zero_field_model
 
-from helpers import monopole_positions, monopole_states, random_states, rng
+from helpers import monopole_positions, monopole_states, random_states, rng, stack_states
 
 
 # ---------------------------------------------------------------------------
@@ -25,18 +25,18 @@ from helpers import monopole_positions, monopole_states, random_states, rng
 
 
 def _reference_verify_brackets(specs, model, states):
-    """bracket_with_h and bracket_matrix from one poisson_bracket per pair."""
+    """bracket_with_h and bracket_matrix from one two-function table per pair."""
     h_fn = ms.hamiltonian_function(model)
     fns = [ms.as_phase_function(sp, model) for sp in specs]
     bracket_h = {
-        sp.name: max(abs(ms.poisson_bracket(f, h_fn, s)) for s in states)
+        sp.name: max(abs(ms.bracket_matrix([f, h_fn], s)[0, 1]) for s in states)
         for sp, f in zip(specs, fns)
     }
     k = len(fns)
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            val = max(abs(ms.poisson_bracket(fns[i], fns[j], s)) for s in states)
+            val = max(abs(ms.bracket_matrix([fns[i], fns[j]], s)[0, 1]) for s in states)
             matrix[i][j] = matrix[j][i] = val
     return bracket_h, matrix
 
@@ -118,10 +118,6 @@ def _reference_bracket_table(B, states, use_gradients):
             "n_states": len(states)}
 
 
-def _stack(states):
-    return np.array([s.x for s in states]), np.array([s.p for s in states])
-
-
 def _stripped(fns):
     """The functions without their gradients: brackets by central differences."""
     return [ms.PhaseFunction(f.name, f.fn) for f in fns]
@@ -132,7 +128,7 @@ def _stripped_bracket_table(B, states):
     stripped, all states through one bracket_matrix."""
     basis = ms.constantB_basis(B)
     table = ms.constantB_bracket_table(B)
-    s = _stack(states)
+    s = stack_states(states)
     vals = {f.name: f.fn(s) for f in basis}
     br = ms.bracket_matrix(_stripped(basis), s)
     pairs = {}
@@ -149,13 +145,13 @@ def _stripped_bracket_table(B, states):
 @pytest.mark.parametrize("B", [1.3, -0.7])
 def test_bracket_table_matches_per_pair_loop(B, use_gradients):
     states = random_states(rng(611), 300 if use_gradients else 40, p1_min=0.1)
-    got = (ms.verify_bracket_table(B, states) if use_gradients
+    got = (ms.verify_bracket_table(B, stack_states(states)) if use_gradients
            else _stripped_bracket_table(B, states))
     assert got == _reference_bracket_table(B, states, use_gradients)
 
 
 def _reference_closure(g, states, Q, use_gradients):
-    model = _monopole_model(g, Q)
+    model = ms.Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
     specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
     checks = {}
     for s in states:
@@ -180,10 +176,10 @@ def _reference_closure(g, states, Q, use_gradients):
 def _stripped_closure(g, states, Q):
     """The report of monopole_closure_check for the functions with their
     gradients stripped, all states through one bracket_matrix."""
-    model = _monopole_model(g, Q)
+    model = ms.Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
     specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
     fns = [ms.as_phase_function(sp, model) for sp in specs]
-    s = _stack(states)
+    s = stack_states(states)
     vals = [f.fn(s) for f in fns[:3]]
     br = ms.bracket_matrix(_stripped(fns), s)
     checks = {}
@@ -200,7 +196,7 @@ def _stripped_closure(g, states, Q):
 @pytest.mark.parametrize("g, Q", [(2.0, 1.0), (-1.5, 0.0), (0.0, 0.0)])
 def test_closure_check_matches_per_pair_loop(g, Q, use_gradients):
     states = monopole_states(rng(612), 300 if use_gradients else 40)
-    got = (ms.monopole_closure_check(g, states, Q=Q) if use_gradients
+    got = (ms.monopole_closure_check(g, stack_states(states), Q=Q) if use_gradients
            else _stripped_closure(g, states, Q))
     assert got == _reference_closure(g, states, Q, use_gradients)
 
@@ -601,23 +597,23 @@ def test_stacked_algebra_basis_and_casimirs_have_one_point_bits(B):
                               [f(s) for s in states]), f.name
         for got, want in zip(f.grad((xs, ps)), zip(*(f.grad(s) for s in states))):
             assert np.array_equal(got, want), f.name
-    assert ms.casimir_check(B, states) == _reference_casimirs(B, states)
+    assert ms.casimir_check(B, stack_states(states)) == _reference_casimirs(B, states)
     # at x1 = x3 = 0, X5 = -p2 and X6 = -p3 carry those coordinates into the
     # squares of the Casimirs; one state per call, so no maximum hides them
     for x, p in zip(xs[:60], ps[:60]):
         s = ms.PhaseState([0.0, x[1], 0.0], p)
-        assert ms.casimir_check(B, [s]) == _reference_casimirs(B, [s])
+        assert ms.casimir_check(B, stack_states([s])) == _reference_casimirs(B, [s])
 
 
 @pytest.mark.parametrize("g", [2.0, 0.0])
 def test_checks_of_no_states_report_zeros(g):
     # g = 0 is a Custom model, whose row-by-row methods must keep the
     # shape of an empty stack
-    closure = ms.monopole_closure_check(g, [])
+    closure = ms.monopole_closure_check(g, stack_states([]))
     assert closure["n_states"] == 0 and set(closure["checks"].values()) == {0.0}
-    table = ms.verify_bracket_table(1.3, [])
+    table = ms.verify_bracket_table(1.3, stack_states([]))
     assert table["n_states"] == 0 and set(table["pairs"].values()) == {0.0}
-    assert ms.casimir_check(1.3, [])["max_residual"] == 0.0
+    assert ms.casimir_check(1.3, stack_states([]))["max_residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------
