@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from ._g17 import g17_table
 from .algebra import (
     casimir_check,
     monopole_admissible,
@@ -84,12 +85,14 @@ def dumps_report(obj, indent: int = 0) -> str:
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float
-            and obj.size and np.isfinite(obj).all()):
-        # a table of finite floats: one %-format per row, same bytes as below
-        cell = "\n" + "  " * (indent + 2) + "%.17g"
-        row_fmt = f"{pad}  [" + ",".join([cell] * obj.shape[1]) + f"\n{pad}  ]"
-        return "[\n" + ",\n".join(row_fmt % tuple(r) for r in obj.tolist()) + f"\n{pad}]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float and obj.size:
+        # a table: the same bytes as the lists below, from the array
+        # conversion's "," and "\n" with the indents put in
+        cells = "\n" + "  " * (indent + 2)
+        rows = f"\n{pad}  ],\n{pad}  [" + cells
+        text = g17_table(obj, _json_scalar)[:-1]
+        text = text.replace("\n", "\0").replace(",", "," + cells).replace("\0", rows)
+        return f"[\n{pad}  [{cells}{text}\n{pad}  ]\n{pad}]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -108,12 +111,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv_text(header: list[str], table: np.ndarray) -> str:
-    """CSV of an (n, k) float table; each row is one %-format of k %.17g
-    fields, the same conversion `_fmt` makes cell by cell."""
-    row_fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_fmt % tuple(row) for row in table.tolist())
-    return "\n".join(lines) + "\n"
+    """CSV of an (n, k) float table, each cell as `_fmt` writes it."""
+    return ",".join(header) + "\n" + g17_table(table, _fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +480,11 @@ def _grid(cfg: dict) -> Grid1D:
 
 def _cmd_spectrum(ns) -> int:
     cfg = load_config(ns.config)
-    kind = cfg["system"].get("model")
+    model = model_from_config(cfg["system"])
     hbar = float(cfg.get("hbar", 1.0))
     tol = _setting(ns, cfg, "tolerance", None, float)
 
-    if kind == "constant_b":
-        model = model_from_config(cfg["system"])
+    if isinstance(model, ConstantB):
         grid = _grid(cfg)
         n_levels = int(cfg.get("n_levels", 6))
         k1, k2 = float(cfg.get("k1", 0.0)), float(cfg.get("k2", 0.0))
@@ -516,12 +514,11 @@ def _cmd_spectrum(ns) -> int:
             _emit(dumps_report(report) + "\n", ns.out)
         return 2 if tol is not None and max_rel > tol else 0
 
-    if kind == "helical":
-        sys_cfg = cfg["system"]
+    if isinstance(model, HelicalB):
         for key in ("K", "E"):
             if key not in cfg:
                 raise ConfigError(f"helical spectrum config needs {key!r}")
-        params = {"A_amp": float(sys_cfg["A_amp"]), "beta": float(sys_cfg["beta"]),
+        params = {"A_amp": model.A_amp, "beta": model.beta,
                   "K": float(cfg["K"]), "phi_K": float(cfg.get("phi_K", 0.0)),
                   "hbar": hbar, "E": float(cfg["E"])}
         res = helical_reduced_solve(**params)

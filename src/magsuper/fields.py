@@ -182,11 +182,10 @@ def _rowwise(*shape):
 
 
 def _pow(r, k):
-    """r**k per point with the bits of a one-point call (numpy's vectorised
-    power can differ from libm's pow in the last bit)."""
-    if np.ndim(r) == 0:
-        return r**k
-    return np.array([v**k for v in r.tolist()])
+    """r**k per point with the bits of a one-point call: `np.float_power`
+    calls libm's pow per element, where `np.power` may take a SIMD path
+    that differs in the last bit (a Tier-1 test guards the bits)."""
+    return r**k if np.ndim(r) == 0 else np.float_power(r, k)
 
 
 def _matrix_b_and_grad_v(model, x) -> tuple:
@@ -316,9 +315,18 @@ def _generated_method(model: str, method: str, st: Statement):
         tested = set(re.findall(r"\w+", st.domain))
         test = 1 + max((i for i, line in enumerate(body) if line.split(" = ")[0] in tested),
                        default=-1)
-        body.insert(test, f"if {st.domain}:\n    raise {st.refusal}(array((x0, x1, x2)))"
-                    if floats else f"_off = {st.domain}\nif _off if x.ndim == 1 else _off.any():"
-                    f"\n    raise {st.refusal}(_first_flagged(x, _off))")
+        if floats:
+            body.insert(test, f"if {st.domain}:\n    raise {st.refusal}(array((x0, x1, x2)))")
+        else:
+            # on a stack, what the test reads overflows to inf without a
+            # warning, as on the floats of one point, and the test flags it
+            read = "\n".join([*body[:test], f"_off = {st.domain}"])
+            body[:test] = [f"if x.ndim == 1:\n{textwrap.indent(read, '    ')}\nelse:\n"
+                           f"    with _np.errstate(over='ignore'):\n"
+                           f"{textwrap.indent(read, '        ')}\n"
+                           f"if _off if x.ndim == 1 else _off.any():\n"
+                           f"    raise {st.refusal}(_first_flagged(x, _off))"]
+            test = 0
     code = body + tail
     for i in range(len(body) - 1, test, -1):
         name, expr = code[i].split(" = ", 1)

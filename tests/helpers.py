@@ -282,6 +282,30 @@ def boris_numpy(model, s0, t_end, dt):
     return times, xs, ps
 
 
+def csv_text_reference(header, table):
+    """CSV of an (n, k) float table with one %-format of k %.17g fields per
+    row: the `cli._csv_text` that the array conversion replaced, kept as
+    its byte-for-byte reference."""
+    row_fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    lines.extend(row_fmt % tuple(row) for row in table.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def json_table_reference(table, indent=0):
+    """`cli.dumps_report` of a 2-D float array with one %-format per row, as
+    it wrote a table of finite floats before the array conversion; other
+    tables take its path of nested lists, which writes one cell at a time."""
+    from magsuper import cli
+
+    if not (table.size and np.isfinite(table).all()):
+        return cli.dumps_report(table.tolist(), indent)
+    pad = "  " * indent
+    cell = "\n" + "  " * (indent + 2) + "%.17g"
+    row_fmt = f"{pad}  [" + ",".join([cell] * table.shape[1]) + f"\n{pad}  ]"
+    return "[\n" + ",\n".join(row_fmt % tuple(r) for r in table.tolist()) + f"\n{pad}]"
+
+
 def dp5_step_reference(rhs):
     """step(y, k1, h) -> (y_new, (k1, k3, k4, k5, k6, k7)): the Dormand-Prince
     attempt written as one list comprehension per stage, the stepper that

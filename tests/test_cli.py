@@ -583,7 +583,7 @@ def test_helical_phase_overflow_exits_1_with_the_domain_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["simulate", "trajectory", "verify", "fields-check",
-                                     "algebra"])
+                                     "algebra", "spectrum"])
 @pytest.mark.parametrize("params, shown", [
     ({"A_amp": 1e300, "beta": 1e-10}, "1e+300 / 1e-10"),
     ({"A_amp": 1.0, "beta": 1e-310}, "1.0 / 1e-310"),
@@ -592,7 +592,8 @@ def test_helical_field_beyond_the_double_range_exits_1_naming_it(tmp_path, capsy
                                                                 params, shown):
     cfg = _write_cfg(tmp_path, "cfg.json", {
         "system": {"model": "helical", **params},
-        "state0": {"x": [0.1, 0.2, 0.3], "p": [0.1, 0.2, 0.3]}, "t_end": 1.0})
+        "state0": {"x": [0.1, 0.2, 0.3], "p": [0.1, 0.2, 0.3]}, "t_end": 1.0,
+        "K": 1.0, "E": 1.0})
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,12 +1,15 @@
 """Field models: values, derivatives, domains, gauge shifts."""
 
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import magsuper as ms
-from magsuper.fields import curl_fd, jacobian_fd
+from magsuper.fields import _pow, curl_fd, jacobian_fd
 
 from helpers import monopole_positions, rng
 
@@ -110,9 +113,8 @@ PHASE_MESSAGE = r"^point \[.*\] puts the helical phase \(z \+ phi0\) / beta beyo
 
 @pytest.mark.parametrize("model, x", PHASE_OVERFLOWS)
 def test_helical_phase_beyond_the_double_range_is_off_the_domain(model, x):
-    # every method refuses the point with one DomainError that names it: the
-    # float methods and one (3,) point without a warning, a stack after
-    # numpy's overflow warning of its phase
+    # every method refuses the point with one DomainError that names it, and
+    # without a warning: the float methods, one (3,) point and a stack
     with pytest.raises(ms.DomainError, match=PHASE_MESSAGE) as first:
         model.b_and_grad_v(x)
     messages = set()
@@ -124,11 +126,23 @@ def test_helical_phase_beyond_the_double_range_is_off_the_domain(model, x):
         messages.add(str(exc.value))
     stack = np.array([[0.1, 0.2, 0.3], x])
     for name in ("check_domain", *STACKED):
-        with pytest.warns(RuntimeWarning, match="overflow"), \
-                pytest.raises(ms.DomainError) as exc:
+        with warnings.catch_warnings(), pytest.raises(ms.DomainError) as exc:
+            warnings.simplefilter("error")
             getattr(model, name)(stack)
         messages.add(str(exc.value))
     assert messages == {str(first.value)}
+
+
+def test_helical_stack_flags_the_point_before_numpy_overflows():
+    # the phase (1e308 + 0) / 0.1 of the first row overflows; a stack names
+    # that row as one point does, under warnings as errors
+    model = ms.HelicalB(1.0, 0.1)
+    with pytest.raises(ms.DomainError) as one:
+        model.magnetic_field(np.array([0.0, 0.0, 1e308]))
+    with warnings.catch_warnings(), pytest.raises(ms.DomainError) as stack:
+        warnings.simplefilter("error")
+        model.magnetic_field(np.array([[0.0, 0.0, 1e308], [0.0, 0.0, 1.0]]))
+    assert str(stack.value) == str(one.value)
 
 
 def test_helical_phase_within_the_double_range_is_in_the_domain():
@@ -293,3 +307,32 @@ def test_vectors_validated():
         ms.vector_potential(m, [1.0, 2.0])
     with pytest.raises(ValueError):
         ms.magnetic_field(m, [1.0, np.nan, 0.0])
+
+
+def _exponents_in_src():
+    """The exponents k of every pow(r, k) and _pow(r, k) written in src/."""
+    src = Path(ms.__file__).parent
+    text = "\n".join(path.read_text() for path in src.glob("*.py"))
+    call = r"\bpow\([^()]*(?:\([^()]*\))?[^()]*,\s*(-?[\d.]+)\)"
+    return sorted({float(k) for k in re.findall(call, text)})
+
+
+def test_float_power_has_the_bits_of_libm_pow_for_every_exponent_in_src():
+    # _pow on a stack calls np.float_power; a one-point call and the float
+    # methods call libm's pow. The two must agree bit for bit on this host
+    # and numpy, or stacked and per-point checks part ways in the last bit.
+    exponents = _exponents_in_src()
+    assert {2.0, 3.0} <= set(exponents)
+    gen = rng(2301)
+    r = np.concatenate([gen.uniform(lo, hi, 30000)
+                        for lo, hi in ((1e-6, 1e-3), (0.01, 50.0), (1e3, 1e8), (-50.0, 50.0))])
+    for k in exponents:
+        v = r if k.is_integer() else np.abs(r)  # no fractional power of a negative
+        want = np.array([x**k for x in v.tolist()])
+        got = np.float_power(v, k)
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"np.float_power(r, {k}) differs from libm's r**{k} at {differ.size} of "
+            f"{v.size} points, first r = {v[differ[0]]!r}; _pow needs the per-point "
+            "fallback on this numpy")
+        assert np.array_equal(_pow(v, k).view(np.uint64), want.view(np.uint64))
