@@ -217,8 +217,8 @@ def _row_mask(fn, what: str, rows: np.ndarray) -> np.ndarray:
     return ok
 
 
-def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.ndarray:
-    """n rows of `size` uniform draws in [-box, box], kept where `accept`
+def sample_uniform(rng, n: int, size: int, accept=None) -> np.ndarray:
+    """n rows of `size` uniform draws in [-2, 2], kept where `accept`
     passes them; a ConfigError after 1000 tries per row, and before any
     draw when n exceeds SAMPLE_MAX_ROWS; a ParameterError when n is not a
     count, or when `accept` does not return one bool per row.
@@ -238,7 +238,7 @@ def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.
             raise ConfigError(f"state sampling failed: {kept} of {n} admissible "
                               f"points in {tries} tries")
         m = min(n - kept, 1000 * n - tries)
-        block = rng.uniform(-box, box, (m, size))
+        block = rng.uniform(-2.0, 2.0, (m, size))
         tries += m
         if accept is not None:
             block = block[_row_mask(accept, "accept", block)]
@@ -247,9 +247,9 @@ def sample_uniform(rng, n: int, size: int, accept=None, box: float = 2.0) -> np.
     return np.concatenate(blocks) if blocks else np.empty((0, size))
 
 
-def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
+def sample_states(rng, n: int, p1_min: float = 0.0,
                   admissible=None) -> tuple[np.ndarray, np.ndarray]:
-    """n uniform random states in [-box, box]^6 with optional constraints,
+    """n uniform random states in [-2, 2]^6 with optional constraints,
     as the pair (x, p) of (n,3) stacks that the checks take.
 
     `admissible` filters positions (used to stay off singular loci): it
@@ -263,7 +263,7 @@ def sample_states(rng, n: int, box: float = 2.0, p1_min: float = 0.0,
             ok &= _row_mask(admissible, "admissible", y[:, :3])
         return ok
 
-    y = sample_uniform(rng, n, 6, accept, box)
+    y = sample_uniform(rng, n, 6, accept)
     return y[:, :3], y[:, 3:]
 
 

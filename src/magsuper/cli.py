@@ -22,21 +22,22 @@ import numpy as np
 from ._g17 import g17_table
 from .algebra import (
     casimir_check,
+    constantB_basis,
     monopole_admissible,
     monopole_closure_check,
     sample_states,
     sample_uniform,
     verify_bracket_table,
 )
-from .closedform import helix_solution, pendulum_reduction, helical_z_of_t, x5_integral
+from .closedform import helix_solution, pendulum_reduction, helical_z_of_t
 from .dynamics import IntegratorConfig, PhaseState, integrate
 from .errors import OVERFLOW_MESSAGE, ConfigError, MagsuperError, ParameterError
-from .fields import (ConstantB, HelicalB, Monopole, divergence_checks, field_record,
+from .fields import (ConstantB, HelicalB, Monopole, _zeros, divergence_checks, field_record,
                      model_from_config)
 from .integrals import (
     RESIDUAL_KEYS,
     IntegralSpec,
-    PhaseFunction,
+    _known,
     as_phase_function,
     bracket_matrix,
     determining_residuals,
@@ -233,6 +234,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _sampled(ns) -> tuple:
+    """config, model, tolerance, n_points and seed of a command that
+    checks sampled points."""
+    cfg = _config_for(ns)
+    model = model_from_config(cfg["system"])
+    return (cfg, model, _setting(ns, cfg, "tolerance", 1e-6, float),
+            _setting(ns, cfg, "n_points", 100, int), _setting(ns, cfg, "seed", 0, int))
+
+
 def _state0(cfg: dict) -> PhaseState:
     if "state0" not in cfg:
         raise ConfigError("config needs a 'state0' object with 'x' and 'p'")
@@ -252,8 +262,7 @@ def _sample_positions(rng, n: int, model) -> np.ndarray:
 def _watch_for(model, s0: PhaseState):
     watch = list(known_integrals(model))
     if isinstance(model, ConstantB) and abs(s0.p[0]) > 1e-6:
-        B = model.B
-        watch.append(PhaseFunction("X5", lambda s: x5_integral(B, s), model=model))
+        watch.append(constantB_basis(model.B)[4])  # X5
     return watch
 
 
@@ -318,8 +327,10 @@ def _is_number(v) -> bool:
 
 
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
-    """User-supplied integral candidates: alpha entries plus constant or
-    named s, m choices; {"known": NAME} pulls a built-in closed form."""
+    """User-supplied integral candidates, each of its own name: alpha
+    entries plus constant or named s, m choices; {"known": NAME} pulls a
+    built-in closed form. Constant s and m are functions of stacks, as
+    the built-ins' are."""
     data = _read_json(path, "spec file")
     if not isinstance(data, dict) or not isinstance(data.get("integrals"), list):
         raise ConfigError("spec file must be {\"integrals\": [...]}")
@@ -328,16 +339,16 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     for i, ent in enumerate(data["integrals"]):
         if not isinstance(ent, dict):
             raise ConfigError(f"integrals[{i}] must be an object")
-        if "known" in ent:
-            name = ent["known"]
-            if not isinstance(name, str) or name not in known:
-                raise ConfigError(
-                    f"unknown integral {name!r}; this model has {sorted(known)}")
-            out.append(known[name])
-            continue
-        name = ent.get("name", f"user{i}")
+        name = ent.get("known", ent.get("name", f"user{i}"))
+        if "known" in ent and not (isinstance(name, str) and name in known):
+            raise ConfigError(f"unknown integral {name!r}; this model has {sorted(known)}")
         if not isinstance(name, str):
             raise ConfigError(f"integrals[{i}].name must be a string")
+        if name in (sp.name for sp in out):
+            raise ConfigError(f"integrals[{i}] repeats the name {name!r}")
+        if "known" in ent:
+            out.append(known[name])
+            continue
         alpha = ent.get("alpha", {})
         if not isinstance(alpha, dict):
             raise ConfigError(f"integrals[{i}].alpha must be an object")
@@ -347,15 +358,14 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
             if not (isinstance(s_raw, list) and len(s_raw) == 3
                     and all(_is_number(v) for v in s_raw)):
                 raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
-            sv = np.array(s_raw, dtype=float)
-            s_fn, jac_s = (lambda x, sv=sv: sv), (lambda x: np.zeros((3, 3)))
+            s_fn = lambda x, sv=np.array(s_raw, dtype=float): np.broadcast_to(sv, x.shape)
+            jac_s = lambda x: np.zeros((3, 3))
         if m_raw is not None and m_raw != "zero":
             if not _is_number(m_raw):
                 raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")
-            m_fn, grad_m = (lambda x, c=float(m_raw): c), (lambda x: np.zeros(3))
+            m_fn, grad_m = (lambda x, c=float(m_raw): c + _zeros(x)), (lambda x: np.zeros(3))
         try:
-            out.append(IntegralSpec(name, alpha, s=s_fn, m=m_fn,
-                                    jac_s=jac_s, grad_m=grad_m))
+            out.append(_known(name, alpha, s_fn, m_fn, jac_s, grad_m))
         except ParameterError as exc:
             raise ConfigError(f"integrals[{i}]: {exc}") from exc
     if not out:
@@ -364,11 +374,7 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
 
 
 def _cmd_verify(ns) -> int:
-    cfg = _config_for(ns)
-    model = model_from_config(cfg["system"])
-    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
-    n = _setting(ns, cfg, "n_points", 100, int)
-    seed = _setting(ns, cfg, "seed", 0, int)
+    cfg, model, tol, n, seed = _sampled(ns)
     hbar = float(cfg.get("hbar", 1.0))
     rng = _rng(seed)
     specs = _load_spec_file(ns.spec, model) if ns.spec else _verify_specs(model)
@@ -420,12 +426,8 @@ _CASIMIR_TOL = 1e-10
 
 
 def _cmd_algebra(ns) -> int:
-    cfg = _config_for(ns)
-    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
-    n = _setting(ns, cfg, "n_points", 100, int)
-    seed = _setting(ns, cfg, "seed", 0, int)
+    cfg, model, tol, n, seed = _sampled(ns)
     rng = _rng(seed)
-    model = model_from_config(cfg["system"])
 
     if isinstance(model, ConstantB):
         B = model.B
@@ -549,11 +551,7 @@ def _cmd_spectrum(ns) -> int:
 
 
 def _cmd_fields_check(ns) -> int:
-    cfg = _config_for(ns)
-    model = model_from_config(cfg["system"])
-    tol = _setting(ns, cfg, "tolerance", 1e-6, float)
-    n = _setting(ns, cfg, "n_points", 100, int)
-    seed = _setting(ns, cfg, "seed", 0, int)
+    cfg, model, tol, n, seed = _sampled(ns)
     pts = _sample_positions(_rng(seed), n, model)
     rep = divergence_checks(model, pts)
     ok = rep.max_div_b < tol and rep.max_curl_mismatch < tol

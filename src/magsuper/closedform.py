@@ -18,12 +18,6 @@ from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
 from .fields import HelicalB, _as_real
 
-__all__ = [
-    "helix_solution", "x5_integral", "x6_integral", "tilde_transform",
-    "PendulumReduction", "pendulum_reduction", "zeta_solution",
-    "helical_z_of_t",
-]
-
 #: half-width of the separatrix band |kappa - 1| routed to numerics
 SEPARATRIX_DELTA = 1e-6
 
@@ -74,16 +68,20 @@ def helix_solution(B: float, s0: PhaseState, t):
     return PhaseState._of_finite(np.array([x, y, z]), np.array([p1, p2, p3t]))
 
 
-def _phase_angle(B: float, x, p, tol: float):
+#: the least |p1| at which X5 and X6 are evaluated
+_P1_MIN = 1e-8
+
+
+def _phase_angle(B: float, x, p):
     p1 = p.T[0]
-    if (abs(p1) < tol).any():
+    if (abs(p1) < _P1_MIN).any():
         small = np.atleast_1d(abs(p1))
-        raise DegenerateMomentum(f"|p1|={small[small < tol][0]} below {tol}: "
+        raise DegenerateMomentum(f"|p1|={small[small < _P1_MIN][0]} below {_P1_MIN}: "
                                  "the helix degenerates to a circle")
     return B * x.T[0] / p1
 
 
-def x5_integral(B: float, s: PhaseState, tol: float = 1e-8):
+def x5_integral(B: float, s: PhaseState):
     """(Bz - p2) cos(Bx/p1) - p3 sin(Bx/p1); needs p1 away from 0.
 
     At a PhaseState, or per state of a pair (x, p) of (n,3) stacks with
@@ -91,15 +89,15 @@ def x5_integral(B: float, s: PhaseState, tol: float = 1e-8):
     """
     B = _as_real(B, f"x5_integral B {B!r}")
     x, p = _state_arrays(s)
-    c, sn = _cos_sin(_phase_angle(B, x, p, tol))
+    c, sn = _cos_sin(_phase_angle(B, x, p))
     return (B * x.T[2] - p.T[1]) * c - p.T[2] * sn
 
 
-def x6_integral(B: float, s: PhaseState, tol: float = 1e-8):
+def x6_integral(B: float, s: PhaseState):
     """(p2 - Bz) sin(Bx/p1) - p3 cos(Bx/p1); companion of x5_integral."""
     B = _as_real(B, f"x6_integral B {B!r}")
     x, p = _state_arrays(s)
-    c, sn = _cos_sin(_phase_angle(B, x, p, tol))
+    c, sn = _cos_sin(_phase_angle(B, x, p))
     return (p.T[1] - B * x.T[2]) * sn - p.T[2] * c
 
 

@@ -504,8 +504,9 @@ _E = np.eye(3)
 
 
 def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec:
-    """A built-in spec; its s, m, jac_s and grad_m take (3,) or (n,3)
-    points (a jac_s or grad_m that returns one constant serves every point)."""
+    """A built-in spec, or a candidate of a `verify --spec` file; its s, m,
+    jac_s and grad_m take (3,) or (n,3) points (a jac_s or grad_m that
+    returns one constant serves every point)."""
     for fn in (s, m, jac_s, grad_m):
         if fn is not None:
             fn.stacks = True

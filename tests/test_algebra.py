@@ -10,7 +10,7 @@ from helpers import (monopole_admissible_per_point, monopole_states, rng,
 
 
 def _states(seed, n, p1_min=0.0):
-    return ms.sample_states(rng(seed), n, box=2.0, p1_min=p1_min)
+    return ms.sample_states(rng(seed), n, p1_min=p1_min)
 
 
 def test_bracket_table_with_analytic_gradients():
@@ -193,12 +193,12 @@ def test_runge_lenz_domain_errors():
 
 
 def test_sample_states_contract():
-    a = state_list(ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3))
-    b = state_list(ms.sample_states(rng(71), 30, box=1.5, p1_min=0.3))
+    a = state_list(ms.sample_states(rng(71), 30, p1_min=0.3))
+    b = state_list(ms.sample_states(rng(71), 30, p1_min=0.3))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.p, sb.p)
     for s in a:
-        assert np.all(np.abs(s.x) <= 1.5) and np.all(np.abs(s.p) <= 1.5)
+        assert np.all(np.abs(s.x) <= 2.0) and np.all(np.abs(s.p) <= 2.0)
         assert abs(s.p[0]) >= 0.3
     picky = state_list(ms.sample_states(rng(72), 20, admissible=ms.monopole_admissible))
     assert all(ms.monopole_admissible(s.x) for s in picky)

@@ -424,6 +424,99 @@ def test_spec_file_names_are_strings(tmp_path, capsys, entry, message):
     assert captured.err.startswith(f"magsuper: error: {message}")
 
 
+@pytest.mark.parametrize("integrals, name", [
+    ([{"name": "a", "s": [0, 1, 0]}, {"name": "a", "alpha": {"11": 1.0}}], "a"),
+    ([{"known": "X1"}, {"known": "X1"}], "X1"),
+    ([{"known": "X2"}, {"name": "X2", "s": [0, 1, 0]}], "X2"),
+    ([{"name": "user1", "m": 1.0}, {"s": [1, 0, 0]}], "user1"),
+], ids=["given", "known", "known-then-given", "given-then-default"])
+def test_spec_file_refuses_a_repeated_name(tmp_path, capsys, integrals, name):
+    # the report's maps are keyed by name: a second entry of one name would
+    # hide the first one's residual
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": integrals})
+    assert cli.main(["verify", "--system", "constant_b", "--n-points", "20",
+                     "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magsuper: error: integrals[1] repeats the name {name!r}\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"known": "X1"}], 'spec file must be {"integrals": [...]}'),
+    ({"integrals": {"known": "X1"}}, 'spec file must be {"integrals": [...]}'),
+    ({"integrals": [{"known": "X1"}, 3]}, "integrals[1] must be an object"),
+    ({"integrals": [{"name": "u", "alpha": [1.0]}]}, "integrals[0].alpha must be an object"),
+    ({"integrals": []}, "spec file lists no integrals"),
+], ids=["root-list", "integrals-object", "entry-number", "alpha-list", "empty"])
+def test_spec_file_shape_is_refused_by_name(tmp_path, capsys, data, message):
+    spec = _write_cfg(tmp_path, "spec.json", data)
+    assert cli.main(["verify", "--system", "constant_b", "--spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magsuper: error: {message}\n"
+
+
+def test_spec_file_candidates_take_no_per_point_path(tmp_path, capsys, monkeypatch):
+    # constant s and m are functions of stacks, as the built-ins' are: none
+    # of them is called once per sampled point
+    def per_point(*args, **kwargs):
+        raise AssertionError("a spec-file candidate was called point by point")
+
+    monkeypatch.setattr(ms.fields, "_per_point", per_point)
+    monkeypatch.setattr(ms.integrals, "_per_point", per_point)
+    spec = _write_cfg(tmp_path, "spec.json", {"integrals": [
+        {"name": "p1", "s": [1, 0, 0]}, {"name": "c", "m": 1.5},
+        {"name": "p1sq", "alpha": {"11": 1}}, {"known": "X2"}]})
+    assert cli.main(["verify", "--system", "constant_b", "--n-points", "50",
+                     "--spec", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["integrals"] == ["p1", "c", "p1sq", "X2"] and doc["pass"] is True
+
+
+def test_a_directory_as_config_exits_1(tmp_path, capsys):
+    assert cli.main(["verify", "--config", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"magsuper: error: cannot read config {tmp_path}: ")
+
+
+@pytest.mark.parametrize("text", ["[]", "1.5", '"constant_b"', "null"])
+def test_a_config_root_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main(["fields-check", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "magsuper: error: config root must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "fields-check"])
+@pytest.mark.parametrize("system", ["constant_b", "helical"])
+def test_potential_on_a_model_other_than_the_monopole_exits_1(capsys, command, system):
+    assert cli.main([command, "--system", system, "--potential", "modified"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("magsuper: error: --potential applies only to the "
+                            "monopole model\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+@pytest.mark.parametrize("drop, message", [
+    ("state0", "config needs a 'state0' object with 'x' and 'p'"),
+    ("t_end", "config needs 't_end'"),
+])
+def test_a_trajectory_config_without_state0_or_t_end_exits_1(tmp_path, capsys, command,
+                                                              drop, message):
+    cfg = {"system": {"model": "constant_b", "B": 1.0},
+           "state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": 1.0}
+    del cfg[drop]
+    path = _write_cfg(tmp_path, "cfg.json", cfg)
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magsuper: error: {message}\n"
+
+
 _BORIS = {"state0": {"x": [0, 0, 0], "p": [1, 0, 0]}, "t_end": 5.0,
           "integrator": {"method": "boris", "dt": 0.5}}
 _FAR = {"state0": {"x": [1e110, 0, 1e110], "p": [0, 0, 0]}, "t_end": 1.0}

@@ -99,6 +99,15 @@ def test_pendulum_reduction_of_another_model_names_it():
         ms.pendulum_reduction(ms.ConstantB(1.0), s0)
 
 
+@pytest.mark.parametrize("p, kappa, message", [
+    (-1.0, 0.0, "momentum modulus p must be nonnegative"),
+    (1.0, -1.5, "kappa < -1 is unphysical"),
+])
+def test_pendulum_reduction_refuses_unphysical_constants(p, kappa, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        ms.PendulumReduction(p=p, phi_p=0.0, kappa=kappa, tau0=0.0, z0=0.0, zdot0=0.0)
+
+
 def test_x5_x6_constant_along_helix():
     B = 2.0
     s0 = ms.PhaseState([0.1, 0.5, -0.3], [1.2, 0.4, 0.7])

@@ -521,3 +521,35 @@ def test_a_subclass_that_overrides_hamilton_rhs_is_called_by_the_stepper():
     step = dynamics._dp5_stepper(_NoCalls(1.0, 1.0).hamilton_rhs, 6)
     with pytest.raises(AssertionError, match="^a step was taken$"):
         step(y, ms.HelicalB(1.0, 1.0).hamilton_rhs(y), 0.01)
+
+
+def test_trajectory_arrays_of_inconsistent_lengths_are_refused():
+    with pytest.raises(ms.ParameterError, match=r"^trajectory arrays have inconsistent lengths$"):
+        ms.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(2),
+                      {}, ms.ConstantB(B=1.0), "rk45")
+
+
+def test_a_value_error_of_user_code_aborts_an_rk45_run():
+    def a(x):
+        if x[0] > 0.5:
+            raise ValueError("beyond the wall")
+        return np.zeros(3)
+
+    model = ms.Custom(a=a, v=lambda x: 0.0)
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ms.StepFailure, match=r"^integration aborted: beyond the wall$"):
+        ms.integrate(model, s0, 2.0)
+
+
+def test_a_boris_kick_that_overflows_v_stops_after_the_full_step():
+    # the first half drift stays at the origin; the two kicks of -grad V take
+    # v to -inf, and the second half drift carries x there
+    model = ms.Custom(a=lambda x: np.zeros(3), v=lambda x: -1.7e308 * x[0],
+                      b=lambda x: np.zeros(3), grad_v=lambda x: np.array([1.7e308, 0.0, 0.0]))
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    cfg = ms.IntegratorConfig(method="boris", dt=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.StepFailure) as exc:
+            ms.integrate(model, s0, 4.0, cfg)
+    assert str(exc.value) == ms.errors.OVERFLOW_MESSAGE

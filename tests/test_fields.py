@@ -82,6 +82,17 @@ def test_model_numbers_are_stored_as_floats():
     assert models[1] == ms.HelicalB(3.0, -1.0, 0.5)
 
 
+def test_cylindrical_axis_is_off_the_domain_when_f2_does_not_vanish_there():
+    model = ms.Cylindrical(f1=lambda r: 0.0, df1=lambda r: 0.0, f2=lambda r: 1.0,
+                           df2=lambda r: 0.0, v=lambda r: 0.0, dv=lambda r: 0.0)
+    axis = np.array([0.0, 0.0, 0.5])
+    for x in (axis, np.array([[1.0, 0.0, 0.0], axis, [0.0, 0.0, -1.0]])):
+        with pytest.raises(ms.DomainError) as exc:
+            model.check_domain(x)
+        assert str(exc.value) == f"point {axis} lies on the singular symmetry axis"
+    model.check_domain(np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]]))
+
+
 def test_helical_field_is_curl_of_potential():
     m = ms.HelicalB(A_amp=3.0, beta=3.0, phi0=0.4)
     gen = rng(11)
