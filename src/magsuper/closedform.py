@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import PhaseState, _dp5_interpolant, _run_rk45, _state_arrays
 from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
-from .fields import HelicalB, _as_real
+from .fields import HelicalB, _as_instance, _as_real, _real_fields
 
 #: half-width of the separatrix band |kappa - 1| routed to numerics
 SEPARATRIX_DELTA = 1e-6
@@ -35,11 +35,11 @@ def helix_solution(B: float, s0: PhaseState, t):
     """Exact constant-field state at time t from initial state s0.
 
     Uniform drift along x and gyration in the (y, z) plane with
-    angular frequency B; p1 and p2 are constant. For an array of times
+    angular frequency B; p1 and p2 are constant. For a 1-D array of times
     the states come as a pair (x, p) of (n,3) stacks, each row with the
-    bits of the one-time call. B and a single t are finite real numbers,
-    else a ParameterError names them, and so is a state that leaves the
-    double range at a single t.
+    bits of the one-time call. B and each t are finite real numbers, else
+    a ParameterError names them, and so is a state that leaves the double
+    range at a single t.
     """
     # a finite float passes as it is; any other B or t goes through its checks
     if type(B) is not float or not math.isfinite(B):
@@ -52,7 +52,12 @@ def helix_solution(B: float, s0: PhaseState, t):
     if type(t) is not float or not math.isfinite(t):
         stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
         if stacked:
-            t = np.asarray(t, dtype=float)
+            try:
+                t = np.asarray(t, dtype=float)
+            except (TypeError, ValueError):
+                t = None
+            if t is None or t.ndim != 1 or not np.isfinite(t).all():
+                raise ParameterError("helix_solution t is not a 1-D array of finite times")
         else:  # a number, or an array of one
             t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
     c, s = _cos_sin(B * t)
@@ -103,7 +108,7 @@ def x6_integral(B: float, s: PhaseState):
 
 def tilde_transform(s: PhaseState) -> tuple[float, float]:
     """Canonical pair (x/p1, p1^2/2) replacing (x, p1); needs p1 > 0."""
-    p1 = s.p[0]
+    p1 = _as_instance(s, PhaseState, "tilde_transform s", "a PhaseState").p[0]
     if p1 <= 0:
         raise DegenerateMomentum(f"tilde_transform needs p1 > 0, got {p1}")
     return float(s.x[0] / p1), float(0.5 * p1 * p1)
@@ -129,6 +134,7 @@ class PendulumReduction:
     zdot0: float
 
     def __post_init__(self):
+        _real_fields(self, "p", "phi_p", "kappa", "tau0", "z0", "zdot0")
         if self.p < 0:
             raise ParameterError("momentum modulus p must be nonnegative")
         if self.kappa < -1:
@@ -196,14 +202,16 @@ def zeta_solution(red: PendulumReduction, tau: float) -> float:
     at tau0) and the rotating formula for kappa > 1 (zeta = -1 at
     tau0). The separatrix band must be integrated numerically instead.
     """
-    kappa = red.kappa
+    kappa = _as_instance(red, PendulumReduction, "zeta_solution red",
+                         "a PendulumReduction").kappa
+    tau = _as_real(tau, f"zeta_solution tau {tau!r}")
     if kappa <= -1.0 + SEPARATRIX_DELTA:
         raise DegenerateKappa(
             f"kappa={kappa} too close to -1: motion degenerates to rest")
     if abs(kappa - 1.0) <= SEPARATRIX_DELTA:
         raise SeparatrixRegime(
             f"kappa={kappa} within {SEPARATRIX_DELTA} of 1: integrate numerically")
-    dt = float(tau) - red.tau0
+    dt = tau - red.tau0
     if kappa > 1.0:
         k = math.sqrt(2.0 / (kappa + 1.0))
         sn = jacobi_sn(0.5 * math.sqrt(kappa + 1.0) * dt, k)

@@ -13,13 +13,14 @@ of n floats (`_dp5_source`): each stage sum and the error norm are
 written out per component, in the order of the list comprehensions over
 components that they replace, so every float keeps their bits. Where
 the right-hand side is the `hamilton_rhs` of a model that states it as
-source (`fields.RhsSource`: `ConstantB`, `HelicalB`, `Monopole`), each
-stage evaluates that source in place and calls nothing; any other
-right-hand side (`Cylindrical`, `Custom`, an override of `hamilton_rhs`
-in a subclass, a wrapper, the separatrix pendulum) is called once per
-stage. It is compiled on the first run for each n, or each model class
-and n, in 1-3 ms, and kept in a small cache; the loop, the dense
-output and the separatrix z(t) of `closedform` all use it.
+source (`fields.RhsSource`: `ConstantB`, `HelicalB`, `Monopole`,
+`Cylindrical`), each stage evaluates that source in place and calls no
+method (the user's F1, F2 and V of a `Cylindrical` are called where its
+source calls them); any other right-hand side (`Custom`, an override of
+`hamilton_rhs` in a subclass, a wrapper, the separatrix pendulum) is
+called once per stage. It is compiled on the first run for each n, or
+each model class and n, in 1-3 ms, and kept in a small cache; the loop,
+the dense output and the separatrix z(t) of `closedform` all use it.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class SolverStats:
     `nfev` counts the evaluations, whether the attempt writes the model's
     source in place or calls `hamilton_rhs`: an RK45 run evaluates it
     twice to start and six times per attempt, and only the two starting
-    evaluations of a closed-form model are calls.
+    evaluations of a stated model are calls.
 
     A Boris run takes `steps` equal steps of t_end / steps, rejects none
     and evaluates the fields once per step.

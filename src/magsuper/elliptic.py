@@ -13,26 +13,14 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .fields import _as_real
 
 
 def _check_modulus(k: float) -> float:
-    k = float(k)
+    k = _as_real(k, f"modulus k {k!r}")
     if not 0.0 <= k <= 1.0:
         raise ParameterError(f"modulus k={k} outside [0, 1]")
     return k
-
-
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two nonnegative numbers."""
-    a, b = float(a), float(b)
-    if a < 0 or b < 0:
-        raise ParameterError("agm needs nonnegative arguments")
-    # tolerance must exceed one ulp of the limit or the pair can cycle
-    for _ in range(64):
-        if abs(a - b) <= 4e-16 * max(a, b):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
 
 
 def ellipk(k: float) -> float:

@@ -16,13 +16,14 @@ right-hand side of Hamilton's equations at one state of six floats, and
 `b_and_grad_v`, B and grad V at one point of three floats, which the
 Boris step calls once per step.
 
-The three closed-form models are each stated once, as a `Statement` of
-A, J_A, B, V, grad V and the domain test in straight-line source, and
-all their methods are generated from it at import (`_generated`). The
-source of `hamilton_rhs` is its `source`, which the Dormand-Prince
-attempt of `dynamics` writes into each of its stages instead of calling
-it. `Cylindrical` and `Custom` assemble both float methods from their
-numpy methods (`_matrix_rhs`, `_matrix_b_and_grad_v`).
+`ConstantB`, `HelicalB`, `Monopole` and `Cylindrical` are each stated
+once, as a `Statement` of A, J_A, B, V, grad V and the domain test in
+straight-line source, and all their methods are generated from it at
+import (`_generated`); the user's functions of `Cylindrical` enter the
+statement through `at`. The source of `hamilton_rhs` is its `source`,
+which the Dormand-Prince attempt of `dynamics` writes into each of its
+stages instead of calling it. Only `Custom` assembles both float methods
+from its numpy methods (`_matrix_rhs`, `_matrix_b_and_grad_v`).
 """
 
 from __future__ import annotations
@@ -206,12 +207,12 @@ def _matrix_rhs(model, y) -> tuple:
 
 
 class Statement(NamedTuple):
-    """A closed-form model stated once: `text`, lines `name = expression`
-    over x0, x1, x2, the attributes `params` (separated by spaces) and
-    RHS_GLOBALS, that end in the outputs A0..A2, Jik = dA_i/dx_k, B0..B2, V
-    and G0..G2 = grad V (one that no line assigns is a structural zero);
-    `domain`, written with `|`, true off the model's domain, where the
-    function `refusal` of RHS_GLOBALS gives a point's DomainError."""
+    """A model stated once: `text`, lines `name = expression` over x0, x1,
+    x2, the attributes `params` (separated by spaces) and RHS_GLOBALS, that
+    end in the outputs A0..A2, Jik = dA_i/dx_k, B0..B2, V and G0..G2 =
+    grad V (one that no line assigns is a structural zero); `domain`,
+    written with `|`, true off the model's domain, where the function
+    `refusal` of RHS_GLOBALS gives a point's DomainError."""
 
     params: str
     text: str
@@ -220,7 +221,7 @@ class Statement(NamedTuple):
 
 
 class RhsSource(NamedTuple):
-    """A float method of a closed-form model as straight-line source: the
+    """A float method of a stated model as straight-line source: the
     statements `body`, then `result`, the items of the tuple of six floats
     it returns. Both read the method's state (RHS_STATE for `hamilton_rhs`,
     x0, x1, x2 for `b_and_grad_v`), the attributes `params` and the names
@@ -245,17 +246,28 @@ def _helical_domain_error(point) -> DomainError:
                        "beyond the double range")
 
 
+def _cylindrical_domain_error(point) -> DomainError:
+    return DomainError(f"point {point} lies on the singular symmetry axis")
+
+
+def _at(fn, r):
+    """fn, a user's function of one radius, as a float at r, a number, or
+    at each radius of an (n,) array, one call per radius."""
+    return _per_point(lambda q: float(fn(float(q))), r, 0, dtype=float)
+
+
 #: the state of an RhsSource, in the order of Hamilton's six equations
 RHS_STATE = ("x0", "x1", "x2", "p0", "p1", "p2")
 #: what a Statement, and so an RhsSource, may read besides its state and
 #: parameters, as functions of floats
 RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "pow": math.pow,
-               "inf": math.inf, "array": np.array, "EPS_DOMAIN": EPS_DOMAIN,
-               "monopole_domain_error": _monopole_domain_error,
-               "helical_domain_error": _helical_domain_error}
+               "at": lambda fn, r: float(fn(r)), "inf": math.inf, "array": np.array,
+               "EPS_DOMAIN": EPS_DOMAIN, "monopole_domain_error": _monopole_domain_error,
+               "helical_domain_error": _helical_domain_error,
+               "cylindrical_domain_error": _cylindrical_domain_error}
 #: the same names as functions of arrays, and what the stacked methods add
 _ARRAY_GLOBALS = {**RHS_GLOBALS, "sqrt": np.sqrt, "cos": np.cos, "sin": np.sin, "pow": _pow,
-                  "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged}
+                  "at": _at, "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged}
 #: each generated method, in the order `_generated` returns them: what it
 #: returns, and the outputs of the statement that it reads
 _METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl A", "B0 B1 B2"),
@@ -482,8 +494,8 @@ class Cylindrical:
 
     Gauge: A = (-y F2(R)/R^2, x F2(R)/R^2, -F1(R)) with R = sqrt(x^2+y^2);
     V is an arbitrary function of R. F1, F2, V are supplied as callables
-    of R together with their first derivatives. The axis R = 0 is
-    singular unless F2(0) = 0.
+    of R, each called with one radius at a time, with their first
+    derivatives. Every formula divides by R: the axis is off the domain.
     """
 
     f1: Callable[[float], float]
@@ -493,72 +505,39 @@ class Cylindrical:
     v: Callable[[float], float]
     dv: Callable[[float], float]
 
-    hamilton_rhs = _matrix_rhs
-    b_and_grad_v = _matrix_b_and_grad_v
-
     def __post_init__(self):
         _callable_fields(self, ("f1", "df1", "f2", "df2", "v", "dv"))
 
-    def _radius(self, x: Vec3):
-        return np.hypot(x.T[0], x.T[1])
-
-    @staticmethod
-    def _at_radius(fn, r):
-        """fn, a user function of one radius, at R a number or shape (n,)."""
-        return _per_point(lambda q: fn(float(q)), r, 0, dtype=float)
-
-    def check_domain(self, x: Vec3) -> None:
-        point = _first_flagged(x, self._radius(x) < EPS_DOMAIN)
-        if point is not None and abs(self.f2(EPS_DOMAIN)) > EPS_DOMAIN:
-            raise DomainError(f"point {point} lies on the singular symmetry axis")
-
-    def vector_potential(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        r = self._radius(x)
-        f2 = self._at_radius(self.f2, r)
-        x0, x1, _ = x.T
-        r2 = _pow(r, 2)
-        return np.array([-x1 * f2 / r2, x0 * f2 / r2, -self._at_radius(self.f1, r)]).T
-
-    def magnetic_field(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        r = self._radius(x)
-        d1 = self._at_radius(self.df1, r)
-        x0, x1, _ = x.T
-        return np.array([-d1 * x1 / r, d1 * x0 / r, self._at_radius(self.df2, r) / r]).T
-
-    def scalar_potential(self, x: Vec3) -> float:
-        return self._at_radius(self.v, self._radius(x))
-
-    def _radial_gradient(self, fn, x: Vec3) -> Vec3:
-        """The gradient of a function of R whose derivative is fn, a user
-        function of one radius."""
-        r = self._radius(x)
-        d = self._at_radius(fn, r)
-        x0, x1, _ = x.T
-        return np.array([d * x0 / r, d * x1 / r, _zeros(x)]).T
-
-    def grad_potential(self, x: Vec3) -> Vec3:
-        return self._radial_gradient(self.dv, x)
-
-    def jacobian_a(self, x: Vec3) -> np.ndarray:
-        self.check_domain(x)
-        r = self._radius(x)
-        f2, d2, d1 = (self._at_radius(f, r) for f in (self.f2, self.df2, self.df1))
-        x0, x1, _ = x.T
-        # d/dxj of f2/R^2, with dR/dx = (x/R, y/R, 0)
+    # q = F2 / R^2 and dq = d/dR (F2 / R^2), with dR/dx = (gx, gy, 0)
+    statement = Statement("f1 df1 f2 df2 v dv", """
+        r = sqrt(x0 * x0 + x1 * x1)
+        F2 = at(f2, r)
+        r2 = pow(r, 2)
+        A0 = -x1 * F2 / r2
+        A1 = x0 * F2 / r2
+        A2 = -at(f1, r)
+        D1 = at(df1, r)
+        D2 = at(df2, r)
         gx = x0 / r
         gy = x1 / r
-        dq = (d2 * r - 2 * f2) / _pow(r, 3)  # d/dR (f2/R^2)
-        q = f2 / _pow(r, 2)
-        j = np.zeros(x.shape + (3,))
-        j.T[0, 0] = -x1 * dq * gx
-        j.T[1, 0] = -q - x1 * dq * gy
-        j.T[0, 1] = q + x0 * dq * gx
-        j.T[1, 1] = x0 * dq * gy
-        j.T[0, 2] = -d1 * gx
-        j.T[1, 2] = -d1 * gy
-        return j
+        dq = (D2 * r - 2 * F2) / pow(r, 3)
+        q = F2 / r2
+        J00 = -x1 * dq * gx
+        J01 = -q - x1 * dq * gy
+        J10 = q + x0 * dq * gx
+        J11 = x0 * dq * gy
+        J20 = -D1 * gx
+        J21 = -D1 * gy
+        B0 = -D1 * x1 / r
+        B1 = D1 * x0 / r
+        B2 = D2 / r
+        V = at(v, r)
+        dV = at(dv, r)
+        G0 = dV * x0 / r
+        G1 = dV * x1 / r
+        """, domain="r < EPS_DOMAIN", refusal="cylindrical_domain_error")
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
+     check_domain, b_and_grad_v, hamilton_rhs) = _generated("Cylindrical", statement)
 
 
 @dataclass(frozen=True)
@@ -630,6 +609,9 @@ class GaugeFunction:
     gradient: Callable[[Vec3], Vec3]
     hessian: Callable[[Vec3], np.ndarray] | None = None
 
+    def __post_init__(self):
+        _callable_fields(self, ("chi", "gradient"), ("hessian",))
+
     def hessian_at(self, x: Vec3) -> np.ndarray:
         if self.hessian is not None:
             return np.asarray(self.hessian(x), dtype=float)
@@ -685,14 +667,8 @@ def gauge_shift(model: FieldModel, chi: GaugeFunction) -> Custom:
     def jac(x):
         return model.jacobian_a(x) + chi.hessian_at(x)
 
-    return Custom(
-        a=a,
-        v=model.scalar_potential,
-        b=model.magnetic_field,
-        jac_a=jac,
-        grad_v=model.grad_potential,
-        domain=model.check_domain,
-    )
+    return Custom(a=a, v=model.scalar_potential, b=model.magnetic_field, jac_a=jac,
+                  grad_v=model.grad_potential, domain=model.check_domain)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .fields import (
     _as_points,
     _as_real,
     _as_vec3,
+    _at,
     _callable_fields,
     _per_point,
     _pow,
@@ -649,16 +650,19 @@ def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
 
 
 def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
-    """L3 and P3."""
-    # F1, F2 and their derivatives are the user's: one radius per call
-    def of_radius(fn, x):
-        return model._at_radius(fn, model._radius(x))
+    """L3 and P3: m = -F2(R) and F1(R), with R as the model's statement
+    reads it, and grad m = m'(R) (x/R, y/R, 0)."""
+    def radial(fn, sign, gradient=False):
+        def of_x(x):
+            r = np.sqrt(x.T[0] * x.T[0] + x.T[1] * x.T[1])
+            d = sign * _at(fn, r)
+            return np.array([d * x.T[0] / r, d * x.T[1] / r, _zeros(x)]).T if gradient else d
+
+        return of_x
 
     return [
-        _generator("l3", None, _E[2], lambda x: -of_radius(model.f2, x),
-                   lambda x: -model._radial_gradient(model.df2, x)),
-        _generator("p3", _E[2], None, lambda x: of_radius(model.f1, x),
-                   lambda x: model._radial_gradient(model.df1, x)),
+        _generator("l3", None, _E[2], radial(model.f2, -1.0), radial(model.df2, -1.0, True)),
+        _generator("p3", _E[2], None, radial(model.f1, 1.0), radial(model.df1, 1.0, True)),
     ]
 
 

@@ -7,8 +7,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import (ConfigError, ConstantB, DomainError, HelicalB, Monopole, ParameterError,
-                      PhaseState, StepFailure)
+from magsuper import (ConfigError, ConstantB, Cylindrical, DomainError, HelicalB, Monopole,
+                      ParameterError, PhaseState, StepFailure)
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E
 from magsuper.fields import EPS_DOMAIN, cross
 
@@ -112,6 +112,20 @@ def kepler_orbit(gen, g, q, a):
     a_vec = -g / (r * (r + x[2])) * np.array([x[1], -x[0], 0.0])
     period = 2.0 * math.pi * q / (-2.0 * energy) ** 1.5
     return x, v - a_vec, energy, period, r_max
+
+
+def agm(a, b):
+    """Arithmetic-geometric mean of two nonnegative numbers: the oracle of
+    K(k) = pi / (2 agm(1, k'))."""
+    a, b = float(a), float(b)
+    if a < 0 or b < 0:
+        raise ValueError("agm needs nonnegative arguments")
+    # tolerance must exceed one ulp of the limit or the pair can cycle
+    for _ in range(64):
+        if abs(a - b) <= 4e-16 * max(a, b):
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
 
 
 def hermite_values(n, xi):
@@ -421,12 +435,65 @@ def _helical_phase(model, x):
     return u
 
 
+def _cylindrical_radius(x):
+    """R per point as the hand-written Cylindrical methods took it, by
+    np.hypot, after the domain test of the model's statement."""
+    r = np.hypot(x.T[0], x.T[1])
+    point = _first_flagged(x, r < EPS_DOMAIN)
+    if point is not None:
+        raise DomainError(f"point {point} lies on the singular symmetry axis")
+    return r
+
+
+def _cylindrical_reference(model, method, x):
+    r = _cylindrical_radius(x)
+
+    def at(fn):
+        # the user's function at one radius per call
+        if np.ndim(r) == 0:
+            return fn(float(r))
+        return np.array([fn(float(q)) for q in r], dtype=float).reshape(r.shape)
+
+    x0, x1, _ = x.T
+    if method == "vector_potential":
+        f2, r2 = at(model.f2), _pow(r, 2)
+        return np.array([-x1 * f2 / r2, x0 * f2 / r2, -at(model.f1)]).T
+    if method == "magnetic_field":
+        d1 = at(model.df1)
+        return np.array([-d1 * x1 / r, d1 * x0 / r, at(model.df2) / r]).T
+    if method == "scalar_potential":
+        return at(model.v)
+    if method == "grad_potential":
+        d = at(model.dv)
+        return np.array([d * x0 / r, d * x1 / r, np.zeros(x.shape[:-1])]).T
+    if method == "check_domain":
+        return None
+    assert method == "jacobian_a"
+    f2, d2, d1 = at(model.f2), at(model.df2), at(model.df1)
+    # d/dx_j of F2/R^2, with dR/dx = (x/R, y/R, 0)
+    gx, gy = x0 / r, x1 / r
+    dq = (d2 * r - 2 * f2) / _pow(r, 3)
+    q = f2 / _pow(r, 2)
+    jac = np.zeros(x.shape + (3,))
+    jac.T[0, 0] = -x1 * dq * gx
+    jac.T[1, 0] = -q - x1 * dq * gy
+    jac.T[0, 1] = q + x0 * dq * gx
+    jac.T[1, 1] = x0 * dq * gy
+    jac.T[0, 2] = -d1 * gx
+    jac.T[1, 2] = -d1 * gy
+    return jac
+
+
 def field_reference(model, method, x):
-    """`method` of a ConstantB, HelicalB or Monopole at one point (3,) or an
-    (n,3) stack x, as the numpy methods written out by hand that the
-    models' generated methods replaced, kept as their bit-for-bit
-    reference; a point off the domain is the DomainError of the model's
-    domain test."""
+    """`method` of a ConstantB, HelicalB, Monopole or Cylindrical at one
+    point (3,) or an (n,3) stack x, as the numpy methods written out by
+    hand that the models' generated methods replaced; a point off the
+    domain is the DomainError of the model's domain test. It is the
+    bit-for-bit reference of the first three; the Cylindrical methods took
+    R = np.hypot(x, y), where the statement takes sqrt(x x + y y), so they
+    agree within a few ulps."""
+    if isinstance(model, Cylindrical):
+        return _cylindrical_reference(model, method, x)
     zeros = np.zeros(x.shape)
     jac = np.zeros(x.shape[:-1] + (3, 3))
     scalar_zero = np.zeros(len(x)) if x.ndim == 2 else 0.0

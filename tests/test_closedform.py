@@ -67,6 +67,15 @@ def test_helix_refuses_arguments_that_are_not_finite_reals_by_name(B, t, message
         ms.helix_solution(B, ms.PhaseState([0, 0, 0], [1, 0, 0]), t)
 
 
+@pytest.mark.parametrize("t", [np.array([0.0, math.inf]), np.array([-math.inf, 1.0]),
+                               np.array([1.0, math.nan]), np.array([[1e308]]), ["a"]],
+                         ids=["inf", "-inf", "nan", "2-D", "str"])
+def test_helix_refuses_an_array_of_times_that_are_not_finite_reals(t):
+    with pytest.raises(ms.ParameterError,
+                       match="^helix_solution t is not a 1-D array of finite times$"):
+        ms.helix_solution(1.0, ms.PhaseState([0, 0, 0], [1, 0, 0]), t)
+
+
 def test_helix_refuses_a_state_beyond_the_double_range():
     # x = x0 + p1 t overflows at a finite t
     s0 = ms.PhaseState([0.0, 0.0, 0.0], [4.0, 0.0, 0.0])
@@ -106,6 +115,30 @@ def test_pendulum_reduction_of_another_model_names_it():
 def test_pendulum_reduction_refuses_unphysical_constants(p, kappa, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):
         ms.PendulumReduction(p=p, phi_p=0.0, kappa=kappa, tau0=0.0, z0=0.0, zdot0=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("p", math.nan, "PendulumReduction p nan is not finite"),
+    ("kappa", math.nan, "PendulumReduction kappa nan is not finite"),
+    ("tau0", math.inf, "PendulumReduction tau0 inf is not finite"),
+    ("p", "a", "PendulumReduction p 'a' is not a number"),
+])
+def test_pendulum_reduction_refuses_constants_that_are_not_finite_reals(field, value, message):
+    constants = {"p": 1.0, "phi_p": 0.0, "kappa": 0.0, "tau0": 0.0, "z0": 0.0, "zdot0": 0.0}
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        ms.PendulumReduction(**{**constants, field: value})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ms.zeta_solution(_HELICAL_REDUCTION, math.nan), "zeta_solution tau nan is not finite"),
+    (lambda: ms.zeta_solution(_HELICAL_REDUCTION, math.inf), "zeta_solution tau inf is not finite"),
+    (lambda: ms.zeta_solution(_HELICAL_REDUCTION, "x"), "zeta_solution tau 'x' is not a number"),
+    (lambda: ms.zeta_solution("x", 1.0), "zeta_solution red 'x' is not a PendulumReduction"),
+    (lambda: ms.tilde_transform("x"), "tilde_transform s 'x' is not a PhaseState"),
+])
+def test_reduced_entry_points_refuse_bad_arguments_by_name(call, message):
+    with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+        call()
 
 
 def test_x5_x6_constant_along_helix():

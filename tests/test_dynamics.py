@@ -278,9 +278,9 @@ def test_boris_keeps_the_bits_of_the_step_on_vectors(index):
 @pytest.mark.parametrize("index", range(5), ids=["constant_b", "helical", "monopole",
                                                  "cylindrical", "custom"])
 def test_boris_takes_b_and_grad_v_from_one_call_per_step(monkeypatch, index):
-    # the closed-form models answer from their compiled b_and_grad_v and never
-    # reach their numpy magnetic_field or grad_potential; Cylindrical and
-    # Custom reach each of them once per step
+    # the stated models answer from their compiled b_and_grad_v and never
+    # reach their numpy magnetic_field or grad_potential; Custom reaches
+    # each of them once per step
     model = (_models() + [_custom_model()])[index]
     s0, t_end, dt = ms.PhaseState([0.9, -0.4, 0.3], [0.6, 0.2, -0.5]), 1.0, 0.01
     if isinstance(model, ms.Monopole):
@@ -293,7 +293,7 @@ def test_boris_takes_b_and_grad_v_from_one_call_per_step(monkeypatch, index):
         method = getattr(type(model), name)
 
         def counted(self, x, method=method, name=name):
-            if not isinstance(self, (ms.Cylindrical, ms.Custom)):
+            if not isinstance(self, ms.Custom):
                 raise AssertionError(f"{name} was called")
             calls.append(name)
             return method(self, x)
@@ -301,7 +301,7 @@ def test_boris_takes_b_and_grad_v_from_one_call_per_step(monkeypatch, index):
         monkeypatch.setattr(type(model), name, counted)
     traj = ms.integrate(model, s0, t_end, cfg)
     assert np.array_equal(traj.x, want.x) and np.array_equal(traj.p, want.p)
-    user_code = isinstance(model, (ms.Cylindrical, ms.Custom))
+    user_code = isinstance(model, ms.Custom)
     assert sorted(calls) == sorted(["magnetic_field", "grad_potential"] * user_code
                                    * want.stats.steps)
 

@@ -8,7 +8,7 @@ import scipy.special as sps
 
 import magsuper as ms
 
-from helpers import rng
+from helpers import agm, rng
 
 
 MODULI = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999)
@@ -97,15 +97,15 @@ def test_inverse_round_trips():
 
 
 def test_agm_basics():
-    assert ms.agm(1.0, 1.0) == 1.0
-    assert ms.agm(2.0, 8.0) == pytest.approx(ms.agm(8.0, 2.0), rel=1e-15)
-    assert ms.agm(0.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+    assert agm(1.0, 1.0) == 1.0
+    assert agm(2.0, 8.0) == pytest.approx(agm(8.0, 2.0), rel=1e-15)
+    assert agm(0.0, 5.0) == pytest.approx(0.0, abs=1e-12)
     # K(k) = pi / (2 agm(1, k'))
     k = 0.7
     kp = math.sqrt(1 - k * k)
-    assert ms.ellipk(k) == pytest.approx(math.pi / (2 * ms.agm(1.0, kp)), rel=1e-15)
+    assert ms.ellipk(k) == pytest.approx(math.pi / (2 * agm(1.0, kp)), rel=1e-15)
     with pytest.raises(ValueError):
-        ms.agm(-1.0, 2.0)
+        agm(-1.0, 2.0)
 
 
 def test_domain_validation():
@@ -118,3 +118,10 @@ def test_domain_validation():
         ms.inv_sn(1.5, 0.5)
     with pytest.raises(ValueError):
         ms.inv_am(2.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [lambda: ms.jacobi_sn(0.1, "a"), lambda: ms.ellipk("a"),
+                                  lambda: ms.inv_am(0.1, "a")])
+def test_a_modulus_that_is_not_a_number_is_refused_by_name(call):
+    with pytest.raises(ms.ParameterError, match="^modulus k 'a' is not a number$"):
+        call()

@@ -69,6 +69,8 @@ def _radius_fn(r):
     (lambda: ms.Custom(a=np.zeros, v=np.sum, grad_v="x"), "Custom grad_v 'x' is not callable"),
     (lambda: ms.Cylindrical(*[_radius_fn] * 5, 0.0), "Cylindrical dv 0.0 is not callable"),
     (lambda: ms.Cylindrical(None, *[_radius_fn] * 5), "Cylindrical f1 None is not callable"),
+    (lambda: ms.GaugeFunction(1, 2), "GaugeFunction chi 1 is not callable"),
+    (lambda: ms.GaugeFunction(_radius_fn, 2), "GaugeFunction gradient 2 is not callable"),
 ])
 def test_model_functions_that_are_not_callable_are_refused_by_name(make, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):
@@ -91,6 +93,39 @@ def test_cylindrical_axis_is_off_the_domain_when_f2_does_not_vanish_there():
             model.check_domain(x)
         assert str(exc.value) == f"point {axis} lies on the singular symmetry axis"
     model.check_domain(np.array([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]]))
+
+
+@pytest.mark.parametrize("f2, df2", [(lambda r: 1.0, lambda r: 0.0),
+                                     (lambda r: r**3, lambda r: 3 * r**2)],
+                         ids=["F2(0)=1", "F2(0)=0"])
+def test_every_cylindrical_call_refuses_the_axis(f2, df2):
+    # every formula divides by R, so the axis is off the domain also where
+    # F2(0) = 0: a DomainError before any division, warnings as errors
+    model = ms.Cylindrical(f1=lambda r: r**2, df1=lambda r: 2 * r, f2=f2, df2=df2,
+                           v=lambda r: 0.5 * r**2, dv=lambda r: r)
+    axis, p = np.array([0.0, 0.0, 0.5]), np.array([0.6, 0.2, -0.5])
+    stack = np.array([[1.0, 0.0, 0.0], axis, [0.0, 0.0, -1.0]])
+    s0, pair = ms.PhaseState(axis, p), (stack, np.tile(p, (3, 1)))
+    calls = [lambda: model.b_and_grad_v(axis.tolist()),
+             lambda: model.hamilton_rhs([*axis, *p])]
+    for name in ("vector_potential", "magnetic_field", "scalar_potential", "grad_potential",
+                 "jacobian_a", "check_domain"):
+        calls += [lambda m=getattr(model, name): m(axis), lambda m=getattr(model, name): m(stack)]
+    for method in ("rk45", "boris"):
+        calls.append(lambda m=method: ms.integrate(model, s0, 1.0,
+                                                    ms.IntegratorConfig(method=m, dt=0.01)))
+    for spec in ms.known_integrals(model):
+        calls += [lambda sp=spec: ms.evaluate_integral(sp, model, s0),
+                  lambda sp=spec: ms.evaluate_integral(sp, model, pair),
+                  lambda sp=spec: ms.determining_residuals(sp, model, axis),
+                  lambda sp=spec: ms.determining_residuals(sp, model, stack)]
+    assert [spec.name for spec in ms.known_integrals(model)] == ["l3", "p3"]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.DomainError) as exc:
+                call()
+        assert str(exc.value) == f"point {axis} lies on the singular symmetry axis"
 
 
 def test_helical_field_is_curl_of_potential():

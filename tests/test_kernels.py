@@ -387,3 +387,73 @@ def test_stacked_methods_have_the_bits_of_the_hand_written_ones(model):
                 lambda: field_reference(model, name, x)), (name, x)
     far = _outcome(lambda: model.check_domain(np.array([0.0, 0.0, 1e9])))
     assert (far is not None) == (getattr(model, "beta", None) == 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Cylindrical: the stated model whose F1, F2 and V are the user's
+
+
+def _cylindrical_points(seed, n):
+    """The points of `_point_lists` with the signs and zeros of
+    `test_stacked_methods_have_the_bits_of_the_hand_written_ones`: every
+    fourth beside the z-axis, so some on it, and the center."""
+    xs = np.array(_point_lists(rng(seed), n))
+    xs[1::13] *= -1.0
+    xs[2::13, 0] = -0.0
+    xs[3::13, :2] = [0.0, -0.0]
+    return xs
+
+
+def test_cylindrical_b_and_grad_v_has_the_bits_of_its_numpy_methods():
+    # as test_b_and_grad_v_has_the_bits_of_the_numpy_methods: six floats with
+    # the same bytes, and the same DomainError text where those refuse the point
+    model, refused = _cyl_model(), 0
+    for x in _cylindrical_points(523, 10000).tolist():
+        try:
+            want = np.concatenate([model.magnetic_field(np.array(x)),
+                                   model.grad_potential(np.array(x))])
+        except ms.DomainError as exc:
+            refused += 1
+            with pytest.raises(ms.DomainError) as got:
+                model.b_and_grad_v(x)
+            assert str(got.value) == str(exc), x
+            continue
+        got = model.b_and_grad_v(x)
+        assert type(got) is tuple and len(got) == 6 and all(type(c) is float for c in got)
+        assert np.array(got).tobytes() == want.tobytes(), x
+    assert refused > 100
+
+
+def test_cylindrical_stacked_methods_have_the_bits_of_per_point_calls():
+    # on a stack off the axis: the bytes of the per-point calls, row by row;
+    # on a stack with points on it: the DomainError of the first of them
+    model, xs = _cyl_model(), _cylindrical_points(529, 20000)
+    refused = np.array([_outcome(lambda: model.check_domain(x)) is not None for x in xs])
+    kept, first = xs[~refused][:2000], xs[np.argmax(refused)]
+    assert refused.sum() > 100
+    for name in METHODS:
+        method = getattr(model, name)
+        want = np.array([method(x) for x in kept])
+        assert method(kept).tobytes() == want.tobytes(), name
+        assert _outcome(lambda: method(xs)) == _outcome(lambda: method(first)), name
+        assert _outcome(lambda: method(kept[:0])) == _outcome(lambda: want[:0]), name
+
+
+# the most ulps, of the largest value at the point, by which a Cylindrical
+# method differs from the hand-written one it replaced: R was np.hypot there
+# and is sqrt(x x + y y) here (measured on these points: 4 for A, B and J_A,
+# 3 for V and 2 for grad V)
+CYLINDRICAL_ULPS = 4
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_cylindrical_methods_are_the_hand_written_ones_within_a_few_ulps(name):
+    model, xs = _cyl_model(), _cylindrical_points(541, 20000)
+    xs = xs[np.hypot(xs[:, 0], xs[:, 1]) > 1e-6]
+    got, want = getattr(model, name)(xs), field_reference(model, name, xs)
+    assert got.shape == want.shape
+    scale = np.abs(want).reshape(len(xs), -1).max(axis=1)
+    error = np.abs(got - want).reshape(len(xs), -1).max(axis=1)
+    assert np.all(error <= CYLINDRICAL_ULPS * np.spacing(scale))
+    # the two radii differ in the last bit at a sixth of these points
+    assert np.mean(got == want) > 0.8

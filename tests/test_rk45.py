@@ -225,13 +225,17 @@ def _pendulum(y):
     return [y[1], -0.5 * math.sin(y[0])]
 
 
-# the `hamilton_rhs` of a closed-form model: its stepper writes the model's
-# source into each stage and calls nothing
+# the `hamilton_rhs` of a stated model: its stepper writes the model's
+# source into each stage and calls no method (a Cylindrical's source calls
+# its user's functions of the radius)
 _HELICAL = ms.HelicalB(A_amp=1.0, beta=1.0).hamilton_rhs
 _MONOPOLE = ms.Monopole(g=2.0, Q=1.0).hamilton_rhs
 _CONSTANT_B = ms.ConstantB(B=-0.7).hamilton_rhs
 _HELICAL_SHIFTED = ms.HelicalB(A_amp=1.5, beta=-1.3, phi0=-1.1).hamilton_rhs
 _MONOPOLE_BARE = ms.Monopole(g=-1.1, Q=0.0, barrier=False).hamilton_rhs
+_CYLINDRICAL = ms.Cylindrical(f1=lambda r: r**2, df1=lambda r: 2 * r,
+                              f2=lambda r: r**3, df2=lambda r: 3 * r**2,
+                              v=lambda r: 0.5 * r**2, dv=lambda r: r).hamilton_rhs
 
 
 def _random_state(gen):
@@ -255,6 +259,8 @@ STEPPER_CASES = {
     "monopole-6": (_MONOPOLE, _monopole_state),
     "monopole-called-6": (lambda y: _MONOPOLE(y), _monopole_state),
     "monopole-bare-6": (_MONOPOLE_BARE, _monopole_state),
+    "cylindrical-6": (_CYLINDRICAL, _random_state),
+    "cylindrical-called-6": (lambda y: _CYLINDRICAL(y), _random_state),
     "helical-with-clock-7": (lambda y: (*_HELICAL(y[:6]), 1.0),
                              lambda gen: np.append(random_states(gen, 1)[0].as_array(), 0.0)),
     "monopole-with-energy-7": (lambda y: (*_MONOPOLE(y[:6]), y[3] * y[3] - y[5]),

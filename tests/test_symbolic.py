@@ -344,11 +344,19 @@ def test_bracket_matrix_gradients_match_the_symbolic_ones(case):
 def _statement_outputs(cls, barrier):
     """Every name that cls.statement assigns, in sympy: its lines evaluated
     in order on the symbols x, y, z and the model's parameters, with sqrt,
-    cos, sin and pow as sympy's, and its decimals as exact rationals."""
+    cos, sin and pow as sympy's, `at` as function application, and its
+    decimals as exact rationals. The Cylindrical's f1, f2 and v are sympy
+    functions, and df1, df2 and dv their derivatives."""
     st = cls.statement
     env = {"x0": X, "x1": Y, "x2": Z, "barrier": barrier}
-    env.update((p, sp.Symbol(p, real=True)) for p in st.params.split() if p != "barrier")
-    functions = {"sqrt": sp.sqrt, "cos": sp.cos, "sin": sp.sin, "pow": sp.Pow}
+    if cls is ms.Cylindrical:
+        r = sp.Dummy("r")
+        for name in ("f1", "f2", "v"):
+            env[name] = sp.Function(name.upper())
+            env["d" + name] = lambda q, fn=env[name]: fn(r).diff(r).subs(r, q)
+    env.update((p, sp.Symbol(p, real=True)) for p in st.params.split() if p not in env)
+    functions = {"sqrt": sp.sqrt, "cos": sp.cos, "sin": sp.sin, "pow": sp.Pow,
+                 "at": lambda fn, r: fn(r)}
     for line in st.text.strip().splitlines():
         name, expr = line.strip().split(" = ", 1)
         value = sp.sympify(eval(expr, functions, env))
@@ -357,7 +365,8 @@ def _statement_outputs(cls, barrier):
 
 
 @pytest.mark.parametrize("cls, barrier", [(ms.ConstantB, True), (ms.HelicalB, True),
-                                          (ms.Monopole, True), (ms.Monopole, False)])
+                                          (ms.Monopole, True), (ms.Monopole, False),
+                                          (ms.Cylindrical, True)])
 def test_statement_states_b_j_and_grad_v_of_its_a_and_v(cls, barrier):
     # an output that the statement does not assign is a structural zero
     out = _statement_outputs(cls, barrier)
