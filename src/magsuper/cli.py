@@ -38,6 +38,7 @@ from .integrals import (
     RESIDUAL_KEYS,
     IntegralSpec,
     _known,
+    _zero_jacobian,
     as_phase_function,
     bracket_matrix,
     determining_residuals,
@@ -359,7 +360,7 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
                     and all(_is_number(v) for v in s_raw)):
                 raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
             s_fn = lambda x, sv=np.array(s_raw, dtype=float): np.broadcast_to(sv, x.shape)
-            jac_s = lambda x: np.zeros((3, 3))
+            jac_s = _zero_jacobian
         if m_raw is not None and m_raw != "zero":
             if not _is_number(m_raw):
                 raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")

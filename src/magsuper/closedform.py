@@ -38,8 +38,8 @@ def helix_solution(B: float, s0: PhaseState, t):
     angular frequency B; p1 and p2 are constant. For a 1-D array of times
     the states come as a pair (x, p) of (n,3) stacks, each row with the
     bits of the one-time call. B and each t are finite real numbers, else
-    a ParameterError names them, and so is a state that leaves the double
-    range at a single t.
+    a ParameterError names them; a phase B t or a state that leaves the
+    double range at any t is a ParameterError too.
     """
     # a finite float passes as it is; any other B or t goes through its checks
     if type(B) is not float or not math.isfinite(B):
@@ -60,16 +60,28 @@ def helix_solution(B: float, s0: PhaseState, t):
                 raise ParameterError("helix_solution t is not a 1-D array of finite times")
         else:  # a number, or an array of one
             t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
-    c, s = _cos_sin(B * t)
-    x = x0 + p1 * t
-    y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
-    z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
-    p3t = c * p3 + s * (p2 - B * z0)
+    finite = (lambda v: np.isfinite(v).all()) if stacked else math.isfinite
+
+    def state():
+        # a phase or a state beyond the double range is refused, at any t
+        phase = B * t
+        if not finite(phase):
+            raise ParameterError("helix_solution phase B t is beyond the double range")
+        c, s = _cos_sin(phase)
+        x = x0 + p1 * t
+        y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
+        z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
+        p3t = c * p3 + s * (p2 - B * z0)
+        if not all(map(finite, (x, y, z, p3t))):
+            raise ParameterError("vector has non-finite components")
+        return x, y, z, p3t
+
     if stacked:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y, z, p3t = state()
         ones = np.ones_like(t)
         return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
-    if not all(map(math.isfinite, (x, y, z, p3t))):
-        raise ParameterError("vector has non-finite components")
+    x, y, z, p3t = state()
     return PhaseState._of_finite(np.array([x, y, z]), np.array([p1, p2, p3t]))
 
 

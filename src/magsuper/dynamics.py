@@ -18,15 +18,21 @@ source (`fields.RhsSource`: `ConstantB`, `HelicalB`, `Monopole`,
 method (the user's F1, F2 and V of a `Cylindrical` are called where its
 source calls them); any other right-hand side (`Custom`, an override of
 `hamilton_rhs` in a subclass, a wrapper, the separatrix pendulum) is
-called once per stage. It is compiled on the first run for each n, or
-each model class and n, in 1-3 ms, and kept in a small cache; the loop,
-the dense output and the separatrix z(t) of `closedform` all use it.
+called once per stage. A momentum that the source conserves (its slope
+is the literal 0.0: p0 and p1 of `ConstantB` and `HelicalB`, p2 of
+`Cylindrical`) costs no arithmetic: each of its stage sums is y_j plus a
+zero fixed when the attempt is generated, and its error term is 0.0.
+The attempt is compiled on the first run for each n, or each model class
+and n, in 1-3 ms, and kept in a small cache; the loop, the dense output
+and the separatrix z(t) of `closedform` all use it.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import operator
 import re
 import sys
 import textwrap
@@ -328,6 +334,22 @@ def _initial_step(rhs, y, f, t_end, max_step, rtol, atol) -> float:
     return min(100 * h0, h1, t_end, max_step)
 
 
+def _structural_zeros(result: str) -> frozenset[int]:
+    """The indices of the items of `result`, the items of a tuple as source,
+    that are the literal 0.0: the structural zeros of a right-hand side."""
+    items = ast.parse(f"({result},)", mode="eval").body.elts
+    # a literal is never negative: -0.0 is a minus applied to 0.0
+    return frozenset(j for j, item in enumerate(items)
+                     if isinstance(item, ast.Constant) and type(item.value) is float
+                     and item.value == 0.0)
+
+
+def _zero_sum(weights) -> float:
+    """(sum_i w_i k_i) * h, summed from the left as an attempt sums it, for
+    slopes k_i that are all +0.0 and a step h > 0: a signed zero."""
+    return functools.reduce(operator.add, (w * 0.0 for w in weights if w)) * 1.0
+
+
 def _dp5_source(n: int, source: RhsSource | None = None) -> str:
     """Source of `make(_rhs, *params)`, which returns the attempt `step` of
     `_dp5_stepper` for states of n floats. Each stage sum, y_new and the
@@ -341,13 +363,21 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
     the stage sums and its parameters to the arguments of `make` (n is 6);
     without a source, the call `_rhs([...])` of the stage sums. Every
     other name of the attempt starts with an underscore, so none meets a
-    name of the source."""
+    name of the source.
+
+    A component j whose result item is the literal 0.0 (a conserved
+    momentum, `_structural_zeros`) has the slope +0.0 at every stage, k1
+    and the k7 carried to the next step included, since both come from
+    the same source. So each of its sums is y_j plus the signed zero that
+    the weighted sum of +0.0 slopes times h > 0 gives (`_zero_sum`), and
+    its error term is 0.0: no slope of j is named or weighed."""
     idx = range(n)
     if source is None:
         state = [f"_x{j}" for j in idx]
         source = RhsSource((), "", f"_rhs([{', '.join(state)}])")
     else:
         state = RHS_STATE
+    zero = _structural_zeros(source.result)
     # a component that the source does not read is not summed: its sum has
     # no effect, and float sums raise nothing. One that only a raise line
     # reads, to name the point it refuses, is summed in that line.
@@ -356,11 +386,16 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
         if not line.lstrip().startswith("raise "))))
 
     def names(prefix):
-        return ", ".join(f"{prefix}{j}" for j in idx)
+        return ", ".join("_" if j in zero else f"{prefix}{j}" for j in idx)
 
     def weighted(weights, j):
         # each weight as its float's repr, which reads back as the same float
         return " + ".join(f"{w!r} * _k{i}_{j}" for i, w in enumerate(weights, 1) if w)
+
+    def summed(weights, j):
+        if j in zero:
+            return f"_y{j} + {_zero_sum(weights)!r}"
+        return f"_y{j} + ({weighted(weights, j)}) * _h"
 
     def stage(i, sums):
         # the state bound to the sums, then the slopes k_i and their components
@@ -372,21 +407,28 @@ def _dp5_source(n: int, source: RhsSource | None = None) -> str:
                 + ([textwrap.indent(body, " " * 8)] if body else [])
                 + [f"        _k{i} = ({source.result})", f"        {names(f'_k{i}_')}, = _k{i}"])
 
+    def error(j):
+        # h E.K_j / (atol + max(|y_j|, |y_new_j|) rtol), each abs taken once
+        if j in zero:
+            return "0.0"
+        return (f"({weighted(RK45_E, j)}) * _h / (_atol + (_a{j} if _a{j} > _b{j} else _b{j})"
+                " * _rtol)")
+
     lines = [f"def make({', '.join(('_rhs', *source.params))}):",
              "    def step(_y, _k1, _h, _atol=1.0, _rtol=1.0):",
-             f"        {names('_y')}, = _y",
+             f"        {', '.join(f'_y{j}' for j in idx)}, = _y",
              f"        {names('_k1_')}, = _k1"]
     for i, row in enumerate(RK45_A[1:], 2):
-        lines += stage(i, [f"_y{j} + ({weighted(row, j)}) * _h" for j in idx])
-    lines += [f"        _d{j} = _y{j} + ({weighted(RK45_B, j)}) * _h" for j in idx]
-    finite = " and ".join(f"_isfinite(_d{j})" for j in idx)
-    errors = ", ".join(f"({weighted(RK45_E, j)}) * _h / (_atol + (abs(_y{j})"
-                       f" if abs(_y{j}) > abs(_d{j}) else abs(_d{j})) * _rtol)" for j in idx)
+        lines += stage(i, [summed(row, j) for j in idx])
+    lines += [f"        _d{j} = {summed(RK45_B, j)}" for j in idx]
+    # y is finite, and so is a folded y_j plus a zero
+    finite = " and ".join(f"_isfinite(_d{j})" for j in idx if j not in zero)
     lines += [f"        if not ({finite}):",
               "            raise _StepFailure(_NON_FINITE)",
-              f"        _y_new = [{names('_d')}]",
+              f"        _y_new = [{', '.join(f'_d{j}' for j in idx)}]",
               *stage(7, [f"_d{j}" for j in idx]),
-              f"        _err = _hypot({errors}) / {math.sqrt(n)!r}",
+              *(f"        _a{j}, _b{j} = abs(_y{j}), abs(_d{j})" for j in idx if j not in zero),
+              f"        _err = _hypot({', '.join(map(error, idx))}) / {math.sqrt(n)!r}",
               "        return _y_new, _err, (_k1, _k3, _k4, _k5, _k6, _k7)",
               "    return step"]
     return "\n".join(lines) + "\n"
@@ -407,8 +449,8 @@ def _dp5_maker(n: int, source: RhsSource | None = None):
 
 def _dp5_stepper(rhs, n: int):
     """step(y, k1, h, atol=1.0, rtol=1.0) -> (y_new, err, (k1, k3, k4, k5,
-    k6, k7)): one Dormand-Prince attempt of size h from the state y (n
-    floats) with slope k1 = rhs(y), its error norm (the RMS over
+    k6, k7)): one Dormand-Prince attempt of size h > 0 from the state y (n
+    finite floats) with slope k1 = rhs(y), its error norm (the RMS over
     components of h E.K / (atol + max(|y|, |y_new|) rtol)), and the stage
     slopes that the error and the dense output weigh (the second has
     weight 0 in both). A y_new that is not finite is a StepFailure before
@@ -417,7 +459,8 @@ def _dp5_stepper(rhs, n: int):
     When rhs is the `hamilton_rhs` of a model that carries its RhsSource
     (the class's own method, not an override or a wrapper) the attempt
     evaluates that source in place, with the model's parameters, and
-    calls nothing; any other rhs is called once per stage."""
+    calls nothing, and the components that the source keeps constant take
+    no arithmetic; any other rhs is called once per stage."""
     source = getattr(getattr(rhs, "__func__", None), "source", None)
     if not isinstance(source, RhsSource):
         return _dp5_maker(n)(rhs)
@@ -532,14 +575,17 @@ def _run_boris(model, s0, t_end, cfg):
     Per step: half position drift, half potential kick, magnetic
     rotation (exactly norm-preserving), half kick, half drift; the
     canonical momentum is reconstructed as p = v - A at the new x.
-    A run of more than BORIS_MAX_STEPS steps is a ConfigError, and a
-    position or velocity that leaves the double range a StepFailure.
+    A run of more than BORIS_MAX_STEPS steps is a ConfigError, a
+    position or velocity that leaves the double range a StepFailure, and
+    a position off the model's domain after a step its DomainError.
 
     The step runs on Python floats with the operations, and so the bits,
     of the same step on 3-vectors; B and grad V come from one call of the
     model's `b_and_grad_v` at the half-drifted point, and |t|^2 from
     numpy's dot product of the rotation vector t = -B dt / 2 (BLAS may
-    fuse its multiply-adds).
+    fuse its multiply-adds). The domain test after each step is the
+    `floats` form of a stated model's `check_domain`, and `check_domain`
+    itself for any other model.
     """
     steps = float(t_end) / cfg.dt
     if not steps <= BORIS_MAX_STEPS:
@@ -555,6 +601,8 @@ def _run_boris(model, s0, t_end, cfg):
     table[0] = (0.0, x0, x1, x2, v0, v1, v2)
     t = 0.0
     fields = model.b_and_grad_v
+    stated = getattr(model.check_domain, "floats", None)
+    domain = stated.__get__(model) if stated else lambda x: model.check_domain(np.array(x))
     for i in range(1, n_steps + 1):
         x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
         # a drift to inf stops here, before the model's methods see it
@@ -575,7 +623,7 @@ def _run_boris(model, s0, t_end, cfg):
         x0, x1, x2 = x0 + half * v0, x1 + half * v1, x2 + half * v2
         if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2))):
             raise StepFailure(OVERFLOW_MESSAGE)
-        model.check_domain(np.array((x0, x1, x2)))
+        domain((x0, x1, x2))
         t += dt
         table[i] = (t, x0, x1, x2, v0, v1, v2)
     times, xs, vs = table[:, 0].copy(), table[:, 1:4].copy(), table[:, 4:].copy()

@@ -14,7 +14,8 @@ grad V at a stack into one `FieldRecord`, which the checks share.
 Every model also has two methods on floats: `hamilton_rhs`, the
 right-hand side of Hamilton's equations at one state of six floats, and
 `b_and_grad_v`, B and grad V at one point of three floats, which the
-Boris step calls once per step.
+Boris step calls once per step. The Boris step also runs the domain
+test of a stated model on floats: `check_domain.floats`.
 
 `ConstantB`, `HelicalB`, `Monopole` and `Cylindrical` are each stated
 once, as a `Statement` of A, J_A, B, V, grad V and the domain test in
@@ -283,14 +284,16 @@ def _generated(model: str, st: Statement) -> tuple:
     return tuple(_generated_method(model, method, st) for method in _METHODS)
 
 
-def _generated_method(model: str, method: str, st: Statement):
+def _generated_method(model: str, method: str, st: Statement, floats: bool = False):
     """One method of the model from st: the lines of st that its result
     reads, walking back from it, and the domain test right after the last
     line that the test reads. A line after the test that is read once is
     written into its reader, in parentheses, with the same bits.
 
     `b_and_grad_v` and `hamilton_rhs` run on floats and keep their
-    RhsSource as `source`; hamilton_rhs is v = p + A and
+    RhsSource as `source`. `check_domain` keeps as `floats` the same test
+    at one point of three floats (generated with `floats` true), which
+    the Boris step runs after each step. hamilton_rhs is v = p + A and
     dp_k = -(sum_i J_ik v_i) - G_k without structural zeros, whose `+ 0.0`
     could flip the sign of a zero. The stacked methods run on numpy arrays
     for an (n,3) stack and on floats for one (3,) point, which overflow
@@ -298,7 +301,7 @@ def _generated_method(model: str, method: str, st: Statement):
     lines = [tuple(line.strip().split(" = ", 1)) for line in st.text.strip().splitlines()]
     has = {name for name, _ in lines}
     outputs = [name for name in _METHODS[method][1].split() if name in has]
-    floats, tail = method in ("b_and_grad_v", "hamilton_rhs"), []
+    floats, tail, result = floats or method in ("b_and_grad_v", "hamilton_rhs"), [], None
     if method == "b_and_grad_v":
         result = [name if name in has else "0.0" for name in _METHODS[method][1].split()]
     elif method == "hamilton_rhs":
@@ -314,7 +317,7 @@ def _generated_method(model: str, method: str, st: Statement):
         # _out.T[i] is the component i at every point, _out.T[k, i] the entry J_ik
         tail = [f"_out = _np.zeros(x.shape{' + (3,)' if method == 'jacobian_a' else ''})",
                 *(f"_out.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs), "return _out"]
-    if floats:
+    if result:
         tail = [f"return ({', '.join(result)})"]
     need = set(re.findall(r"\w+", "\n".join(tail + [st.domain or ""])))
     body = []
@@ -362,8 +365,10 @@ def _generated_method(model: str, method: str, st: Statement):
     function = namespace[method]
     function.__doc__ = f"{_METHODS[method][0]}, from the model's `statement`."
     function.__qualname__ = f"{model}.{method}"
-    if floats:
+    if result:
         function.source = RhsSource(params, "\n".join(code[:-1]), code[-1][len("return ("):-1])
+    elif method == "check_domain" and not floats:
+        function.floats = _generated_method(model, method, st, floats=True)
     return function
 
 

@@ -347,8 +347,12 @@ def _integral_gradient(spec: IntegralSpec, rec: FieldRecord,
             c[b - 1] += coef * y[a - 1]
     c_lin, c_ang = c[:3].T, c[3:].T
     gp = c_lin + cross(c_ang, x) + _spec_s(spec, x)
-    gx = (_transpose_times(rec.jac_a, gp) + cross(pa, c_ang)
-          + _transpose_times(_spec_jac_s(spec, x), pa) + _spec_grad_m(spec, x))
+    gx = _transpose_times(rec.jac_a, gp) + cross(pa, c_ang)
+    if spec.s is None or spec.jac_s is _zero_jacobian:
+        gx += 0.0  # J_s^T pi, the +0.0 that the stack of zero J_s gives
+    else:
+        gx += _transpose_times(_spec_jac_s(spec, x), pa)
+    gx += _spec_grad_m(spec, x)
     return gx, gp
 
 
@@ -514,21 +518,30 @@ def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec
     return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
 
 
+def _zero_jacobian(x) -> np.ndarray:
+    """The jac_s of a constant s: a structural zero, whose J_s^T pi
+    `_integral_gradient` does not form."""
+    return np.zeros((3, 3))
+
+
+_zero_jacobian.stacks = True
+
+
 def _generator(name, a, b, m, grad_m) -> IntegralSpec:
     """The first-order integral X = (a + b x x) . p^A + m(x): the Euclidean
     generator a.P + b.L made covariant, from constant 3-vectors a and b
     (None for zero). Its jac_s is the constant [b]_x, whose column k is
-    b x e_k."""
+    b x e_k, or `_zero_jacobian` when b is None."""
     if b is None:
         def s(x):
             return np.broadcast_to(a, x.shape).copy()
 
-        jac = np.zeros((3, 3))
-    else:
-        def s(x):
-            return cross(b, x) if a is None else cross(b, x) + a
+        return _known(name, {}, s, m, _zero_jacobian, grad_m)
 
-        jac = cross(b, _E).T
+    def s(x):
+        return cross(b, x) if a is None else cross(b, x) + a
+
+    jac = cross(b, _E).T
     return _known(name, {}, s, m, lambda x: jac, grad_m)
 
 

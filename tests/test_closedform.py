@@ -1,6 +1,7 @@
 """Closed-form trajectories: helix, pendulum reduction, elliptic z(t)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ def test_helix_refuses_a_state_beyond_the_double_range():
     s0 = ms.PhaseState([0.0, 0.0, 0.0], [4.0, 0.0, 0.0])
     with pytest.raises(ms.ParameterError, match="^vector has non-finite components$"):
         ms.helix_solution(1.0, s0, 1e308)
+
+
+@pytest.mark.parametrize("B, p, message", [
+    (1.0, [4.0, 0.0, 0.0], "vector has non-finite components"),  # x = p1 t
+    (10.0, [0.0, 0.0, 0.0], "helix_solution phase B t is beyond the double range"),
+], ids=["x", "phase"])
+def test_helix_refuses_a_time_beyond_the_double_range_alone_and_in_an_array(B, p, message):
+    # at t = 1e308 among finite times as at t = 1e308 alone, and with no
+    # numpy warning on the way
+    s0 = ms.PhaseState([0.0, 0.0, 0.0], p)
+    for t in (1e308, np.array([1.0, 1e308]), np.array([1e308, 1.0]), [2.0, 1e308]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+                ms.helix_solution(B, s0, t)
+    # the finite times alone still pass
+    assert np.isfinite(np.hstack(ms.helix_solution(B, s0, np.array([1.0, 2.0])))).all()
 
 
 _HELICAL_REDUCTION = ms.pendulum_reduction(

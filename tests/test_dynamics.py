@@ -222,6 +222,61 @@ def test_monopole_state_beside_the_string_raises_domain_error():
         assert str(stacked.value) == str(direct.value)
 
 
+# straight lines (fields too weak to bend them) whose half-drifted point is
+# on the domain and whose first full Boris step ends off it: x0 = -0.5 + 0.5
+# = 0 on the Dirac string and on the cylindrical axis, and z beyond 1.8e8,
+# where the helical phase z / beta leaves the double range
+_BORIS_OFF_DOMAIN = {
+    "monopole": (ms.Monopole(g=1e-300), [-0.5, 0.0, -1.0], [1.0, 0.0, 0.0], 0.5,
+                 "point [ 0.0000000e+000 -2.0085616e-300 -1.0000000e+000] "
+                 "lies on the Dirac string (negative z-axis)"),
+    "cylindrical": (ms.Cylindrical(*[lambda r: 0.0] * 6), [-0.5, 0.0, 2.0], [1.0, 0.0, 0.0],
+                    0.5, "point [0. 0. 2.] lies on the singular symmetry axis"),
+    "helical": (ms.HelicalB(A_amp=1e-320, beta=1e-300), [0.0, 0.0, 1.7e8], [0.0, 0.0, 1.5e7],
+                1.0, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_BORIS_OFF_DOMAIN))
+def test_a_boris_step_that_ends_off_the_domain_raises_the_domain_error_of_check_domain(name):
+    # the step tests its end point on floats with the statement's domain
+    # test; a subclass whose check_domain is its own takes the array path
+    model, x0, p0, dt, message = _BORIS_OFF_DOMAIN[name]
+    cls = type(model)
+    arrays = type(f"Checked{cls.__name__}", (cls,),
+                  {"check_domain": lambda self, x: cls.check_domain(self, x)})
+    s0, cfg = ms.PhaseState(x0, p0), ms.IntegratorConfig(method="boris", dt=dt)
+    assert getattr(arrays.check_domain, "floats", None) is None
+    runs = []
+    for m in (model, arrays(*(getattr(model, f) for f in model.__dataclass_fields__))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ms.DomainError) as run:
+                ms.integrate(m, s0, 2.0, cfg)
+        runs.append(str(run.value))
+    assert runs[0] == runs[1]
+    if message is not None:
+        assert runs[0] == message
+    point = np.array([float(c) for c in runs[0][runs[0].index("[") + 1:runs[0].index("]")].split()])
+    assert point[2] > 1.8e8 if message is None else point[0] == 0.0
+    with pytest.raises(ms.DomainError) as direct:
+        model.check_domain(point)
+    assert str(direct.value) == runs[0]
+
+
+def test_a_boris_run_of_a_custom_model_keeps_its_domain_test():
+    def domain(x):
+        if x[0] >= 0.5:
+            raise ms.DomainError(f"point {x} is past the wall")
+
+    model = ms.Custom(a=lambda x: np.zeros(3), v=lambda x: 0.0, b=lambda x: np.zeros(3),
+                      grad_v=lambda x: np.zeros(3), domain=domain)
+    # the end of the second step, not a half-drifted point (0.375, 0.625)
+    with pytest.raises(ms.DomainError, match=r"^point \[0\.5 0\.  0\. \] is past the wall$"):
+        ms.integrate(model, ms.PhaseState([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 1.0,
+                     ms.IntegratorConfig(method="boris", dt=0.25))
+
+
 @pytest.mark.parametrize("g, q, a", [(0.5, 1.0, 2.0), (1.2, 2.0, 3.0), (0.3, 0.7, 1.5)])
 def test_mic_kepler_orbits_close(g, q, a):
     # bounded orbits of the superintegrable monopole close after T

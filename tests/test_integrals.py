@@ -362,3 +362,49 @@ def test_model_function_without_grad_brackets_by_central_differences():
     # one stacked difference per coordinate gives the bits of a per-state one
     per_state = ms.PhaseFunction("X5", x5.fn)
     assert np.array_equal(table, ms.bracket_matrix([per_state, h], (xs, ps)))
+
+
+def test_a_structurally_zero_j_s_is_skipped_with_the_bits_of_the_zero_stack(tmp_path,
+                                                                             monkeypatch):
+    # states with -0.0 and negative entries, whose products with a zero J_s
+    # are -0.0: the skipped J_s^T pi adds the +0.0 that the zero stack gives
+    from dataclasses import replace
+
+    from magsuper import cli, integrals
+    from magsuper.fields import field_record
+
+    model = ms.ConstantB(B=1.5)
+    x = np.array([[-0.0, 1.0, -2.0], [0.0, -0.0, -0.0], [-1.0, -0.0, 3.0], [-0.5, -2.0, -0.0]])
+    p = np.array([[-0.0, -1.0, -0.0], [-1.5, 0.0, 0.0], [0.0, -0.0, -0.0], [1.5, -0.0, -3.0]])
+    rec = field_record(model, x)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text('{"integrals": [{"name": "c", "s": [-0.0, 1, -2]}, '
+                         '{"name": "q", "alpha": {"14": -1}, "s": [0, -1, 0], "m": 2}]}')
+    specs = [*ms.known_integrals(model), ms.IntegralSpec("p1sq", {(1, 1): 1.0}),
+             *cli._load_spec_file(str(spec_file), model)]
+
+    def zero_stack(x):
+        return np.zeros((3, 3))
+
+    def zeros(x):
+        return np.zeros(x.shape)
+
+    zero_stack.stacks = zeros.stacks = True
+    calls = []
+    transpose_times = integrals._transpose_times
+    monkeypatch.setattr(integrals, "_transpose_times",
+                        lambda j, v: calls.append(1) or transpose_times(j, v))
+    skipped = 0
+    for spec in specs:
+        zero = spec.s is None or spec.jac_s is integrals._zero_jacobian
+        # the same spec with J_s^T pi formed from a stack of zeros
+        stacked = replace(spec, s=spec.s or zeros, jac_s=zero_stack) if zero else spec
+        calls.clear()
+        got = integrals._integral_gradient(spec, rec, p)
+        assert len(calls) == 1 + (not zero), spec.name
+        want = integrals._integral_gradient(stacked, rec, p)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), spec.name
+        skipped += zero
+    # X1-X3, p1sq and both candidates of the file skip it; X4 does not
+    assert skipped == len(specs) - 1 == 6

@@ -2,8 +2,10 @@
 control against scipy's RK45, its failures, its convergence to the exact
 helix, and the solver statistics a trajectory carries."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -292,6 +294,74 @@ def test_generated_stepper_has_the_bits_of_the_comprehensions(case):
         for k, ref_k in zip(slopes, ref_slopes):
             assert _bits(k) == _bits(ref_k)
         assert err == dp5_error_reference(y, ref_new, ref_slopes, h, atol, rtol)
+
+
+# the momenta that each stated model conserves: its hamilton_rhs source has
+# the literal 0.0 for their slopes, and its attempt folds them
+FOLDED = {"constant-b": (_CONSTANT_B, (3, 4)), "helical": (_HELICAL, (3, 4)),
+          "helical-shifted": (_HELICAL_SHIFTED, (3, 4)), "cylindrical": (_CYLINDRICAL, (5,)),
+          "monopole": (_MONOPOLE, ()), "monopole-bare": (_MONOPOLE_BARE, ())}
+
+
+@pytest.mark.parametrize("case", list(FOLDED))
+def test_the_attempt_folds_exactly_the_conserved_momenta(case):
+    rhs, folded = FOLDED[case]
+    source = type(rhs.__self__).hamilton_rhs.source
+    assert dynamics._structural_zeros(source.result) == frozenset(folded)
+    text = dynamics._dp5_source(6, source)
+    for j in range(6):
+        named = {i for i in range(1, 8) if re.search(rf"\b_k{i}_{j}\b", text)}
+        assert named == (set() if j in folded else {1, 2, 3, 4, 5, 6, 7}), j
+        # a folded sum is y_j plus a zero, and its error term is 0.0
+        assert (f"_d{j} = _y{j} + 0.0\n" in text) == (j in folded)
+        assert (f"_a{j}, _b{j} = abs(_y{j}), abs(_d{j})" in text) != (j in folded)
+    err = next(line for line in text.splitlines() if "_err = _hypot(" in line)
+    terms = ast.parse(err.strip()).body[0].value.left.args
+    assert [j for j, t in enumerate(terms) if isinstance(t, ast.Constant)] == list(folded)
+
+
+def test_the_call_form_folds_nothing():
+    text = dynamics._dp5_source(6)
+    assert " + 0.0\n" not in text and "_err = _hypot(" in text
+    for i in range(1, 8):
+        for j in range(6):
+            assert re.search(rf"\b_k{i}_{j}\b", text)
+
+
+@pytest.mark.parametrize("result, zeros", [
+    ("pow(x0, 2), 0.0, p1", {1}),
+    ("at(f, pow(x0, 2)), max(0.0, p0), 0.0", {2}),
+    ("0.0, -0.0, 0, 0.0 * x1, (0.0), 1e-300 * 0.0", {0, 4}),
+    ("_rhs([_x0, _x1])", set()),
+], ids=["call", "nested-call", "not-literal", "call-form"])
+def test_structural_zeros_are_the_literal_items_of_the_result(result, zeros):
+    # a comma inside a call separates no items, and only a literal 0.0 is a
+    # structural zero: a -0.0, an int 0 and a product are not
+    assert dynamics._structural_zeros(result) == frozenset(zeros)
+
+
+@pytest.mark.parametrize("case", [c for c in FOLDED if FOLDED[c][1]])
+def test_a_folded_attempt_keeps_the_bits_with_signed_zero_momenta(case):
+    # each folded momentum of y at +0.0 and at -0.0: its sums are y_j + 0.0,
+    # which turns -0.0 into +0.0 as the comprehensions' y_j + (w * 0.0) * h do
+    rhs, folded = FOLDED[case]
+    gen = rng(2207)
+    reference = dp5_step_reference(rhs)
+    step = dynamics._dp5_stepper(rhs, 6)
+    for zero in (0.0, -0.0):
+        for _ in range(10):
+            y = _random_state(gen).tolist()
+            for j in folded:
+                y[j] = zero
+            h = float(10.0 ** gen.uniform(-5.0, -0.5))
+            atol, rtol = (float(10.0 ** gen.uniform(-13.0, -3.0)) for _ in range(2))
+            k1 = rhs(y)
+            y_new, err, slopes = step(y, k1, h, atol, rtol)
+            ref_new, ref_slopes = reference(y, k1, h)
+            assert _bits(y_new) == _bits(ref_new)
+            assert all(math.copysign(1.0, y_new[j]) == 1.0 for j in folded)
+            assert _bits(slopes) == _bits(ref_slopes)
+            assert err == dp5_error_reference(y, ref_new, ref_slopes, h, atol, rtol)
 
 
 def _reference_stepper(rhs, n):
