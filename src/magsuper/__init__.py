@@ -6,6 +6,8 @@ equations, Poisson-algebra verification, closed-form trajectories, and
 separated 1D quantum eigenproblems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     BracketTable,
     casimir_check,
@@ -101,84 +103,8 @@ from .quantum import (
     radial_reduced_solve,
 )
 
-__version__ = "0.1.0"
+#: the public names: everything imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
-__all__ = [
-    "BracketTable",
-    "CoeffPolynomials",
-    "ConfigError",
-    "ConstantB",
-    "Custom",
-    "Cylindrical",
-    "DegenerateKappa",
-    "DegenerateMomentum",
-    "DomainError",
-    "EigenSolveFailure",
-    "FieldCheckReport",
-    "GaugeFunction",
-    "Grid1D",
-    "HelicalB",
-    "HelicalReducedResult",
-    "IntegralSpec",
-    "IntegratorConfig",
-    "MagsuperError",
-    "MathieuResult",
-    "Monopole",
-    "NoBoundStates",
-    "ParameterError",
-    "PendulumReduction",
-    "PhaseFunction",
-    "PhaseState",
-    "RESIDUAL_KEYS",
-    "SeparatrixRegime",
-    "SolverStats",
-    "SpectrumResult",
-    "StepFailure",
-    "Trajectory",
-    "UnsupportedModel",
-    "as_phase_function",
-    "bracket_matrix",
-    "casimir_check",
-    "constantB_basis",
-    "constantB_bracket_table",
-    "covariant_momentum",
-    "determining_residuals",
-    "divergence_checks",
-    "ellipk",
-    "evaluate_integral",
-    "gauge_shift",
-    "hamiltonian",
-    "hamiltonian_function",
-    "helical_reduced_solve",
-    "helical_z_of_t",
-    "helix_solution",
-    "integrate",
-    "inv_am",
-    "inv_sn",
-    "jacobi_am",
-    "jacobi_cn",
-    "jacobi_dn",
-    "jacobi_sn",
-    "known_integrals",
-    "landau_reduced_solve",
-    "magnetic_field",
-    "mathieu_characteristic",
-    "mathieu_table",
-    "model_from_config",
-    "monopole_admissible",
-    "monopole_angular_specs",
-    "monopole_closure_check",
-    "monopole_runge_lenz_specs",
-    "monopole_total_square_spec",
-    "pendulum_reduction",
-    "phase_gradient",
-    "radial_reduced_solve",
-    "sample_states",
-    "scalar_potential",
-    "tilde_transform",
-    "vector_potential",
-    "verify_bracket_table",
-    "x5_integral",
-    "x6_integral",
-    "zeta_solution",
-]
+__version__ = "0.1.0"

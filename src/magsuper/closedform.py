@@ -8,15 +8,14 @@ reduction to a pendulum equation solved by Jacobi elliptic functions.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import PhaseState, _dp5_interpolant, _run_rk45, _state_arrays
-from .elliptic import ellipk, inv_am, inv_sn, jacobi_am, jacobi_sn
+from .elliptic import _ellipj, ellipk, inv_am, inv_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
-from .fields import HelicalB, _as_instance, _as_real, _real_fields
+from .fields import HelicalB, _as_instance, _as_real, _as_reals, _real_fields
 
 #: half-width of the separatrix band |kappa - 1| routed to numerics
 SEPARATRIX_DELTA = 1e-6
@@ -46,43 +45,37 @@ def helix_solution(B: float, s0: PhaseState, t):
         B = _as_real(B, f"helix_solution B {B!r}")
     if B == 0:
         raise ParameterError("helix_solution requires B != 0")
+    if type(t) is not float or not math.isfinite(t):
+        t = _as_reals(t, "helix_solution t", "a 1-D array of finite times")
+        if np.ndim(t) > 1:
+            raise ParameterError("helix_solution t is not a 1-D array of finite times")
+    if type(t) is float:
+        return _helix(B, s0, t, math.isfinite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _helix(B, s0, t, lambda v: np.isfinite(v).all())
+
+
+def _helix(B: float, s0: PhaseState, t, finite):
+    """The state of `helix_solution` at a finite float t, or the pair of
+    stacks at a 1-D array of finite times; `finite` tests one number or
+    array."""
+    # a phase or a state beyond the double range is refused, at any t
+    phase = B * t
+    if not finite(phase):
+        raise ParameterError("helix_solution phase B t is beyond the double range")
     x0, y0, z0 = s0.x.tolist()
     p1, p2, p3 = s0.p.tolist()
-    stacked = False
-    if type(t) is not float or not math.isfinite(t):
-        stacked = not isinstance(t, numbers.Real) and np.ndim(t) > 0
-        if stacked:
-            try:
-                t = np.asarray(t, dtype=float)
-            except (TypeError, ValueError):
-                t = None
-            if t is None or t.ndim != 1 or not np.isfinite(t).all():
-                raise ParameterError("helix_solution t is not a 1-D array of finite times")
-        else:  # a number, or an array of one
-            t = _as_real(t.item() if isinstance(t, np.ndarray) else t, f"helix_solution t {t!r}")
-    finite = (lambda v: np.isfinite(v).all()) if stacked else math.isfinite
-
-    def state():
-        # a phase or a state beyond the double range is refused, at any t
-        phase = B * t
-        if not finite(phase):
-            raise ParameterError("helix_solution phase B t is beyond the double range")
-        c, s = _cos_sin(phase)
-        x = x0 + p1 * t
-        y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
-        z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
-        p3t = c * p3 + s * (p2 - B * z0)
-        if not all(map(finite, (x, y, z, p3t))):
-            raise ParameterError("vector has non-finite components")
-        return x, y, z, p3t
-
-    if stacked:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, y, z, p3t = state()
-        ones = np.ones_like(t)
-        return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
-    x, y, z, p3t = state()
-    return PhaseState._of_finite(np.array([x, y, z]), np.array([p1, p2, p3t]))
+    c, s = _cos_sin(phase)
+    x = x0 + p1 * t
+    y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
+    z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
+    p3t = c * p3 + s * (p2 - B * z0)
+    if not (finite(x) and finite(y) and finite(z) and finite(p3t)):
+        raise ParameterError("vector has non-finite components")
+    if type(t) is float:
+        return PhaseState._of_finite(np.array([x, y, z]), np.array([p1, p2, p3t]))
+    ones = np.ones_like(t)
+    return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
 
 
 #: the least |p1| at which X5 and X6 are evaluated
@@ -226,10 +219,15 @@ def zeta_solution(red: PendulumReduction, tau: float) -> float:
     dt = tau - red.tau0
     if kappa > 1.0:
         k = math.sqrt(2.0 / (kappa + 1.0))
-        sn = jacobi_sn(0.5 * math.sqrt(kappa + 1.0) * dt, k)
+        u = 0.5 * math.sqrt(kappa + 1.0) * dt
+    else:
+        k = math.sqrt((kappa + 1.0) / 2.0)
+        u = dt / math.sqrt(2.0)
+    sn = _ellipj(u, k)[0]
+    if math.isnan(sn):  # u beyond the double range, or beyond what scipy evaluates
+        raise ParameterError(f"zeta_solution tau {tau!r} is beyond the range of scipy's ellipj")
+    if kappa > 1.0:
         return (1.0 - kappa**2) / (2.0 * sn**2 - kappa - 1.0) - kappa
-    k = math.sqrt((kappa + 1.0) / 2.0)
-    sn = jacobi_sn(dt / math.sqrt(2.0), k)
     return 2.0 * (1.0 - kappa) / (2.0 - (kappa + 1.0) * sn**2) - 1.0
 
 
@@ -242,7 +240,7 @@ def _theta_librating(red: PendulumReduction, theta0: float, taus: np.ndarray) ->
     tau_b = red.tau0 + math.sqrt(2.0) * bigk
     u = (taus - tau_b) / math.sqrt(2.0)
     m = np.round(u / (2.0 * bigk))
-    sn = jacobi_sn(u - 2.0 * bigk * m, k) * np.where(m % 2, -1.0, 1.0)
+    sn = _ellipj(u - 2.0 * bigk * m, k)[0] * np.where(m % 2, -1.0, 1.0)
     return 2.0 * np.arcsin(np.clip(k * sn, -1.0, 1.0)) + 2.0 * math.pi * nw
 
 
@@ -251,7 +249,7 @@ def _theta_rotating(red: PendulumReduction, theta0: float, taus: np.ndarray) -> 
     sigma = 1.0 if red.zdot0 >= 0 else -1.0
     w = w0 + sigma * 0.5 * math.sqrt(red.kappa + 1.0) * taus
     m = np.round(w / (2.0 * bigk))
-    return 2.0 * (m * math.pi + jacobi_am(w - 2.0 * bigk * m, k))
+    return 2.0 * (m * math.pi + _ellipj(w - 2.0 * bigk * m, k)[3])
 
 
 def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.ndarray:
@@ -260,26 +258,33 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
     Librating and rotating regimes use the elliptic-function solution
     with winding bookkeeping; the separatrix band |kappa - 1| <= 1e-6
     and the rest state kappa = -1 fall back to direct integration or a
-    constant. Accepts scalar or array t.
+    constant. Accepts a finite real t or an array of them; a t whose
+    phase leaves the double range is a ParameterError as well.
     """
     if not isinstance(model, HelicalB):
         raise ParameterError(f"helical_z_of_t needs a HelicalB model, got {model!r}")
     if not isinstance(red, PendulumReduction):
         raise ParameterError(f"helical_z_of_t needs a PendulumReduction, got {red!r}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t = _as_reals(t, "helical_z_of_t t")
     scale = math.sqrt(2.0 * model.A_amp * red.p) / model.beta
-    taus = scale * t_arr
     theta0 = (red.z0 + model.phi0 - red.phi_p) / model.beta
     kappa = red.kappa
-    if abs(kappa - 1.0) <= SEPARATRIX_DELTA:
-        dtheta0 = red.zdot0 / math.sqrt(2.0 * model.A_amp * red.p)
-        theta = _separatrix_theta(theta0, dtheta0, taus)
-    elif kappa < 1.0:
-        theta = _theta_librating(red, theta0, taus)
-    else:
-        theta = _theta_rotating(red, theta0, taus)
-    z = red.phi_p - model.phi0 + model.beta * theta
-    return float(z[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else z
+    # a finite t whose phase overflows turns the floating-point flag into an error
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            taus = scale * np.atleast_1d(t)
+            if abs(kappa - 1.0) <= SEPARATRIX_DELTA:
+                dtheta0 = red.zdot0 / math.sqrt(2.0 * model.A_amp * red.p)
+                theta = _separatrix_theta(theta0, dtheta0, taus)
+            elif kappa < 1.0:
+                theta = _theta_librating(red, theta0, taus)
+            else:
+                theta = _theta_rotating(red, theta0, taus)
+            z = red.phi_p - model.phi0 + model.beta * theta
+    except FloatingPointError:
+        what = f"helical_z_of_t t {t!r}" if np.ndim(t) == 0 else "helical_z_of_t t"
+        raise ParameterError(f"{what} takes the phase beyond the double range") from None
+    return float(z[0]) if np.ndim(t) == 0 else z
 
 
 def _separatrix_theta(theta0: float, dtheta0: float, taus: np.ndarray) -> np.ndarray:

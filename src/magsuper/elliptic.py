@@ -2,8 +2,10 @@
 
 Modulus convention: all functions take k (not the parameter m = k^2).
 sn interpolates between sin (k=0) and tanh (k=1). The functions accept
-scalar or array arguments u, x, phi. scipy.special is imported on the
-first call, not with the package.
+scalar or array arguments u, x, phi. A u that is not a finite real
+number, or at which scipy's ellipj gives nan, is a ParameterError that
+names it. scipy.special is imported on the first call, not with the
+package.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .fields import _as_real
+from .fields import _as_real, _as_reals
 
 
 def _check_modulus(k: float) -> float:
@@ -32,28 +34,39 @@ def ellipk(k: float) -> float:
 
 
 def _ellipj(u, k):
-    """(sn, cn, dn, am) at u for modulus k."""
+    """(sn, cn, dn, am) at u for modulus k, with u taken as it is."""
     from scipy import special
 
     k = _check_modulus(k)
     return special.ellipj(u, k * k)
 
 
+def _jacobi(name: str, u, k) -> tuple:
+    """`_ellipj` of the public function `name`, which names u when it is
+    not finite or real, or when scipy gives nan at it."""
+    u = _as_reals(u, f"{name} u")
+    values = _ellipj(u, k)
+    if np.isnan(values[0]).any():
+        what = f"{name} u {u!r}" if np.ndim(u) == 0 else f"{name} u"
+        raise ParameterError(f"{what} is beyond the range of scipy's ellipj")
+    return values
+
+
 def jacobi_sn(u, k):
-    return _ellipj(u, k)[0]
+    return _jacobi("jacobi_sn", u, k)[0]
 
 
 def jacobi_cn(u, k):
-    return _ellipj(u, k)[1]
+    return _jacobi("jacobi_cn", u, k)[1]
 
 
 def jacobi_dn(u, k):
-    return _ellipj(u, k)[2]
+    return _jacobi("jacobi_dn", u, k)[2]
 
 
 def jacobi_am(u, k):
     """Jacobi amplitude, continuous in u (am(u + 2K) = am(u) + pi)."""
-    return _ellipj(u, k)[3]
+    return _jacobi("jacobi_am", u, k)[3]
 
 
 def inv_am(phi, k):

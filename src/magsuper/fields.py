@@ -74,6 +74,22 @@ def _as_real(value, what: str, *, positive: bool = False, finite: bool = True) -
     return x
 
 
+def _as_reals(value, what: str, noun: str = "an array of finite real numbers"):
+    """The array twin of `_as_real`: value as a float array, or a
+    ParameterError "`what` is not `noun`" unless its elements are real
+    numbers, not bools, and finite (one reduction); a value of no
+    dimensions goes through `_as_real`, with its repr after `what`."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        a = np.asarray([None])
+    if a.ndim == 0:
+        return _as_real(a.item() if isinstance(value, np.ndarray) else value, f"{what} {value!r}")
+    if a.dtype.kind in "iuf" and np.isfinite(a).all():
+        return a.astype(float, copy=False)
+    raise ParameterError(f"{what} is not {noun}")
+
+
 def _as_count(value, what: str, *, least: int = 0) -> int:
     """value as an int, or a ParameterError that starts with `what` unless
     value is an integer, not a bool, of at least `least`."""

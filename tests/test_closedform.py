@@ -1,6 +1,7 @@
 """Closed-form trajectories: helix, pendulum reduction, elliptic z(t)."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -119,6 +120,48 @@ def test_closed_form_entry_points_refuse_bad_arguments_by_name(call, message):
         call(ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4]))
 
 
+_LIBRATING = _HELICAL_REDUCTION
+_ROTATING = ms.pendulum_reduction(
+    ms.HelicalB(1.0, 1.0), ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 3.0]))
+
+
+@pytest.mark.parametrize("red", [_LIBRATING, _ROTATING], ids=["librating", "rotating"])
+@pytest.mark.parametrize("t, message", [
+    (None, "helical_z_of_t t None is not a number"),
+    (math.nan, "helical_z_of_t t nan is not finite"),
+    (math.inf, "helical_z_of_t t inf is not finite"),
+    (-math.inf, "helical_z_of_t t -inf is not finite"),
+    ("a", "helical_z_of_t t 'a' is not a number"),
+    (np.array(math.nan), r"helical_z_of_t t array\(nan\) is not finite"),
+    (np.array([1.0, math.inf]), "helical_z_of_t t is not an array of finite real numbers"),
+    ([1.0, "a"], "helical_z_of_t t is not an array of finite real numbers"),
+    ([None], "helical_z_of_t t is not an array of finite real numbers"),
+])
+def test_helical_z_refuses_times_that_are_not_finite_reals_by_name(red, t, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+            ms.helical_z_of_t(ms.HelicalB(1.0, 1.0), red, t)
+
+
+def test_helical_z_refuses_a_rotating_phase_beyond_the_double_range():
+    # the rotating phase grows faster than t and overflows at t = 1e308,
+    # alone and among finite times, with no numpy warning on the way
+    model = ms.HelicalB(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ParameterError, match="^helical_z_of_t t 1e\\+308 takes the phase "
+                                                    "beyond the double range$"):
+            ms.helical_z_of_t(model, _ROTATING, 1e308)
+        with pytest.raises(ms.ParameterError, match="^helical_z_of_t t takes the phase "
+                                                    "beyond the double range$"):
+            ms.helical_z_of_t(model, _ROTATING, np.array([1.0, 1e308]))
+        # the finite times alone still pass, each with the bits of its scalar call
+        times = np.array([1.0, 1e300])
+        z = ms.helical_z_of_t(model, _ROTATING, times)
+        assert [ms.helical_z_of_t(model, _ROTATING, t) for t in times.tolist()] == z.tolist()
+
+
 def test_pendulum_reduction_of_another_model_names_it():
     s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
     with pytest.raises(ms.ParameterError,
@@ -157,6 +200,17 @@ def test_pendulum_reduction_refuses_constants_that_are_not_finite_reals(field, v
 def test_reduced_entry_points_refuse_bad_arguments_by_name(call, message):
     with pytest.raises(ms.ParameterError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("red", [_LIBRATING, _ROTATING], ids=["librating", "rotating"])
+@pytest.mark.parametrize("tau", [1e308, -1e308])
+def test_zeta_refuses_a_tau_beyond_the_range_of_the_elliptic_functions(red, tau):
+    # the elliptic argument is finite but beyond what scipy's ellipj evaluates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"zeta_solution tau {tau!r} is beyond the range of scipy's ellipj"
+        with pytest.raises(ms.ParameterError, match=f"^{re.escape(message)}$"):
+            ms.zeta_solution(red, tau)
 
 
 def test_x5_x6_constant_along_helix():

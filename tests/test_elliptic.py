@@ -1,6 +1,7 @@
 """Jacobi elliptic functions against scipy and exact identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,3 +126,34 @@ def test_domain_validation():
 def test_a_modulus_that_is_not_a_number_is_refused_by_name(call):
     with pytest.raises(ms.ParameterError, match="^modulus k 'a' is not a number$"):
         call()
+
+
+@pytest.mark.parametrize("name", ["jacobi_sn", "jacobi_cn", "jacobi_dn", "jacobi_am"])
+@pytest.mark.parametrize("u, message", [
+    (None, "u None is not a number"),
+    ("x", "u 'x' is not a number"),
+    (True, "u True is not a number"),
+    (math.inf, "u inf is not finite"),
+    (-math.inf, "u -inf is not finite"),
+    (math.nan, "u nan is not finite"),
+    (np.array(math.inf), r"u array\(inf\) is not finite"),
+    (np.array([0.5, math.inf]), "u is not an array of finite real numbers"),
+    ([0.5, "x"], "u is not an array of finite real numbers"),
+    (1e308, r"u 1e\+308 is beyond the range of scipy's ellipj"),
+    (np.array([0.5, 1e308]), "u is beyond the range of scipy's ellipj"),
+])
+def test_jacobi_functions_refuse_arguments_by_name(name, u, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ParameterError, match=f"^{name} {message}$"):
+            getattr(ms, name)(u, 0.5)
+
+
+def test_jacobi_functions_keep_scipys_values():
+    us = [-3.0, 0.0, 0.25, 2.5]
+    for k in MODULI:
+        want = sps.ellipj(np.array(us), k * k)
+        for name, column in zip(("jacobi_sn", "jacobi_cn", "jacobi_dn", "jacobi_am"), want):
+            f = getattr(ms, name)
+            assert np.array_equal(f(us, k), column)
+            assert [f(u, k) for u in us] == column.tolist()

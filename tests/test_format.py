@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magsuper import cli
+from magsuper import _g17, cli
 
 from helpers import csv_text_reference, json_table_reference, rng
 
@@ -92,3 +92,50 @@ def test_table_shapes(shape):
     gen = rng(2304)
     table = gen.normal(size=shape) * 10.0 ** gen.integers(-20, 20, size=shape)
     _assert_as_reference(table)
+
+
+def _layout_of(text):
+    """(decimal exponent, trailing zeros of the 17 digits) of "%.17g" text."""
+    mantissa, exponent = ("%.16e" % float(text)).split("e")
+    digits = mantissa.lstrip("-").replace(".", "")
+    return int(exponent), len(digits) - len(digits.rstrip("0"))
+
+
+def _value_with_layout(gen, exponents, zeros):
+    """A positive double whose "%.17g" has one of `exponents` as its decimal
+    exponent and exactly `zeros` trailing zeros among its 17 digits, and
+    which the array conversion writes itself (not a rounding tie): the
+    first hit among short decimals, tried in order (the double nearest a
+    decimal of few digits may show other digits at 17)."""
+    shown = 17 - zeros
+    if shown <= 2:
+        heads = [h for h in range(10 ** (shown - 1), 10**shown) if h % 10]
+    else:
+        heads = [h for h in gen.integers(10 ** (shown - 1), 10**shown, 400).tolist() if h % 10]
+    for exponent in exponents:
+        for head in heads:
+            v = float(f"{head}e{exponent - shown + 1}")
+            if (_layout_of("%.17g" % v) == (exponent, zeros)
+                    and not _g17._layouts(np.array([v]), _g17._tables())[3].size):
+                return v
+    raise AssertionError(f"no value with {zeros} trailing zeros at exponents {exponents}")
+
+
+def test_every_layout_of_the_kernel_is_reached_and_written_as_by_python():
+    # the fixed form at each exponent -4..16, and the exponent form with two
+    # and with three exponent digits (at the first exponent of each list
+    # that a double reaches with that many trailing zeros), each with 0 to
+    # 16 trailing zeros and both signs, and the two zeros
+    gen = rng(2305)
+    forms = [[x] for x in range(-4, 17)] + [[20, -20, 17, -5], [100, -100, 200, -290]]
+    values = [_value_with_layout(gen, exponents, zeros)
+              for exponents in forms for zeros in range(17)]
+    values = np.array(values + [-v for v in values] + [0.0, -0.0])
+    assert len(values) == 2 * 23 * 17 + 2
+    text = _g17.g17_table(values.reshape(-1, 1), lambda v: "%.17g" % v)
+    assert text.split("\n")[:-1] == ["%.17g" % v for v in values]
+    # every layout that the kernel has, and no cell left to the callback
+    tables = _g17._tables()
+    _, _, keys, odd = _g17._layouts(values, tables)
+    assert odd.size == 0
+    assert sorted(set(keys.tolist())) == list(range(tables.masks.shape[1]))
