@@ -231,6 +231,11 @@ def zeta_solution(red: PendulumReduction, tau: float) -> float:
     return 2.0 * (1.0 - kappa) / (2.0 - (kappa + 1.0) * sn**2) - 1.0
 
 
+class _DigitsLost(ArithmeticError):
+    """A librating elliptic argument too large for its reduction to keep
+    half its digits."""
+
+
 def _theta_librating(red: PendulumReduction, theta0: float, taus: np.ndarray) -> np.ndarray:
     k = math.sqrt((red.kappa + 1.0) / 2.0)
     if k < 1e-8:
@@ -239,6 +244,10 @@ def _theta_librating(red: PendulumReduction, theta0: float, taus: np.ndarray) ->
     nw = round(theta0 / (2.0 * math.pi))
     tau_b = red.tau0 + math.sqrt(2.0) * bigk
     u = (taus - tau_b) / math.sqrt(2.0)
+    # z is bounded and comes from u - 2K m alone: refuse a u whose ulp would
+    # leave it fewer than half its digits (one reduction over u)
+    if math.ulp(float(np.max(np.abs(u)))) > 2.0**-26 * bigk:
+        raise _DigitsLost
     m = np.round(u / (2.0 * bigk))
     sn = _ellipj(u - 2.0 * bigk * m, k)[0] * np.where(m % 2, -1.0, 1.0)
     return 2.0 * np.arcsin(np.clip(k * sn, -1.0, 1.0)) + 2.0 * math.pi * nw
@@ -258,8 +267,12 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
     Librating and rotating regimes use the elliptic-function solution
     with winding bookkeeping; the separatrix band |kappa - 1| <= 1e-6
     and the rest state kappa = -1 fall back to direct integration or a
-    constant. Accepts a finite real t or an array of them; a t whose
-    phase leaves the double range is a ParameterError as well.
+    constant. Accepts a finite real t or an array of them. A t whose
+    phase leaves the double range is a ParameterError as well, and so is
+    a librating t whose elliptic argument u, reduced as u - 2K round(u / 2K),
+    would keep fewer than half its digits: ulp(u) > 2^-26 K(k), from |u| of
+    about 2^26 K on (t of about 1e8 at unit scales). A rotating z grows
+    with u, so its own ulp covers what the reduction loses, and it is kept.
     """
     if not isinstance(model, HelicalB):
         raise ParameterError(f"helical_z_of_t needs a HelicalB model, got {model!r}")
@@ -281,9 +294,11 @@ def helical_z_of_t(model: HelicalB, red: PendulumReduction, t) -> float | np.nda
             else:
                 theta = _theta_rotating(red, theta0, taus)
             z = red.phi_p - model.phi0 + model.beta * theta
-    except FloatingPointError:
+    except (FloatingPointError, _DigitsLost) as exc:
         what = f"helical_z_of_t t {t!r}" if np.ndim(t) == 0 else "helical_z_of_t t"
-        raise ParameterError(f"{what} takes the phase beyond the double range") from None
+        why = ("leaves the reduced elliptic argument fewer than half its digits"
+               if isinstance(exc, _DigitsLost) else "takes the phase beyond the double range")
+        raise ParameterError(f"{what} {why}") from None
     return float(z[0]) if np.ndim(t) == 0 else z
 
 

@@ -4,7 +4,9 @@ Modulus convention: all functions take k (not the parameter m = k^2).
 sn interpolates between sin (k=0) and tanh (k=1). The functions accept
 scalar or array arguments u, x, phi. A u that is not a finite real
 number, or at which scipy's ellipj gives nan, is a ParameterError that
-names it. scipy.special is imported on the first call, not with the
+names it; at k = 1, where ellipj gives nan from |u| > 355.58 on because
+cosh u overflows inside it, the Jacobi functions answer from tanh and
+sech instead. scipy.special is imported on the first call, not with the
 package.
 """
 
@@ -41,12 +43,27 @@ def _ellipj(u, k):
     return special.ellipj(u, k * k)
 
 
+def _gudermannian(u, lost, values) -> tuple:
+    """`values` of `_ellipj` at k = 1 with the entries `lost` to nan
+    answered in closed form: sn = tanh u, cn = dn = sech u and
+    am = gd u = 2 atan(e^u) - pi/2. Those entries have |u| > 355, where
+    sech u = 2 e^-|u| to a relative e^-710 and gd u = sign(u) (pi/2 -
+    2 atan e^-|u|): neither form overflows, and sech keeps its subnormals."""
+    small = np.exp(-np.abs(u))
+    closed = (np.tanh(u), 2.0 * small, 2.0 * small,
+              np.copysign(math.pi / 2 - 2.0 * np.arctan(small), u))
+    return tuple(np.where(lost, new, old)[()] for new, old in zip(closed, values))
+
+
 def _jacobi(name: str, u, k) -> tuple:
     """`_ellipj` of the public function `name`, which names u when it is
-    not finite or real, or when scipy gives nan at it."""
+    not finite or real, or when scipy gives nan at it and k < 1."""
     u = _as_reals(u, f"{name} u")
-    values = _ellipj(u, k)
-    if np.isnan(values[0]).any():
+    values = _ellipj(u, k)  # which checks k
+    lost = np.isnan(values[0])
+    if lost.any():
+        if k == 1:
+            return _gudermannian(u, lost, values)
         what = f"{name} u {u!r}" if np.ndim(u) == 0 else f"{name} u"
         raise ParameterError(f"{what} is beyond the range of scipy's ellipj")
     return values

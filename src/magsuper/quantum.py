@@ -19,7 +19,8 @@ from .errors import (
 from .fields import Cylindrical, _as_count, _as_instance, _as_real, _real_fields
 
 #: most points a Grid1D may have; a larger n is refused before its arrays
-#: (several of 8 bytes per point) are allocated
+#: are allocated: the Landau solve holds 76 bytes per interior point, all of
+#: them LAPACK's d, e, outputs and workspace
 GRID_MAX_POINTS = 10**7
 #: largest Mathieu order of a table: its 2 r_max + 1 solves cost about r_max^2
 MATHIEU_R_MAX = 1000
@@ -68,7 +69,9 @@ def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int, order: str):
         raise ParameterError("the tridiagonal matrix has non-finite entries")
     m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, order)
     _check_info("dstebz", info)
-    return w[:m], iblock, isplit
+    # a copy, so that the full-length w is freed; iblock and isplit stay full
+    # length, because the dstein wrapper requires both of bounds (n)
+    return w[:m].copy(), iblock, isplit
 
 
 class _Tridiagonal:
@@ -132,17 +135,22 @@ def _check_levels(grid: Grid1D, n_levels: int) -> None:
 
 
 def _dirichlet(w: np.ndarray, h: float, hbar: float, n_levels: int) -> _Tridiagonal:
-    """Lowest eigenvalues of -hbar^2 f'' + w f on interior points."""
-    diag = 2.0 * hbar**2 / h**2 + w
+    """Lowest eigenvalues of -hbar^2 f'' + w f on interior points.
+
+    Takes w over: the kinetic diagonal is added into it in place, so it
+    becomes the matrix diagonal and no second array of its length is
+    made. The Landau and the radial solve each pass an array of their own.
+    """
+    np.add(w, 2.0 * hbar**2 / h**2, out=w)
     off = np.full(len(w) - 1, -(hbar**2) / h**2)
-    return _Tridiagonal(diag, off, n_levels)
+    return _Tridiagonal(w, off, n_levels)
 
 
 def _embed(vecs: np.ndarray, h: float, n_total: int) -> np.ndarray:
     """Interior eigenvectors -> full-grid functions, trapezoid-normalized."""
     n_levels = vecs.shape[1]
     funcs = np.zeros((n_levels, n_total))
-    funcs[:, 1:-1] = vecs.T / math.sqrt(h)
+    np.divide(vecs.T, math.sqrt(h), out=funcs[:, 1:-1])
     return funcs
 
 
@@ -170,11 +178,10 @@ def landau_reduced_solve(
             f"grid [{grid.lo}, {grid.hi}] spans fewer than 8 oscillator "
             f"lengths {ell:g} around the center {center:g}")
     _check_levels(grid, n_levels)
-    z = grid.points
-    w = (B * z[1:-1] - k2) ** 2
-    solve = _dirichlet(w, grid.spacing, hbar, n_levels)
-    ground = np.abs(_embed(solve.vectors(1), grid.spacing, grid.n)[0])
-    tail = max(ground[1], ground[-2]) / np.max(ground)
+    solve = _dirichlet((B * grid.points[1:-1] - k2) ** 2, grid.spacing, hbar, n_levels)
+    # the interior of the ground function, divided as `_embed` divides
+    ground = np.abs(solve.vectors(1)[:, 0] / math.sqrt(grid.spacing))
+    tail = max(ground[0], ground[-1]) / np.max(ground)
     if tail > 1e-10:
         raise GridTooSmall(
             f"ground-state boundary tail {tail:g} exceeds 1e-10; enlarge the box")

@@ -939,6 +939,27 @@ def test_json_spectrum_forms_no_eigenvector_array(tmp_path, capsys):
     assert peaks[4] - peaks[1] < 8 * (n - 2)
 
 
+def test_json_spectrum_holds_only_what_lapack_needs(tmp_path, capsys):
+    # 76 bytes per interior point: d and e (16) with dstebz's work, iwork, w,
+    # iblock and isplit (32 + 12 + 8 + 4 + 4), or with dstein's iblock,
+    # isplit, work, iwork and one vector (8 + 40 + 4 + 8); nothing beside them
+    n = 100000
+    out = str(tmp_path / "out.json")
+    peaks = []
+    for n_grid in (1000, n):  # the first run is a warm-up
+        cfg = _write_cfg(tmp_path, "spec.json", {
+            "system": {"model": "constant_b", "B": 1.0},
+            "grid": {"lo": -12.0, "hi": 12.0, "n": n_grid}, "n_levels": 4})
+        tracemalloc.start()
+        try:
+            assert cli.main(["spectrum", "--config", cfg, "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= 1.02 * 76 * (n - 2)
+
+
 def test_byte_determinism(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for path in (a, b):

@@ -162,6 +162,32 @@ def test_helical_z_refuses_a_rotating_phase_beyond_the_double_range():
         assert [ms.helical_z_of_t(model, _ROTATING, t) for t in times.tolist()] == z.tolist()
 
 
+@pytest.mark.parametrize("t", [1e16, 1e17, -1e17, 1e300, 1e308])
+def test_helical_z_refuses_a_librating_time_whose_reduction_keeps_no_digits(t):
+    # u - 2K round(u / 2K) keeps fewer than half its digits: the result was
+    # phi_p - phi0 exactly from t = 1e17 on, and a digitless value at 1e16
+    model = ms.HelicalB(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ParameterError, match=f"^helical_z_of_t t {re.escape(repr(t))} "
+                                                    "leaves the reduced elliptic argument "
+                                                    "fewer than half its digits$"):
+            ms.helical_z_of_t(model, _LIBRATING, t)
+        with pytest.raises(ms.ParameterError, match="^helical_z_of_t t leaves the reduced"):
+            ms.helical_z_of_t(model, _LIBRATING, np.array([1.0, t]))
+
+
+def test_helical_z_keeps_librating_times_below_the_digit_bound():
+    # ulp(u) > 2^-26 K(k) is first reached between t = 1e8 and 3e8 here; the
+    # times below it are answered, each with the bits of its scalar call
+    model = ms.HelicalB(1.0, 1.0)
+    times = np.array([0.0, 1.0, 1e3, -1e3, 1e6, 1e8])
+    z = ms.helical_z_of_t(model, _LIBRATING, times)
+    assert [ms.helical_z_of_t(model, _LIBRATING, t) for t in times.tolist()] == z.tolist()
+    with pytest.raises(ms.ParameterError, match="fewer than half its digits"):
+        ms.helical_z_of_t(model, _LIBRATING, 3e8)
+
+
 def test_pendulum_reduction_of_another_model_names_it():
     s0 = ms.PhaseState([0.1, 0.2, 0.3], [0.5, 0.3, 0.4])
     with pytest.raises(ms.ParameterError,

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -157,3 +158,21 @@ def test_jacobi_functions_keep_scipys_values():
             f = getattr(ms, name)
             assert np.array_equal(f(us, k), column)
             assert [f(u, k) for u in us] == column.tolist()
+
+
+@pytest.mark.parametrize("u", [356.0, -356.0, 400.0, -400.0, 800.0, -800.0, 1e308, -1e308])
+def test_jacobi_functions_at_k_one_answer_where_scipy_gives_nan(u):
+    # ellipj(u, 1) is nan from |u| > 355.58 on, where cosh u overflows inside it
+    assert np.isnan(sps.ellipj(u, 1.0)[0])
+    with mpmath.workdps(40):
+        want = [float(mpmath.ellipfun(f, u, m=1)) for f in ("sn", "cn", "dn")]
+        want.append(float(2 * mpmath.atan(mpmath.exp(u)) - mpmath.pi / 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [f(u, 1.0) for f in (ms.jacobi_sn, ms.jacobi_cn, ms.jacobi_dn, ms.jacobi_am)]
+        column = ms.jacobi_cn(np.array([-355.0, 0.25, 355.0, u]), 1.0)
+    assert got == want
+    assert abs(got[3]) == math.pi / 2
+    # scipy's own values stay where it answers, up to |u| = 355
+    kept = sps.ellipj(np.array([-355.0, 0.25, 355.0]), 1.0)[1]
+    assert column.tolist() == kept.tolist() + [want[1]]

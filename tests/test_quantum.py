@@ -576,6 +576,23 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+#: bytes per interior point that LAPACK needs in the Landau solve. dstebz:
+#: d and e (16), the wrapper's hidden work and iwork (32 + 12), and its
+#: outputs w, iblock and isplit (8 + 4 + 4). dstein with one vector: d and e
+#: (16), iblock and isplit (8), work and iwork (40 + 4), and z (8).
+LAPACK_BYTES_PER_POINT = 76
+
+
+def test_landau_solve_holds_only_what_lapack_needs():
+    # nothing beside d, e and LAPACK's arrays: not the grid, not the
+    # potential beside the diagonal, not dstebz's full-length w
+    n = 100000
+    grid = ms.Grid1D(-12.0, 12.0, n)
+    ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, ms.Grid1D(-12.0, 12.0, 1000), 4)  # imports
+    peak = _traced_peak(lambda: ms.landau_reduced_solve(1.0, 0.0, 0.0, 1.0, grid, 4))
+    assert peak <= 1.02 * LAPACK_BYTES_PER_POINT * (n - 2)
+
+
 def test_magnus_memory_stays_flat_in_the_substeps():
     # beta = 1e3 doubles m to 1024 and beta = 100 stops at m = 128; the steps
     # go in blocks of MAGNUS_BLOCK_STEPS, so both peaks are about one block
