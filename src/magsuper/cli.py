@@ -37,12 +37,13 @@ from .fields import (ConstantB, HelicalB, Monopole, _zeros, divergence_checks, f
 from .integrals import (
     RESIDUAL_KEYS,
     IntegralSpec,
+    _bracket_table,
+    _hamiltonian_gradient,
+    _integral_gradient,
     _known,
     _zero_jacobian,
-    as_phase_function,
-    bracket_matrix,
     determining_residuals,
-    hamiltonian_function,
+    integral_record,
     known_integrals,
     monopole_runge_lenz_specs,
 )
@@ -384,20 +385,27 @@ def _cmd_verify(ns) -> int:
     ps = rng.uniform(-2.0, 2.0, xs.shape)  # the draws of one momentum per point
     rec = field_record(model, xs)
 
-    # each check is one pass over the stack; the maxima are over axis 0
+    # one pass over the stack per spec, from its IntegralRecord, which is
+    # dropped before the next spec; the maxima are over axis 0
     by_eq = dict.fromkeys(RESIDUAL_KEYS, 0.0)
-    by_int = {}
+    by_int, grads = {}, []
     for sp in specs:
-        res = determining_residuals(sp, model, rec, mode=ns.mode, hbar=hbar)
-        worst = {key: float(np.max(np.abs(val))) for key, val in res.items()}
+        irec = integral_record(sp, rec)
+        res = determining_residuals(sp, model, irec, mode=ns.mode, hbar=hbar)
+        worst = dict(zip(res, np.max(np.abs(list(res.values())), axis=1).tolist()))
+        grads.append(_integral_gradient(sp, irec, ps))
+        del irec, res
         for key, val in worst.items():
             by_eq[key] = max(by_eq[key], val)
         by_int[sp.name] = max(0.0, *worst.values())
 
-    # max |{f_i, f_j}| over the states, with H as the last function
-    fns = [as_phase_function(sp, model) for sp in specs]
-    fns.append(hamiltonian_function(model))
-    worst = np.max(np.abs(bracket_matrix(fns, (xs, ps), rec)), axis=0)
+    # max |{f_i, f_j}| over the states, with H as the last function, formed
+    # 8192 states at a time (a block of 4 MiB for H and seven integrals)
+    grads.append(_hamiltonian_gradient(rec, ps))
+    worst = np.zeros((len(grads), len(grads)))
+    for b in (slice(i, i + 8192) for i in range(0, len(xs), 8192)):
+        table = _bracket_table([(gx[b], gp[b]) for gx, gp in grads])
+        np.maximum(worst, np.max(np.abs(table, out=table), axis=0), out=worst)
     bracket_h = {sp.name: float(v) for sp, v in zip(specs, worst[:-1, -1])}
     # informational structure matrix, not a pass criterion
     matrix = worst[:-1, :-1].tolist()

@@ -74,19 +74,22 @@ def _as_real(value, what: str, *, positive: bool = False, finite: bool = True) -
     return x
 
 
-def _as_reals(value, what: str, noun: str = "an array of finite real numbers"):
+def _as_reals(value, what: str, noun: str = "an array of finite real numbers", shape=None):
     """The array twin of `_as_real`: value as a float array, or a
     ParameterError "`what` is not `noun`" unless its elements are real
     numbers, not bools, and finite (one reduction); a value of no
-    dimensions goes through `_as_real`, with its repr after `what`."""
+    dimensions goes through `_as_real`, with its repr after `what`, unless
+    a `shape` other than () is required of value."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):  # a ragged sequence
         a = np.asarray([None])
-    if a.ndim == 0:
+    if a.ndim == 0 and not shape:
         return _as_real(a.item() if isinstance(value, np.ndarray) else value, f"{what} {value!r}")
     if a.dtype.kind in "iuf" and np.isfinite(a).all():
-        return a.astype(float, copy=False)
+        if shape is None or a.shape == shape:
+            return a.astype(float, copy=False)
+        raise ParameterError(f"{what} has shape {a.shape}, not {shape}")
     raise ParameterError(f"{what} is not {noun}")
 
 
@@ -223,6 +226,18 @@ def _matrix_rhs(model, y) -> tuple:
     return (*v.tolist(), *dp.tolist())
 
 
+class FieldRecord(NamedTuple):
+    """A model's fields at an (n,3) stack of points, computed once and
+    shared by the residual, gradient and bracket kernels."""
+
+    model: FieldModel
+    x: np.ndarray  # (n, 3)
+    a: np.ndarray  # (n, 3)
+    jac_a: np.ndarray  # (n, 3, 3), rows dA_i/dx_j
+    b: np.ndarray  # (n, 3)
+    grad_v: np.ndarray  # (n, 3)
+
+
 class Statement(NamedTuple):
     """A model stated once: `text`, lines `name = expression` over x0, x1,
     x2, the attributes `params` (separated by spaces) and RHS_GLOBALS, that
@@ -284,7 +299,8 @@ RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "pow": math.
                "cylindrical_domain_error": _cylindrical_domain_error}
 #: the same names as functions of arrays, and what the stacked methods add
 _ARRAY_GLOBALS = {**RHS_GLOBALS, "sqrt": np.sqrt, "cos": np.cos, "sin": np.sin, "pow": _pow,
-                  "at": _at, "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged}
+                  "at": _at, "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged,
+                  "FieldRecord": FieldRecord}
 #: each generated method, in the order `_generated` returns them: what it
 #: returns, and the outputs of the statement that it reads
 _METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl A", "B0 B1 B2"),
@@ -293,6 +309,8 @@ _METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl 
             "check_domain": ("None, or the DomainError of the first point off the domain", ""),
             "b_and_grad_v": ("(B, grad V) at one point of three floats", "B0 B1 B2 G0 G1 G2"),
             "hamilton_rhs": ("(v, dp) at one state of six floats", "")}
+_METHODS["field_record"] = ("the FieldRecord of A, J_A, B and grad V", " ".join(
+    _METHODS[m][1] for m in "vector_potential jacobian_a magnetic_field grad_potential".split()))
 
 
 def _generated(model: str, st: Statement) -> tuple:
@@ -330,9 +348,13 @@ def _generated_method(model: str, method: str, st: Statement, floats: bool = Fal
     elif method == "scalar_potential":
         tail = [f"return {'V' if outputs else '_zeros(x)'}"]
     elif method != "check_domain":
-        # _out.T[i] is the component i at every point, _out.T[k, i] the entry J_ik
-        tail = [f"_out = _np.zeros(x.shape{' + (3,)' if method == 'jacobian_a' else ''})",
-                *(f"_out.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs), "return _out"]
+        # _A.T[i] is the component A_i at every point, _J.T[k, i] the entry J_ik
+        letters = [*dict.fromkeys(name[0] for name in _METHODS[method][1].split())]
+        tail = [line for c in letters for line in (
+            f"_{c} = _np.zeros(x.shape{' + (3,)' if c == 'J' else ''})",
+            *(f"_{c}.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs if name[0] == c))]
+        tail.append("return " + ("FieldRecord(self, x, _A, _J, _B, _G)" if letters[1:] else
+                                 f"_{letters[0]}"))
     if result:
         tail = [f"return ({', '.join(result)})"]
     need = set(re.findall(r"\w+", "\n".join(tail + [st.domain or ""])))
@@ -367,6 +389,12 @@ def _generated_method(model: str, method: str, st: Statement, floats: bool = Fal
             j = i + 1 + uses.index(1)
             code[j] = word.sub(lambda _: f"({expr})", code[j])
             del code[i]
+    for i in range(len(code) - 2, -1, -1):
+        # a stacked method drops each array of a line after its last reader
+        last = set(re.findall(r"\w+", code[i])) & (has | {"_off"}) - set(
+            re.findall(r"\w+", "\n".join(code[i + 1:])))
+        if last and not floats:
+            code.insert(i + 1, f"del {', '.join(sorted(last))}")
     text = "\n".join(code)
     params = tuple(p for p in st.params.split() if re.search(rf"\b{p}\b", text))
     if floats:
@@ -407,8 +435,8 @@ class ConstantB:
         J12 = -B
         B0 = B
         """)
-    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
-     check_domain, b_and_grad_v, hamilton_rhs) = _generated("ConstantB", statement)
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a, check_domain,
+     b_and_grad_v, hamilton_rhs, field_record) = _generated("ConstantB", statement)
 
 
 @dataclass(frozen=True)
@@ -445,8 +473,8 @@ class HelicalB:
         B0 = k * c
         B1 = k * s
         """, domain="abs(u) == inf", refusal="helical_domain_error")
-    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
-     check_domain, b_and_grad_v, hamilton_rhs) = _generated("HelicalB", statement)
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a, check_domain,
+     b_and_grad_v, hamilton_rhs, field_record) = _generated("HelicalB", statement)
 
 
 @dataclass(frozen=True)
@@ -505,8 +533,8 @@ class Monopole:
         G2 = dv * x2 / r
         """, domain="(r < EPS_DOMAIN) | (r + x2 < EPS_DOMAIN * r)",
         refusal="monopole_domain_error")
-    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
-     check_domain, b_and_grad_v, hamilton_rhs) = _generated("Monopole", statement)
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a, check_domain,
+     b_and_grad_v, hamilton_rhs, field_record) = _generated("Monopole", statement)
 
 
 @dataclass(frozen=True)
@@ -557,8 +585,8 @@ class Cylindrical:
         G0 = dV * x0 / r
         G1 = dV * x1 / r
         """, domain="r < EPS_DOMAIN", refusal="cylindrical_domain_error")
-    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a,
-     check_domain, b_and_grad_v, hamilton_rhs) = _generated("Cylindrical", statement)
+    (vector_potential, magnetic_field, scalar_potential, grad_potential, jacobian_a, check_domain,
+     b_and_grad_v, hamilton_rhs, field_record) = _generated("Cylindrical", statement)
 
 
 @dataclass(frozen=True)
@@ -583,6 +611,11 @@ class Custom:
 
     def __post_init__(self):
         _callable_fields(self, ("a", "v"), ("b", "jac_a", "grad_v", "domain"))
+
+    def field_record(self, x) -> FieldRecord:
+        self.check_domain(x)
+        return FieldRecord(self, x, self.vector_potential(x), self.jacobian_a(x),
+                           self.magnetic_field(x), self.grad_potential(x))
 
     @_rowwise()
     def check_domain(self, x: Vec3) -> None:
@@ -655,24 +688,10 @@ def scalar_potential(model: FieldModel, x) -> float:
     return float(model.scalar_potential(_as_vec3(x)))
 
 
-class FieldRecord(NamedTuple):
-    """A model's fields at an (n,3) stack of points, computed once and
-    shared by the residual, gradient and bracket kernels."""
-
-    model: FieldModel
-    x: np.ndarray  # (n, 3)
-    a: np.ndarray  # (n, 3)
-    jac_a: np.ndarray  # (n, 3, 3), rows dA_i/dx_j
-    b: np.ndarray  # (n, 3)
-    grad_v: np.ndarray  # (n, 3)
-
-
 def field_record(model: FieldModel, x: np.ndarray) -> FieldRecord:
     """A, J_A, B and grad V of the model at an (n,3) stack, after its
-    domain test."""
-    model.check_domain(x)
-    return FieldRecord(model, x, model.vector_potential(x), model.jacobian_a(x),
-                       model.magnetic_field(x), model.grad_potential(x))
+    domain test: the model's `field_record`."""
+    return model.field_record(x)
 
 
 def gauge_shift(model: FieldModel, chi: GaugeFunction) -> Custom:

@@ -24,10 +24,12 @@ The monopole's X_sq and Runge-Lenz components R1-R3 are of second order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from numbers import Integral
-from typing import Callable, Mapping
+from operator import add
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .fields import (
     Vec3,
     _as_points,
     _as_real,
+    _as_reals,
     _as_vec3,
     _at,
     _callable_fields,
@@ -82,10 +85,6 @@ def _normalize_alpha(alpha) -> dict[tuple[int, int], float]:
     return out
 
 
-def _a(alpha: dict, a: int, b: int) -> float:
-    return alpha.get((a, b), 0.0)
-
-
 @dataclass(frozen=True)
 class IntegralSpec:
     """One integral of motion in covariant form.
@@ -107,9 +106,47 @@ class IntegralSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
         _callable_fields(self, optional=("s", "m", "jac_s", "grad_m"))
-        for key, one in (("s", _as_vec3), ("m", float), ("grad_m", _as_vec3),
-                         ("jac_s", lambda j: np.asarray(j, dtype=float))):
+        for key, shape in (("s", (3,)), ("m", ()), ("jac_s", (3, 3)), ("grad_m", (3,))):
+            one = partial(_as_reals, what=f"IntegralSpec {self.name!r} {key} value", shape=shape)
             object.__setattr__(self, key, _lift_point_function(getattr(self, key), one))
+
+
+def _parsed(text: str) -> list:
+    """The terms (c, ab, f) of a sum written as in _H_N, c alpha_ab times
+    the factor f ("" for 1), and (terms, None, f) for a sum in parentheses."""
+    return [(_parsed(inner), None, f) if inner else
+            ({"": 1, "-": -1, "-2*": -2}[c], tuple(map(int, ab)), g)
+            for inner, f, c, ab, g in re.findall(r"\((.*?)\)(\w)|(-?(?:2\*)?)(\d\d)(\w*)", text)]
+
+
+#: h1, h2, h3, n1, n2, n3, each closed by `+ alpha_cc`, then the rows of
+#: jac_n, as they are summed: "-2*44z" is (-2 alpha_44) z, and "(...)y" the
+#: sum in parentheses times y
+_H_N = [_parsed(text) for text in (
+    "66yy (-56z -16)y 55zz 15z 11", "66xx (-46z 26)x 44zz -24z 22",
+    "55xx (-45y -35)x 44yy 34y 33", "-56xx (46y 45z -25 36)x (-2*44z 24)y -34z 23",
+    "(56y -2*55z -15)x -46yy (45z -36 14)y 35z 13",
+    "(-2*66y 16 56z)x (46z -26)y -45zz (25 -14)z 12",
+    "-2*56x 46y 45z -25 36", "46x -2*44z 24", "45x -2*44y -34",
+    "56y -2*55z -15", "56x -2*46y 45z -36 14", "-2*55x 45y 35",
+    "-2*66y 16 56z", "-2*66x 46z -26", "56x 46y -2*45z 25 -14")]
+
+
+def _folded(alpha: dict, terms: list, keep: tuple = ()) -> list:
+    """The terms (c alpha_ab, f) of alpha, in order and grouping,
+    less those of zero alpha_ab unless f is in `keep`. A sum closed by
+    `+ alpha_cc` keeps it: `+ 0.0` makes a zero sum +0.0, as the dropped do."""
+    folded = [(_folded(alpha, c) if ab is None else c * alpha.get(ab, 0.0), f)
+              for c, ab, f in terms]
+    return [(c, f) for c, f in folded if c or f in keep]
+
+
+def _sum(terms: list, v: dict):
+    """A folded sum at v["x"], v["y"], v["z"], with v[""] ones, so that a
+    constant c enters as c * 1.0; a square "xx" enters v on first use."""
+    for f in {f for _, f in terms} - v.keys():
+        v[f] = _pow(v[f[0]], 2)
+    return reduce(add, [(_sum(c, v) if isinstance(c, list) else c) * v[f] for c, f in terms])
 
 
 @dataclass(frozen=True)
@@ -121,70 +158,37 @@ class CoeffPolynomials:
                            + n_1 p_2^A p_3^A + n_2 p_1^A p_3^A + n_3 p_1^A p_2^A.
     `alpha` takes the forms that `IntegralSpec` does. Each method takes
     one point (3,) or an (n,3) stack; squares go through `_pow`, so a
-    stack has the bits of its points.
+    stack has the bits of its points. Zero terms are dropped once.
     """
 
     alpha: dict
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _normalize_alpha(self.alpha))
+        object.__setattr__(self, "_terms", [_folded(self.alpha, t, ("",)) for t in _H_N[:6]])
+
+    def _values(self, pos, terms) -> np.ndarray:
+        x, y, z = _coords(pos)
+        v = {"x": x, "y": y, "z": z, "": np.ones(np.shape(x))}
+        return np.array([_sum(t, v) for t in terms])
 
     def h(self, pos) -> Vec3:
-        x, y, z = _coords(pos)
-        xx, yy, zz = _pow(x, 2), _pow(y, 2), _pow(z, 2)
-        al = self.alpha
-        h1 = (_a(al, 6, 6) * yy + (-_a(al, 5, 6) * z - _a(al, 1, 6)) * y
-              + _a(al, 5, 5) * zz + _a(al, 1, 5) * z + _a(al, 1, 1))
-        h2 = (_a(al, 6, 6) * xx + (-_a(al, 4, 6) * z + _a(al, 2, 6)) * x
-              + _a(al, 4, 4) * zz - _a(al, 2, 4) * z + _a(al, 2, 2))
-        h3 = (_a(al, 5, 5) * xx + (-_a(al, 4, 5) * y - _a(al, 3, 5)) * x
-              + _a(al, 4, 4) * yy + _a(al, 3, 4) * y + _a(al, 3, 3))
-        return np.array([h1, h2, h3]).T
+        return self._values(pos, self._terms[:3]).T
 
     def n(self, pos) -> Vec3:
-        x, y, z = _coords(pos)
-        al = self.alpha
-        n1 = (-_a(al, 5, 6) * _pow(x, 2)
-              + (_a(al, 4, 6) * y + _a(al, 4, 5) * z - _a(al, 2, 5) + _a(al, 3, 6)) * x
-              + (-2 * _a(al, 4, 4) * z + _a(al, 2, 4)) * y
-              - _a(al, 3, 4) * z + _a(al, 2, 3))
-        n2 = ((_a(al, 5, 6) * y - 2 * _a(al, 5, 5) * z - _a(al, 1, 5)) * x
-              - _a(al, 4, 6) * _pow(y, 2)
-              + (_a(al, 4, 5) * z - _a(al, 3, 6) + _a(al, 1, 4)) * y
-              + _a(al, 3, 5) * z + _a(al, 1, 3))
-        n3 = ((-2 * _a(al, 6, 6) * y + _a(al, 1, 6) + _a(al, 5, 6) * z) * x
-              + (_a(al, 4, 6) * z - _a(al, 2, 6)) * y
-              - _a(al, 4, 5) * _pow(z, 2) + (_a(al, 2, 5) - _a(al, 1, 4)) * z + _a(al, 1, 2))
-        return np.array([n1, n2, n3]).T
+        return self._values(pos, self._terms[3:]).T
 
     def jac_n(self, pos) -> np.ndarray:
-        x, y, z = _coords(pos)
-        al = self.alpha
-        return _rows([
-            [-2 * _a(al, 5, 6) * x + _a(al, 4, 6) * y + _a(al, 4, 5) * z
-             - _a(al, 2, 5) + _a(al, 3, 6),
-             _a(al, 4, 6) * x - 2 * _a(al, 4, 4) * z + _a(al, 2, 4),
-             _a(al, 4, 5) * x - 2 * _a(al, 4, 4) * y - _a(al, 3, 4)],
-            [_a(al, 5, 6) * y - 2 * _a(al, 5, 5) * z - _a(al, 1, 5),
-             _a(al, 5, 6) * x - 2 * _a(al, 4, 6) * y + _a(al, 4, 5) * z
-             - _a(al, 3, 6) + _a(al, 1, 4),
-             -2 * _a(al, 5, 5) * x + _a(al, 4, 5) * y + _a(al, 3, 5)],
-            [-2 * _a(al, 6, 6) * y + _a(al, 1, 6) + _a(al, 5, 6) * z,
-             -2 * _a(al, 6, 6) * x + _a(al, 4, 6) * z - _a(al, 2, 6),
-             _a(al, 5, 6) * x + _a(al, 4, 6) * y - 2 * _a(al, 4, 5) * z
-             + _a(al, 2, 5) - _a(al, 1, 4)],
-        ])
+        """dn_i/dx_j: a 3x3 matrix, or one per point, of every term, for a
+        sum that ends in `- alpha_ab` may end in -0.0."""
+        v = self._values(pos, [_folded(self.alpha, t, ("", *"xyz")) for t in _H_N[6:]])
+        return np.moveaxis(v.reshape((3, 3) + v.shape[1:]), (0, 1), (-2, -1))
 
 
 def _coords(pos):
     """x, y, z of one point (numbers) or of an (n,3) stack ((n,) arrays)."""
     xs, one = _as_points(pos)
     return xs[0] if one else xs.T
-
-
-def _rows(rows) -> np.ndarray:
-    """A 3x3 matrix, or one per point, from rows of numbers or (n,) arrays."""
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def covariant_momentum(model: FieldModel, s: PhaseState) -> Vec3:
@@ -295,7 +299,8 @@ def as_phase_function(obj, model: FieldModel | None = None, name: str = "") -> P
             raise ParameterError("an IntegralSpec needs a model to become a phase function")
         return PhaseFunction(name or obj.name,
                              lambda s: evaluate_integral(obj, model, s),
-                             _model_gradient(model, lambda rec, p: _integral_gradient(obj, rec, p)),
+                             _model_gradient(model, lambda rec, p: _integral_gradient(
+                                 obj, integral_record(obj, rec), p)),
                              model)
     if isinstance(obj, PhaseFunction) and obj.model is not None:
         if obj.grad is not None:
@@ -329,14 +334,15 @@ def hamiltonian_function(model: FieldModel) -> PhaseFunction:
                          _model_gradient(model, _hamiltonian_gradient), model)
 
 
-def _integral_gradient(spec: IntegralSpec, rec: FieldRecord,
+def _integral_gradient(spec: IntegralSpec, irec: IntegralRecord,
                        p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dX/dx, dX/dp) of a covariant integral at the (n,3) stacks rec.x and
-    p, by the chain rule through pi = p + A(x), with
-    c = (c_lin, c_ang) = d(sum alpha_ab Y_a Y_b)/dY:
+    """(dX/dx, dX/dp) of a covariant integral at the (n,3) stacks x and p,
+    from its IntegralRecord at x, by the chain rule through pi = p + A(x),
+    with c = (c_lin, c_ang) = d(sum alpha_ab Y_a Y_b)/dY:
         dX/dp = c_lin + c_ang x x + s(x)
         dX/dx = J_A^T dX/dp + pi x c_ang + J_s^T pi + grad m.
     """
+    rec = irec.field
     x = rec.x
     pa = p + rec.a
     c = np.zeros((6, len(x)))
@@ -346,13 +352,13 @@ def _integral_gradient(spec: IntegralSpec, rec: FieldRecord,
             c[a - 1] += coef * y[b - 1]
             c[b - 1] += coef * y[a - 1]
     c_lin, c_ang = c[:3].T, c[3:].T
-    gp = c_lin + cross(c_ang, x) + _spec_s(spec, x)
+    gp = c_lin + cross(c_ang, x) + irec.s
     gx = _transpose_times(rec.jac_a, gp) + cross(pa, c_ang)
     if spec.s is None or spec.jac_s is _zero_jacobian:
         gx += 0.0  # J_s^T pi, the +0.0 that the stack of zero J_s gives
     else:
-        gx += _transpose_times(_spec_jac_s(spec, x), pa)
-    gx += _spec_grad_m(spec, x)
+        gx += _transpose_times(irec.jac_s, pa)
+    gx += irec.grad_m
     return gx, gp
 
 
@@ -389,18 +395,23 @@ def bracket_matrix(fns, s, record: FieldRecord | None = None) -> np.ndarray:
     one = isinstance(s, PhaseState)
     xs, ps = (s.x[None], s.p[None]) if one else _state_stacks(s, "s")
     records = {} if record is None else {id(record.model): record}
-    gx, gp = [], []
+    grads = []
     for f in fns:
         model = f.model if isinstance(f, PhaseFunction) else None
         if model is not None and id(model) not in records:
             records[id(model)] = field_record(model, xs)
-        fx, fp = phase_gradient(f, (xs, ps), records.get(id(model)))
-        gx.append(fx)
-        gp.append(fp)
+        grads.append(phase_gradient(f, (xs, ps), records.get(id(model))))
+    out = _bracket_table(grads)
+    return out[0] if one else out
+
+
+def _bracket_table(grads: list) -> np.ndarray:
+    """The (n, k, k) table of {f_i, f_j} from the phase gradients
+    (df_i/dx, df_i/dp) of k functions, each a pair of (n,3) stacks."""
+    gx, gp = zip(*grads)
     # m[t, i, j] = df_i/dx . df_j/dp, each with the bits of a one-point `@`
     m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
-    out = m - m.transpose(0, 2, 1)
-    return out[0] if one else out
+    return m - m.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,27 +426,27 @@ RESIDUAL_KEYS = (
 )
 
 
-def _spec_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
-    """s at each point of an (n,3) stack."""
-    return np.zeros(x.shape) if spec.s is None else spec.s(x)
+class IntegralRecord(NamedTuple):
+    """s, J_s and grad m of a spec at the stack of a FieldRecord, shared by
+    the residual and gradient kernels as the FieldRecord is."""
+
+    field: FieldRecord
+    s: np.ndarray  # (n, 3)
+    jac_s: np.ndarray  # (n, 3, 3), rows ds_i/dx_j
+    grad_m: np.ndarray  # (n, 3)
 
 
-def _spec_jac_s(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
-    """The Jacobian of s at each point of an (n,3) stack, shape (n,3,3)."""
-    if spec.s is None:
-        return np.zeros(x.shape + (3,))
-    if spec.jac_s is not None:
-        return np.broadcast_to(spec.jac_s(x), x.shape + (3,))
-    return jacobian_fd(spec.s, x)
-
-
-def _spec_grad_m(spec: IntegralSpec, x: np.ndarray) -> np.ndarray:
-    """grad m at each point of an (n,3) stack."""
-    if spec.m is None:
-        return np.zeros(x.shape)
-    if spec.grad_m is not None:
-        return np.broadcast_to(spec.grad_m(x), x.shape)
-    return jacobian_fd(spec.m, x)
+def integral_record(spec: IntegralSpec, rec: FieldRecord) -> IntegralRecord:
+    """The IntegralRecord of spec at rec's stack: each part from the spec's
+    function (one constant jac_s or grad_m serves every point), by central
+    differences, or zeros where the spec has no s or m."""
+    x = rec.x
+    jac_s = _zero_jacobian if spec.s is None else spec.jac_s
+    return IntegralRecord(
+        rec, np.zeros(x.shape) if spec.s is None else spec.s(x),
+        jacobian_fd(spec.s, x) if jac_s is None else np.broadcast_to(jac_s(x), x.shape + (3,)),
+        np.zeros(x.shape) if spec.m is None else jacobian_fd(spec.m, x)
+        if spec.grad_m is None else np.broadcast_to(spec.grad_m(x), x.shape))
 
 
 def determining_residuals(
@@ -446,8 +457,8 @@ def determining_residuals(
     hbar: float = 1.0,
 ) -> dict:
     """Pointwise residuals of the determining equations at x: one point
-    (3,) gives floats; an (n,3) stack, or the model's FieldRecord at one,
-    gives an (n,) array per key.
+    (3,) gives floats; an (n,3) stack, the model's FieldRecord at one, or
+    the spec's IntegralRecord at that, gives an (n,) array per key.
 
     Keys: the three diagonal and three mixed second-order conditions,
     the three first-order conditions, and the zero-order condition. In
@@ -456,11 +467,12 @@ def determining_residuals(
     """
     if mode not in ("classical", "quantum"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if isinstance(x, FieldRecord):
-        rec, one = x, False
-    else:
+    one = False
+    if not isinstance(x, (FieldRecord, IntegralRecord)):
         xs, one = _as_points(x)
-        rec = field_record(model, xs)
+        x = field_record(model, xs)
+    irec = x if isinstance(x, IntegralRecord) else integral_record(spec, x)
+    rec = irec.field
     xs = rec.x
     if spec.alpha:
         poly = CoeffPolynomials(spec.alpha)
@@ -470,9 +482,9 @@ def determining_residuals(
         h1 = h2 = h3 = n1 = n2 = n3 = np.zeros(len(xs))
     b1, b2, b3 = rec.b.T
     vx, vy, vz = rec.grad_v.T
-    sv = _spec_s(spec, xs).T
-    js = _spec_jac_s(spec, xs).transpose(1, 2, 0)  # js[i, j]: ds_i/dx_j per point
-    gm = _spec_grad_m(spec, xs).T
+    sv = irec.s.T
+    js = irec.jac_s.transpose(1, 2, 0)  # js[i, j]: ds_i/dx_j per point
+    gm = irec.grad_m.T
 
     res = {
         "ds1_dx": js[0, 0] - (n2 * b2 - n3 * b3),

@@ -414,7 +414,7 @@ def radial_reduced_solve(
         (model.f1(r) - hbar * k) ** 2
         + ((model.f2(r) + hbar * m_quantum) ** 2 - 0.25 * hbar**2) / r**2
         + 2.0 * model.v(r)
-        for r in r_in
+        for r in r_in.tolist()
     ])
     solve = _dirichlet(w, grid.spacing, hbar, n_levels)
     res = SpectrumResult(0.5 * solve.values, grid, solve)

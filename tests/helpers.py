@@ -563,3 +563,153 @@ def field_reference(model, method, x):
         return jac
     assert method == "check_domain"
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference checks of `verify`: each spec's s, J_s and grad m evaluated
+# afresh by the residuals and by the gradient, and h, n and jac_n written
+# out over every alpha coefficient, zeros included
+
+
+class CoeffPolynomialsUnfolded:
+    """h, n and jac_n of `CoeffPolynomials` written out, with a term for
+    every coefficient."""
+
+    def __init__(self, alpha):
+        self.alpha = dict(alpha)
+
+    def _a(self, a, b):
+        return self.alpha.get((a, b), 0.0)
+
+    def h(self, pos):
+        _a, (x, y, z) = self._a, np.asarray(pos, dtype=float).T
+        xx, yy, zz = _pow(x, 2), _pow(y, 2), _pow(z, 2)
+        h1 = (_a(6, 6) * yy + (-_a(5, 6) * z - _a(1, 6)) * y
+              + _a(5, 5) * zz + _a(1, 5) * z + _a(1, 1))
+        h2 = (_a(6, 6) * xx + (-_a(4, 6) * z + _a(2, 6)) * x
+              + _a(4, 4) * zz - _a(2, 4) * z + _a(2, 2))
+        h3 = (_a(5, 5) * xx + (-_a(4, 5) * y - _a(3, 5)) * x
+              + _a(4, 4) * yy + _a(3, 4) * y + _a(3, 3))
+        return np.array([h1, h2, h3]).T
+
+    def n(self, pos):
+        _a, (x, y, z) = self._a, np.asarray(pos, dtype=float).T
+        n1 = (-_a(5, 6) * _pow(x, 2)
+              + (_a(4, 6) * y + _a(4, 5) * z - _a(2, 5) + _a(3, 6)) * x
+              + (-2 * _a(4, 4) * z + _a(2, 4)) * y
+              - _a(3, 4) * z + _a(2, 3))
+        n2 = ((_a(5, 6) * y - 2 * _a(5, 5) * z - _a(1, 5)) * x
+              - _a(4, 6) * _pow(y, 2)
+              + (_a(4, 5) * z - _a(3, 6) + _a(1, 4)) * y
+              + _a(3, 5) * z + _a(1, 3))
+        n3 = ((-2 * _a(6, 6) * y + _a(1, 6) + _a(5, 6) * z) * x
+              + (_a(4, 6) * z - _a(2, 6)) * y
+              - _a(4, 5) * _pow(z, 2) + (_a(2, 5) - _a(1, 4)) * z + _a(1, 2))
+        return np.array([n1, n2, n3]).T
+
+    def jac_n(self, pos):
+        _a, (x, y, z) = self._a, np.asarray(pos, dtype=float).T
+        rows = [
+            [-2 * _a(5, 6) * x + _a(4, 6) * y + _a(4, 5) * z - _a(2, 5) + _a(3, 6),
+             _a(4, 6) * x - 2 * _a(4, 4) * z + _a(2, 4),
+             _a(4, 5) * x - 2 * _a(4, 4) * y - _a(3, 4)],
+            [_a(5, 6) * y - 2 * _a(5, 5) * z - _a(1, 5),
+             _a(5, 6) * x - 2 * _a(4, 6) * y + _a(4, 5) * z - _a(3, 6) + _a(1, 4),
+             -2 * _a(5, 5) * x + _a(4, 5) * y + _a(3, 5)],
+            [-2 * _a(6, 6) * y + _a(1, 6) + _a(5, 6) * z,
+             -2 * _a(6, 6) * x + _a(4, 6) * z - _a(2, 6),
+             _a(5, 6) * x + _a(4, 6) * y - 2 * _a(4, 5) * z + _a(2, 5) - _a(1, 4)],
+        ]
+        return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+def _spec_parts_reference(spec, x):
+    """s, J_s and grad m of a spec at an (n,3) stack, evaluated afresh."""
+    from magsuper.fields import jacobian_fd
+
+    sv = np.zeros(x.shape) if spec.s is None else spec.s(x)
+    if spec.s is None:
+        js = np.zeros(x.shape + (3,))
+    elif spec.jac_s is not None:
+        js = np.broadcast_to(spec.jac_s(x), x.shape + (3,))
+    else:
+        js = jacobian_fd(spec.s, x)
+    if spec.m is None:
+        gm = np.zeros(x.shape)
+    elif spec.grad_m is not None:
+        gm = np.broadcast_to(spec.grad_m(x), x.shape)
+    else:
+        gm = jacobian_fd(spec.m, x)
+    return sv, js, gm
+
+
+def residuals_reference(spec, model, rec, mode="classical", hbar=1.0):
+    """`determining_residuals` at a FieldRecord, from the unfolded
+    polynomials and the spec's functions evaluated for this call."""
+    from magsuper.fields import jacobian_fd
+
+    xs = rec.x
+    if spec.alpha:
+        poly = CoeffPolynomialsUnfolded(spec.alpha)
+        h1, h2, h3 = poly.h(xs).T
+        n1, n2, n3 = poly.n(xs).T
+    else:
+        h1 = h2 = h3 = n1 = n2 = n3 = np.zeros(len(xs))
+    b1, b2, b3 = rec.b.T
+    vx, vy, vz = rec.grad_v.T
+    sv, js, gm = _spec_parts_reference(spec, xs)
+    sv, js, gm = sv.T, js.transpose(1, 2, 0), gm.T
+    res = {
+        "ds1_dx": js[0, 0] - (n2 * b2 - n3 * b3),
+        "ds2_dy": js[1, 1] - (n3 * b3 - n1 * b1),
+        "ds3_dz": js[2, 2] - (n1 * b1 - n2 * b2),
+        "ds1_dy+ds2_dx": js[0, 1] + js[1, 0] - (n1 * b2 - n2 * b1 + 2 * (h1 - h2) * b3),
+        "ds1_dz+ds3_dx": js[0, 2] + js[2, 0] - (n3 * b1 - n1 * b3 + 2 * (h3 - h1) * b2),
+        "ds3_dy+ds2_dz": js[2, 1] + js[1, 2] - (n2 * b3 - n3 * b2 + 2 * (h2 - h3) * b1),
+        "dm_dx": gm[0] - (2 * h1 * vx + n3 * vy + n2 * vz + sv[2] * b2 - sv[1] * b3),
+        "dm_dy": gm[1] - (n3 * vx + 2 * h2 * vy + n1 * vz + sv[0] * b3 - sv[2] * b1),
+        "dm_dz": gm[2] - (n2 * vx + n1 * vy + 2 * h3 * vz + sv[1] * b1 - sv[0] * b2),
+        "zero_order": np.vecdot(sv.T, rec.grad_v),
+    }
+    if mode == "quantum" and spec.alpha:
+        jn = CoeffPolynomialsUnfolded(spec.alpha).jac_n(xs).transpose(1, 2, 0)
+        jb = jacobian_fd(model.magnetic_field, xs).transpose(1, 2, 0)
+        corr = (jn[0, 2] * jb[0, 2] - jn[0, 1] * jb[0, 1]
+                + jn[1, 0] * jb[1, 0] - jn[1, 2] * jb[1, 2]
+                + jn[2, 1] * jb[2, 1] - jn[2, 0] * jb[2, 0]
+                + jn[0, 0] * jb[1, 1] - jn[1, 1] * jb[0, 0])
+        res["zero_order"] += 0.25 * hbar**2 * corr
+    return res
+
+
+def integral_gradient_reference(spec, rec, p):
+    """(dX/dx, dX/dp) of a spec at the stacks rec.x and p, with its s, J_s
+    and grad m evaluated afresh, J_s^T pi skipped where J_s is zero."""
+    from magsuper.integrals import _zero_jacobian
+
+    x = rec.x
+    pa = p + rec.a
+    c = np.zeros((6, len(x)))
+    if spec.alpha:
+        y = (*pa.T, *cross(x, pa).T)
+        for (a, b), coef in spec.alpha.items():
+            c[a - 1] += coef * y[b - 1]
+            c[b - 1] += coef * y[a - 1]
+    c_lin, c_ang = c[:3].T, c[3:].T
+    sv, js, gm = _spec_parts_reference(spec, x)
+    gp = c_lin + cross(c_ang, x) + sv
+    gx = np.matvec(rec.jac_a.transpose(0, 2, 1), gp) + cross(pa, c_ang)
+    if spec.s is None or spec.jac_s is _zero_jacobian:
+        gx += 0.0
+    else:
+        gx += np.matvec(js.transpose(0, 2, 1), pa)
+    gx += gm
+    return gx, gp
+
+
+def bracket_table_reference(grads):
+    """The (n, k, k) table of {f_i, f_j} from a list of k pairs of (n,3)
+    phase gradients (df/dx, df/dp)."""
+    gx, gp = zip(*grads)
+    m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
+    return m - m.transpose(0, 2, 1)

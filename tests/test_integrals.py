@@ -87,6 +87,40 @@ def test_functions_that_are_not_callable_are_refused_by_name(make, message):
         make()
 
 
+@pytest.mark.parametrize("functions, message", [
+    (dict(s=lambda x: x, jac_s=lambda x: np.eye(2)),
+     r"IntegralSpec 'u' jac_s value has shape \(2, 2\), not \(3, 3\)"),
+    (dict(m=lambda x: None), "IntegralSpec 'u' m value None is not a number"),
+    (dict(m=lambda x: [1.0, 2.0]), r"IntegralSpec 'u' m value has shape \(2,\), not \(\)"),
+    (dict(s=lambda x: x, jac_s=lambda x: np.full((3, 3), np.nan)),
+     "IntegralSpec 'u' jac_s value is not an array of finite real numbers"),
+    (dict(s=lambda x: [1.0, "a", 2.0]),
+     "IntegralSpec 'u' s value is not an array of finite real numbers"),
+    (dict(m=lambda x: 0.0, grad_m=lambda x: [0.0, None, 0.0]),
+     "IntegralSpec 'u' grad_m value is not an array of finite real numbers"),
+], ids=["jac_s-shape", "m-none", "m-list", "jac_s-nan", "s-str", "grad_m-none"])
+def test_user_spec_outputs_are_refused_by_spec_and_function(functions, message):
+    # unchecked, these surface as numpy's broadcast ValueError, float()'s
+    # TypeError and NaN residuals
+    spec = ms.IntegralSpec("u", {}, **functions)
+    model = ms.ConstantB(B=1.0)
+    for x in (np.array([0.1, 0.2, 0.3]), rng(5).uniform(-1.0, 1.0, (4, 3))):
+        with pytest.raises(ms.ParameterError, match=f"^{message}$"):
+            ms.determining_residuals(spec, model, x)
+
+
+def test_user_spec_outputs_keep_their_values():
+    spec = ms.IntegralSpec("u", {}, s=lambda x: [1, 2, 3], m=lambda x: np.float32(0.5),
+                           jac_s=lambda x: np.zeros((3, 3), dtype=int),
+                           grad_m=lambda x: np.array([0.0, 1.0, -2.0]))
+    x = rng(6).uniform(-1.0, 1.0, (3, 3))
+    assert spec.s(x).tolist() == 3 * [[1.0, 2.0, 3.0]] and spec.s(x).dtype == float
+    assert spec.m(x).tolist() == [0.5, 0.5, 0.5] and spec.m(x[0]) == 0.5
+    assert spec.m(np.array(x[0])) == 0.5 and type(spec.m(x[0])) is float
+    assert spec.jac_s(x).shape == (3, 3, 3) and spec.jac_s(x).dtype == float
+    assert spec.grad_m(x).tolist() == 3 * [[0.0, 1.0, -2.0]]
+
+
 def test_alpha_integer_pairs_of_any_integer_type_are_accepted():
     spec = ms.IntegralSpec("ok", {(np.int64(2), 6): np.float64(1.5), "35": 2})
     assert spec.alpha == {(2, 6): 1.5, (3, 5): 2.0}
@@ -400,9 +434,9 @@ def test_a_structurally_zero_j_s_is_skipped_with_the_bits_of_the_zero_stack(tmp_
         # the same spec with J_s^T pi formed from a stack of zeros
         stacked = replace(spec, s=spec.s or zeros, jac_s=zero_stack) if zero else spec
         calls.clear()
-        got = integrals._integral_gradient(spec, rec, p)
+        got = integrals._integral_gradient(spec, integrals.integral_record(spec, rec), p)
         assert len(calls) == 1 + (not zero), spec.name
-        want = integrals._integral_gradient(stacked, rec, p)
+        want = integrals._integral_gradient(stacked, integrals.integral_record(stacked, rec), p)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), spec.name
         skipped += zero

@@ -153,6 +153,32 @@ def test_radial_solve_is_eigh_tridiagonal_bit_for_bit():
     assert np.array_equal(res.eigenfunctions[:, 1:-1], funcs)
 
 
+class _Potential(Exception):
+    """Stops a radial solve at its potential, which it carries."""
+
+
+@pytest.mark.parametrize("model", [
+    _free_radial_model(v=lambda r: 0.5 * r**2, dv=lambda r: r),
+    ms.Cylindrical(f1=lambda r: r**1.5, df1=lambda r: 1.5 * r**0.5,
+                   f2=lambda r: r**3, df2=lambda r: 3 * r * r,
+                   v=lambda r: math.exp(-r) + r**-1, dv=lambda r: -math.exp(-r) - r**-2),
+], ids=["harmonic", "powers"])
+def test_radial_potential_has_the_bits_of_the_float64_loop(model, monkeypatch):
+    # the potential is formed over Python floats, with the bits of the same
+    # sum over the grid's np.float64 scalars, whose arithmetic is numpy's
+    def stop(w, *args):
+        raise _Potential(w.copy())
+
+    monkeypatch.setattr(quantum, "_dirichlet", stop)
+    grid, m, k, hbar = ms.Grid1D(1e-3, 12.0, 200000), 2, 0.3, 0.9
+    with pytest.raises(_Potential) as stopped:
+        ms.radial_reduced_solve(model, m, k, hbar, grid, 3)
+    want = np.array([(model.f1(r) - hbar * k) ** 2
+                     + ((model.f2(r) + hbar * m) ** 2 - 0.25 * hbar**2) / r**2
+                     + 2.0 * model.v(r) for r in grid.points[1:-1]])
+    assert stopped.value.args[0].tobytes() == want.tobytes()
+
+
 def test_eigenfunctions_are_built_once_and_only_when_read(monkeypatch):
     from scipy.linalg import lapack
 

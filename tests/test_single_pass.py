@@ -17,7 +17,9 @@ import magsuper as ms
 from magsuper import cli
 from magsuper.algebra import _zero_field_model
 
-from helpers import monopole_positions, monopole_states, random_states, rng, stack_states
+from helpers import (CoeffPolynomialsUnfolded, bracket_table_reference,
+                     integral_gradient_reference, monopole_positions, monopole_states,
+                     random_states, residuals_reference, rng, stack_states)
 
 
 # ---------------------------------------------------------------------------
@@ -684,3 +686,212 @@ def test_integrate_energy_and_integrals_have_one_state_bits(name):
     for spec in specs:
         assert np.array_equal(traj.diagnostics[spec.name],
                               [ms.evaluate_integral(spec, model, s) for s in states]), spec.name
+
+
+# ---------------------------------------------------------------------------
+# verify in one pass per spec
+
+
+# the candidates of the spec file that CI runs at the n_points cap
+_CAP_SPEC_FILE = {"integrals": [{"name": "p1", "s": [1, 0, 0]}, {"name": "c", "m": 1.5},
+                                {"name": "p1sq", "alpha": {"11": 1}}, {"known": "X2"}]}
+
+
+def _one_pass_case(name, tmp_path):
+    """A model and the specs that `verify` checks on it."""
+    if name == "spec_file":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_CAP_SPEC_FILE), encoding="utf-8")
+        model = ms.ConstantB(B=1.3)
+        return model, cli._load_spec_file(str(path), model)
+    model = {"constant_b": ms.ConstantB(B=-0.8), "helical": ms.HelicalB(1.0, -0.5, 0.7),
+             "monopole": ms.Monopole(g=2.0, Q=1.0),
+             "monopole_coulomb_only": ms.Monopole(g=-1.3, Q=0.8, barrier=False),
+             "cylindrical": _cyl_model()}[name]
+    return model, cli._verify_specs(model)
+
+
+def _assert_same_bytes(got, want, what):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+def _alpha_patterns():
+    """alpha of one coefficient each, of random sparse subsets, and full,
+    with values of both signs, some of them -0.0 or 0.0."""
+    pairs = [(a, b) for a in range(1, 7) for b in range(a, 7)]
+    gen = rng(691)
+    out = [{pair: -1.5} for pair in pairs] + [{}, {(1, 1): -0.0, (4, 6): 0.0}]
+    for size in (2, 3, 5, 8, 21):
+        for _ in range(6):
+            chosen = gen.choice(len(pairs), size, replace=False)
+            out.append({pairs[i]: float(gen.choice([-2.0, -0.5, 0.0, 0.75, 3.0]))
+                        for i in chosen})
+    return out
+
+
+def test_folded_polynomials_have_the_bits_of_every_term():
+    # points with zero coordinates of both signs, where a dropped term
+    # could flip the sign of a zero sum
+    gen = rng(692)
+    xs = gen.uniform(-2.0, 2.0, (2400, 3))
+    xs[::3, 0], xs[1::3, 1], xs[::4, 2] = 0.0, -0.0, 0.0
+    xs[::7] = 0.0
+    xs[1::11] = -0.0
+    for alpha in _alpha_patterns():
+        poly, ref = ms.CoeffPolynomials(alpha), CoeffPolynomialsUnfolded(
+            ms.CoeffPolynomials(alpha).alpha)
+        for name in ("h", "n", "jac_n"):
+            want = getattr(ref, name)(xs)
+            _assert_same_bytes(getattr(poly, name)(xs), want, (alpha, name))
+            for i in (0, 1, 2, 5):
+                _assert_same_bytes(getattr(poly, name)(xs[i]), want[i], (alpha, name, i))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", ["constant_b", "helical", "monopole", "monopole_coulomb_only",
+                                  "cylindrical", "spec_file"])
+def test_one_pass_per_spec_has_the_bits_of_evaluating_twice(name, mode, tmp_path):
+    # the reference evaluates each spec's s, J_s and grad m again for the
+    # residuals and for the gradient, and multiplies out every coefficient
+    # of h and n; tobytes() tells the signs of zeros apart
+    model, specs = _one_pass_case(name, tmp_path)
+    gen = rng(671)
+    xs = cli._sample_positions(gen, 2000, model)
+    ps = gen.uniform(-2.0, 2.0, xs.shape)
+    rec = ms.fields.field_record(model, xs)
+    grads, ours = [], []
+    for sp in specs:
+        want = residuals_reference(sp, model, rec, mode, hbar=0.7)
+        irec = ms.integrals.integral_record(sp, rec)
+        for given in (irec, rec, xs):
+            got = ms.determining_residuals(sp, model, given, mode=mode, hbar=0.7)
+            assert list(got) == list(want) == list(ms.RESIDUAL_KEYS)
+            for key in want:
+                _assert_same_bytes(got[key], want[key], (sp.name, key))
+        grads.append(integral_gradient_reference(sp, rec, ps))
+        fn = ms.as_phase_function(sp, model)
+        ours.append(ms.integrals._integral_gradient(sp, irec, ps))
+        for got in (ours[-1], ms.phase_gradient(fn, (xs, ps)), ms.phase_gradient(fn, (xs, ps), rec)):
+            for g, w in zip(got, grads[-1]):
+                _assert_same_bytes(g, w, sp.name)
+    h_fn = ms.hamiltonian_function(model)
+    grads.append(ms.phase_gradient(h_fn, (xs, ps)))
+    ours.append(ms.integrals._hamiltonian_gradient(rec, ps))
+    want = bracket_table_reference(grads)
+    fns = [ms.as_phase_function(sp, model) for sp in specs] + [h_fn]
+    _assert_same_bytes(ms.bracket_matrix(fns, (xs, ps)), want, "bracket_matrix")
+    _assert_same_bytes(ms.bracket_matrix(fns, (xs, ps), rec), want, "bracket_matrix, record")
+    _assert_same_bytes(ms.integrals._bracket_table(ours), want, "table of verify's gradients")
+    _assert_same_bytes(ms.bracket_matrix(fns, ms.PhaseState(xs[5], ps[5])), want[5], "one state")
+
+
+@pytest.mark.parametrize("args", [
+    ["--system", "constant_b"],
+    ["--system", "helical"],
+    ["--system", "monopole"],
+    ["--system", "monopole", "--mode", "quantum"],
+    ["--system", "monopole", "--potential", "coulomb-only"],
+    ["--system", "constant_b", "--spec", "SPEC"],
+], ids=["constant_b", "helical", "monopole", "quantum", "coulomb-only", "spec"])
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_verify_report_has_the_numbers_of_evaluating_twice(tmp_path, args, n):
+    # 20000 states make three blocks of the bracket table, the last one short
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_CAP_SPEC_FILE), encoding="utf-8")
+    args = [str(spec) if a == "SPEC" else a for a in args]
+    out = tmp_path / "verify.json"
+    cli.main(["verify", *args, "--n-points", str(n), "--seed", "11", "--out", str(out)])
+
+    ns = cli.build_parser().parse_args(["verify", *args])
+    model = ms.model_from_config(cli._config_for(ns)["system"])
+    specs = cli._load_spec_file(str(spec), model) if ns.spec else cli._verify_specs(model)
+    gen = cli._rng(11)
+    xs = cli._sample_positions(gen, n, model)
+    ps = gen.uniform(-2.0, 2.0, xs.shape)
+    rec = ms.fields.field_record(model, xs)
+    by_eq, by_int, grads = dict.fromkeys(ms.RESIDUAL_KEYS, 0.0), {}, []
+    for sp in specs:
+        res = residuals_reference(sp, model, rec, ns.mode)
+        worst = {key: float(np.max(np.abs(val))) for key, val in res.items()}
+        by_eq = {key: max(by_eq[key], worst[key]) for key in by_eq}
+        by_int[sp.name] = max(0.0, *worst.values())
+        grads.append(integral_gradient_reference(sp, rec, ps))
+    grads.append(ms.phase_gradient(ms.hamiltonian_function(model), (xs, ps)))
+    table = np.max(np.abs(bracket_table_reference(grads)), axis=0)
+
+    text = out.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    doc.update(max_residual_by_equation=by_eq, max_residual_by_integral=by_int,
+               bracket_with_h={sp.name: float(v) for sp, v in zip(specs, table[:-1, -1])},
+               bracket_matrix=table[:-1, :-1].tolist())
+    assert cli.dumps_report(doc) + "\n" == text
+
+
+def test_verify_evaluates_each_spec_function_once(tmp_path, monkeypatch):
+    # the residuals and the gradient of a spec share one evaluation of s,
+    # J_s and grad m (X_sq has no s, so no J_s)
+    from collections import Counter
+    from dataclasses import replace
+
+    calls = Counter()
+
+    def counted(sp, key):
+        fn = getattr(sp, key)
+        if fn is None:
+            return None
+
+        def call(x):
+            calls[(key, sp.name)] += 1
+            return fn(x)
+
+        call.stacks = True
+        return call
+
+    verify_specs = cli._verify_specs
+    monkeypatch.setattr(cli, "_verify_specs", lambda model: [
+        replace(sp, **{key: counted(sp, key) for key in ("s", "m", "jac_s", "grad_m")})
+        for sp in verify_specs(model)])
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--system", "monopole", "--n-points", "50", "--out", str(out)]) == 0
+    specs = verify_specs(ms.Monopole(g=1.0, Q=1.0))
+    assert len(specs) == 7
+    # m has its exact gradient, so it is not called
+    want = Counter((key, sp.name) for sp in specs for key in ("s", "jac_s", "grad_m")
+                   if getattr(sp, key))
+    assert calls == want and sum(calls.values()) == 6 + 6 + 7
+
+
+def test_cylindrical_field_record_calls_each_user_function_once_per_point(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        return lambda r: calls.append(name) or fn(r)
+
+    base = _cyl_model()
+    model = ms.Cylindrical(**{name: counting(name, getattr(base, name))
+                              for name in ("f1", "df1", "f2", "df2", "v", "dv")})
+    xs = rng(681).uniform(-2.0, 2.0, (100, 3))
+
+    # a stacked domain test runs under one np.errstate, and R is one sqrt
+    tests, roots = [], []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def errstate(self, **kwargs):
+            tests.append(kwargs)
+            return np.errstate(**kwargs)
+
+    space = type(model).field_record.__globals__
+    monkeypatch.setitem(space, "_np", Numpy())
+    monkeypatch.setitem(space, "sqrt", lambda v: roots.append(1) or np.sqrt(v))
+    rec = ms.fields.field_record(model, xs)
+    assert len(tests) == 1 and len(roots) == 1
+    # V itself is not in the record
+    assert sorted(calls) == sorted(100 * ["f1", "df1", "f2", "df2", "dv"])
+    monkeypatch.undo()
+    for got, method in zip(rec[2:], ("vector_potential", "jacobian_a", "magnetic_field",
+                                     "grad_potential")):
+        _assert_same_bytes(got, getattr(base, method)(xs), method)
+    assert rec.model is model and rec.x is xs

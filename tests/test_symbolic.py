@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import magsuper as ms
-from magsuper.integrals import _spec_grad_m, _spec_jac_s, _spec_s
+from magsuper.fields import field_record
+from magsuper.integrals import integral_record
 
 from helpers import monopole_positions, random_states, rng
 
@@ -309,12 +310,13 @@ def test_spec_parts_match_the_symbolic_derivatives(case, name):
     # the value pins alpha, s and m together
     assert _close(ms.evaluate_integral(spec, c.model, (x, p)),
                   _numeric([c.integrals[name]], c, x, p)[:, 0])
-    assert _close(_spec_s(spec, x), _numeric(s_sym, c, x, p))
-    assert _close(_spec_jac_s(spec, x), np.stack([_gradient(e, COORDS, c, x, p) for e in s_sym],
-                                                 axis=-2))
+    parts = integral_record(spec, field_record(c.model, x))
+    assert _close(parts.s, _numeric(s_sym, c, x, p))
+    assert _close(parts.jac_s, np.stack([_gradient(e, COORDS, c, x, p) for e in s_sym],
+                                        axis=-2))
     assert _close(np.zeros(len(x)) if spec.m is None else spec.m(x),
                   _numeric([m_sym], c, x, p)[:, 0])
-    assert _close(_spec_grad_m(spec, x), _gradient(m_sym, COORDS, c, x, p))
+    assert _close(parts.grad_m, _gradient(m_sym, COORDS, c, x, p))
 
 
 @pytest.mark.parametrize("case", list(CASES))
