@@ -32,16 +32,15 @@ from .algebra import (
 from .closedform import helix_solution, pendulum_reduction, helical_z_of_t
 from .dynamics import IntegratorConfig, PhaseState, integrate
 from .errors import OVERFLOW_MESSAGE, ConfigError, MagsuperError, ParameterError
-from .fields import (ConstantB, HelicalB, Monopole, _zeros, divergence_checks, field_record,
+from .fields import (ConstantB, HelicalB, Monopole, divergence_checks, field_record,
                      model_from_config)
 from .integrals import (
     RESIDUAL_KEYS,
     IntegralSpec,
     _bracket_table,
+    _constant_spec,
     _hamiltonian_gradient,
     _integral_gradient,
-    _known,
-    _zero_jacobian,
     determining_residuals,
     integral_record,
     known_integrals,
@@ -331,8 +330,8 @@ def _is_number(v) -> bool:
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     """User-supplied integral candidates, each of its own name: alpha
     entries plus constant or named s, m choices; {"known": NAME} pulls a
-    built-in closed form. Constant s and m are functions of stacks, as
-    the built-ins' are."""
+    built-in closed form. Constant s and m are functions of stacks,
+    generated from one statement, as the built-ins' are."""
     data = _read_json(path, "spec file")
     if not isinstance(data, dict) or not isinstance(data.get("integrals"), list):
         raise ConfigError("spec file must be {\"integrals\": [...]}")
@@ -354,20 +353,14 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
         alpha = ent.get("alpha", {})
         if not isinstance(alpha, dict):
             raise ConfigError(f"integrals[{i}].alpha must be an object")
-        s_raw, m_raw = ent.get("s"), ent.get("m")
-        s_fn = jac_s = m_fn = grad_m = None
-        if s_raw is not None and s_raw != "zero":
-            if not (isinstance(s_raw, list) and len(s_raw) == 3
-                    and all(_is_number(v) for v in s_raw)):
-                raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
-            s_fn = lambda x, sv=np.array(s_raw, dtype=float): np.broadcast_to(sv, x.shape)
-            jac_s = _zero_jacobian
-        if m_raw is not None and m_raw != "zero":
-            if not _is_number(m_raw):
-                raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")
-            m_fn, grad_m = (lambda x, c=float(m_raw): c + _zeros(x)), (lambda x: np.zeros(3))
+        s, m = (None if v == "zero" else v for v in (ent.get("s"), ent.get("m")))
+        if s is not None and not (isinstance(s, list) and len(s) == 3
+                                  and all(_is_number(v) for v in s)):
+            raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
+        if m is not None and not _is_number(m):
+            raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")
         try:
-            out.append(_known(name, alpha, s_fn, m_fn, jac_s, grad_m))
+            out.append(_constant_spec(name, alpha, s, m))
         except ParameterError as exc:
             raise ConfigError(f"integrals[{i}]: {exc}") from exc
     if not out:

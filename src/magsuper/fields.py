@@ -24,12 +24,14 @@ import (`_generated`); the user's functions of `Cylindrical` enter the
 statement through `at`. The source of `hamilton_rhs` is its `source`,
 which the Dormand-Prince attempt of `dynamics` writes into each of its
 stages instead of calling it. Only `Custom` assembles both float methods
-from its numpy methods (`_matrix_rhs`, `_matrix_b_and_grad_v`).
+from its numpy methods.
+
+The generator's output table, `_METHODS`, also holds the s, J_s, m and
+grad m that the statement of a built-in integral of `integrals` gives.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import re
@@ -196,34 +198,11 @@ def _per_point(fn, x, ndim=1, shape=(), dtype=None):
     return np.array(rows, dtype=dtype) if rows else np.zeros((0, *shape))
 
 
-def _rowwise(*shape):
-    """A method of one (3,) point that also takes a stack, row by row, each of value `shape`."""
-    return lambda method: functools.wraps(method)(
-        lambda self, x: _per_point(lambda row: method(self, row), x, 1, shape))
-
-
 def _pow(r, k):
     """r**k per point with the bits of a one-point call: `np.float_power`
     calls libm's pow per element, where `np.power` may take a SIMD path
     that differs in the last bit (a Tier-1 test guards the bits)."""
     return r**k if np.ndim(r) == 0 else np.float_power(r, k)
-
-
-def _matrix_b_and_grad_v(model, x) -> tuple:
-    """B and grad V at one point x = (x0, x1, x2) from the model's
-    `magnetic_field` and `grad_potential`, returned as six floats."""
-    x = np.array(x)
-    return (*model.magnetic_field(x).tolist(), *model.grad_potential(x).tolist())
-
-
-def _matrix_rhs(model, y) -> tuple:
-    """Hamilton's right-hand side at one state y = (x0, x1, x2, p0, p1, p2)
-    from the model's A, J_A and grad V as arrays: v = p + A and
-    dp = -J_A^T v - grad V, returned as six floats."""
-    x, p = np.array(y[:3]), np.array(y[3:])
-    v = p + model.vector_potential(x)
-    dp = -(model.jacobian_a(x).T @ v) - model.grad_potential(x)
-    return (*v.tolist(), *dp.tolist())
 
 
 class FieldRecord(NamedTuple):
@@ -239,12 +218,12 @@ class FieldRecord(NamedTuple):
 
 
 class Statement(NamedTuple):
-    """A model stated once: `text`, lines `name = expression` over x0, x1,
-    x2, the attributes `params` (separated by spaces) and RHS_GLOBALS, that
-    end in the outputs A0..A2, Jik = dA_i/dx_k, B0..B2, V and G0..G2 =
-    grad V (one that no line assigns is a structural zero); `domain`,
-    written with `|`, true off the model's domain, where the function
-    `refusal` of RHS_GLOBALS gives a point's DomainError."""
+    """A model or an integral stated once: `text`, lines `name = expression`
+    over x0, x1, x2, the attributes `params` (separated by spaces) and
+    RHS_GLOBALS, that end in the outputs of _METHODS (one that no line
+    assigns is a structural zero); `domain`, written with `|`, true off the
+    model's domain, where the function `refusal` of RHS_GLOBALS gives a
+    point's DomainError."""
 
     params: str
     text: str
@@ -301,8 +280,7 @@ RHS_GLOBALS = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "pow": math.
 _ARRAY_GLOBALS = {**RHS_GLOBALS, "sqrt": np.sqrt, "cos": np.cos, "sin": np.sin, "pow": _pow,
                   "at": _at, "_np": np, "_zeros": _zeros, "_first_flagged": _first_flagged,
                   "FieldRecord": FieldRecord}
-#: each generated method, in the order `_generated` returns them: what it
-#: returns, and the outputs of the statement that it reads
+#: each generated method: what it returns, and the outputs of the statement that it reads
 _METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl A", "B0 B1 B2"),
             "scalar_potential": ("V", "V"), "grad_potential": ("grad V", "G0 G1 G2"),
             "jacobian_a": ("J_A, rows dA_i/dx_k", "J00 J01 J02 J10 J11 J12 J20 J21 J22"),
@@ -311,15 +289,20 @@ _METHODS = {"vector_potential": ("A", "A0 A1 A2"), "magnetic_field": ("B = curl 
             "hamilton_rhs": ("(v, dp) at one state of six floats", "")}
 _METHODS["field_record"] = ("the FieldRecord of A, J_A, B and grad V", " ".join(
     _METHODS[m][1] for m in "vector_potential jacobian_a magnetic_field grad_potential".split()))
+#: an integral's statement ends in s0..s2, Sik = ds_i/dx_k, m and M0..M2 = grad m
+_METHODS.update(s=("s", "s0 s1 s2"), m=("m", "m"), grad_m=("grad m", "M0 M1 M2"), jac_s=(
+    "J_s, rows ds_i/dx_k", " ".join(f"S{i}{k}" for i in range(3) for k in range(3))))
+#: the methods of a model's statement, in the order `_generated` returns them
+_MODEL_METHODS = tuple(_METHODS)[:9]
 
 
-def _generated(model: str, st: Statement) -> tuple:
-    """The methods of _METHODS, in its order, generated from st."""
-    return tuple(_generated_method(model, method, st) for method in _METHODS)
+def _generated(name: str, st: Statement, methods=_MODEL_METHODS) -> tuple:
+    """The `methods` of _METHODS, in their order, generated from st."""
+    return tuple(_generated_method(name, method, st) for method in methods)
 
 
 def _generated_method(model: str, method: str, st: Statement, floats: bool = False):
-    """One method of the model from st: the lines of st that its result
+    """One method of `model` (a name) from st: the lines of st that its result
     reads, walking back from it, and the domain test right after the last
     line that the test reads. A line after the test that is read once is
     written into its reader, in parentheses, with the same bits.
@@ -331,13 +314,19 @@ def _generated_method(model: str, method: str, st: Statement, floats: bool = Fal
     dp_k = -(sum_i J_ik v_i) - G_k without structural zeros, whose `+ 0.0`
     could flip the sign of a zero. The stacked methods run on numpy arrays
     for an (n,3) stack and on floats for one (3,) point, which overflow
-    without a warning, as in the float methods."""
+    without a warning, as in the float methods; outputs that read no
+    coordinate are one constant, a scalar added to `_zeros(x)` and a vector
+    or matrix broadcast to every point (read-only). Each keeps as
+    `outputs` those of the statement that it reads (none: a structural
+    zero), and a stacked one is marked `stacks`, as `integrals` marks the
+    functions of a spec that take stacks."""
     lines = [tuple(line.strip().split(" = ", 1)) for line in st.text.strip().splitlines()]
     has = {name for name, _ in lines}
-    outputs = [name for name in _METHODS[method][1].split() if name in has]
+    names = _METHODS[method][1].split()
+    outputs = [name for name in names if name in has]
     floats, tail, result = floats or method in ("b_and_grad_v", "hamilton_rhs"), [], None
     if method == "b_and_grad_v":
-        result = [name if name in has else "0.0" for name in _METHODS[method][1].split()]
+        result = [name if name in has else "0.0" for name in names]
     elif method == "hamilton_rhs":
         lines += [(f"v{i}", f"p{i} + A{i}") for i in range(3) if f"A{i}" in has]
         result = [f"v{i}" if f"A{i}" in has else f"p{i}" for i in range(3)]
@@ -345,24 +334,27 @@ def _generated_method(model: str, method: str, st: Statement, floats: bool = Fal
             terms = [f"J{i}{k} * {result[i]}" for i in range(3) if f"J{i}{k}" in has]
             dp = f"-({' + '.join(terms)})" if terms else ""
             result.append((dp + f" - G{k}" * (f"G{k}" in has)).strip() or "0.0")
-    elif method == "scalar_potential":
-        tail = [f"return {'V' if outputs else '_zeros(x)'}"]
-    elif method != "check_domain":
-        # _A.T[i] is the component A_i at every point, _J.T[k, i] the entry J_ik
-        letters = [*dict.fromkeys(name[0] for name in _METHODS[method][1].split())]
-        tail = [line for c in letters for line in (
-            f"_{c} = _np.zeros(x.shape{' + (3,)' if c == 'J' else ''})",
-            *(f"_{c}.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs if name[0] == c))]
-        tail.append("return " + ("FieldRecord(self, x, _A, _J, _B, _G)" if letters[1:] else
-                                 f"_{letters[0]}"))
-    if result:
-        tail = [f"return ({', '.join(result)})"]
-    need = set(re.findall(r"\w+", "\n".join(tail + [st.domain or ""])))
+    need = set(re.findall(r"\w+", "\n".join([*(result or outputs), st.domain or ""])))
     body = []
     for name, expr in reversed(lines):
         if name in need:
             body.insert(0, f"{name} = {expr}")
             need |= set(re.findall(r"\w+", expr))
+    const = not re.search(r"\bx\d", "\n".join(body))  # one value serves every point
+    if result:
+        tail = [f"return ({', '.join(result)})"]
+    elif len(names) == 1:  # one scalar output
+        tail = [f"return {outputs[0] + ' + _zeros(x)' * const if outputs else '_zeros(x)'}"]
+    elif names:
+        # _A.T[i] is the component A_i at every point, _J.T[k, i] the entry
+        # J_ik: an output of two digits is an entry of a 3x3 matrix
+        letters = {name[0]: " + (3,)" * (len(name) == 3) for name in names}
+        tail = [line for c, matrix in letters.items() for line in (
+            f"_{c} = _np.zeros({'(3,)' if const else 'x.shape'}{matrix})",
+            *(f"_{c}.T[{', '.join(name[:0:-1])}] = {name}" for name in outputs if name[0] == c),
+            *[f"_{c} = _np.broadcast_to(_{c}, x.shape{matrix})"] * const)]
+        tail.append("return " + ("FieldRecord(self, x, _A, _J, _B, _G)" if len(letters) > 1 else
+                                 f"_{names[0][0]}"))
     test = -1  # the index of the domain test in body
     if st.domain:
         tested = set(re.findall(r"\w+", st.domain))
@@ -407,8 +399,9 @@ def _generated_method(model: str, method: str, st: Statement, floats: bool = Fal
     namespace = dict(RHS_GLOBALS if floats else _ARRAY_GLOBALS)
     exec(compile(source, f"<{model}.{method}>", "exec"), namespace)
     function = namespace[method]
-    function.__doc__ = f"{_METHODS[method][0]}, from the model's `statement`."
+    function.__doc__ = f"{_METHODS[method][0]}, from the statement of {model}."
     function.__qualname__ = f"{model}.{method}"
+    function.outputs, function.stacks = tuple(outputs), not floats
     if result:
         function.source = RhsSource(params, "\n".join(code[:-1]), code[-1][len("return ("):-1])
     elif method == "check_domain" and not floats:
@@ -606,50 +599,59 @@ class Custom:
     grad_v: Callable[[Vec3], Vec3] | None = None
     domain: Callable[[Vec3], None] | None = None
 
-    hamilton_rhs = _matrix_rhs
-    b_and_grad_v = _matrix_b_and_grad_v
-
     def __post_init__(self):
         _callable_fields(self, ("a", "v"), ("b", "jac_a", "grad_v", "domain"))
+
+    def hamilton_rhs(self, y) -> tuple:
+        """Hamilton's right-hand side at one state y = (x0, x1, x2, p0, p1,
+        p2) from the array methods: v = p + A and dp = -J_A^T v - grad V,
+        returned as six floats."""
+        x, p = np.array(y[:3]), np.array(y[3:])
+        v = p + self.vector_potential(x)
+        dp = -(self.jacobian_a(x).T @ v) - self.grad_potential(x)
+        return (*v.tolist(), *dp.tolist())
+
+    def b_and_grad_v(self, x) -> tuple:
+        """B and grad V at one point x = (x0, x1, x2), as six floats."""
+        x = np.array(x)
+        return (*self.magnetic_field(x).tolist(), *self.grad_potential(x).tolist())
 
     def field_record(self, x) -> FieldRecord:
         self.check_domain(x)
         return FieldRecord(self, x, self.vector_potential(x), self.jacobian_a(x),
                            self.magnetic_field(x), self.grad_potential(x))
 
-    @_rowwise()
-    def check_domain(self, x: Vec3) -> None:
+    def _rows(self, value, x, *shape, tested=True):
+        """value(p) at one (3,) point x, or at each row p of a stack, of
+        shape `shape`; after the domain test of p if `tested`."""
+        def at(p):
+            if tested and self.domain is not None:
+                self.domain(p)
+            return value(p)
+
+        return _per_point(at, x, 1, shape)
+
+    def check_domain(self, x) -> None:
         if self.domain is not None:
-            self.domain(x)
+            self._rows(lambda p: None, x)
 
-    @_rowwise(3)
-    def vector_potential(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        return _as_vec3(self.a(x))
+    def vector_potential(self, x) -> Vec3:
+        return self._rows(lambda p: _as_vec3(self.a(p)), x, 3)
 
-    @_rowwise(3)
-    def magnetic_field(self, x: Vec3) -> Vec3:
-        self.check_domain(x)
-        if self.b is not None:
-            return _as_vec3(self.b(x))
-        return curl_fd(self.a, x)
+    def magnetic_field(self, x) -> Vec3:
+        return self._rows(lambda p: curl_fd(self.a, p) if self.b is None else _as_vec3(self.b(p)),
+                          x, 3)
 
-    @_rowwise()
-    def scalar_potential(self, x: Vec3) -> float:
-        self.check_domain(x)
-        return float(self.v(x))
+    def scalar_potential(self, x) -> float:
+        return self._rows(lambda p: float(self.v(p)), x)
 
-    @_rowwise(3)
-    def grad_potential(self, x: Vec3) -> Vec3:
-        if self.grad_v is not None:
-            return _as_vec3(self.grad_v(x))
-        return jacobian_fd(self.v, x)
+    def grad_potential(self, x) -> Vec3:
+        return self._rows(lambda p: jacobian_fd(self.v, p) if self.grad_v is None else
+                          _as_vec3(self.grad_v(p)), x, 3, tested=False)
 
-    @_rowwise(3, 3)
-    def jacobian_a(self, x: Vec3) -> np.ndarray:
-        if self.jac_a is not None:
-            return np.asarray(self.jac_a(x), dtype=float)
-        return jacobian_fd(self.a, x)
+    def jacobian_a(self, x) -> np.ndarray:
+        return self._rows(lambda p: jacobian_fd(self.a, p) if self.jac_a is None else
+                          np.asarray(self.jac_a(p), dtype=float), x, 3, 3, tested=False)
 
 
 FieldModel = ConstantB | HelicalB | Monopole | Cylindrical | Custom

@@ -12,9 +12,12 @@ enters: in the constructor of `IntegralSpec` for its s, m, jac_s and
 grad_m, and in `as_phase_function`, the one place that decides how a
 phase-space function is called.
 
-Each built-in first-order integral (`known_integrals`) is a generator
-a.P + b.L of the Euclidean algebra made covariant,
-X = (a + b x x) . p^A + m(x), with only m written per model:
+Each built-in integral (`known_integrals`) is stated once, as a
+`fields.Statement` of its s, J_s, m and grad m, from which `fields`
+generates the four functions at import; a spec binds them to its model,
+or to the g and Q of a monopole builder. A first-order one is a
+generator a.P + b.L of the Euclidean algebra made covariant,
+X = (a + b x x) . p^A + m(x), so s = a + b x x (`_rotation` for L_j):
     uniform field      X1, X2, X3 = P1, P2, P3 and X4 = L1;
     helical field      X1, X2 = P1, P2 and X3 = L3 + beta P3, a screw;
     monopole           X1, X2, X3 = L1, L2, L3;
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 from functools import partial, reduce
 from numbers import Integral
 from operator import add
+from types import MethodType, SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -42,13 +46,14 @@ from .fields import (
     FieldRecord,
     HelicalB,
     Monopole,
+    Statement,
     Vec3,
     _as_points,
     _as_real,
     _as_reals,
     _as_vec3,
-    _at,
     _callable_fields,
+    _generated,
     _per_point,
     _pow,
     _zeros,
@@ -56,7 +61,6 @@ from .fields import (
     dot,
     field_record,
     jacobian_fd,
-    norm,
 )
 
 
@@ -354,7 +358,7 @@ def _integral_gradient(spec: IntegralSpec, irec: IntegralRecord,
     c_lin, c_ang = c[:3].T, c[3:].T
     gp = c_lin + cross(c_ang, x) + irec.s
     gx = _transpose_times(rec.jac_a, gp) + cross(pa, c_ang)
-    if spec.s is None or spec.jac_s is _zero_jacobian:
+    if _zero_jac_s(spec):
         gx += 0.0  # J_s^T pi, the +0.0 that the stack of zero J_s gives
     else:
         gx += _transpose_times(irec.jac_s, pa)
@@ -439,12 +443,14 @@ class IntegralRecord(NamedTuple):
 def integral_record(spec: IntegralSpec, rec: FieldRecord) -> IntegralRecord:
     """The IntegralRecord of spec at rec's stack: each part from the spec's
     function (one constant jac_s or grad_m serves every point), by central
-    differences, or zeros where the spec has no s or m."""
+    differences, or zeros where the spec has no s or m, or a J_s that is a
+    structural zero."""
     x = rec.x
-    jac_s = _zero_jacobian if spec.s is None else spec.jac_s
+    jac_s = (np.zeros((3, 3)) if _zero_jac_s(spec) else jacobian_fd(spec.s, x)
+             if spec.jac_s is None else spec.jac_s(x))
     return IntegralRecord(
         rec, np.zeros(x.shape) if spec.s is None else spec.s(x),
-        jacobian_fd(spec.s, x) if jac_s is None else np.broadcast_to(jac_s(x), x.shape + (3,)),
+        np.broadcast_to(jac_s, x.shape + (3,)),
         np.zeros(x.shape) if spec.m is None else jacobian_fd(spec.m, x)
         if spec.grad_m is None else np.broadcast_to(spec.grad_m(x), x.shape))
 
@@ -517,178 +523,116 @@ def determining_residuals(
 # known integrals per system
 
 
-_E = np.eye(3)
+def _rotation(j: int) -> list[str]:
+    """The lines of s = e_j x x and of J_s, the constant [e_j]_x whose
+    column k is e_j x e_k: the generator L_j made covariant."""
+    i, k = (j + 1) % 3, (j + 2) % 3
+    return [f"s{i} = -x{k}", f"s{k} = x{i}", f"S{i}{k} = -1.0", f"S{k}{i} = 1.0"]
 
 
-def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec:
-    """A built-in spec, or a candidate of a `verify --spec` file; its s, m,
-    jac_s and grad_m take (3,) or (n,3) points (a jac_s or grad_m that
-    returns one constant serves every point)."""
-    for fn in (s, m, jac_s, grad_m):
-        if fn is not None:
-            fn.stacks = True
-    return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
+def _x_over_r(j: int, c: str) -> list[str]:
+    """The lines of m = c x_j/|x| and of its gradient, over r = |x| and r3."""
+    return [f"m = {c} * (x{j} / r)", *(f"M{k} = {c} * (-x{j} * x{k} / r3{' + 1.0 / r' * (k == j)})"
+                                       for k in range(3))]
 
 
-def _zero_jacobian(x) -> np.ndarray:
-    """The jac_s of a constant s: a structural zero, whose J_s^T pi
-    `_integral_gradient` does not form."""
-    return np.zeros((3, 3))
+def _runge_lenz(j: int) -> list[str]:
+    """The lines of s = g (x x e_j) / |x| and J_s, over r = |x| and r3."""
+    i, k = (j + 1) % 3, (j + 2) % 3
+    c = {i: f"x{k}", k: f"-x{i}"}  # x x e_j
+    jc = {(i, k): "1.0", (k, i): "-1.0"}  # its Jacobian
+    return [f"s{n} = g * {c[n]} / r" for n in c] + [
+        f"S{n}{q} = g * " + (f"({jc[n, q]} / r - {t})" if (n, q) in jc else f"-({t})")
+        for n in c for q in range(3) for t in [f"{c[n]} * x{q} / r3"]]
 
 
-_zero_jacobian.stacks = True
+def _stated(model: str, params: str, prelude: str, integrals: list) -> dict[str, tuple]:
+    """name: (alpha, statement, its s, m, jac_s and grad_m) of each integral
+    (name, alpha, lines), stated over `params` by the lines of `prelude`,
+    which it reads as it needs, and its own."""
+    out = {}
+    for name, alpha, lines in integrals:
+        st = Statement(params, "\n".join([*map(str.strip, prelude.strip().splitlines()), *lines]))
+        out[name] = (alpha, st, _generated(f"{model}.{name}", st, ("s", "m", "jac_s", "grad_m")))
+    return out
 
 
-def _generator(name, a, b, m, grad_m) -> IntegralSpec:
-    """The first-order integral X = (a + b x x) . p^A + m(x): the Euclidean
-    generator a.P + b.L made covariant, from constant 3-vectors a and b
-    (None for zero). Its jac_s is the constant [b]_x, whose column k is
-    b x e_k, or `_zero_jacobian` when b is None."""
-    if b is None:
-        def s(x):
-            return np.broadcast_to(a, x.shape).copy()
-
-        return _known(name, {}, s, m, _zero_jacobian, grad_m)
-
-    def s(x):
-        return cross(b, x) if a is None else cross(b, x) + a
-
-    jac = cross(b, _E).T
-    return _known(name, {}, s, m, lambda x: jac, grad_m)
+def _specs(stated: dict[str, tuple], params) -> list[IntegralSpec]:
+    """The specs of `_stated`, their functions bound to `params`; a statement
+    that assigns no s_i has no s, as the second-order X_sq."""
+    specs = []
+    for name, (alpha, _, functions) in stated.items():
+        s, m, jac_s, grad_m = (MethodType(fn, params) for fn in functions)
+        specs.append(IntegralSpec(name, alpha, *((s, m, jac_s, grad_m) if s.outputs else
+                                                 (None, m, None, grad_m))))
+    return specs
 
 
-def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
-    """P1, P2, P3 and L1."""
-    B = model.B
-    return [
-        _generator("X1", _E[0], None, lambda x: _zeros(x), lambda x: np.zeros(3)),
-        _generator("X2", _E[1], None, lambda x: B * x.T[2], lambda x: np.array([0.0, 0.0, B])),
-        _generator("X3", _E[2], None, lambda x: -B * x.T[1], lambda x: np.array([0.0, -B, 0.0])),
-        _generator("X4", None, _E[0],
-                   lambda x: -0.5 * B * (_pow(x.T[1], 2) + _pow(x.T[2], 2)),
-                   lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T),
-    ]
+def _zero_jac_s(spec: IntegralSpec) -> bool:
+    """Whether spec's J_s is a structural zero: spec has no s, or its jac_s
+    is generated from a statement that assigns no entry of J_s."""
+    return spec.s is None or getattr(spec.jac_s, "outputs", None) == ()
 
 
-def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
-    """P1, P2 and the screw L3 + beta P3."""
-    amp, beta, phi0 = model.A_amp, model.beta, model.phi0
+_MONOPOLE = "r = sqrt(x0 * x0 + x1 * x1 + x2 * x2)\nr3 = pow(r, 3)"
+_CONSTANT_B = _stated("ConstantB", "B", "", [
+    ("X1", {}, ["s0 = 1.0"]),
+    ("X2", {}, ["s1 = 1.0", "m = B * x2", "M2 = B"]),
+    ("X3", {}, ["s2 = 1.0", "m = -B * x1", "M1 = -B"]),
+    ("X4", {}, [*_rotation(0), "m = -0.5 * B * (pow(x1, 2) + pow(x2, 2))", "M1 = -B * x1",
+                "M2 = -B * x2"]),
+])
+_HELICAL = _stated("HelicalB", "A_amp beta phi0", """
+    u = (x2 + phi0) / beta
+    c = cos(u)
+    sn = sin(u)""", [
+    ("X1", {}, ["s0 = 1.0", "m = A_amp * c", "M2 = -A_amp * sn / beta"]),
+    ("X2", {}, ["s1 = 1.0", "m = A_amp * sn", "M2 = A_amp * c / beta"]),
+    ("X3", {}, [*_rotation(2), "s2 = beta", "m = A_amp * (x0 * sn - x1 * c)",
+                "M0 = A_amp * sn", "M1 = -A_amp * c", "M2 = A_amp * (x0 * c + x1 * sn) / beta"]),
+])
+_ANGULAR = _stated("Monopole", "g", _MONOPOLE, [
+    (f"X{j + 1}", {}, _rotation(j) + _x_over_r(j, "g")) for j in range(3)])
+_SQUARE = _stated("Monopole", "g", "", [
+    ("X_sq", {(4, 4): 1.0, (5, 5): 1.0, (6, 6): 1.0}, ["m = pow(g, 2)"])])
+_RUNGE_LENZ = _stated("Monopole", "g Q", _MONOPOLE, [
+    (f"R{j + 1}", alpha, _runge_lenz(j) + _x_over_r(j, "-Q")) for j, alpha in enumerate([
+        {(2, 6): 1.0, (3, 5): -1.0}, {(1, 6): -1.0, (3, 4): 1.0}, {(1, 5): 1.0, (2, 4): -1.0}])])
+# R as the model's statement reads it, and grad m = d (x/R, y/R, 0) with d = m'(R)
+_GRAD_M_OF_R = ["M0 = d * x0 / r", "M1 = d * x1 / r"]
+_CYLINDRICAL = _stated("Cylindrical", "f1 df1 f2 df2", "r = sqrt(x0 * x0 + x1 * x1)", [
+    ("l3", {}, [*_rotation(2), "m = -at(f2, r)", "d = -at(df2, r)", *_GRAD_M_OF_R]),
+    ("p3", {}, ["s2 = 1.0", "m = at(f1, r)", "d = at(df1, r)", *_GRAD_M_OF_R]),
+])
+#: a candidate of a `verify --spec` file: constant s = (c0, c1, c2) and m = c
+_CONSTANT = _stated("SpecFile", "c0 c1 c2 c", "", [
+    ("constant", {}, ["s0 = c0", "s1 = c1", "s2 = c2", "m = c"])])
 
-    def u(x):
-        return (x.T[2] + phi0) / beta
 
-    return [
-        _generator("X1", _E[0], None, lambda x: amp * np.cos(u(x)),
-                   lambda x: np.array([_zeros(x), _zeros(x), -amp * np.sin(u(x)) / beta]).T),
-        _generator("X2", _E[1], None, lambda x: amp * np.sin(u(x)),
-                   lambda x: np.array([_zeros(x), _zeros(x), amp * np.cos(u(x)) / beta]).T),
-        _generator(
-            "X3", beta * _E[2], _E[2],
-            lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
-            lambda x: np.array([
-                amp * np.sin(u(x)),
-                -amp * np.cos(u(x)),
-                amp * (x.T[0] * np.cos(u(x)) + x.T[1] * np.sin(u(x))) / beta,
-            ]).T,
-        ),
-    ]
-
-
-def _unit_radial(j: int):
-    """x_j/|x| and its gradient, as closures."""
-
-    def val(x):
-        return x.T[j] / norm(x)
-
-    def grad(x):
-        r = norm(x)
-        g = (-x.T[j] * x.T / _pow(r, 3)).T
-        g.T[j] += 1.0 / r
-        return g
-
-    return val, grad
+def _constant_spec(name: str, alpha, s=None, m=None) -> IntegralSpec:
+    """The candidate `name` of a spec file: alpha, constant s (three floats)
+    and m (a float), each None for none; its J_s is a structural zero."""
+    c0, c1, c2 = s or (0.0, 0.0, 0.0)
+    bound = SimpleNamespace(c0=c0, c1=c1, c2=c2, c=m)
+    return IntegralSpec(name, alpha, *(None if v is None else MethodType(fn, bound)
+                                       for fn, v in zip(_CONSTANT["constant"][2], (s, m, s, m))))
 
 
 def monopole_angular_specs(g: float) -> list[IntegralSpec]:
     """X_j = l_j^A + g x_j/|x| for j = 1..3: L1, L2, L3."""
-    specs = []
-    for j in range(3):
-        val, grad = _unit_radial(j)
-        specs.append(_generator(f"X{j + 1}", None, _E[j],
-                                lambda x, v=val: g * v(x), lambda x, gr=grad: g * gr(x)))
-    return specs
+    return _specs(_ANGULAR, SimpleNamespace(g=_as_real(g, f"g {g!r}")))
 
 
 def monopole_total_square_spec(g: float) -> IntegralSpec:
     """(X)^2 = sum_j (l_j^A)^2 + g^2."""
-    return _known(
-        "X_sq", {(4, 4): 1.0, (5, 5): 1.0, (6, 6): 1.0},
-        s=None,
-        m=lambda x: g**2 + _zeros(x),
-        grad_m=lambda x: np.zeros(3),
-    )
+    return _specs(_SQUARE, SimpleNamespace(g=_as_real(g, f"g {g!r}")))[0]
 
 
 def monopole_runge_lenz_specs(g: float, Q: float) -> list[IntegralSpec]:
-    """R_j = eps_jkl p_k^A X_l - Q x_j/|x| in covariant form.
-
-    The quadratic parts are p2^A l3^A - p3^A l2^A and cyclic; the rest
-    folds into s and m.
-    """
-    alphas = [
-        {(2, 6): 1.0, (3, 5): -1.0},
-        {(1, 6): -1.0, (3, 4): 1.0},
-        {(1, 5): 1.0, (2, 4): -1.0},
-    ]
-
-    def s_fn(j):
-        def s(x):
-            return (g * cross(x, _E[j]).T / norm(x)).T
-
-        return s
-
-    def jac_s_fn(j):
-        def jac(x):
-            r = norm(x)
-            c = cross(x, _E[j])
-            jc = np.zeros((3, 3))
-            jc[(j + 1) % 3, (j + 2) % 3] = 1.0
-            jc[(j + 2) % 3, (j + 1) % 3] = -1.0
-            # rows: d/dx_k of g c_i / r, per point
-            outer = c[..., :, None] * x[..., None, :]
-            return g * (jc / np.asarray(r)[..., None, None]
-                        - outer / np.asarray(_pow(r, 3))[..., None, None])
-
-        return jac
-
-    specs = []
-    for j in range(3):
-        val, grad = _unit_radial(j)
-        specs.append(_known(
-            f"R{j + 1}", alphas[j],
-            s=s_fn(j),
-            m=(lambda x, v=val: -Q * v(x)),
-            jac_s=jac_s_fn(j),
-            grad_m=(lambda x, gr=grad: -Q * gr(x)),
-        ))
-    return specs
-
-
-def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
-    """L3 and P3: m = -F2(R) and F1(R), with R as the model's statement
-    reads it, and grad m = m'(R) (x/R, y/R, 0)."""
-    def radial(fn, sign, gradient=False):
-        def of_x(x):
-            r = np.sqrt(x.T[0] * x.T[0] + x.T[1] * x.T[1])
-            d = sign * _at(fn, r)
-            return np.array([d * x.T[0] / r, d * x.T[1] / r, _zeros(x)]).T if gradient else d
-
-        return of_x
-
-    return [
-        _generator("l3", None, _E[2], radial(model.f2, -1.0), radial(model.df2, -1.0, True)),
-        _generator("p3", _E[2], None, radial(model.f1, 1.0), radial(model.df1, 1.0, True)),
-    ]
+    """R_j = eps_jkl p_k^A X_l - Q x_j/|x| in covariant form: the quadratic
+    parts are p2^A l3^A - p3^A l2^A and cyclic; the rest folds into s and m."""
+    return _specs(_RUNGE_LENZ, SimpleNamespace(g=_as_real(g, f"g {g!r}"),
+                                               Q=_as_real(Q, f"Q {Q!r}")))
 
 
 def known_integrals(model: FieldModel) -> list[IntegralSpec]:
@@ -699,9 +643,9 @@ def known_integrals(model: FieldModel) -> list[IntegralSpec]:
     them conserved.
     """
     if isinstance(model, ConstantB):
-        return _const_b_specs(model)
+        return _specs(_CONSTANT_B, model)
     if isinstance(model, HelicalB):
-        return _helical_specs(model)
+        return _specs(_HELICAL, model)
     if isinstance(model, Monopole):
         specs = monopole_angular_specs(model.g)
         specs.append(monopole_total_square_spec(model.g))
@@ -709,5 +653,5 @@ def known_integrals(model: FieldModel) -> list[IntegralSpec]:
             specs.extend(monopole_runge_lenz_specs(model.g, model.Q))
         return specs
     if isinstance(model, Cylindrical):
-        return _cylindrical_specs(model)
+        return _specs(_CYLINDRICAL, model)
     raise UnsupportedModel(f"no known integrals for {type(model).__name__}")

@@ -7,10 +7,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import (ConfigError, ConstantB, Cylindrical, DomainError, HelicalB, Monopole,
-                      ParameterError, PhaseState, StepFailure)
+from magsuper import (ConfigError, ConstantB, Cylindrical, DomainError, HelicalB, IntegralSpec,
+                      Monopole, ParameterError, PhaseState, StepFailure)
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E
-from magsuper.fields import EPS_DOMAIN, cross
+from magsuper.fields import EPS_DOMAIN, _at, _zeros, cross, norm
 
 
 def rng(seed):
@@ -684,9 +684,8 @@ def residuals_reference(spec, model, rec, mode="classical", hbar=1.0):
 
 def integral_gradient_reference(spec, rec, p):
     """(dX/dx, dX/dp) of a spec at the stacks rec.x and p, with its s, J_s
-    and grad m evaluated afresh, J_s^T pi skipped where J_s is zero."""
-    from magsuper.integrals import _zero_jacobian
-
+    and grad m evaluated afresh, J_s^T pi skipped where J_s is a structural
+    zero: there is no s, or a generated jac_s that assigns no entry."""
     x = rec.x
     pa = p + rec.a
     c = np.zeros((6, len(x)))
@@ -699,7 +698,7 @@ def integral_gradient_reference(spec, rec, p):
     sv, js, gm = _spec_parts_reference(spec, x)
     gp = c_lin + cross(c_ang, x) + sv
     gx = np.matvec(rec.jac_a.transpose(0, 2, 1), gp) + cross(pa, c_ang)
-    if spec.s is None or spec.jac_s is _zero_jacobian:
+    if spec.s is None or getattr(spec.jac_s, "outputs", None) == ():
         gx += 0.0
     else:
         gx += np.matvec(js.transpose(0, 2, 1), pa)
@@ -713,3 +712,203 @@ def bracket_table_reference(grads):
     gx, gp = zip(*grads)
     m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
     return m - m.transpose(0, 2, 1)
+
+# ---------------------------------------------------------------------------
+# the built-in integrals as hand-written closures
+
+
+_E = np.eye(3)
+
+
+def _known(name, alpha, s=None, m=None, jac_s=None, grad_m=None) -> IntegralSpec:
+    """A built-in spec, or a candidate of a `verify --spec` file; its s, m,
+    jac_s and grad_m take (3,) or (n,3) points (a jac_s or grad_m that
+    returns one constant serves every point)."""
+    for fn in (s, m, jac_s, grad_m):
+        if fn is not None:
+            fn.stacks = True
+    return IntegralSpec(name, alpha, s, m, jac_s, grad_m)
+
+
+def _zero_jacobian(x) -> np.ndarray:
+    """The jac_s of a constant s: a structural zero, whose J_s^T pi
+    `_integral_gradient` does not form."""
+    return np.zeros((3, 3))
+
+
+_zero_jacobian.stacks = True
+
+
+def _generator(name, a, b, m, grad_m) -> IntegralSpec:
+    """The first-order integral X = (a + b x x) . p^A + m(x): the Euclidean
+    generator a.P + b.L made covariant, from constant 3-vectors a and b
+    (None for zero). Its jac_s is the constant [b]_x, whose column k is
+    b x e_k, or `_zero_jacobian` when b is None."""
+    if b is None:
+        def s(x):
+            return np.broadcast_to(a, x.shape).copy()
+
+        return _known(name, {}, s, m, _zero_jacobian, grad_m)
+
+    def s(x):
+        return cross(b, x) if a is None else cross(b, x) + a
+
+    jac = cross(b, _E).T
+    return _known(name, {}, s, m, lambda x: jac, grad_m)
+
+
+def _const_b_specs(model: ConstantB) -> list[IntegralSpec]:
+    """P1, P2, P3 and L1."""
+    B = model.B
+    return [
+        _generator("X1", _E[0], None, lambda x: _zeros(x), lambda x: np.zeros(3)),
+        _generator("X2", _E[1], None, lambda x: B * x.T[2], lambda x: np.array([0.0, 0.0, B])),
+        _generator("X3", _E[2], None, lambda x: -B * x.T[1], lambda x: np.array([0.0, -B, 0.0])),
+        _generator("X4", None, _E[0],
+                   lambda x: -0.5 * B * (_pow(x.T[1], 2) + _pow(x.T[2], 2)),
+                   lambda x: np.array([_zeros(x), -B * x.T[1], -B * x.T[2]]).T),
+    ]
+
+
+def _helical_specs(model: HelicalB) -> list[IntegralSpec]:
+    """P1, P2 and the screw L3 + beta P3."""
+    amp, beta, phi0 = model.A_amp, model.beta, model.phi0
+
+    def u(x):
+        return (x.T[2] + phi0) / beta
+
+    return [
+        _generator("X1", _E[0], None, lambda x: amp * np.cos(u(x)),
+                   lambda x: np.array([_zeros(x), _zeros(x), -amp * np.sin(u(x)) / beta]).T),
+        _generator("X2", _E[1], None, lambda x: amp * np.sin(u(x)),
+                   lambda x: np.array([_zeros(x), _zeros(x), amp * np.cos(u(x)) / beta]).T),
+        _generator(
+            "X3", beta * _E[2], _E[2],
+            lambda x: amp * (x.T[0] * np.sin(u(x)) - x.T[1] * np.cos(u(x))),
+            lambda x: np.array([
+                amp * np.sin(u(x)),
+                -amp * np.cos(u(x)),
+                amp * (x.T[0] * np.cos(u(x)) + x.T[1] * np.sin(u(x))) / beta,
+            ]).T,
+        ),
+    ]
+
+
+def _unit_radial(j: int):
+    """x_j/|x| and its gradient, as closures."""
+
+    def val(x):
+        return x.T[j] / norm(x)
+
+    def grad(x):
+        r = norm(x)
+        g = (-x.T[j] * x.T / _pow(r, 3)).T
+        g.T[j] += 1.0 / r
+        return g
+
+    return val, grad
+
+
+def monopole_angular_specs_reference(g: float) -> list[IntegralSpec]:
+    """X_j = l_j^A + g x_j/|x| for j = 1..3: L1, L2, L3."""
+    specs = []
+    for j in range(3):
+        val, grad = _unit_radial(j)
+        specs.append(_generator(f"X{j + 1}", None, _E[j],
+                                lambda x, v=val: g * v(x), lambda x, gr=grad: g * gr(x)))
+    return specs
+
+
+def monopole_total_square_spec_reference(g: float) -> IntegralSpec:
+    """(X)^2 = sum_j (l_j^A)^2 + g^2."""
+    return _known(
+        "X_sq", {(4, 4): 1.0, (5, 5): 1.0, (6, 6): 1.0},
+        s=None,
+        m=lambda x: g**2 + _zeros(x),
+        grad_m=lambda x: np.zeros(3),
+    )
+
+
+def monopole_runge_lenz_specs_reference(g: float, Q: float) -> list[IntegralSpec]:
+    """R_j = eps_jkl p_k^A X_l - Q x_j/|x| in covariant form.
+
+    The quadratic parts are p2^A l3^A - p3^A l2^A and cyclic; the rest
+    folds into s and m.
+    """
+    alphas = [
+        {(2, 6): 1.0, (3, 5): -1.0},
+        {(1, 6): -1.0, (3, 4): 1.0},
+        {(1, 5): 1.0, (2, 4): -1.0},
+    ]
+
+    def s_fn(j):
+        def s(x):
+            return (g * cross(x, _E[j]).T / norm(x)).T
+
+        return s
+
+    def jac_s_fn(j):
+        def jac(x):
+            r = norm(x)
+            c = cross(x, _E[j])
+            jc = np.zeros((3, 3))
+            jc[(j + 1) % 3, (j + 2) % 3] = 1.0
+            jc[(j + 2) % 3, (j + 1) % 3] = -1.0
+            # rows: d/dx_k of g c_i / r, per point
+            outer = c[..., :, None] * x[..., None, :]
+            return g * (jc / np.asarray(r)[..., None, None]
+                        - outer / np.asarray(_pow(r, 3))[..., None, None])
+
+        return jac
+
+    specs = []
+    for j in range(3):
+        val, grad = _unit_radial(j)
+        specs.append(_known(
+            f"R{j + 1}", alphas[j],
+            s=s_fn(j),
+            m=(lambda x, v=val: -Q * v(x)),
+            jac_s=jac_s_fn(j),
+            grad_m=(lambda x, gr=grad: -Q * gr(x)),
+        ))
+    return specs
+
+
+def _cylindrical_specs(model: Cylindrical) -> list[IntegralSpec]:
+    """L3 and P3: m = -F2(R) and F1(R), with R as the model's statement
+    reads it, and grad m = m'(R) (x/R, y/R, 0)."""
+    def radial(fn, sign, gradient=False):
+        def of_x(x):
+            r = np.sqrt(x.T[0] * x.T[0] + x.T[1] * x.T[1])
+            d = sign * _at(fn, r)
+            return np.array([d * x.T[0] / r, d * x.T[1] / r, _zeros(x)]).T if gradient else d
+
+        return of_x
+
+    return [
+        _generator("l3", None, _E[2], radial(model.f2, -1.0), radial(model.df2, -1.0, True)),
+        _generator("p3", _E[2], None, radial(model.f1, 1.0), radial(model.df1, 1.0, True)),
+    ]
+
+
+def known_integrals_reference(model) -> list[IntegralSpec]:
+    """`known_integrals` as its spec functions were written by hand, each
+    closure of one model; the bit reference of the generated ones.
+
+    For the monopole, the Runge-Lenz components are included only when
+    the scalar potential carries the g^2/(2|x|^2) barrier that makes
+    them conserved.
+    """
+    if isinstance(model, ConstantB):
+        return _const_b_specs(model)
+    if isinstance(model, HelicalB):
+        return _helical_specs(model)
+    if isinstance(model, Monopole):
+        specs = monopole_angular_specs_reference(model.g)
+        specs.append(monopole_total_square_spec_reference(model.g))
+        if model.barrier:
+            specs.extend(monopole_runge_lenz_specs_reference(model.g, model.Q))
+        return specs
+    if isinstance(model, Cylindrical):
+        return _cylindrical_specs(model)
+    raise TypeError(f"no known integrals for {type(model).__name__}")

@@ -430,7 +430,7 @@ def test_a_structurally_zero_j_s_is_skipped_with_the_bits_of_the_zero_stack(tmp_
                         lambda j, v: calls.append(1) or transpose_times(j, v))
     skipped = 0
     for spec in specs:
-        zero = spec.s is None or spec.jac_s is integrals._zero_jacobian
+        zero = spec.s is None or spec.jac_s.outputs == ()  # no entry of J_s assigned
         # the same spec with J_s^T pi formed from a stack of zeros
         stacked = replace(spec, s=spec.s or zeros, jac_s=zero_stack) if zero else spec
         calls.clear()
@@ -442,3 +442,123 @@ def test_a_structurally_zero_j_s_is_skipped_with_the_bits_of_the_zero_stack(tmp_
         skipped += zero
     # X1-X3, p1sq and both candidates of the file skip it; X4 does not
     assert skipped == len(specs) - 1 == 6
+
+
+# ---------------------------------------------------------------------------
+# the built-in specs' statements against the hand-written closures they
+# replaced (`helpers.known_integrals_reference`)
+
+BIT_MODELS = {
+    "monopole": ms.Monopole(g=2.0, Q=0.7),
+    "monopole g<0": ms.Monopole(g=-2.0, Q=0.7),
+    "coulomb-only monopole": ms.Monopole(g=2.0, Q=0.7, barrier=False),
+    "coulomb-only monopole g<0": ms.Monopole(g=-2.0, Q=0.7, barrier=False),
+    "constant_b": ms.ConstantB(B=-1.5),
+    "helical": ms.HelicalB(A_amp=1.3, beta=-0.6, phi0=0.9),
+    "cylindrical": _cyl_model(),
+}
+#: each (spec, output) of each model whose closure gives -0.0 in entries
+#: that its statement leaves a structural zero, as +0.0: the products 0 * x
+#: of cross(e_j, x) and cross(x, e_j), and g < 0 times the zero row j of
+#: the Runge-Lenz R_j's J_s
+_ANGULAR = {("X1", "s"), ("X2", "s"), ("X3", "s"), ("R1", "s"), ("R2", "s"), ("R3", "s")}
+_ZERO_ROWS = {("R1", "jac_s"), ("R2", "jac_s"), ("R3", "jac_s")}
+SIGNED_ZEROS = {
+    "monopole": _ANGULAR,
+    "monopole g<0": _ANGULAR | _ZERO_ROWS,
+    "coulomb-only monopole": _ANGULAR,
+    "coulomb-only monopole g<0": _ANGULAR | _ZERO_ROWS,
+    "constant_b": {("X4", "s")},
+    "helical": set(),
+    "cylindrical": {("l3", "s")},
+}
+#: each output of a spec, its value shape and its entries in the statement
+_OUTPUTS = {"s": ((3,), [f"s{i}" for i in range(3)]), "m": ((), ["m"]),
+            "jac_s": ((3, 3), [f"S{i}{k}" for i in range(3) for k in range(3)]),
+            "grad_m": ((3,), [f"M{k}" for k in range(3)])}
+
+
+def _with_runge_lenz(model, known, runge_lenz):
+    # the candidates of `verify`: R1-R3 also for a coulomb-only monopole
+    specs = known(model)
+    if isinstance(model, ms.Monopole) and not model.barrier:
+        specs += runge_lenz(model.g, model.Q)
+    return specs
+
+
+@pytest.mark.parametrize("label", list(BIT_MODELS))
+def test_generated_spec_functions_have_the_bits_of_the_closures(label):
+    import helpers
+
+    model = BIT_MODELS[label]
+    x = rng(2000).uniform(-2.0, 2.0, (2000, 3))
+    got = _with_runge_lenz(model, ms.known_integrals, ms.monopole_runge_lenz_specs)
+    want = _with_runge_lenz(model, helpers.known_integrals_reference,
+                            helpers.monopole_runge_lenz_specs_reference)
+    assert [(g.name, g.alpha) for g in got] == [(w.name, w.alpha) for w in want]
+    signed = set()
+    for g, w in zip(got, want):
+        for key, (shape, entries) in _OUTPUTS.items():
+            fn, ref = getattr(g, key), getattr(w, key)
+            assert (fn is None) == (ref is None), (g.name, key)
+            if fn is None:
+                continue
+            a = fn(x)
+            b = np.broadcast_to(ref(x), a.shape)
+            assert a.shape == (len(x), *shape)
+            differ = a.view(np.uint64) != b.view(np.uint64)
+            if not differ.any():
+                continue
+            signed.add((g.name, key))
+            # equal values, +0.0 against -0.0, and only in unassigned entries
+            assert np.array_equal(a, b), (g.name, key)
+            assert (a[differ].view(np.uint64) == 0).all(), (g.name, key)
+            structural = np.array([e not in fn.outputs for e in entries]).reshape(shape)
+            assert not (differ & ~structural).any(), (g.name, key)
+    assert signed == SIGNED_ZEROS[label]
+
+
+def test_spec_builders_refuse_a_charge_that_is_not_a_finite_number():
+    import warnings
+
+    builders = {"g": (ms.monopole_angular_specs, ms.monopole_total_square_spec,
+                      lambda g: ms.monopole_runge_lenz_specs(g, 1.0)),
+                "Q": (lambda Q: ms.monopole_runge_lenz_specs(2.0, Q),)}
+    x = np.array([[0.3, -0.4, 1.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, builds in builders.items():
+            for build in builds:
+                for bad in ("a", "2.0", None, True, False, np.nan, np.inf, -np.inf, 10**400,
+                            [1.0]):
+                    with pytest.raises(ms.ParameterError, match=rf"^{name} "):
+                        build(bad)
+                # g = 0, the Kepler limit, and Q = 0 still build and answer
+                specs = build(0)
+                for spec in specs if isinstance(specs, list) else [specs]:
+                    assert np.isfinite(spec.m(x)).all() and np.isfinite(spec.grad_m(x)).all()
+
+
+def test_spec_builders_generate_no_source_per_call(monkeypatch):
+    from magsuper import fields, integrals
+
+    def build():
+        specs = [sp for model in [*BIT_MODELS.values(), ms.HelicalB(A_amp=1.0, beta=2.0)]
+                 for sp in ms.known_integrals(model)]
+        specs += [*ms.monopole_angular_specs(0.0), ms.monopole_total_square_spec(0.0),
+                  *ms.monopole_runge_lenz_specs(0.0, 1.0),
+                  integrals._constant_spec("c", {}, [1.0, -0.0, 2.0], 3.0)]
+        return specs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile called while building specs")
+
+    monkeypatch.setattr(fields, "compile", refuse, raising=False)
+    first, second = build(), build()
+    x = rng(3).uniform(-2.0, 2.0, (5, 3))
+    for a, b in zip(first, second):
+        for key in _OUTPUTS:
+            fn = getattr(a, key)
+            if fn is not None:
+                assert fn.__code__ is getattr(b, key).__code__, (a.name, key)
+                fn(x)

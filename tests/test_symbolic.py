@@ -340,20 +340,21 @@ def test_bracket_matrix_gradients_match_the_symbolic_ones(case):
 
 
 # ---------------------------------------------------------------------------
-# each closed-form model's statement, read in sympy
+# each closed-form model's statement, and each built-in integral's, read in
+# sympy
 
 
-def _statement_outputs(cls, barrier):
-    """Every name that cls.statement assigns, in sympy: its lines evaluated
-    in order on the symbols x, y, z and the model's parameters, with sqrt,
-    cos, sin and pow as sympy's, `at` as function application, and its
-    decimals as exact rationals. The Cylindrical's f1, f2 and v are sympy
-    functions, and df1, df2 and dv their derivatives."""
-    st = cls.statement
-    env = {"x0": X, "x1": Y, "x2": Z, "barrier": barrier}
-    if cls is ms.Cylindrical:
-        r = sp.Dummy("r")
-        for name in ("f1", "f2", "v"):
+def _statement_outputs(st, **env):
+    """Every name that the statement st assigns, in sympy: its lines
+    evaluated in order on the symbols x, y, z, the names of `env` and its
+    other parameters, with sqrt, cos, sin and pow as sympy's, `at` as
+    function application, and its decimals as exact rationals. The f1, f2
+    and v of a Cylindrical are sympy functions, and df1, df2 and dv their
+    derivatives."""
+    env = {"x0": X, "x1": Y, "x2": Z, **env}
+    r = sp.Dummy("r")
+    for name in ("f1", "f2", "v"):
+        if name in st.params.split():
             env[name] = sp.Function(name.upper())
             env["d" + name] = lambda q, fn=env[name]: fn(r).diff(r).subs(r, q)
     env.update((p, sp.Symbol(p, real=True)) for p in st.params.split() if p not in env)
@@ -371,7 +372,7 @@ def _statement_outputs(cls, barrier):
                                           (ms.Cylindrical, True)])
 def test_statement_states_b_j_and_grad_v_of_its_a_and_v(cls, barrier):
     # an output that the statement does not assign is a structural zero
-    out = _statement_outputs(cls, barrier)
+    out = _statement_outputs(cls.statement, barrier=barrier)
     a = [out.get(f"A{i}", 0) for i in range(3)]
     v = out.get("V", 0)
     curl = [sp.diff(a[2], Y) - sp.diff(a[1], Z), sp.diff(a[0], Z) - sp.diff(a[2], X),
@@ -381,3 +382,25 @@ def test_statement_states_b_j_and_grad_v_of_its_a_and_v(cls, barrier):
         assert sp.simplify(out.get(f"G{i}", 0) - sp.diff(v, COORDS[i])) == 0, f"G{i}"
         for k in range(3):
             assert sp.simplify(out.get(f"J{i}{k}", 0) - sp.diff(a[i], COORDS[k])) == 0, f"J{i}{k}"
+
+
+def _integral_statements():
+    from magsuper import integrals
+
+    tables = {"constant_b": integrals._CONSTANT_B, "helical": integrals._HELICAL,
+              "monopole": {**integrals._ANGULAR, **integrals._SQUARE, **integrals._RUNGE_LENZ},
+              "cylindrical": integrals._CYLINDRICAL, "spec file": integrals._CONSTANT}
+    return {(case, name): stated[1] for case, table in tables.items()
+            for name, stated in table.items()}
+
+
+@pytest.mark.parametrize("case, name", list(_integral_statements()))
+def test_integral_statement_states_j_s_and_grad_m_of_its_s_and_m(case, name):
+    # an output that the statement does not assign is a structural zero
+    out = _statement_outputs(_integral_statements()[case, name])
+    s = [out.get(f"s{i}", 0) for i in range(3)]
+    m = out.get("m", 0)
+    for k in range(3):
+        assert sp.simplify(out.get(f"M{k}", 0) - sp.diff(m, COORDS[k])) == 0, f"M{k}"
+        for i in range(3):
+            assert sp.simplify(out.get(f"S{i}{k}", 0) - sp.diff(s[i], COORDS[k])) == 0, f"S{i}{k}"
