@@ -8,16 +8,15 @@ angular momenta. Both facts are checked numerically at sampled states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .closedform import x5_integral, x6_integral
-from .dynamics import _state_arrays
+from .closedform import _phase_vectors, _rows_at, _x5_x6
 from .errors import ConfigError, DomainError, ParameterError
-from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, _as_count, _pow, _zeros
+from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, _as_count, _pow
 from .integrals import (
     PhaseFunction,
+    _bracket_table,
     _state_stacks,
     as_phase_function,
     bracket_matrix,
@@ -28,60 +27,50 @@ from .integrals import (
 _BASIS_NAMES = ("X1t", "X2", "X3", "X4", "X5", "X6", "X7")
 
 
+def _polynomial_basis(B: float, x, p) -> dict:
+    """X1t, X2, X3, X4 and X7 per state of (n,3) stacks x and p, each as
+    (F, dF/dx, dF/dp). None forms the angle of X5 and X6, so all answer at
+    p1 = 0; squares go through `_pow`, so a stack has the bits of its states."""
+    (_, x1, x2), (p0, p1, p2) = x.T, p.T
+    return {"X1t": (0.5 * _pow(p0, 2), *_phase_vectors(x, 0.0, 0.0, 0.0, p0, 0.0, 0.0)),
+            "X2": (p1, *_phase_vectors(x, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
+            "X3": (p2 - B * x1, *_phase_vectors(x, 0.0, -B, 0.0, 0.0, 0.0, 1.0)),
+            "X4": (x1 * p2 - x2 * p1 + 0.5 * B * (_pow(x2, 2) - _pow(x1, 2)),
+                   *_phase_vectors(x, 0.0, p2 - B * x1, B * x2 - p1, 0.0, -x2, x1)),
+            "X7": (np.ones(len(x)), *_phase_vectors(x, *[0.0] * 6))}
+
+
+def _field(B) -> ConstantB:
+    """ConstantB(B), or a ParameterError that names constantB_basis at B = 0."""
+    if B == 0:
+        raise ParameterError("constantB_basis requires B != 0")
+    return ConstantB(B)
+
+
 def constantB_basis(B: float) -> list[PhaseFunction]:
     """The 7 closed-algebra generators X1t=p1^2/2, X2..X7, with gradients.
 
-    Each takes a PhaseState or a pair (x, p) of (n,3) stacks; squares go
-    through `_pow`, so a stack has the bits of its states. X5 and X6 are
-    `closedform.x5_integral` and `x6_integral`: they contain cos(Bx/p1)
-    and sin(Bx/p1) and raise DegenerateMomentum at |p1| < 1e-8.
+    Each takes a PhaseState or a pair (x, p) of (n,3) stacks (one state is a
+    stack of one) and reads `_polynomial_basis` (X1t..X4, X7) or
+    `closedform._x5_x6` (X5, X6, as `x5_integral` and `x6_integral`), which
+    contain cos(Bx/p1) and sin(Bx/p1) and raise DegenerateMomentum at |p1| < 1e-8.
     """
-    if B == 0:
-        raise ParameterError("constantB_basis requires B != 0")
+    model = _field(B)
 
-    def parts(s):
-        """x0, x1, x2, p0, p1, p2: numbers, or (n,) arrays for stacks."""
-        x, p = _state_arrays(s)
-        return (*x.T, *p.T)
+    def generator(name):
+        kernel = _x5_x6 if name in ("X5", "X6") else _polynomial_basis
+        return PhaseFunction(name, lambda s: _rows_at(kernel, model.B, s)[name][0],
+                             lambda s, record=None: _rows_at(kernel, model.B, s)[name][1:],
+                             model)
 
-    def vectors(s, *c):
-        """(df/dx, df/dp) per state from six components, numbers or arrays."""
-        c = np.broadcast_arrays(*c, _zeros(_state_arrays(s)[0]))
-        return np.array(c[:3]).T, np.array(c[3:6]).T
+    return [generator(name) for name in _BASIS_NAMES]
 
-    def grad_x5(s, record=None):
-        x0, _, _, p0, _, _ = parts(s)
-        th, v6 = B * x0 / p0, x6_integral(B, s)
-        return vectors(s, B / p0 * v6, 0.0, B * np.cos(th),
-                       -B * x0 / _pow(p0, 2) * v6, -np.cos(th), -np.sin(th))
 
-    def grad_x6(s, record=None):
-        x0, _, _, p0, _, _ = parts(s)
-        th, v5 = B * x0 / p0, x5_integral(B, s)
-        return vectors(s, -B / p0 * v5, 0.0, -B * np.sin(th),
-                       B * x0 / _pow(p0, 2) * v5, np.sin(th), -np.cos(th))
-
-    def x4(s):
-        _, x1, x2, _, p1, p2 = parts(s)
-        return x1 * p2 - x2 * p1 + 0.5 * B * (_pow(x2, 2) - _pow(x1, 2))
-
-    def grad_x4(s, record=None):
-        _, x1, x2, _, p1, p2 = parts(s)
-        return vectors(s, 0.0, p2 - B * x1, B * x2 - p1, 0.0, -x2, x1)
-
-    model = ConstantB(B)
-    return [PhaseFunction(name, fn, grad, model) for name, fn, grad in (
-        ("X1t", lambda s: 0.5 * _pow(parts(s)[3], 2),
-         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, parts(s)[3], 0.0, 0.0)),
-        ("X2", lambda s: parts(s)[4],
-         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
-        ("X3", lambda s: parts(s)[5] - B * parts(s)[1],
-         lambda s, record=None: vectors(s, 0.0, -B, 0.0, 0.0, 0.0, 1.0)),
-        ("X4", x4, grad_x4),
-        ("X5", partial(x5_integral, B), grad_x5),
-        ("X6", partial(x6_integral, B), grad_x6),
-        ("X7", lambda s: 1.0, lambda s, record=None: vectors(s, *[0.0] * 6)),
-    )]
+def _basis_rows(B: float, x, p) -> dict:
+    """X1t..X7 by name, each as (F, dF/dx, dF/dp) per state of (n,3) stacks
+    x and p: each kernel of `constantB_basis` once."""
+    B = _field(B).B
+    return {**_polynomial_basis(B, x, p), **_x5_x6(B, x, p)}
 
 
 @dataclass(frozen=True)
@@ -116,20 +105,18 @@ def constantB_bracket_table(B: float) -> BracketTable:
 def verify_bracket_table(B: float, states) -> dict:
     """Max discrepancy of every basis pair against the structure table at
     `states`, a pair (x, p) of (n,3) stacks, all through one bracket table."""
-    s = _state_stacks(states)
-    basis = constantB_basis(B)
-    vals = {f.name: f.fn(s) for f in basis}
-    br = bracket_matrix(basis, s)
+    rows = _basis_rows(B, *_state_stacks(states))
+    br = _bracket_table([rows[n][1:] for n in _BASIS_NAMES])
     table = constantB_bracket_table(B)
     pairs = {}
-    for i, fi in enumerate(basis):
-        for j in range(i + 1, len(basis)):
-            pred = sum(c * vals[n] for n, c in table.combination(i, j).items())
-            pairs[f"{{{fi.name},{basis[j].name}}}"] = _max_abs(br[:, i, j] - pred)
+    for i, a in enumerate(_BASIS_NAMES):
+        for j in range(i + 1, len(_BASIS_NAMES)):
+            pred = sum(c * rows[n][0] for n, c in table.combination(i, j).items())
+            pairs[f"{{{a},{_BASIS_NAMES[j]}}}"] = _max_abs(br[:, i, j] - pred)
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
-        "n_states": len(s[0]),
+        "n_states": len(br),
     }
 
 
@@ -142,8 +129,8 @@ def casimir_check(B: float, states) -> dict:
     """Residuals of 2 X1t X7 + X5^2 + X6^2 = 2H and
     2(B X4 + X1t) X7 + X2^2 + X3^2 = 2H at `states`, a pair (x, p) of
     (n,3) stacks."""
-    x, p = s = _state_stacks(states)
-    v = {f.name: f.fn(s) for f in constantB_basis(B)}
+    x, p = _state_stacks(states)
+    v = {name: row[0] for name, row in _basis_rows(B, x, p).items()}
     # H in the gauge of the basis, squared by pow: `hamiltonian` sums v.v by
     # products, and the bits of the two differ in about 1 state of 1400
     h2 = 2.0 * (0.5 * (_pow(p.T[0], 2) + _pow(p.T[1] - B * x.T[2], 2) + _pow(p.T[2], 2)))
@@ -202,7 +189,8 @@ def monopole_closure_check(g: float, states, Q: float = 0.0) -> dict:
 
 
 #: most points or states a sampled check may ask for (the schema's n_points
-#: maximum); at this many, `algebra` peaks at about 300 MB and `verify` at 240 MB
+#: maximum); at this many, `algebra` peaks at about 286 MB (constant_b) and
+#: `verify` at 244 MB (the monopole in quantum mode)
 SAMPLE_MAX_ROWS = 200_000
 
 

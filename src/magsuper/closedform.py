@@ -15,19 +15,10 @@ import numpy as np
 from .dynamics import PhaseState, _dp5_interpolant, _run_rk45, _state_arrays
 from .elliptic import _ellipj, ellipk, inv_am, inv_sn
 from .errors import DegenerateKappa, DegenerateMomentum, ParameterError, SeparatrixRegime
-from .fields import HelicalB, _as_instance, _as_real, _as_reals, _real_fields
+from .fields import HelicalB, _as_instance, _as_real, _as_reals, _pow, _real_fields, _zeros
 
 #: half-width of the separatrix band |kappa - 1| routed to numerics
 SEPARATRIX_DELTA = 1e-6
-
-
-def _cos_sin(a):
-    """cos and sin of a number, or per element of an array with libm's bits
-    (numpy's vectorised cos and sin need not round as libm does)."""
-    if not isinstance(a, np.ndarray):
-        return math.cos(a), math.sin(a)
-    a = a.tolist()
-    return np.array([math.cos(v) for v in a]), np.array([math.sin(v) for v in a])
 
 
 def helix_solution(B: float, s0: PhaseState, t):
@@ -65,7 +56,8 @@ def _helix(B: float, s0: PhaseState, t, finite):
         raise ParameterError("helix_solution phase B t is beyond the double range")
     x0, y0, z0 = s0.x.tolist()
     p1, p2, p3 = s0.p.tolist()
-    c, s = _cos_sin(phase)
+    lib = math if type(t) is float else np  # math: the cheaper call on a float
+    c, s = lib.cos(phase), lib.sin(phase)
     x = x0 + p1 * t
     y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
     z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
@@ -82,13 +74,36 @@ def _helix(B: float, s0: PhaseState, t, finite):
 _P1_MIN = 1e-8
 
 
-def _phase_angle(B: float, x, p):
-    p1 = p.T[0]
-    if (abs(p1) < _P1_MIN).any():
-        small = np.atleast_1d(abs(p1))
-        raise DegenerateMomentum(f"|p1|={small[small < _P1_MIN][0]} below {_P1_MIN}: "
+def _phase_vectors(x, *c):
+    """(dF/dx, dF/dp) as two (n,3) stacks from six components, each a
+    number or an (n,) array, per point of the (n,3) stack x."""
+    c = np.broadcast_arrays(*c, _zeros(x))
+    return np.array(c[:3]).T, np.array(c[3:6]).T
+
+
+def _x5_x6(B: float, x, p) -> dict:
+    """X5 and X6 per state of (n,3) stacks x and p, each as (F, dF/dx,
+    dF/dp): the one place that forms the angle B x/p1, with its cos and sin."""
+    (x0, _, x2), (p0, p1, p2) = x.T, p.T
+    if (abs(p0) < _P1_MIN).any():
+        raise DegenerateMomentum(f"|p1|={abs(p0)[abs(p0) < _P1_MIN][0]} below {_P1_MIN}: "
                                  "the helix degenerates to a circle")
-    return B * x.T[0] / p1
+    th = B * x0 / p0
+    c, sn = np.cos(th), np.sin(th)
+    v5 = (B * x2 - p1) * c - p2 * sn
+    v6 = (p1 - B * x2) * sn - p2 * c
+    return {"X5": (v5, *_phase_vectors(x, B / p0 * v6, 0.0, B * c,
+                                       -B * x0 / _pow(p0, 2) * v6, -c, -sn)),
+            "X6": (v6, *_phase_vectors(x, -B / p0 * v5, 0.0, -B * sn,
+                                       B * x0 / _pow(p0, 2) * v5, sn, -c))}
+
+
+def _rows_at(kernel, B: float, s) -> dict:
+    """kernel(B, x, p), (F, dF/dx, dF/dp) by name, at a pair (x, p) of (n,3)
+    stacks, or at a PhaseState as a stack of one: a number and two 3-vectors."""
+    x, p = _state_arrays(s)
+    rows = kernel(B, np.reshape(x, (-1, 3)), np.reshape(p, (-1, 3)))
+    return rows if np.ndim(x) == 2 else {k: tuple(a[0] for a in v) for k, v in rows.items()}
 
 
 def x5_integral(B: float, s: PhaseState):
@@ -97,18 +112,12 @@ def x5_integral(B: float, s: PhaseState):
     At a PhaseState, or per state of a pair (x, p) of (n,3) stacks with
     the bits of the one-state call.
     """
-    B = _as_real(B, f"x5_integral B {B!r}")
-    x, p = _state_arrays(s)
-    c, sn = _cos_sin(_phase_angle(B, x, p))
-    return (B * x.T[2] - p.T[1]) * c - p.T[2] * sn
+    return _rows_at(_x5_x6, _as_real(B, f"x5_integral B {B!r}"), s)["X5"][0]
 
 
 def x6_integral(B: float, s: PhaseState):
     """(p2 - Bz) sin(Bx/p1) - p3 cos(Bx/p1); companion of x5_integral."""
-    B = _as_real(B, f"x6_integral B {B!r}")
-    x, p = _state_arrays(s)
-    c, sn = _cos_sin(_phase_angle(B, x, p))
-    return (p.T[1] - B * x.T[2]) * sn - p.T[2] * c
+    return _rows_at(_x5_x6, _as_real(B, f"x6_integral B {B!r}"), s)["X6"][0]
 
 
 def tilde_transform(s: PhaseState) -> tuple[float, float]:

@@ -1,15 +1,17 @@
 """Shared test utilities: seeded sampling and independent oracles."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import (ConfigError, ConstantB, Cylindrical, DomainError, HelicalB, IntegralSpec,
-                      Monopole, ParameterError, PhaseState, StepFailure)
-from magsuper.dynamics import RK45_A, RK45_B, RK45_E
+from magsuper import (ConfigError, ConstantB, Cylindrical, DegenerateMomentum, DomainError,
+                      HelicalB, IntegralSpec, Monopole, ParameterError, PhaseFunction,
+                      PhaseState, StepFailure)
+from magsuper.dynamics import RK45_A, RK45_B, RK45_E, _state_arrays
 from magsuper.fields import EPS_DOMAIN, _at, _zeros, cross, norm
 
 
@@ -912,3 +914,108 @@ def known_integrals_reference(model) -> list[IntegralSpec]:
     if isinstance(model, Cylindrical):
         return _cylindrical_specs(model)
     raise TypeError(f"no known integrals for {type(model).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the uniform-field algebra as hand-written closures
+
+
+def _cos_sin(a):
+    """cos and sin of a number, or per element of an array with libm's bits
+    (numpy's vectorised cos and sin need not round as libm does)."""
+    if not isinstance(a, np.ndarray):
+        return math.cos(a), math.sin(a)
+    a = a.tolist()
+    return np.array([math.cos(v) for v in a]), np.array([math.sin(v) for v in a])
+
+
+def helix_reference(B: float, s0: PhaseState, t: np.ndarray):
+    """`helix_solution` at a 1-D array of times, as the pair (x, p) of
+    (n,3) stacks, with libm's cos and sin per time."""
+    x0, y0, z0 = s0.x.tolist()
+    p1, p2, p3 = s0.p.tolist()
+    c, s = _cos_sin(B * t)
+    x = x0 + p1 * t
+    y = y0 - p3 / B + c * p3 / B - s * (z0 - p2 / B)
+    z = p2 / B + s * p3 / B + c * (z0 - p2 / B)
+    p3t = c * p3 + s * (p2 - B * z0)
+    ones = np.ones_like(t)
+    return np.column_stack([x, y, z]), np.column_stack([p1 * ones, p2 * ones, p3t])
+
+
+_P1_MIN = 1e-8
+
+
+def _phase_angle(B: float, x, p):
+    p1 = p.T[0]
+    if (abs(p1) < _P1_MIN).any():
+        small = np.atleast_1d(abs(p1))
+        raise DegenerateMomentum(f"|p1|={small[small < _P1_MIN][0]} below {_P1_MIN}: "
+                                 "the helix degenerates to a circle")
+    return B * x.T[0] / p1
+
+
+def x5_integral_reference(B: float, s: PhaseState):
+    """(Bz - p2) cos(Bx/p1) - p3 sin(Bx/p1) at a PhaseState or per state of a
+    pair (x, p) of (n,3) stacks, with libm's cos and sin per state."""
+    x, p = _state_arrays(s)
+    c, sn = _cos_sin(_phase_angle(B, x, p))
+    return (B * x.T[2] - p.T[1]) * c - p.T[2] * sn
+
+
+def x6_integral_reference(B: float, s: PhaseState):
+    """(p2 - Bz) sin(Bx/p1) - p3 cos(Bx/p1); companion of x5_integral_reference."""
+    x, p = _state_arrays(s)
+    c, sn = _cos_sin(_phase_angle(B, x, p))
+    return (p.T[1] - B * x.T[2]) * sn - p.T[2] * c
+
+
+def constantB_basis_reference(B: float) -> list[PhaseFunction]:
+    """`constantB_basis` as its seven generators were written by hand, each
+    a closure pair; the bit reference of the stacked kernels."""
+    if B == 0:
+        raise ParameterError("constantB_basis requires B != 0")
+
+    def parts(s):
+        """x0, x1, x2, p0, p1, p2: numbers, or (n,) arrays for stacks."""
+        x, p = _state_arrays(s)
+        return (*x.T, *p.T)
+
+    def vectors(s, *c):
+        """(df/dx, df/dp) per state from six components, numbers or arrays."""
+        c = np.broadcast_arrays(*c, _zeros(_state_arrays(s)[0]))
+        return np.array(c[:3]).T, np.array(c[3:6]).T
+
+    def grad_x5(s, record=None):
+        x0, _, _, p0, _, _ = parts(s)
+        th, v6 = B * x0 / p0, x6_integral_reference(B, s)
+        return vectors(s, B / p0 * v6, 0.0, B * np.cos(th),
+                       -B * x0 / _pow(p0, 2) * v6, -np.cos(th), -np.sin(th))
+
+    def grad_x6(s, record=None):
+        x0, _, _, p0, _, _ = parts(s)
+        th, v5 = B * x0 / p0, x5_integral_reference(B, s)
+        return vectors(s, -B / p0 * v5, 0.0, -B * np.sin(th),
+                       B * x0 / _pow(p0, 2) * v5, np.sin(th), -np.cos(th))
+
+    def x4(s):
+        _, x1, x2, _, p1, p2 = parts(s)
+        return x1 * p2 - x2 * p1 + 0.5 * B * (_pow(x2, 2) - _pow(x1, 2))
+
+    def grad_x4(s, record=None):
+        _, x1, x2, _, p1, p2 = parts(s)
+        return vectors(s, 0.0, p2 - B * x1, B * x2 - p1, 0.0, -x2, x1)
+
+    model = ConstantB(B)
+    return [PhaseFunction(name, fn, grad, model) for name, fn, grad in (
+        ("X1t", lambda s: 0.5 * _pow(parts(s)[3], 2),
+         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, parts(s)[3], 0.0, 0.0)),
+        ("X2", lambda s: parts(s)[4],
+         lambda s, record=None: vectors(s, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
+        ("X3", lambda s: parts(s)[5] - B * parts(s)[1],
+         lambda s, record=None: vectors(s, 0.0, -B, 0.0, 0.0, 0.0, 1.0)),
+        ("X4", x4, grad_x4),
+        ("X5", partial(x5_integral_reference, B), grad_x5),
+        ("X6", partial(x6_integral_reference, B), grad_x6),
+        ("X7", lambda s: 1.0, lambda s, record=None: vectors(s, *[0.0] * 6)),
+    )]

@@ -382,3 +382,19 @@ def test_float_power_has_the_bits_of_libm_pow_for_every_exponent_in_src():
             f"{v.size} points, first r = {v[differ[0]]!r}; _pow needs the per-point "
             "fallback on this numpy")
         assert np.array_equal(_pow(v, k).view(np.uint64), want.view(np.uint64))
+
+
+def test_numpy_cos_and_sin_have_the_bits_of_libm():
+    # numpy's cos and sin of an array and libm's of a float must agree bit for
+    # bit: the last range holds every angle B x/p1 that |x| <= 2 and
+    # |p1| >= 1e-8 reach at the sampled |B| <= 2
+    gen = rng(2302)
+    a = np.concatenate([gen.uniform(lo, hi, 60000) * gen.choice([-1.0, 1.0], 60000)
+                        for lo, hi in ((0.0, 50.0), (1e-6, 1e-3), (1e3, 1e8), (1e8, 4e8))])
+    for np_fn, libm_fn in ((np.cos, math.cos), (np.sin, math.sin)):
+        want = np.array([libm_fn(v) for v in a.tolist()])
+        differ = np.flatnonzero(np_fn(a).view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"np.{np_fn.__name__} differs from libm at {differ.size} of {a.size} angles, "
+            f"first {a[differ[0]]!r}; HelicalB's stacked methods, the array path of "
+            "helix_solution and X5 and X6 with their gradients rely on the match")

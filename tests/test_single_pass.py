@@ -18,8 +18,9 @@ from magsuper import cli
 from magsuper.algebra import _zero_field_model
 
 from helpers import (CoeffPolynomialsUnfolded, bracket_table_reference,
-                     integral_gradient_reference, monopole_positions, monopole_states,
-                     random_states, residuals_reference, rng, stack_states)
+                     constantB_basis_reference, helix_reference, integral_gradient_reference,
+                     monopole_positions, monopole_states, random_states, residuals_reference,
+                     rng, stack_states, x5_integral_reference, x6_integral_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +606,74 @@ def test_stacked_algebra_basis_and_casimirs_have_one_point_bits(B):
     for x, p in zip(xs[:60], ps[:60]):
         s = ms.PhaseState([0.0, x[1], 0.0], p)
         assert ms.casimir_check(B, stack_states([s])) == _reference_casimirs(B, [s])
+
+
+def _basis_points(seed):
+    """The states of `_squares_unlike_pow` with |p1| >= 0.1, and 300 with
+    1e-8 <= |p1| < 1e-3, whose angles B x/p1 run up to about 2e8."""
+    xs = _squares_unlike_pow(seed, 60)
+    ps = np.roll(xs, 7, axis=0)
+    keep = np.abs(ps[:, 0]) >= 0.1
+    gen = rng(seed + 2)
+    small = gen.uniform(-2.0, 2.0, (300, 6))
+    small[:, 3] = gen.choice([-1.0, 1.0], 300) * 10.0 ** gen.uniform(-7.99, -3.0, 300)
+    return np.vstack([xs[keep], small[:, :3]]), np.vstack([ps[keep], small[:, 3:]])
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("B", [1.3, -0.7])
+def test_algebra_basis_has_the_bits_of_the_closures(B):
+    xs, ps = _basis_points(671)
+    states = [ms.PhaseState(x, p) for x, p in zip(xs, ps)]
+    for f, ref in zip(ms.constantB_basis(B), constantB_basis_reference(B)):
+        assert f.name == ref.name and isinstance(f.model, ms.ConstantB)
+        want = np.broadcast_to(ref.fn((xs, ps)), len(xs))
+        assert np.array_equal(_bits(f.fn((xs, ps))), _bits(want)), f.name
+        for got, exp in zip(f.grad((xs, ps)), ref.grad((xs, ps))):
+            assert np.array_equal(_bits(got), _bits(exp)), f.name
+        for s in states:
+            assert _bits(f.fn(s)) == _bits(ref.fn(s)), f.name
+            for got, exp in zip(f.grad(s), ref.grad(s)):
+                assert np.array_equal(_bits(got), _bits(exp)), f.name
+    for fn, ref in ((ms.x5_integral, x5_integral_reference),
+                    (ms.x6_integral, x6_integral_reference)):
+        assert np.array_equal(_bits(fn(B, (xs, ps))), _bits(ref(B, (xs, ps)))), fn.__name__
+        assert all(_bits(fn(B, s)) == _bits(ref(B, s)) for s in states), fn.__name__
+    s0 = ms.PhaseState(xs[0], ps[0])
+    times = np.concatenate([rng(673).uniform(0.0, 400.0, 2000), rng(674).uniform(1e3, 1e8, 2000)])
+    for got, want in zip(ms.helix_solution(B, s0, times), helix_reference(B, s0, times)):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_polynomial_generators_answer_at_p1_zero_and_the_angle_refuses_a_small_p1():
+    B = 1.3
+    xs, ps = _basis_points(672)
+    ps[:, 0] = 0.0
+    stack, one = (xs, ps), ms.PhaseState(xs[0], ps[0])
+    basis = {f.name: f for f in ms.constantB_basis(B)}
+    for ref in constantB_basis_reference(B):
+        if ref.name in ("X5", "X6"):
+            for s in (stack, one):
+                with pytest.raises(ms.DegenerateMomentum, match=r"^\|p1\|=0\.0 below 1e-08"):
+                    basis[ref.name].fn(s)
+            continue
+        f = basis[ref.name]
+        for s in (stack, one):
+            want = np.broadcast_to(ref.fn(s), np.shape(f.fn(s)))
+            assert np.array_equal(_bits(f.fn(s)), _bits(want)), ref.name
+            for got, exp in zip(f.grad(s), ref.grad(s)):
+                assert np.array_equal(_bits(got), _bits(exp)), ref.name
+    xs, ps = _basis_points(672)
+    ps[7, 0] = 1e-9
+    refusals = [basis["X5"].fn, basis["X5"].grad, basis["X6"].fn, basis["X6"].grad,
+                lambda s: ms.x5_integral(B, s), lambda s: ms.x6_integral(B, s),
+                lambda s: ms.verify_bracket_table(B, s), lambda s: ms.casimir_check(B, s)]
+    for refuse in refusals:
+        with pytest.raises(ms.DegenerateMomentum, match=r"^\|p1\|=1e-09 below 1e-08"):
+            refuse((xs, ps))
 
 
 @pytest.mark.parametrize("g", [2.0, 0.0])
