@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -132,17 +133,81 @@ _DEFAULT_SYSTEMS = {
 }
 
 
-def validate_config(cfg: dict) -> None:
-    import jsonschema
+#: JSON Schema's types as jsonschema's draft 2020-12 tells them apart
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+#: each bound keyword: the type of value it holds, and its test that refuses one
+_BOUNDS = {"minItems": ("array", lambda v, n: len(v) < n),
+           "maxItems": ("array", lambda v, n: len(v) > n),
+           "minimum": ("number", lambda v, n: v < n),
+           "maximum": ("number", lambda v, n: v > n),
+           "exclusiveMinimum": ("number", lambda v, n: v <= n)}
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    try:
-        errors = sorted(validator.iter_errors(cfg), key=lambda e: str(e.json_path))
-    except RecursionError as exc:  # a value nested just within what json reads
-        raise ConfigError("config nests arrays or objects too deeply") from exc
-    if errors:
-        err = errors[0]
-        raise ConfigError(f"config schema violation at {err.json_path}: {err.message}")
+
+def _accepts(schema: dict):
+    """The predicate that holds for exactly the values that `schema` accepts
+    under JSON Schema draft 2020-12, for the keywords of the config schema;
+    it ignores the annotations $schema and title, and refuses any other."""
+    tests = []
+    for key, arg in schema.items():
+        values = [arg] if key == "const" else arg
+        if key == "type" and arg in [*_TYPES]:
+            tests.append(_TYPES[arg])
+        elif key == "properties":
+            subs = {name: _accepts(sub) for name, sub in arg.items()}
+            tests.append(lambda v, s=subs: not isinstance(v, dict) or all(
+                s[k](x) for k, x in v.items() if k in s))
+        elif key == "required":
+            tests.append(lambda v, keys=arg: not isinstance(v, dict) or all(k in v for k in keys))
+        elif key == "additionalProperties" and arg is False:
+            known = frozenset(schema.get("properties", ()))
+            tests.append(lambda v, known=known: not isinstance(v, dict) or v.keys() <= known)
+        elif key == "items":
+            tests.append(lambda v, sub=_accepts(arg): not isinstance(v, list) or all(map(sub, v)))
+        elif key in _BOUNDS:
+            kind, refused = _BOUNDS[key]
+            tests.append(lambda v, is_a=_TYPES[kind], r=refused, n=arg: not is_a(v) or not r(v, n))
+        elif key in ("const", "enum") and not any(isinstance(c, (list, dict)) for c in values):
+            # JSON equality of scalars: bools stand apart from numbers
+            tests.append(lambda v, values=values: any(
+                v == c and isinstance(v, bool) == isinstance(c, bool) for c in values))
+        elif key == "not":
+            tests.append(lambda v, sub=_accepts(arg): not sub(v))
+        elif key == "oneOf":
+            tests.append(lambda v, subs=[*map(_accepts, arg)]: sum(sub(v) for sub in subs) == 1)
+        elif key not in ("$schema", "title"):
+            raise ValueError(f"schema keyword {key!r} with {arg!r} has no compiled test")
+    return functools.reduce(lambda a, b: lambda v: a(v) and b(v), tests or [lambda v: True])
+
+
+#: whether CONFIG_SCHEMA accepts a config, and each of its keys a flag's value
+_ACCEPTS_CONFIG = _accepts(CONFIG_SCHEMA)
+_ACCEPTS_KEY = {key: _accepts(sub) for key, sub in CONFIG_SCHEMA["properties"].items()}
+
+
+def _refusal(schema: dict, value) -> tuple[str, str]:
+    """The JSON path and message of jsonschema's first error of `value`, by path."""
+    import jsonschema  # only to word a refusal
+
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(value)
+    err = min(errors, key=lambda e: str(e.json_path), default=None)
+    return (("$", "the schema's compiled test refuses it") if err is None
+            else (str(err.json_path), err.message))
+
+
+def validate_config(cfg: dict) -> None:
+    """A ConfigError in jsonschema's words for a config that CONFIG_SCHEMA refuses."""
+    if not _ACCEPTS_CONFIG(cfg):
+        try:
+            where, message = _refusal(CONFIG_SCHEMA, cfg)
+        except RecursionError as exc:  # a value nested just within what json reads
+            raise ConfigError("config nests arrays or objects too deeply") from exc
+        raise ConfigError(f"config schema violation at {where}: {message}")
 
 
 def _no_constant(literal: str):
@@ -218,16 +283,12 @@ def _setting(ns, cfg: dict, key: str, default, kind):
     if value is None:
         value = cfg.get(key, default)
     else:
-        import jsonschema
-
         flag = "--" + key.replace("_", "-")
         # argparse's float() reads nan and inf, and int() integers beyond a
         # double, which a config cannot hold
         _finite(value, f"{flag}: {value}")
-        schema = CONFIG_SCHEMA["properties"][key]
-        err = next(jsonschema.Draft202012Validator(schema).iter_errors(value), None)
-        if err is not None:
-            raise ConfigError(f"{flag}: {err.message}")
+        if not _ACCEPTS_KEY[key](value):
+            raise ConfigError(f"{flag}: {_refusal(CONFIG_SCHEMA['properties'][key], value)[1]}")
     return None if value is None else kind(value)
 
 
@@ -322,11 +383,6 @@ def _verify_specs(model) -> list[IntegralSpec]:
     return specs
 
 
-def _is_number(v) -> bool:
-    """A JSON number: an int or a float, never a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _load_spec_file(path: str, model) -> list[IntegralSpec]:
     """User-supplied integral candidates, each of its own name: alpha
     entries plus constant or named s, m choices; {"known": NAME} pulls a
@@ -355,9 +411,9 @@ def _load_spec_file(path: str, model) -> list[IntegralSpec]:
             raise ConfigError(f"integrals[{i}].alpha must be an object")
         s, m = (None if v == "zero" else v for v in (ent.get("s"), ent.get("m")))
         if s is not None and not (isinstance(s, list) and len(s) == 3
-                                  and all(_is_number(v) for v in s)):
+                                  and all(map(_TYPES["number"], s))):
             raise ConfigError(f"integrals[{i}].s must be null, 'zero', or 3 numbers")
-        if m is not None and not _is_number(m):
+        if m is not None and not _TYPES["number"](m):
             raise ConfigError(f"integrals[{i}].m must be null, 'zero', or a number")
         try:
             out.append(_constant_spec(name, alpha, s, m))

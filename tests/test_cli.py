@@ -841,6 +841,73 @@ def test_separatrix_closed_form_leaves_scipy_integrate_unloaded(tmp_path):
     assert done.stdout.strip() == "0 False"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--config", "{checks}"], 0),
+    (["trajectory", "--config", "{orbit}", "--closed-form"], 0),
+    (["spectrum", "--config", "{landau}", "--tolerance", "1e-6"], 2),
+    (["verify", "--system", "monopole", "--n-points", "10"], 0),
+], ids=["verify-config", "trajectory-config", "spectrum-tolerance", "verify-n-points"])
+def test_accepted_commands_leave_jsonschema_unloaded(tmp_path, argv, code):
+    # the compiled schema test accepts the config and the flags; jsonschema
+    # is imported only to word a refusal
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    configs = {
+        "{checks}": _write_cfg(tmp_path, "checks.json", {
+            "system": {"model": "constant_b", "B": 1.0}, "n_points": 5, "seed": 3}),
+        "{orbit}": _sim_cfg(tmp_path, {"model": "helical", "A_amp": 1.0, "beta": 1.0},
+                            [0.9, -0.4, 0.3], [0.6, 0.2, -0.5], t_end=1.0, name="orbit.json",
+                            integrator={"method": "rk45", "rel_tol": 1e-9}),
+        "{landau}": _write_cfg(tmp_path, "landau.json", {
+            "system": {"model": "constant_b", "B": 1.0},
+            "grid": {"lo": -10.0, "hi": 10.0, "n": 400}, "n_levels": 2}),
+    }
+    argv = [configs.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
+    probe = ("import sys, magsuper.cli; "
+             f"code = magsuper.cli.main({argv!r}); "
+             "print(code, 'jsonschema' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{code} False"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--config", "{zero_b}"],
+     "config schema violation at $.system: {'model': 'constant_b', 'B': 0} is not valid "
+     "under any of the given schemas"),
+    (["verify", "--system", "monopole", "--n-points", "0"],
+     "--n-points: 0 is less than the minimum of 1"),
+], ids=["config", "flag"])
+def test_refusals_import_jsonschema_to_word_them(tmp_path, argv, message):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    zero_b = _write_cfg(tmp_path, "zero.json", {"system": {"model": "constant_b", "B": 0}})
+    argv = [zero_b if a == "{zero_b}" else a for a in argv]
+    probe = ("import sys, magsuper.cli; "
+             f"code = magsuper.cli.main({argv!r}); "
+             "print(code, 'jsonschema' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "1 True"), done.stderr
+    assert done.stderr == f"magsuper: error: {message}\n"
+
+
+def test_a_refusal_that_jsonschema_cannot_word_still_exits_1(monkeypatch, capsys):
+    # the compiled test alone decides; the refusal stands with a generic message
+    monkeypatch.setattr(cli, "_ACCEPTS_CONFIG", lambda cfg: False)
+    with pytest.raises(ms.ConfigError,
+                       match=r"^config schema violation at \$: the schema's compiled test "
+                             r"refuses it$"):
+        cli.validate_config({"system": {"model": "constant_b", "B": 1.0}})
+    monkeypatch.setitem(cli._ACCEPTS_KEY, "n_points", lambda value: False)
+    assert cli.main(["verify", "--system", "constant_b", "--n-points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("magsuper: error: --n-points: the schema's compiled test "
+                            "refuses it\n")
+
+
 def _readme_json_blocks():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     parts = readme.read_text(encoding="utf-8").split("```json\n")[1:]

@@ -6,9 +6,15 @@ warning. The strategies are built from `cli.CONFIG_SCHEMA` itself, so a
 key added there is drawn here too. Field parameters and energies range
 over all finite doubles; the keys that set how much work a run does are
 held small, and so is |field| * t_end of a trajectory.
+
+The accept tests that `cli` compiles from the schema must agree with
+jsonschema's validator on the drawn configs, on the same configs with
+one value replaced, one key deleted or one key added, and on the values
+of each flag.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -164,3 +170,128 @@ def test_every_schema_config_exits_0_1_or_2(tmp_path_factory, command):
 def test_model_from_config_takes_every_schema_system(system):
     VALIDATOR.validate({"system": system})
     assert isinstance(ms.model_from_config(system), ms.fields.FieldModel)
+
+
+CONFIGS = from_schema(SCHEMA)
+
+
+def _paths(value, path=()):
+    """The path of each value inside `value`, as a tuple of keys and indices."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield path + (key,)
+        yield from _paths(sub, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+#: the limits of the schema's numeric bounds
+LIMITS = sorted({_at(SCHEMA, path) for path in _paths(SCHEMA)
+                 if path[-1] in ("minimum", "maximum", "exclusiveMinimum")})
+#: values on the edges of JSON Schema's types, and at or just past each limit
+EDGES = [True, False, None, 0, -0.0, 16.0, 15.5, "x", "", [], [1, 2], [1.0, 2.0, 3.0], {},
+         {"model": "constant_b"}, *LIMITS, *(limit + step for limit in LIMITS for step in (-1, 1)),
+         *(math.nextafter(limit, side) for limit in LIMITS for side in (-math.inf, math.inf))]
+
+
+def _mutant(draw, cfg):
+    """cfg with one value replaced by an edge, one key deleted or one key added."""
+    cfg = copy.deepcopy(cfg)
+    paths = list(_paths(cfg))
+    kind = draw(st.sampled_from(["replace", "delete", "add"]))
+    if kind == "add":
+        objects = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, draw(st.sampled_from(objects)))["extra"] = draw(st.sampled_from(EDGES))
+        return cfg
+    if kind == "delete":
+        paths = [p for p in paths if isinstance(_at(cfg, p[:-1]), dict)]
+    path = draw(st.sampled_from(paths))
+    parent = _at(cfg, path[:-1])
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(EDGES)))
+    return cfg
+
+
+@st.composite
+def mutants(draw, count=10):
+    """A drawn config and `count` mutants of it."""
+    cfg = draw(CONFIGS)
+    return [cfg, *(_mutant(draw, cfg) for _ in range(count))]
+
+
+def _agree(cfg):
+    """The compiled test accepts cfg exactly when jsonschema does, and words
+    a refusal as the first error that jsonschema finds, by path."""
+    accepted = cli._ACCEPTS_CONFIG(cfg)
+    assert accepted == VALIDATOR.is_valid(cfg), cfg
+    if not accepted:
+        err = sorted(VALIDATOR.iter_errors(cfg), key=lambda e: str(e.json_path))[0]
+        with pytest.raises(ms.ConfigError) as refusal:
+            cli.validate_config(cfg)
+        assert str(refusal.value) == f"config schema violation at {err.json_path}: {err.message}"
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutants())
+def test_compiled_test_agrees_with_jsonschema_on_drawn_and_mutated_configs(cfgs):
+    assert cli._ACCEPTS_CONFIG(cfgs[0])
+    for cfg in cfgs:
+        _agree(cfg)
+
+
+@pytest.mark.parametrize("key", sorted(SCHEMA["properties"]))
+def test_compiled_flag_tests_agree_with_jsonschema(key):
+    schema = SCHEMA["properties"][key]
+    validator = jsonschema.Draft202012Validator(schema)
+
+    @settings(SETTINGS, max_examples=20)
+    @given(from_schema(schema, key) | st.sampled_from(EDGES))
+    def check(value):
+        assert cli._ACCEPTS_KEY[key](value) == validator.is_valid(value), value
+
+    check()
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"anyOf": [{"type": "number"}, {"type": "array"}]},
+    {"$ref": "#/$defs/x", "$defs": {"x": {"type": "number"}}},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"type": "string"},
+    {"type": ["number", "array"]},
+    {"const": [1]},
+], ids=["pattern", "anyOf", "$ref", "additionalProperties-schema", "type-string",
+        "type-list", "const-array"])
+def test_compiler_refuses_keywords_it_does_not_implement(schema):
+    with pytest.raises(ValueError, match="has no compiled test"):
+        cli._accepts(schema)
+    with pytest.raises(ValueError, match="has no compiled test"):
+        cli._accepts({"properties": {"x": schema}})
+
+
+def test_compiler_ignores_the_schema_and_title_annotations():
+    accepts = cli._accepts({"$schema": SCHEMA["$schema"], "title": "a number",
+                            "type": "number"})
+    assert accepts(1.5) and accepts(0) and not accepts(True) and not accepts("1")
+    assert cli._accepts({"$schema": SCHEMA["$schema"], "title": "anything"})([{}])
+
+
+@pytest.mark.parametrize("schema", [
+    {"const": 0}, {"const": True}, {"const": "a"}, {"enum": [1, "a", None]}, {"enum": [False]},
+    {"not": {"const": 0}}, {"type": "integer"}, {"type": "number"},
+    {"type": "integer", "minimum": 16, "maximum": 1000},
+    {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
+    {"oneOf": [{"type": "integer"}, {"type": "number", "maximum": 0}]},
+])
+def test_compiler_tells_bools_from_numbers_as_jsonschema_does(schema):
+    accepts = cli._accepts(schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    for value in [*EDGES, 1, 1.0, -1, True, "a", [True], [16.0, 0], [1, 2, 3]]:
+        assert accepts(value) == validator.is_valid(value), (schema, value)
