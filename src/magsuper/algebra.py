@@ -13,13 +13,14 @@ import numpy as np
 
 from .closedform import _phase_vectors, _rows_at, _x5_x6
 from .errors import ConfigError, DomainError, ParameterError
-from .fields import EPS_DOMAIN, ConstantB, Custom, Monopole, _as_count, _pow
+from .fields import (EPS_DOMAIN, ConstantB, FieldRecord, Monopole, _as_count, _as_real,
+                     _first_flagged, _pow, dot, field_record)
 from .integrals import (
     PhaseFunction,
-    _bracket_table,
+    _integral_gradient,
     _state_stacks,
-    as_phase_function,
-    bracket_matrix,
+    _worst_brackets,
+    integral_record,
     monopole_angular_specs,
     monopole_total_square_spec,
 )
@@ -104,25 +105,20 @@ def constantB_bracket_table(B: float) -> BracketTable:
 
 def verify_bracket_table(B: float, states) -> dict:
     """Max discrepancy of every basis pair against the structure table at
-    `states`, a pair (x, p) of (n,3) stacks, all through one bracket table."""
-    rows = _basis_rows(B, *_state_stacks(states))
-    br = _bracket_table([rows[n][1:] for n in _BASIS_NAMES])
+    `states`, a pair (x, p) of (n,3) stacks, through `_worst_brackets`."""
+    x, p = _state_stacks(states)
+    rows = _basis_rows(B, x, p)
     table = constantB_bracket_table(B)
-    pairs = {}
-    for i, a in enumerate(_BASIS_NAMES):
-        for j in range(i + 1, len(_BASIS_NAMES)):
-            pred = sum(c * rows[n][0] for n, c in table.combination(i, j).items())
-            pairs[f"{{{a},{_BASIS_NAMES[j]}}}"] = _max_abs(br[:, i, j] - pred)
+    pairs = [(i, j) for i in range(len(_BASIS_NAMES)) for j in range(i + 1, len(_BASIS_NAMES))]
+    worst = _worst_brackets([rows[n][1:] for n in _BASIS_NAMES], {
+        (i, j): sum(c * rows[n][0] for n, c in table.combination(i, j).items())
+        for i, j in pairs if table.combination(i, j)})
+    pairs = {f"{{{_BASIS_NAMES[i]},{_BASIS_NAMES[j]}}}": float(worst[i, j]) for i, j in pairs}
     return {
         "pairs": pairs,
         "max_discrepancy": max(pairs.values()),
-        "n_states": len(br),
+        "n_states": len(x),
     }
-
-
-def _max_abs(v) -> float:
-    """max |v| over the states, 0.0 for none."""
-    return float(np.max(np.abs(v), initial=0.0))
 
 
 def casimir_check(B: float, states) -> dict:
@@ -134,9 +130,9 @@ def casimir_check(B: float, states) -> dict:
     # H in the gauge of the basis, squared by pow: `hamiltonian` sums v.v by
     # products, and the bits of the two differ in about 1 state of 1400
     h2 = 2.0 * (0.5 * (_pow(p.T[0], 2) + _pow(p.T[1] - B * x.T[2], 2) + _pow(p.T[2], 2)))
-    r1 = _max_abs(2 * v["X1t"] * v["X7"] + _pow(v["X5"], 2) + _pow(v["X6"], 2) - h2)
-    r2 = _max_abs(2 * (B * v["X4"] + v["X1t"]) * v["X7"]
-                  + _pow(v["X2"], 2) + _pow(v["X3"], 2) - h2)
+    r1, r2 = (float(np.max(np.abs(r), initial=0.0)) for r in (  # 0.0 for no states
+        2 * v["X1t"] * v["X7"] + _pow(v["X5"], 2) + _pow(v["X6"], 2) - h2,
+        2 * (B * v["X4"] + v["X1t"]) * v["X7"] + _pow(v["X2"], 2) + _pow(v["X3"], 2) - h2))
     return {
         "first_casimir": r1,
         "second_casimir": r2,
@@ -145,52 +141,43 @@ def casimir_check(B: float, states) -> dict:
     }
 
 
-def _zero_field_model() -> Custom:
-    """The g = 0 limit of the monopole: no field, singular only at the origin."""
-
-    def domain(x):
-        if float(np.linalg.norm(x)) < EPS_DOMAIN:
-            raise DomainError(f"point {x} is too close to the center")
-
-    return Custom(
-        a=lambda x: np.zeros(3),
-        v=lambda x: 0.0,
-        b=lambda x: np.zeros(3),
-        jac_a=lambda x: np.zeros((3, 3)),
-        grad_v=lambda x: np.zeros(3),
-        domain=domain,
-    )
-
-
 def monopole_closure_check(g: float, states, Q: float = 0.0) -> dict:
     """Checks {X1,X2}=X3 (cyclically) and involution of (X)^2 with each X_j.
 
-    g = 0 reduces to the ordinary angular momenta l_j. All of `states`, a
-    pair (x, p) of (n,3) stacks, go through one bracket table, with the
-    specs' exact gradients.
+    g = 0 reduces to the ordinary angular momenta l_j in no field, singular
+    only at the origin. All of `states`, a pair (x, p) of (n,3) stacks, go
+    through one field record, the specs' exact gradients and
+    `_worst_brackets`, as in `verify`.
     """
-    s = _state_stacks(states)
-    model = Monopole(g=g, Q=Q) if g != 0 else _zero_field_model()
-    fns = [as_phase_function(sp, model) for sp in monopole_angular_specs(g)]
-    vals = [f.fn(s) for f in fns]
-    fns.append(as_phase_function(monopole_total_square_spec(g), model))
-    br = bracket_matrix(fns, s)  # rows X1, X2, X3, X_sq
-    checks = {}
-    for j in range(3):
-        k, l = (j + 1) % 3, (j + 2) % 3
-        checks[f"{{X{j + 1},X{k + 1}}}-X{l + 1}"] = _max_abs(br[:, j, k] - vals[l])
-    for j in range(3):
-        checks[f"{{X_sq,X{j + 1}}}"] = _max_abs(br[:, 3, j])
+    x, p = _state_stacks(states)
+    Q = _as_real(Q, f"Q {Q!r}")
+    if g != 0:
+        rec = field_record(Monopole(g=g, Q=Q), x)
+    elif (bad := _first_flagged(x, np.sqrt(np.vecdot(x, x)) < EPS_DOMAIN)) is not None:
+        raise DomainError(f"point {bad} is too close to the center")
+    else:  # no field
+        rec = FieldRecord(None, x, np.zeros(x.shape), np.zeros((len(x), 3, 3)),
+                          np.zeros(x.shape), np.zeros(x.shape))
+    grads, vals = [], []
+    for sp in [*monopole_angular_specs(g), monopole_total_square_spec(g)]:
+        irec = integral_record(sp, rec)
+        grads.append(_integral_gradient(sp, irec, p))
+        if not sp.alpha:  # X_j, formed as evaluate_integral forms it
+            vals.append(0.0 + dot(irec.s, p + rec.a) + sp.m(x))
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # of the rows X1, X2, X3, X_sq
+    worst = _worst_brackets(grads, {(j, k): vals[l] for j, k, l in cyclic})
+    checks = {f"{{X{j + 1},X{k + 1}}}-X{l + 1}": float(worst[j, k]) for j, k, l in cyclic}
+    checks.update({f"{{X_sq,X{j + 1}}}": float(worst[3, j]) for j in range(3)})
     return {
         "checks": checks,
         "max_discrepancy": max(checks.values()),
-        "n_states": len(s[0]),
+        "n_states": len(x),
     }
 
 
 #: most points or states a sampled check may ask for (the schema's n_points
-#: maximum); at this many, `algebra` peaks at about 286 MB (constant_b) and
-#: `verify` at 244 MB (the monopole in quantum mode)
+#: maximum); at this many, `verify` peaks at about 240 MB (the monopole in
+#: quantum mode) and `algebra` at 150 MB (either system)
 SAMPLE_MAX_ROWS = 200_000
 
 

@@ -38,10 +38,10 @@ from .fields import (ConstantB, HelicalB, Monopole, divergence_checks, field_rec
 from .integrals import (
     RESIDUAL_KEYS,
     IntegralSpec,
-    _bracket_table,
     _constant_spec,
     _hamiltonian_gradient,
     _integral_gradient,
+    _worst_brackets,
     determining_residuals,
     integral_record,
     known_integrals,
@@ -448,13 +448,9 @@ def _cmd_verify(ns) -> int:
             by_eq[key] = max(by_eq[key], val)
         by_int[sp.name] = max(0.0, *worst.values())
 
-    # max |{f_i, f_j}| over the states, with H as the last function, formed
-    # 8192 states at a time (a block of 4 MiB for H and seven integrals)
+    # max |{f_i, f_j}| over the states, with H as the last function
     grads.append(_hamiltonian_gradient(rec, ps))
-    worst = np.zeros((len(grads), len(grads)))
-    for b in (slice(i, i + 8192) for i in range(0, len(xs), 8192)):
-        table = _bracket_table([(gx[b], gp[b]) for gx, gp in grads])
-        np.maximum(worst, np.max(np.abs(table, out=table), axis=0), out=worst)
+    worst = _worst_brackets(grads, {})
     bracket_h = {sp.name: float(v) for sp, v in zip(specs, worst[:-1, -1])}
     # informational structure matrix, not a pass criterion
     matrix = worst[:-1, :-1].tolist()

@@ -8,8 +8,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from magsuper import (ConfigError, ConstantB, Cylindrical, DegenerateMomentum, DomainError,
-                      HelicalB, IntegralSpec, Monopole, ParameterError, PhaseFunction,
+from magsuper import (ConfigError, ConstantB, Custom, Cylindrical, DegenerateMomentum,
+                      DomainError, HelicalB, IntegralSpec, Monopole, ParameterError, PhaseFunction,
                       PhaseState, StepFailure)
 from magsuper.dynamics import RK45_A, RK45_B, RK45_E, _state_arrays
 from magsuper.fields import EPS_DOMAIN, _at, _zeros, cross, norm
@@ -714,6 +714,25 @@ def bracket_table_reference(grads):
     gx, gp = zip(*grads)
     m = np.vecdot(np.stack(gx, axis=1)[:, :, None], np.stack(gp, axis=1)[:, None])
     return m - m.transpose(0, 2, 1)
+
+
+def _zero_field_model() -> Custom:
+    """The g = 0 limit of the monopole, as a Custom model called row by row:
+    no field, singular only at the origin."""
+
+    def domain(x):
+        if float(np.linalg.norm(x)) < EPS_DOMAIN:
+            raise DomainError(f"point {x} is too close to the center")
+
+    return Custom(
+        a=lambda x: np.zeros(3),
+        v=lambda x: 0.0,
+        b=lambda x: np.zeros(3),
+        jac_a=lambda x: np.zeros((3, 3)),
+        grad_v=lambda x: np.zeros(3),
+        domain=domain,
+    )
+
 
 # ---------------------------------------------------------------------------
 # the built-in integrals as hand-written closures

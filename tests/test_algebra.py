@@ -1,5 +1,7 @@
 """Bracket algebra of the uniform field and monopole angular closure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,14 @@ def test_zero_charge_reduces_to_angular_momenta():
     states = [s for s in states if np.linalg.norm(s.x) > 0.3]
     rep = ms.monopole_closure_check(0.0, stack_states(states))
     assert rep["max_discrepancy"] < 1e-9
+
+
+@pytest.mark.parametrize("g", [0.0, 2.0])
+@pytest.mark.parametrize("Q", ["abc", float("nan"), None, True], ids=["str", "nan", "None", "True"])
+def test_closure_check_refuses_a_charge_that_is_not_a_finite_real_number(g, Q):
+    # at g = 0 no Monopole is built to refuse it
+    with pytest.raises(ms.ParameterError, match=r"^Q .* is not"):
+        ms.monopole_closure_check(g, stack_states(monopole_states(rng(957), 3)), Q=Q)
 
 
 def test_monopole_function_values_match_covariant_specs():
@@ -419,6 +429,22 @@ def test_no_sampled_states_are_two_empty_stacks():
     cas = ms.casimir_check(2.0, (x, p))
     assert cas["n_states"] == 0 and cas["max_residual"] == 0.0
     assert ms.bracket_matrix(ms.constantB_basis(2.0), (x, p)).shape == (0, 7, 7)
+
+
+def test_bracket_table_is_not_held_whole():
+    # the basis rows (392 bytes a state) and the eight expected stacks (64)
+    # stay whole; the (n, 7, 7) table and its products come 8192 states at a
+    # time, about 9 MB at once. Held whole, they take about 1170 bytes a state
+    n = 40000
+    x, p = _states(958, n, p1_min=0.1)
+    ms.verify_bracket_table(2.0, (x[:10], p[:10]))  # a warm-up
+    tracemalloc.start()
+    try:
+        ms.verify_bracket_table(2.0, (x, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 900 * n, peak / n
 
 
 def test_sample_states_draws_are_pinned():

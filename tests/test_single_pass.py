@@ -15,12 +15,12 @@ import pytest
 
 import magsuper as ms
 from magsuper import cli
-from magsuper.algebra import _zero_field_model
 
 from helpers import (CoeffPolynomialsUnfolded, bracket_table_reference,
                      constantB_basis_reference, helix_reference, integral_gradient_reference,
                      monopole_positions, monopole_states, random_states, residuals_reference,
-                     rng, stack_states, x5_integral_reference, x6_integral_reference)
+                     rng, stack_states, x5_integral_reference, x6_integral_reference,
+                     _zero_field_model)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +678,8 @@ def test_polynomial_generators_answer_at_p1_zero_and_the_angle_refuses_a_small_p
 
 @pytest.mark.parametrize("g", [2.0, 0.0])
 def test_checks_of_no_states_report_zeros(g):
-    # g = 0 is a Custom model, whose row-by-row methods must keep the
-    # shape of an empty stack
+    # g = 0 is a zero field record, which must keep the shape of an empty
+    # stack
     closure = ms.monopole_closure_check(g, stack_states([]))
     assert closure["n_states"] == 0 and set(closure["checks"].values()) == {0.0}
     table = ms.verify_bracket_table(1.3, stack_states([]))
@@ -865,6 +865,13 @@ def test_one_pass_per_spec_has_the_bits_of_evaluating_twice(name, mode, tmp_path
 @pytest.mark.parametrize("n", [2000, 20000])
 def test_verify_report_has_the_numbers_of_evaluating_twice(tmp_path, args, n):
     # 20000 states make three blocks of the bracket table, the last one short
+    _assert_verify_has_the_numbers_of_evaluating_twice(tmp_path, args, n)
+
+
+def _assert_verify_has_the_numbers_of_evaluating_twice(tmp_path, args, n):
+    """verify's report at seed 11 against the same report with its numbers
+    formed again: the residuals by `residuals_reference`, the brackets from
+    one unblocked `bracket_table_reference` table."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(_CAP_SPEC_FILE), encoding="utf-8")
     args = [str(spec) if a == "SPEC" else a for a in args]
@@ -894,6 +901,49 @@ def test_verify_report_has_the_numbers_of_evaluating_twice(tmp_path, args, n):
                bracket_with_h={sp.name: float(v) for sp, v in zip(specs, table[:-1, -1])},
                bracket_matrix=table[:-1, :-1].tolist())
     assert cli.dumps_report(doc) + "\n" == text
+
+
+def test_blocked_brackets_match_one_unblocked_table_across_the_seams(tmp_path):
+    # two whole blocks of `_worst_brackets` and three states: a seam at 8192
+    # and at 16384, and a last block of 3
+    n, B = 2 * 8192 + 3, 1.3
+    names, table = ms.algebra._BASIS_NAMES, ms.constantB_bracket_table(B)
+    x, p = ms.sample_states(rng(614), n, p1_min=0.1)
+    rows = ms.algebra._basis_rows(B, x, p)
+    br = bracket_table_reference([rows[k][1:] for k in names])
+    pairs = {f"{{{names[i]},{names[j]}}}": float(np.max(np.abs(
+        br[:, i, j] - sum(c * rows[k][0] for k, c in table.combination(i, j).items()))))
+        for i in range(len(names)) for j in range(i + 1, len(names))}
+    assert ms.verify_bracket_table(B, (x, p)) == {
+        "pairs": pairs, "max_discrepancy": max(pairs.values()), "n_states": n}
+    # a maximum hides a lost state unless it is the worst one, so the kernel
+    # also sees each state beside a seam alone: the others' gradients zeroed
+    grads = [rows[k][1:] for k in names]
+    for t in (0, 8191, 8192, 16383, 16384, n - 1):
+        alone = np.arange(n)[:, None] == t
+        one = [(np.where(alone, gx, 0.0), np.where(alone, gp, 0.0)) for gx, gp in grads]
+        want = np.abs(br[t])
+        assert np.array_equal(ms.integrals._worst_brackets(one, {}), want), t
+        want[0, 4] = abs(br[t, 0, 4] - 1.5)
+        assert np.array_equal(ms.integrals._worst_brackets(one, {(0, 4): 1.5 * alone[:, 0]}),
+                              want), t
+
+    x, p = ms.sample_states(rng(615), n, admissible=ms.monopole_admissible)
+    for g, Q, model in ((2.0, 1.0, ms.Monopole(g=2.0, Q=1.0)), (0.0, 0.0, _zero_field_model())):
+        specs = [*ms.monopole_angular_specs(g), ms.monopole_total_square_spec(g)]
+        rec = ms.fields.field_record(model, x)
+        br = bracket_table_reference([integral_gradient_reference(sp, rec, p) for sp in specs])
+        vals = [ms.evaluate_integral(sp, model, (x, p)) for sp in specs[:3]]
+        checks = {}
+        for j in range(3):
+            k, l = (j + 1) % 3, (j + 2) % 3
+            checks[f"{{X{j + 1},X{k + 1}}}-X{l + 1}"] = float(np.max(np.abs(br[:, j, k] - vals[l])))
+        for j in range(3):
+            checks[f"{{X_sq,X{j + 1}}}"] = float(np.max(np.abs(br[:, 3, j])))
+        assert ms.monopole_closure_check(g, (x, p), Q=Q) == {
+            "checks": checks, "max_discrepancy": max(checks.values()), "n_states": n}
+
+    _assert_verify_has_the_numbers_of_evaluating_twice(tmp_path, ["--system", "monopole"], n)
 
 
 def test_verify_evaluates_each_spec_function_once(tmp_path, monkeypatch):
